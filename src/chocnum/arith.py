@@ -71,6 +71,35 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
+def binomial_mod_prime(n: int, k: int, p: int) -> int:
+    """C(n, k) mod the prime p by Lucas' theorem: the product of the
+    binomials of the base-p digits of n and k, which is 0 as soon as a digit
+    of k exceeds the digit of n.  Same out-of-range convention as
+    ``binomial``.  Primality of p is the caller's promise; p < 2 raises."""
+    if n < 0:
+        raise ValueError("binomial requires n >= 0")
+    if p < 2:
+        raise ValueError(f"binomial_mod_prime requires a prime p, got {p}")
+    if k < 0 or k > n:
+        return 0
+    r = 1
+    while k and r:
+        n, n_digit = divmod(n, p)
+        k, k_digit = divmod(k, p)
+        r = r * math.comb(n_digit, k_digit) % p
+    return r
+
+
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n >= 1 in increasing order, found by trial
+    division up to the square root of n."""
+    if n < 1:
+        raise ValueError(f"divisors requires n >= 1, got {n}")
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    large = [n // d for d in reversed(small) if d * d != n]
+    return small + large
+
+
 def nu_p(value: int, p: int) -> int:
     """Largest e with p^e dividing value.  value must be >= 1 (the valuation
     of 0 would be infinite) and p must be prime."""

@@ -15,7 +15,7 @@ import os
 import sys
 from pathlib import Path
 
-from .arith import factor, nu_p
+from .arith import divisors, factor, nu_p
 from .chocolate import (
     CacheFormatError,
     ChocolateTable,
@@ -272,8 +272,7 @@ def _cmd_period(args) -> int:
     residues = _residues(args.seq, args.modulus, args.max)
     candidates = None
     if args.hint_pp1:
-        pp1 = args.modulus * (args.modulus - 1)
-        candidates = [d for d in range(1, pp1 + 1) if pp1 % d == 0]
+        candidates = divisors(args.modulus * (args.modulus - 1))
     report = detect_eventual_period(residues, candidates)
     record = {
         "seq": args.seq,

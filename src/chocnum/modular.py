@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
-from .arith import binomial, divides_factorial, is_prime
+from .arith import binomial_mod_prime, divides_factorial, divisors, is_prime
 
 # products of two residues must stay exact in int64
 _INT64_SAFE_MODULUS = 3_037_000_499
@@ -69,32 +70,109 @@ class ModContext:
         return int(self._row[k])
 
 
+def residue_kernel(n_max: int, m: int) -> str:
+    """Name of the arithmetic ``chocolate2_mod(n_max, m)`` runs on.
+
+    ``"int64-dot"``: every product of two residues fits int64 and so does a
+    whole dot product of reduced weights and reduced products, which has
+    fewer than n_max terms of at most (m-1)^2 each; one reduction per step
+    then suffices.  ``"int64"``: the products fit (m <= 3 037 000 499) but a
+    dot product might not, so every product is reduced before the sum.
+    ``"object"``: not even one product fits, so Python integers carry an
+    exact dot product, reduced once per step.
+    """
+    if m > _INT64_SAFE_MODULUS:
+        return "object"
+    if n_max * (m - 1) ** 2 < 2**63:
+        return "int64-dot"
+    return "int64"
+
+
 def chocolate2_mod(n_max: int, m: int) -> list[int]:
     """Residues of the 2 x n break counts B_1..B_n_max mod m, computed
-    entirely in residue arithmetic.
+    entirely in residue arithmetic from
 
-    The factorial term is a running product that sticks at 0 once it hits 0;
-    the binomial weights come from a Pascal row advanced two steps per n.
-    Memory stays O(n_max): the residue vector plus one row of length 2n.
+        B_n = (2n-2)! + sum_{i=1}^{n-1} C(2n-2, 2i-1) B_i B_{n-i}.
+
+    The factorial term is a running product that sticks at 0 once it hits 0.
+
+    Half sum: the weight and the product are both symmetric under
+    i <-> n-i, so only i < n/2 is summed, the sum is doubled, and the middle
+    term is added when n is even.
+
+    Half row: the weights come from C(r, 0..r/2+1) mod m alone, the rest
+    following from C(r, k) = C(r, r-k).  The half row lives in one
+    preallocated buffer of n_max + 3 entries and advances two rows per n, by
+    two Pascal steps that together give
+    C(r+2, k) = C(r, k) + 2 C(r, k-1) + C(r, k-2), with one reduction per
+    step.  Memory stays O(n_max): that row, the residues and a few scratch
+    vectors of the same length.
+
+    Precondition, checked at run time by ``residue_kernel``: when
+    m <= 3 037 000 499 and n_max (m-1)^2 < 2^63, each step reduces the
+    products once and takes one int64 dot product with the weights.
+    Otherwise the kernel falls back to reducing every product before the
+    sum (int64 while m <= 3 037 000 499), or to an exact dot product of
+    Python integers beyond that, so the result is exact for every modulus.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    ctx = ModContext(m)
-    dtype = ctx._row.dtype
+    kernel = residue_kernel(n_max, m)
+    dtype = object if kernel == "object" else np.int64
     out = np.zeros(n_max + 1, dtype=dtype)
     out[1] = 1 % m
+    # row[k + 2] = C(r, k) mod m for k = 0..r/2 at r = 2n-2; two leading
+    # zeros stand for C(r, -2) and C(r, -1)
+    row = np.zeros(n_max + 3, dtype=dtype)
+    row[2] = 1 % m
+    # scratch: row r+1, unreduced row r+2, quotients, products
+    odd_row = np.empty(n_max + 1, dtype=dtype)
+    sums = np.empty(n_max, dtype=dtype)
+    quot = np.empty(n_max, dtype=dtype)
+    prods = np.empty(n_max // 2, dtype=dtype)
+
+    def reduce_into(src, dst):
+        # dst = src mod m; for int64, floor division by a scalar is much
+        # cheaper than numpy's remainder, and src - (src // m) * m is exact
+        if dtype is object:
+            np.remainder(src, m, out=dst)
+            return
+        q = quot[: len(src)]
+        np.floor_divide(src, m, out=q)
+        q *= m
+        np.subtract(src, q, out=dst)
+
     fact = 1 % m  # (2n-2)! mod m, maintained incrementally
     for n in range(2, n_max + 1):
-        ctx.advance()
-        ctx.advance()
-        row = ctx._row  # row 2n-2
+        # row r = 2n-4 to r + 2 = 2n-2; C(r, n-1) = C(r, n-3) by symmetry
+        row[n + 1] = row[n - 1]
+        # two Pascal steps: odd[j] = C(r+1, j-1), then C(r+2, k) = odd[k+1] + odd[k]
+        odd = odd_row[: n + 1]
+        np.add(row[1 : n + 2], row[0 : n + 1], out=odd)
+        new = sums[:n]
+        np.add(odd[1:], odd[:-1], out=new)
+        reduce_into(new, row[2 : n + 2])
         if fact:
             fact = fact * ((2 * n - 3) % m) % m * ((2 * n - 2) % m) % m
-        weights = row[1 : 2 * n - 2 : 2]  # C(2n-2, 2i-1), i = 1..n-1
-        vals = out[1:n] * out[n - 1 : 0 : -1] % m
-        s = int((weights * vals % m).sum()) % m
+        h = (n - 1) // 2  # pairs (i, n-i) with i < n/2
+        weights = row[3 : 2 * h + 2 : 2]  # C(2n-2, 2i-1), i = 1..h
+        vals = prods[:h]
+        np.multiply(out[1 : h + 1], out[n - 1 : n - h - 1 : -1], out=vals)
+        if kernel == "int64":
+            reduce_into(vals, vals)
+            vals *= weights
+            reduce_into(vals, vals)
+            s = int(vals.sum())
+        else:
+            if kernel == "int64-dot":
+                reduce_into(vals, vals)
+            s = int(np.dot(weights, vals))
+        s = 2 * s % m
+        if n % 2 == 0:
+            b = int(out[n // 2])
+            s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
         out[n] = (fact + s) % m
     return [int(x) for x in out[1:]]
 
@@ -142,7 +220,7 @@ def detect_eventual_period(
     candidate_periods=None,
     *,
     min_cycles: int = 3,
-    min_tail_ratio: float = 0.5,
+    min_tail_ratio: Fraction | float = Fraction(1, 2),
 ) -> PeriodReport:
     """Find (preperiod, period) for an eventually periodic residue sequence.
 
@@ -153,16 +231,19 @@ def detect_eventual_period(
     increasing order, so the first fit is minimal.  A fit must leave a
     periodic tail of at least ``min_cycles`` periods covering at least
     ``min_tail_ratio`` of the evidence -- below that the report comes back
-    unresolved rather than overclaiming.
+    unresolved rather than overclaiming.  The ratio is compared exactly; a
+    float ratio is taken at its exact binary value.
     """
     seq = list(seq)
     L = len(seq)
     if L < 8:
         raise ValueError(f"need at least 8 terms of evidence, got {L}")
     arr = np.asarray(seq)
+    # tail >= min_tail_ratio * L, exactly, for an integer tail
+    min_tail = math.ceil(Fraction(min_tail_ratio) * L)
 
     def tail_ok(tail: int, period: int) -> bool:
-        return tail >= min_cycles * period and tail >= min_tail_ratio * L
+        return tail >= min_cycles * period and tail >= min_tail
 
     # zero tail first: a dying sequence is not "period 1"
     nonzero = np.flatnonzero(arr != 0)
@@ -249,7 +330,7 @@ def binom_sum_1_mod6(n: int) -> int:
     the mod-3 pattern proof needs this to be 1 in that range."""
     if n <= 2 or n % 6 != 2:
         raise ValueError(f"n must be > 2 with n = 2 mod 6, got {n}")
-    return sum(binomial(n, i) for i in range(1, n, 6)) % 3
+    return sum(binomial_mod_prime(n, i, 3) for i in range(1, n, 6)) % 3
 
 
 def binom_sum_5_mod6(n: int) -> int:
@@ -257,7 +338,7 @@ def binom_sum_5_mod6(n: int) -> int:
     the mod-3 pattern proof needs this to be 0 in that range."""
     if n <= 4 or n % 6 != 4:
         raise ValueError(f"n must be > 4 with n = 4 mod 6, got {n}")
-    return sum(binomial(n, i) for i in range(5, n - 4, 6)) % 3
+    return sum(binomial_mod_prime(n, i, 3) for i in range(5, n - 4, 6)) % 3
 
 
 @dataclass(frozen=True)
@@ -285,16 +366,6 @@ class ScanRecord:
             "period": self.period,
             "notes": self.notes,
         }
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    for d in range(1, int(math.isqrt(n)) + 1):
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-    return sorted(out)
 
 
 def _certify_zero_tail(k: int, tail_start: int, residues) -> int | None:
@@ -387,7 +458,7 @@ def _scan_conjecture3(p: int, n_max: int) -> ScanRecord:
         )
     pp1 = p * (p - 1)
     residues = chocolate2_mod(n_max, p)
-    candidates = _divisors(pp1) + list(range(pp1, n_max // 3 + 1, pp1))
+    candidates = divisors(pp1) + list(range(pp1, n_max // 3 + 1, pp1))
     report = detect_eventual_period(residues, candidates)
     if report.resolved and not report.eventually_zero:
         period = report.period

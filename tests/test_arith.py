@@ -8,7 +8,9 @@ import pytest
 from chocnum.arith import (
     CofactorStatus,
     binomial,
+    binomial_mod_prime,
     divides_factorial,
+    divisors,
     factor,
     factorial,
     is_prime,
@@ -59,6 +61,32 @@ def test_binomial_weight_matches_two_by_three_expansion():
     assert binomial(4, 2) * factorial(2) * factorial(2) == 24
     assert factorial(4) + binomial(4, 1) * 1 * 4 + binomial(4, 3) * 4 * 1 == 56
     assert chocolate2(3) == 56
+
+
+def test_binomial_mod_prime_matches_exact_mod_3():
+    for n in range(300):
+        for k in range(-1, n + 2):
+            assert binomial_mod_prime(n, k, 3) == binomial(n, k) % 3, (n, k)
+
+
+def test_binomial_mod_prime_other_primes():
+    for p in (2, 5, 7, 13):
+        for n in range(0, 120, 7):
+            for k in range(n + 1):
+                assert binomial_mod_prime(n, k, p) == math.comb(n, k) % p
+    with pytest.raises(ValueError):
+        binomial_mod_prime(-1, 0, 3)
+    with pytest.raises(ValueError):
+        binomial_mod_prime(5, 2, 1)
+
+
+def test_divisors():
+    for n in range(1, 400):
+        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
+    assert divisors(10007 * 10006)[-1] == 10007 * 10006
+    assert len(divisors(2**20)) == 21
+    with pytest.raises(ValueError):
+        divisors(0)
 
 
 def test_pascal_identity_and_symmetry():

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import time
 
 import pytest
 
@@ -234,6 +235,24 @@ def test_period_hint_pp1(capsys):
     assert code == EXIT_OK
     rec = json.loads(out)
     assert rec["period"] == 7
+
+
+def test_period_hint_pp1_large_prime_is_quick(capsys):
+    # p(p-1) is about 10^8; its divisors come from trial division to sqrt
+    start = time.perf_counter()
+    code, out, _ = run(
+        capsys, "period", "--seq", "p", "--modulus", "10007", "--max", "300",
+        "--hint-pp1", "--format", "jsonl",
+    )
+    assert time.perf_counter() - start < 1.0
+    assert code == EXIT_UNRESOLVED
+    rec = json.loads(out)
+    assert rec["modulus"] == 10007 and rec["resolved"] is False
+    _, unhinted, _ = run(
+        capsys, "period", "--seq", "p", "--modulus", "10007", "--max", "300",
+        "--format", "jsonl",
+    )
+    assert unhinted == out
 
 
 def test_period_unresolved_exit_code(capsys):

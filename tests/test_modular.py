@@ -1,5 +1,8 @@
 """Tests for the residue engine, period detection, and the scan harness."""
 
+from fractions import Fraction
+from math import isqrt
+
 import pytest
 
 import chocnum.modular as modular_mod
@@ -19,6 +22,7 @@ from chocnum.modular import (
     hyper_numerators_mod,
     mod3_pattern_check,
     persistent_divisor_check,
+    residue_kernel,
     zero_tail_prime,
 )
 
@@ -93,6 +97,67 @@ def test_chocolate2_mod_validation():
         chocolate2_mod(0, 3)
     with pytest.raises(ValueError):
         chocolate2_mod(5, 1)
+
+
+# ------------------------------------------------------ residue kernel paths
+
+
+def full_row_chocolate2_mod(n_max, m):
+    """The straightforward kernel: a full Pascal row from ModContext, every
+    term of the sum, and a reduction after every product."""
+    ctx = ModContext(m)
+    out = [None, 1 % m]
+    fact = 1 % m
+    for n in range(2, n_max + 1):
+        ctx.advance_to(2 * n - 2)
+        row = ctx.pascal_row
+        fact = fact * (2 * n - 3) * (2 * n - 2) % m
+        s = sum(row[2 * i - 1] * (out[i] * out[n - i] % m) % m for i in range(1, n))
+        out.append((fact + s) % m)
+    return out[1:]
+
+
+_table = ChocolateTable()
+EXACT_B = [chocolate2(n, _table) for n in range(1, 41)]
+INT64_SAFE = 3_037_000_499
+# largest modulus with 600 (m-1)^2 < 2^63, the fast kernel's bound at n_max = 600
+EDGE_600 = isqrt((2**63 - 1) // 600) + 1
+FALLBACK_INT64 = 3_037_000_493  # int64 products, but no int64 dot even at n_max = 2
+OBJECT = 3_037_000_507
+
+# (modulus, kernel at n_max = 600)
+KERNEL_CASES = [
+    (m, "int64-dot") for m in (2, 4, 9, 13, 999_983, EDGE_600)
+] + [(EDGE_600 + 1, "int64"), (FALLBACK_INT64, "int64"), (OBJECT, "object")]
+
+
+def test_residue_kernel_bound_is_exact():
+    assert 600 * (EDGE_600 - 1) ** 2 < 2**63 <= 600 * EDGE_600**2
+    assert residue_kernel(600, EDGE_600) == "int64-dot"
+    assert residue_kernel(600, EDGE_600 + 1) == "int64"
+    assert residue_kernel(1, INT64_SAFE) == "int64-dot"
+    assert residue_kernel(2, INT64_SAFE) == "int64"
+    assert residue_kernel(40, FALLBACK_INT64) == "int64"
+    assert residue_kernel(1, INT64_SAFE + 1) == "object"
+
+
+# EDGE_600 + 1 is left out: at n_max <= 40 it runs the fast kernel
+@pytest.mark.parametrize("m,kernel", [(m, k) for m, k in KERNEL_CASES if m != EDGE_600 + 1])
+def test_chocolate2_mod_kernels_match_exact_values(m, kernel):
+    assert residue_kernel(40, m) == kernel
+    want = [v % m for v in EXACT_B]
+    assert chocolate2_mod(40, m) == want
+    # short prefixes, odd and even n_max
+    for n_max in (1, 2, 3, 4, 7, 10):
+        assert chocolate2_mod(n_max, m) == want[:n_max], n_max
+
+
+@pytest.mark.parametrize("m,kernel", KERNEL_CASES)
+def test_chocolate2_mod_kernels_match_full_row_path(m, kernel):
+    assert residue_kernel(600, m) == kernel
+    want = full_row_chocolate2_mod(600, m)
+    assert chocolate2_mod(600, m) == want
+    assert chocolate2_mod(599, m) == want[:599]
 
 
 @pytest.mark.parametrize(
@@ -181,6 +246,21 @@ def test_detect_thresholds_are_configurable():
         residues, [156], min_cycles=2, min_tail_ratio=0.25
     )
     assert relaxed.resolved and relaxed.period == 156
+
+
+def test_detect_tail_ratio_is_exact():
+    seq = list(range(3, 11)) + [1, 2] * 4  # tail of 8 in 16 terms: exactly half
+    report = detect_eventual_period(seq)
+    assert report.resolved and (report.preperiod, report.period) == (8, 2)
+    assert not detect_eventual_period([0] + seq).resolved  # 8 in 17: short
+    just_over_half = Fraction(1, 2) + Fraction(1, 10**30)
+    assert not detect_eventual_period(seq, min_tail_ratio=just_over_half).resolved
+    assert detect_eventual_period.__kwdefaults__["min_tail_ratio"] == Fraction(1, 2)
+    # a float ratio means its exact binary value: 0.25 is 1/4
+    residues = hyper_numerators_mod(400, 13)
+    assert detect_eventual_period(residues, [156], min_cycles=2, min_tail_ratio=0.25) == (
+        detect_eventual_period(residues, [156], min_cycles=2, min_tail_ratio=Fraction(1, 4))
+    )
 
 
 def test_detect_is_idempotent_under_extension():
