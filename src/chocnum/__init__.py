@@ -12,7 +12,6 @@ from .arith import (
     divides_factorial,
     divisors,
     factor,
-    factorial,
     is_prime,
     legendre,
     nu_p,
@@ -31,7 +30,6 @@ from .chocolate import (
     save_cache,
 )
 from .modular import (
-    ModContext,
     PeriodReport,
     ScanRecord,
     binom_sum_1_mod6,
@@ -39,14 +37,13 @@ from .modular import (
     chocolate2_mod,
     conjecture_scan,
     detect_eventual_period,
-    first_mod3_violation,
     hyper_numerators_mod,
     mod3_pattern_check,
     persistent_divisor_check,
     residue_kernel,
     zero_tail_prime,
 )
-from .oracle import count_breaks, count_sequences, random_break_count
+from .oracle import count_sequences, random_break_count
 from .series import (
     RationalSeries,
     chocolate2_gf,
@@ -61,56 +58,3 @@ from .series import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "CofactorStatus",
-    "Factorization",
-    "binomial",
-    "binomial_mod_prime",
-    "divides_factorial",
-    "divisors",
-    "factor",
-    "factorial",
-    "is_prime",
-    "legendre",
-    "nu_p",
-    "nu_p_factorial",
-    "CacheFormatError",
-    "ChocolateTable",
-    "SequenceFrontierError",
-    "SequenceKind",
-    "SequenceSpec",
-    "chocolate2",
-    "chocolate_number",
-    "generate",
-    "load_cache",
-    "save_cache",
-    "ModContext",
-    "PeriodReport",
-    "ScanRecord",
-    "binom_sum_1_mod6",
-    "binom_sum_5_mod6",
-    "chocolate2_mod",
-    "conjecture_scan",
-    "detect_eventual_period",
-    "first_mod3_violation",
-    "hyper_numerators_mod",
-    "mod3_pattern_check",
-    "persistent_divisor_check",
-    "residue_kernel",
-    "zero_tail_prime",
-    "count_breaks",
-    "count_sequences",
-    "random_break_count",
-    "RationalSeries",
-    "chocolate2_gf",
-    "hyper_numerators",
-    "hypergeom_series",
-    "linear_ode_residual_of",
-    "log_derivative_residual_of",
-    "riccati_residual",
-    "riccati_residual_of",
-    "verify_linear_ode",
-    "verify_log_derivative",
-    "__version__",
-]

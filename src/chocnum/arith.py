@@ -1,7 +1,7 @@
 """Exact integer utilities shared by every module.
 
 Everything here is pure, stateless and arbitrary-precision: binomials,
-factorials, p-adic valuations, trial-division factoring with a deterministic
+p-adic valuations, trial-division factoring with a deterministic
 Miller-Rabin cofactor check, Legendre symbols, and a factorial-divisibility
 test that never builds the factorial.
 """
@@ -54,11 +54,6 @@ class Factorization:
             tag = "?" if self.cofactor_status is CofactorStatus.COMPOSITE_UNRESOLVED else "(prp)"
             parts.append(f"{self.cofactor}{tag}")
         return " * ".join(parts) if parts else "1"
-
-
-def factorial(n: int) -> int:
-    """n! exactly; rejects negative n."""
-    return math.factorial(n)
 
 
 def binomial(n: int, k: int) -> int:

@@ -11,6 +11,9 @@ then an independent subproblem.
 from __future__ import annotations
 
 import math
+import os
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -18,6 +21,23 @@ from pathlib import Path
 from .arith import binomial
 
 CACHE_HEADER = "chocnum cache v1"
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's limit on int <-> decimal string conversion (4300 digits
+    by default since 3.10.7) for the duration of the block, so exact values
+    print and parse in full at any size.  The limit is process-wide; the
+    caller's value is restored on exit.  Pythons without it are left alone."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 class CacheFormatError(ValueError):
@@ -47,16 +67,6 @@ class ChocolateTable:
     def __init__(self) -> None:
         self.memo: dict[tuple[int, int], int] = {}
         self.computed = 0
-
-    @staticmethod
-    def key(m: int, n: int) -> tuple[int, int]:
-        return (m, n) if m <= n else (n, m)
-
-    def get(self, m: int, n: int) -> int | None:
-        return self.memo.get(self.key(m, n))
-
-    def put(self, m: int, n: int, value: int) -> None:
-        self.memo[self.key(m, n)] = value
 
     def __len__(self) -> int:
         return len(self.memo)
@@ -224,11 +234,20 @@ def _distinct_values(bound: int, table: ChocolateTable) -> list[int]:
 
 def save_cache(table: ChocolateTable, path) -> None:
     """Write the table as versioned plain text: header line, then one
-    'm n value' line per entry in decimal (diffable and language-neutral)."""
-    lines = [CACHE_HEADER]
-    for (m, n), v in sorted(table.memo.items()):
-        lines.append(f"{m} {n} {v}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="ascii")
+    'm n value' line per entry in decimal (diffable and language-neutral).
+
+    The text goes to a temporary file next to ``path`` that is then renamed
+    over it, so a write that fails part-way leaves any previous cache intact.
+    """
+    path = Path(path)
+    with unlimited_int_digits():
+        lines = [f"{m} {n} {v}" for (m, n), v in sorted(table.memo.items())]
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_text("\n".join([CACHE_HEADER, *lines]) + "\n", encoding="ascii")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_cache(path) -> ChocolateTable:
@@ -239,7 +258,7 @@ def load_cache(path) -> ChocolateTable:
     transposed entries still land in canonical form.
     """
     table = ChocolateTable()
-    with open(path, encoding="ascii") as fh:
+    with open(path, encoding="ascii") as fh, unlimited_int_digits():
         header = fh.readline().rstrip("\n")
         if header != CACHE_HEADER:
             raise CacheFormatError(
@@ -262,5 +281,5 @@ def load_cache(path) -> ChocolateTable:
                 ) from None
             if m < 1 or n < 1 or v < 1:
                 raise CacheFormatError(f"line {lineno}: fields must be positive")
-            table.put(m, n, v)
+            table.memo[(min(m, n), max(m, n))] = v
     return table

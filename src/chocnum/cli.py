@@ -13,11 +13,11 @@ import csv
 import json
 import os
 import sys
+import textwrap
 from pathlib import Path
 
 from .arith import divisors, factor, nu_p
 from .chocolate import (
-    CacheFormatError,
     ChocolateTable,
     SequenceFrontierError,
     SequenceKind,
@@ -27,6 +27,7 @@ from .chocolate import (
     generate,
     load_cache,
     save_cache,
+    unlimited_int_digits,
 )
 from .modular import (
     INCONSISTENT,
@@ -47,25 +48,50 @@ EXIT_UNRESOLVED = 3
 CACHE_ENV = "CHOCNUM_CACHE"
 CACHE_FILENAME = "chocolate_table.cache"
 
-_EPILOG = """\
+# csv/jsonl fields of each record-producing subcommand, keyed by the command
+# and the --seq values it covers; the --help epilog is generated from here
+FIELDS = {
+    "gen --seq table|triangle": ("m", "n", "value"),
+    "gen --seq b|square": ("n", "value"),
+    "gen --seq distinct": ("value",),
+    "factor --seq b": ("n", "value", "factorization"),
+    "factor --seq table": ("m", "n", "value", "factorization"),
+    "nu --seq b|square": ("n", "nu"),
+    "nu --seq table": ("m", "n", "nu"),
+    "mod": ("seq", "modulus", "n", "residue"),
+    "period": ("seq", "modulus", "n_max", "resolved", "preperiod", "period",
+               "eventually_zero", "evidence_length"),
+    "conjecture": ("conjecture", "modulus", "n_max", "status", "preperiod",
+                   "period", "notes"),
+}
+BOUND_FIELDS = ("bound", "ok")  # appended by nu --check-bound
+
+_GEN_KINDS = {
+    "triangle": SequenceKind.TRIANGLE_ROWS,
+    "b": SequenceKind.TWO_BY_N,
+    "square": SequenceKind.SQUARE,
+    "distinct": SequenceKind.DISTINCT_SORTED,
+}
+
+
+def _epilog() -> str:
+    rows = []
+    for variant, fields in FIELDS.items():
+        # wrap between fields at 79 columns: break after ", ", then drop the spaces
+        text = textwrap.fill(", ".join(fields), 79, initial_indent=f"  {variant:<27}",
+                             subsequent_indent=" " * 29).replace(", ", ",")
+        if variant.startswith("nu "):
+            text = f"{text:<45}(+ {','.join(BOUND_FIELDS)} with --check-bound)"
+        rows.append(text)
+    fields_table = "\n".join(rows)
+    return f"""\
 output formats:
   plain  space-separated fields, one record per line ('-' for empty fields)
   csv    header row (fixed per subcommand) then one record per line
   jsonl  one JSON object per record
 
 csv/jsonl fields per subcommand:
-  gen --seq table|triangle   m,n,value
-  gen --seq b|square         n,value
-  gen --seq distinct         value
-  factor --seq b             n,value,factorization
-  factor --seq table         m,n,value,factorization
-  nu --seq b|square          n,nu            (+ bound,ok with --check-bound)
-  nu --seq table             m,n,nu          (+ bound,ok with --check-bound)
-  mod                        seq,modulus,n,residue
-  period                     seq,modulus,n_max,resolved,preperiod,period,
-                             eventually_zero,evidence_length
-  conjecture                 conjecture,modulus,n_max,status,preperiod,
-                             period,notes
+{fields_table}
 
 exit codes: 0 ok, 1 a verifiable claim failed, 2 usage error, 3 unresolved.
 The default cache directory may be named in the CHOCNUM_CACHE environment
@@ -73,11 +99,26 @@ variable; --cache overrides it.  No cache is touched unless one is named.
 """
 
 
+def _fields(args) -> tuple[str, ...]:
+    for variant, fields in FIELDS.items():
+        command, _, seqs = variant.partition(" --seq ")
+        if command == args.command and (not seqs or args.seq in seqs.split("|")):
+            return fields
+    raise KeyError(args.command)  # pragma: no cover - every variant is listed
+
+
 def _int_list(text: str) -> list[int]:
     values = [int(tok) for tok in text.split(",") if tok.strip()]
     if not values:
         raise ValueError("empty list")
     return values
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
 
 
 def _render(value) -> str:
@@ -90,84 +131,45 @@ def _render(value) -> str:
     return str(value)
 
 
-def _emit(records: list[dict], fields: list[str], fmt: str, out=None) -> None:
-    out = out or sys.stdout
+def _emit(records, fields, fmt: str) -> None:
+    """Write records (value tuples in field order) to stdout in ``fmt``."""
     if fmt == "plain":
         for rec in records:
-            print(" ".join(_render(rec[f]) for f in fields), file=out)
+            print(" ".join(map(_render, rec)))
     elif fmt == "csv":
-        writer = csv.writer(out, lineterminator="\n")
+        writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(fields)
-        for rec in records:
-            writer.writerow([_render(rec[f]) for f in fields])
-    elif fmt == "jsonl":
-        for rec in records:
-            print(json.dumps({f: rec[f] for f in fields}), file=out)
-    else:  # pragma: no cover - argparse restricts choices
-        raise ValueError(f"unknown format {fmt}")
-
-
-def _cache_dir(args) -> str | None:
-    return args.cache or os.environ.get(CACHE_ENV) or None
-
-
-def _load_table(cache_dir: str | None) -> ChocolateTable:
-    if not cache_dir:
-        return ChocolateTable()
-    path = Path(cache_dir) / CACHE_FILENAME
-    if path.exists():
-        return load_cache(path)
-    return ChocolateTable()
-
-
-def _save_table(table: ChocolateTable, cache_dir: str | None) -> None:
-    if not cache_dir:
-        return
-    path = Path(cache_dir) / CACHE_FILENAME
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_cache(table, path)
-
-
-def _cmd_gen(args) -> int:
-    needs_limit = args.seq == "distinct"
-    if needs_limit and args.limit is None:
-        print("gen --seq distinct requires --limit (a value bound)", file=sys.stderr)
-        return EXIT_USAGE
-    if not needs_limit and args.max is None:
-        print(f"gen --seq {args.seq} requires --max (an index bound)", file=sys.stderr)
-        return EXIT_USAGE
-    if needs_limit and args.max is not None or not needs_limit and args.limit is not None:
-        print("use exactly one of --max / --limit for this sequence", file=sys.stderr)
-        return EXIT_USAGE
-
-    cache_dir = _cache_dir(args)
-    table = _load_table(cache_dir)
-    if args.seq == "table":
-        records = [
-            {"m": m, "n": n, "value": chocolate_number(m, n, table)}
-            for m in range(1, args.max + 1)
-            for n in range(1, args.max + 1)
-        ]
-        fields = ["m", "n", "value"]
-    elif args.seq == "triangle":
-        entries = generate(SequenceSpec(SequenceKind.TRIANGLE_ROWS, args.max), table)
-        records = [{"m": m, "n": n, "value": v} for (m, n), v in entries]
-        fields = ["m", "n", "value"]
-    elif args.seq == "b":
-        entries = generate(SequenceSpec(SequenceKind.TWO_BY_N, args.max), table)
-        records = [{"n": n, "value": v} for n, v in entries]
-        fields = ["n", "value"]
-    elif args.seq == "square":
-        entries = generate(SequenceSpec(SequenceKind.SQUARE, args.max), table)
-        records = [{"n": n, "value": v} for n, v in entries]
-        fields = ["n", "value"]
+        writer.writerows(map(_render, rec) for rec in records)
     else:
-        entries = generate(SequenceSpec(SequenceKind.DISTINCT_SORTED, args.limit), table)
-        records = [{"value": v} for _, v in entries]
-        fields = ["value"]
-    _emit(records, fields, args.format)
-    _save_table(table, cache_dir)
-    return EXIT_OK
+        for rec in records:
+            print(json.dumps(dict(zip(fields, rec))))
+
+
+def _cmd_gen(args):
+    if args.seq == "distinct":
+        bound, other, wanted = args.limit, args.max, "--limit (a value bound)"
+    else:
+        bound, other, wanted = args.max, args.limit, "--max (an index bound)"
+    if bound is None or other is not None:
+        raise ValueError(f"gen --seq {args.seq} takes exactly one bound, {wanted}")
+    cache_dir = args.cache or os.environ.get(CACHE_ENV)
+    path = Path(cache_dir) / CACHE_FILENAME if cache_dir else None
+    table = load_cache(path) if path and path.exists() else ChocolateTable()
+    if args.seq == "table":
+        bars = [(m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)]
+        records = [(m, n, chocolate_number(m, n, table)) for m, n in bars]
+    else:
+        entries = generate(SequenceSpec(_GEN_KINDS[args.seq], bound), table)
+        if args.seq == "triangle":
+            records = [(m, n, v) for (m, n), v in entries]
+        elif args.seq == "distinct":
+            records = [(v,) for _, v in entries]
+        else:
+            records = entries
+    if path:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        save_cache(table, path)
+    return _fields(args), records, EXIT_OK
 
 
 def _cmd_oracle(args) -> int:
@@ -188,69 +190,40 @@ def _cmd_oracle(args) -> int:
     return EXIT_OK
 
 
-def _cmd_factor(args) -> int:
-    if args.seq == "b":
-        if len(args.index) != 1:
-            print("factor --seq b takes --index N", file=sys.stderr)
-            return EXIT_USAGE
-        n = args.index[0]
-        value = chocolate2(n)
-        records = [{"n": n, "value": value, "factorization": str(factor(value))}]
-        fields = ["n", "value", "factorization"]
-    else:
-        if len(args.index) != 2:
-            print("factor --seq table takes --index M N", file=sys.stderr)
-            return EXIT_USAGE
-        m, n = args.index
-        value = chocolate_number(m, n)
-        records = [
-            {"m": m, "n": n, "value": value, "factorization": str(factor(value))}
-        ]
-        fields = ["m", "n", "value", "factorization"]
-    _emit(records, fields, args.format)
-    return EXIT_OK
+def _cmd_factor(args):
+    fields = _fields(args)
+    index = fields[:-2]  # ("n",) or ("m", "n")
+    if len(args.index) != len(index):
+        raise ValueError(f"factor --seq {args.seq} takes --index "
+                         + " ".join(name.upper() for name in index))
+    value = chocolate2(*args.index) if args.seq == "b" else chocolate_number(*args.index)
+    return fields, [(*args.index, value, str(factor(value)))], EXIT_OK
 
 
-def _cmd_nu(args) -> int:
+def _cmd_nu(args):
     if args.check_bound and args.p != 2:
-        print("--check-bound states bounds for p=2 only", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("--check-bound states bounds for p=2 only")
     table = ChocolateTable()
-    records = []
-    violated = False
+    sizes = range(1, args.max + 1)
     if args.seq == "table":
-        fields = ["m", "n", "nu"]
-        for m in range(1, args.max + 1):
-            for n in range(1, args.max + 1):
-                rec = {"m": m, "n": n, "nu": nu_p(chocolate_number(m, n, table), args.p)}
-                if args.check_bound:
-                    bound = m + n - 2 if m > 1 and n > 1 else None
-                    rec["bound"] = bound
-                    rec["ok"] = bound is None or rec["nu"] >= bound
-                    violated |= rec["ok"] is False
-                records.append(rec)
+        bars = [(m, n) for m in sizes for n in sizes]
     else:
-        fields = ["n", "nu"]
-        for n in range(1, args.max + 1):
-            if args.seq == "b":
-                value = chocolate2(n, table)
-                bound = n if n > 1 else None
-            else:
-                value = chocolate_number(n, n, table)
-                bound = 2 * n - 2 if n > 1 else None
-            rec = {"n": n, "nu": nu_p(value, args.p)}
-            if args.check_bound:
-                rec["bound"] = bound
-                rec["ok"] = bound is None or rec["nu"] >= bound
-                violated |= rec["ok"] is False
-            records.append(rec)
-    if args.check_bound:
-        fields = fields + ["bound", "ok"]
-    _emit(records, fields, args.format)
+        bars = [(2 if args.seq == "b" else n, n) for n in sizes]
+    records = []
+    for m, n in bars:
+        value = chocolate2(n, table) if args.seq == "b" else chocolate_number(m, n, table)
+        rec = ((m, n) if args.seq == "table" else (n,)) + (nu_p(value, args.p),)
+        if args.check_bound:
+            # the 2-adic bound nu_2 >= m + n - 2, stated for m, n > 1
+            bound = m + n - 2 if m > 1 and n > 1 else None
+            rec += (bound, bound is None or rec[-1] >= bound)
+        records.append(rec)
+    if not args.check_bound:
+        return _fields(args), records, EXIT_OK
+    violated = any(rec[-1] is False for rec in records)
     if violated:
         print("valuation bound violated", file=sys.stderr)
-        return EXIT_FAILED
-    return EXIT_OK
+    return _fields(args) + BOUND_FIELDS, records, EXIT_FAILED if violated else EXIT_OK
 
 
 def _residues(seq: str, modulus: int, n_max: int) -> list[int]:
@@ -259,77 +232,49 @@ def _residues(seq: str, modulus: int, n_max: int) -> list[int]:
     return hyper_numerators_mod(n_max, modulus)
 
 
-def _cmd_mod(args) -> int:
-    records = []
-    for modulus in args.modulus:
-        for n, r in enumerate(_residues(args.seq, modulus, args.max), start=1):
-            records.append({"seq": args.seq, "modulus": modulus, "n": n, "residue": r})
-    _emit(records, ["seq", "modulus", "n", "residue"], args.format)
-    return EXIT_OK
+def _cmd_mod(args):
+    records = [(args.seq, modulus, n, r)
+               for modulus in args.modulus
+               for n, r in enumerate(_residues(args.seq, modulus, args.max), start=1)]
+    return _fields(args), records, EXIT_OK
 
 
-def _cmd_period(args) -> int:
+def _cmd_period(args):
     residues = _residues(args.seq, args.modulus, args.max)
-    candidates = None
-    if args.hint_pp1:
-        candidates = divisors(args.modulus * (args.modulus - 1))
+    candidates = divisors(args.modulus * (args.modulus - 1)) if args.hint_pp1 else None
     report = detect_eventual_period(residues, candidates)
-    record = {
-        "seq": args.seq,
-        "modulus": args.modulus,
-        "n_max": args.max,
-        "resolved": report.resolved,
-        "preperiod": report.preperiod,
-        "period": report.period,
-        "eventually_zero": report.eventually_zero,
-        "evidence_length": report.evidence_length,
-    }
-    _emit(
-        [record],
-        ["seq", "modulus", "n_max", "resolved", "preperiod", "period",
-         "eventually_zero", "evidence_length"],
-        args.format,
-    )
-    return EXIT_OK if report.resolved else EXIT_UNRESOLVED
+    record = (args.seq, args.modulus, args.max, report.resolved, report.preperiod,
+              report.period, report.eventually_zero, report.evidence_length)
+    return _fields(args), [record], EXIT_OK if report.resolved else EXIT_UNRESOLVED
 
 
 def _cmd_series(args) -> int:
-    if args.check == "riccati":
-        residual = riccati_residual(args.order)
-        if residual.is_zero():
-            print(f"residual zero through order {args.order - 1}")
-            return EXIT_OK
-        k = residual.first_nonzero()
-        print(f"residual nonzero at order {k}: {residual[k]}")
-        return EXIT_FAILED
     if args.check == "ode":
         if verify_linear_ode(args.order):
             print(f"identity holds through order {args.order - 1}")
             return EXIT_OK
         print("linear ODE residual nonzero")
         return EXIT_FAILED
-    ok, residual = verify_log_derivative(args.order)
-    if ok:
-        print(f"residual zero through order {args.order}")
+    if args.check == "riccati":
+        residual, through = riccati_residual(args.order), args.order - 1
+    else:
+        residual, through = verify_log_derivative(args.order)[1], args.order
+    if residual.is_zero():
+        print(f"residual zero through order {through}")
         return EXIT_OK
     k = residual.first_nonzero()
     print(f"residual nonzero at order {k}: {residual[k]}")
     return EXIT_FAILED
 
 
-def _cmd_conjecture(args) -> int:
-    records = [r.as_dict() for r in conjecture_scan(args.id, args.primes, args.max)]
-    _emit(
-        records,
-        ["conjecture", "modulus", "n_max", "status", "preperiod", "period", "notes"],
-        args.format,
-    )
-    statuses = {r["status"] for r in records}
+def _cmd_conjecture(args):
+    fields = _fields(args)
+    scan = [r.as_dict() for r in conjecture_scan(args.id, args.primes, args.max)]
+    records = [tuple(r[f] for f in fields) for r in scan]
+    statuses = {r["status"] for r in scan}
     if INCONSISTENT in statuses:
-        return EXIT_FAILED
-    if UNRESOLVED in statuses:
-        return EXIT_UNRESOLVED
-    return EXIT_OK
+        return fields, records, EXIT_FAILED
+    return fields, records, EXIT_UNRESOLVED if UNRESOLVED in statuses else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -337,7 +282,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="chocnum",
         description="Exact chocolate-bar break counts, their sequences, and "
         "divisibility/periodicity scans.",
-        epilog=_EPILOG,
+        epilog=_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -346,10 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("plain", "csv", "jsonl"), default="plain")
 
     p = sub.add_parser("gen", help="generate a sequence")
-    p.add_argument("--seq", required=True,
-                   choices=("table", "triangle", "b", "square", "distinct"))
-    p.add_argument("--max", type=int, help="index bound (all but distinct)")
-    p.add_argument("--limit", type=int, help="value bound (distinct only)")
+    p.add_argument("--seq", required=True, choices=("table", *_GEN_KINDS))
+    p.add_argument("--max", type=_positive_int, help="index bound (all but distinct)")
+    p.add_argument("--limit", type=_positive_int, help="value bound (distinct only)")
     add_format(p)
     p.add_argument("--cache", help="cache directory (default: $CHOCNUM_CACHE)")
     p.set_defaults(func=_cmd_gen)
@@ -372,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("nu", help="p-adic valuations along a sequence")
     p.add_argument("--p", type=int, required=True)
     p.add_argument("--seq", required=True, choices=("b", "square", "table"))
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_positive_int, required=True)
     p.add_argument("--check-bound", action="store_true",
                    help="verify the 2-adic lower bounds (p=2 only)")
     add_format(p)
@@ -382,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seq", required=True, choices=("b", "p"))
     p.add_argument("--modulus", type=_int_list, required=True,
                    help="modulus or comma-separated moduli")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_positive_int, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_mod)
 
@@ -390,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "sequence")
     p.add_argument("--seq", required=True, choices=("b", "p"))
     p.add_argument("--modulus", type=int, required=True)
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_positive_int, required=True)
     p.add_argument("--hint-pp1", action="store_true",
                    help="seed candidates with the divisors of p(p-1)")
     add_format(p)
@@ -405,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
     p.add_argument("--primes", type=_int_list, required=True,
                    help="comma-separated primes (moduli for --id 2)")
-    p.add_argument("--max", type=int, required=True)
+    p.add_argument("--max", type=_positive_int, required=True)
     add_format(p)
     p.set_defaults(func=_cmd_conjecture)
 
@@ -413,24 +357,24 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse already printed the usage message
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        return args.func(args)
-    except (CacheFormatError, OSError, ValueError) as exc:
+        # exact values print in full at any size
+        with unlimited_int_digits():
+            result = args.func(args)
+            if isinstance(result, int):  # oracle and series print their own lines
+                return result
+            fields, records, code = result
+            _emit(records, fields, args.format)
+            return code
+    # CacheFormatError is a ValueError
+    except (OSError, ValueError, SequenceFrontierError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SequenceFrontierError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED
-
-
-def entrypoint() -> None:
-    sys.exit(main())
+        return EXIT_FAILED if isinstance(exc, SequenceFrontierError) else EXIT_USAGE
 
 
 if __name__ == "__main__":
-    entrypoint()
+    sys.exit(main())

@@ -1,5 +1,5 @@
 """Residue arithmetic for the 2 x n break counts and the hypergeometric
-numerator products, plus the machinery that scans them: Pascal rows mod m,
+numerator products, plus the machinery that scans them:
 divisibility-propagation certificates, the forced mod-3 pattern, eventual
 period detection, and the three-conjecture scan harness.
 
@@ -11,7 +11,7 @@ object dtype beyond that) because the prefix cost is quadratic in n.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -24,50 +24,6 @@ _INT64_SAFE_MODULUS = 3_037_000_499
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
 UNRESOLVED = "UNRESOLVED"
-
-
-class ModContext:
-    """One Pascal-triangle row reduced mod a fixed modulus.
-
-    Row r holds C(r, 0..r) mod modulus and advances one index at a time via
-    the Pascal identity in residue arithmetic.  A context is cheap to advance
-    but stateful, so it must not be shared across concurrent scans.
-    """
-
-    def __init__(self, modulus: int):
-        if modulus < 2:
-            raise ValueError(f"modulus must be >= 2, got {modulus}")
-        self.modulus = modulus
-        dtype = np.int64 if modulus <= _INT64_SAFE_MODULUS else object
-        self._row = np.array([1 % modulus], dtype=dtype)
-        self.row_index = 0
-
-    @property
-    def pascal_row(self) -> list[int]:
-        return [int(x) for x in self._row]
-
-    def advance(self) -> None:
-        row = self._row
-        new = np.empty(len(row) + 1, dtype=row.dtype)
-        new[0] = row[0]
-        new[-1] = row[-1]
-        if len(row) > 1:
-            new[1:-1] = (row[:-1] + row[1:]) % self.modulus
-        self._row = new
-        self.row_index += 1
-
-    def advance_to(self, r: int) -> None:
-        if r < self.row_index:
-            raise ValueError(f"cannot rewind from row {self.row_index} to {r}")
-        while self.row_index < r:
-            self.advance()
-
-    def binomial(self, k: int) -> int:
-        """C(row_index, k) mod modulus, with the same out-of-range-is-zero
-        convention as the exact binomial."""
-        if k < 0 or k > self.row_index:
-            return 0
-        return int(self._row[k])
 
 
 def residue_kernel(n_max: int, m: int) -> str:
@@ -305,24 +261,13 @@ def persistent_divisor_check(k: int, n: int, b_mod) -> bool:
     return all(b_mod[i - 1] == 0 for i in window) and divides_factorial(k, 2 * n - 2)
 
 
-def first_mod3_violation(n_max: int) -> int | None:
-    """First n in 2..n_max where the residue of the 2 x n count mod 3
-    deviates from the forced pattern (1 when n = 2 mod 3, else 2), or None
-    when the whole range conforms."""
+def mod3_pattern_check(n_max: int) -> bool:
+    """True iff the 2 x n break counts follow the forced mod-3 pattern (1 when
+    n = 2 mod 3, else 2) for all 2 <= n <= n_max."""
     if n_max < 2:
         raise ValueError(f"n_max must be >= 2, got {n_max}")
     residues = chocolate2_mod(n_max, 3)
-    for n in range(2, n_max + 1):
-        expected = 1 if n % 3 == 2 else 2
-        if residues[n - 1] != expected:
-            return n
-    return None
-
-
-def mod3_pattern_check(n_max: int) -> bool:
-    """True iff the 2 x n break counts follow the forced mod-3 pattern for
-    all 2 <= n <= n_max."""
-    return first_mod3_violation(n_max) is None
+    return all(residues[n - 1] == (1 if n % 3 == 2 else 2) for n in range(2, n_max + 1))
 
 
 def binom_sum_1_mod6(n: int) -> int:
@@ -357,15 +302,7 @@ class ScanRecord:
     notes: str
 
     def as_dict(self) -> dict:
-        return {
-            "conjecture": self.conjecture,
-            "modulus": self.modulus,
-            "n_max": self.n_max,
-            "status": self.status,
-            "preperiod": self.preperiod,
-            "period": self.period,
-            "notes": self.notes,
-        }
+        return asdict(self)
 
 
 def _certify_zero_tail(k: int, tail_start: int, residues) -> int | None:

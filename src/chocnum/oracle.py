@@ -13,14 +13,6 @@ from random import Random
 DEFAULT_AREA_LIMIT = 12
 
 
-def count_breaks(m: int, n: int) -> int:
-    """Number of breaks in any complete dissection: every break adds one
-    piece, so m*n - 1 regardless of order."""
-    if m < 1 or n < 1:
-        raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
-    return m * n - 1
-
-
 def _canon(w: int, h: int) -> tuple[int, int]:
     return (w, h) if w <= h else (h, w)
 

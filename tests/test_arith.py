@@ -12,7 +12,6 @@ from chocnum.arith import (
     divides_factorial,
     divisors,
     factor,
-    factorial,
     is_prime,
     legendre,
     nu_p,
@@ -28,16 +27,6 @@ def sieve_below(limit):
         if flags[i]:
             flags[i * i :: i] = [False] * len(flags[i * i :: i])
     return [i for i, f in enumerate(flags) if f]
-
-
-@pytest.mark.parametrize("n,expected", [(0, 1), (4, 24), (6, 720), (10, 3628800)])
-def test_factorial_examples(n, expected):
-    assert factorial(n) == expected
-
-
-def test_factorial_rejects_negative():
-    with pytest.raises(ValueError):
-        factorial(-1)
 
 
 @pytest.mark.parametrize(
@@ -58,8 +47,8 @@ def test_binomial_weight_matches_two_by_three_expansion():
     # (2n-2)! + C(4,1) B_1 B_2 + C(4,3) B_2 B_1, and the interleaving weight
     # C(4,2) pairs with the two 1 x 3 sub-bars of the other split direction
     assert binomial(4, 2) == 6
-    assert binomial(4, 2) * factorial(2) * factorial(2) == 24
-    assert factorial(4) + binomial(4, 1) * 1 * 4 + binomial(4, 3) * 4 * 1 == 56
+    assert binomial(4, 2) * math.factorial(2) * math.factorial(2) == 24
+    assert math.factorial(4) + binomial(4, 1) * 1 * 4 + binomial(4, 3) * 4 * 1 == 56
     assert chocolate2(3) == 56
 
 

@@ -1,6 +1,7 @@
 """Tests for the exact recursion, the sequence generators, and the cache."""
 
 import math
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,27 @@ def test_cache_reload_short_circuits_recursion(tmp_path):
     assert reloaded.computed == 0
     assert chocolate_number(3, 3, reloaded) == 9408
     assert reloaded.computed == 0  # answered from the memo, no recursion
+
+
+def test_failed_cache_write_keeps_the_previous_file(tmp_path, monkeypatch):
+    path = tmp_path / "table.cache"
+    table = ChocolateTable()
+    chocolate_number(3, 3, table)
+    save_cache(table, path)
+    before = path.read_bytes()
+    chocolate_number(4, 4, table)
+
+    def write_half_then_fail(self, text, encoding=None):
+        with open(self, "w", encoding=encoding) as fh:
+            fh.write(text[: len(text) // 2])
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", write_half_then_fail)
+    with pytest.raises(OSError, match="disk full"):
+        save_cache(table, path)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["table.cache"]  # no temp file left
 
 
 def test_cache_normalizes_transposed_keys(tmp_path):

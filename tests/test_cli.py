@@ -3,12 +3,16 @@
 import csv
 import io
 import json
+import re
+import sys
 import time
+from contextlib import contextmanager
 
 import pytest
 
 import chocnum.cli as cli
 import chocnum.modular as modular_mod
+from chocnum.chocolate import ChocolateTable, chocolate_number, load_cache
 from chocnum.cli import EXIT_FAILED, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, main
 from chocnum.modular import chocolate2_mod, hyper_numerators_mod
 
@@ -74,6 +78,55 @@ def test_gen_flag_pairing_is_enforced(capsys):
     assert code == EXIT_USAGE
     code, _, err = run(capsys, "gen", "--seq", "b", "--max", "0")
     assert code == EXIT_USAGE
+
+
+BELOW_ONE = [
+    ("gen", "--seq", "table", "--max", "0"),
+    ("gen", "--seq", "distinct", "--limit", "0"),
+    ("nu", "--p", "2", "--seq", "b", "--max", "0"),
+    ("nu", "--p", "2", "--seq", "table", "--max", "-3"),
+    ("mod", "--seq", "b", "--modulus", "3", "--max", "0"),
+]
+
+
+@pytest.mark.parametrize("argv", BELOW_ONE, ids=[" ".join(argv) for argv in BELOW_ONE])
+def test_bounds_below_one_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_USAGE and out == ""
+    assert "must be >= 1" in err
+
+
+@contextmanager
+def lowest_digit_limit():
+    """Python's lowest int <-> str digit limit, 640, where the limit exists."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        yield
+        assert sys.get_int_max_str_digits() == 640  # the caller's limit is back
+    finally:
+        sys.set_int_max_str_digits(saved)
+
+
+def test_integers_past_the_digit_limit_print_in_full(capsys, tmp_path):
+    table = ChocolateTable()
+    values = [chocolate_number(n, n, table) for n in range(1, 21)]
+    assert len(str(values[-1])) > 640
+    argv = ("gen", "--seq", "square", "--max", "20", "--cache", str(tmp_path))
+    with lowest_digit_limit():
+        # the first run writes the cache, the others read it back
+        runs = {fmt: run(capsys, *argv, "--format", fmt) for fmt in ("plain", "csv", "jsonl")}
+        reloaded = load_cache(tmp_path / cli.CACHE_FILENAME)
+    assert [code for code, _, _ in runs.values()] == [EXIT_OK] * 3
+    assert runs["plain"][1].splitlines() == [f"{n} {v}" for n, v in enumerate(values, 1)]
+    rows = list(csv.reader(io.StringIO(runs["csv"][1])))
+    assert rows == [["n", "value"]] + [[str(n), str(v)] for n, v in enumerate(values, 1)]
+    records = [json.loads(line) for line in runs["jsonl"][1].splitlines()]
+    assert records == [{"n": n, "value": v} for n, v in enumerate(values, 1)]
+    assert reloaded.memo == table.memo
 
 
 def test_gen_cache_round_trip(capsys, tmp_path):
@@ -343,6 +396,57 @@ def test_conjecture_csv_round_trips(capsys):
 
 
 # ------------------------------------------------------------------ misc
+
+
+def listed_fields(help_text):
+    """{variant: (fields, note)} from the csv/jsonl section of --help."""
+    section = help_text.split("csv/jsonl fields per subcommand:\n")[1].split("\n\n")[0]
+    listed = {}
+    for line in section.splitlines():
+        parts = re.split(r"\s{2,}", line.strip())
+        if line.startswith("   "):  # a wrapped field list continues
+            text, note = listed[variant]
+            listed[variant] = (text + parts[0], note)
+        else:
+            variant = parts[0]
+            listed[variant] = (parts[1], parts[2] if len(parts) > 2 else None)
+    return {v: (text.split(","), note) for v, (text, note) in listed.items()}
+
+
+FIELD_CASES = [
+    ("gen --seq table|triangle", ("gen", "--seq", "table", "--max", "2")),
+    ("gen --seq table|triangle", ("gen", "--seq", "triangle", "--max", "2")),
+    ("gen --seq b|square", ("gen", "--seq", "b", "--max", "2")),
+    ("gen --seq b|square", ("gen", "--seq", "square", "--max", "2")),
+    ("gen --seq distinct", ("gen", "--seq", "distinct", "--limit", "5")),
+    ("factor --seq b", ("factor", "--seq", "b", "--index", "4")),
+    ("factor --seq table", ("factor", "--seq", "table", "--index", "2", "3")),
+    ("nu --seq b|square", ("nu", "--p", "2", "--seq", "b", "--max", "3")),
+    ("nu --seq b|square", ("nu", "--p", "2", "--seq", "square", "--max", "3")),
+    ("nu --seq table", ("nu", "--p", "2", "--seq", "table", "--max", "3")),
+    ("mod", ("mod", "--seq", "p", "--modulus", "7", "--max", "3")),
+    ("period", ("period", "--seq", "b", "--modulus", "11", "--max", "40")),
+    ("conjecture", ("conjecture", "--id", "1", "--primes", "11", "--max", "100")),
+]
+
+
+@pytest.mark.parametrize("variant,argv", FIELD_CASES,
+                         ids=[" ".join(argv) for _, argv in FIELD_CASES])
+def test_csv_header_is_the_field_list_in_help(capsys, variant, argv):
+    _, help_text, _ = run(capsys, "--help")
+    listed = listed_fields(help_text)
+    assert set(listed) == {v for v, _ in FIELD_CASES}  # every listed variant is run
+    fields, note = listed[variant]
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == EXIT_OK
+    assert next(csv.reader(io.StringIO(out))) == fields
+    if argv[0] != "nu":
+        assert note is None
+        return
+    assert note == "(+ bound,ok with --check-bound)"
+    code, out, _ = run(capsys, *argv, "--check-bound", "--format", "csv")
+    assert code == EXIT_OK
+    assert next(csv.reader(io.StringIO(out))) == fields + ["bound", "ok"]
 
 
 def test_unknown_command_is_a_usage_error(capsys):

@@ -12,13 +12,11 @@ from chocnum.modular import (
     CONSISTENT,
     INCONSISTENT,
     UNRESOLVED,
-    ModContext,
     binom_sum_1_mod6,
     binom_sum_5_mod6,
     chocolate2_mod,
     conjecture_scan,
     detect_eventual_period,
-    first_mod3_violation,
     hyper_numerators_mod,
     mod3_pattern_check,
     persistent_divisor_check,
@@ -31,36 +29,6 @@ from reference_values import ZERO_TAIL_PRIMES_BELOW_100
 
 def primes_below(limit):
     return [p for p in range(2, limit) if all(p % q for q in range(2, int(p**0.5) + 1))]
-
-
-# ---------------------------------------------------------------- ModContext
-
-
-def test_mod_context_rows_match_exact_binomials():
-    for m in (2, 3, 7, 10, 97):
-        ctx = ModContext(m)
-        for r in range(41):
-            assert ctx.row_index == r
-            assert ctx.pascal_row == [binomial(r, k) % m for k in range(r + 1)]
-            ctx.advance()
-
-
-def test_mod_context_big_modulus_object_path():
-    m = 10**30  # far beyond the int64-exact range
-    ctx = ModContext(m)
-    ctx.advance_to(25)
-    assert ctx.pascal_row == [binomial(25, k) % m for k in range(26)]
-    assert ctx.binomial(12) == binomial(25, 12)
-    assert ctx.binomial(-1) == 0 and ctx.binomial(26) == 0
-
-
-def test_mod_context_validation():
-    with pytest.raises(ValueError):
-        ModContext(1)
-    ctx = ModContext(5)
-    ctx.advance_to(3)
-    with pytest.raises(ValueError):
-        ctx.advance_to(2)
 
 
 # ------------------------------------------------------------ residue series
@@ -103,14 +71,14 @@ def test_chocolate2_mod_validation():
 
 
 def full_row_chocolate2_mod(n_max, m):
-    """The straightforward kernel: a full Pascal row from ModContext, every
-    term of the sum, and a reduction after every product."""
-    ctx = ModContext(m)
+    """The straightforward kernel: a full Pascal row of Python integers,
+    every term of the sum, and a reduction after every product."""
+    row = [1 % m]  # C(0, k) mod m
     out = [None, 1 % m]
     fact = 1 % m
     for n in range(2, n_max + 1):
-        ctx.advance_to(2 * n - 2)
-        row = ctx.pascal_row
+        for _ in range(2):  # row 2n-4 to row 2n-2
+            row = [(a + b) % m for a, b in zip([0] + row, row + [0])]
         fact = fact * (2 * n - 3) * (2 * n - 2) % m
         s = sum(row[2 * i - 1] * (out[i] * out[n - i] % m) % m for i in range(1, n))
         out.append((fact + s) % m)
@@ -310,10 +278,9 @@ def test_persistent_divisor_check_validation():
 
 
 def test_mod3_pattern_holds():
-    assert first_mod3_violation(500) is None
     assert mod3_pattern_check(500) is True
     with pytest.raises(ValueError):
-        first_mod3_violation(1)
+        mod3_pattern_check(1)
 
 
 @pytest.mark.parametrize("n,expected", [(8, 1), (14, 1), (20, 1)])

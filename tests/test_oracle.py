@@ -6,7 +6,7 @@ from random import Random
 import pytest
 
 from chocnum.chocolate import ChocolateTable, chocolate_number
-from chocnum.oracle import count_breaks, count_sequences, random_break_count
+from chocnum.oracle import count_sequences, random_break_count
 
 
 @pytest.mark.parametrize(
@@ -16,16 +16,9 @@ def test_count_sequences_examples(m, n, expected):
     assert count_sequences(m, n) == expected
 
 
-@pytest.mark.parametrize("m,n,expected", [(2, 2, 3), (1, 1, 0), (3, 4, 11)])
-def test_count_breaks_examples(m, n, expected):
-    assert count_breaks(m, n) == expected
-
-
 def test_rejects_degenerate_and_oversized():
     with pytest.raises(ValueError):
         count_sequences(0, 3)
-    with pytest.raises(ValueError):
-        count_breaks(0, 1)
     with pytest.raises(ValueError):
         count_sequences(4, 4)  # area 16 over the default limit
 
@@ -58,6 +51,6 @@ def test_agrees_with_recursion_everywhere_it_can_reach():
 def test_every_random_walk_uses_the_forced_break_count():
     rng = Random(20240817)
     for m, n in [(1, 1), (1, 6), (2, 3), (3, 3), (2, 5), (3, 4)]:
-        expected = count_breaks(m, n)
+        expected = m * n - 1  # every break adds one piece
         for _ in range(50):
             assert random_break_count(m, n, rng) == expected
