@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .arith import binomial
-
 CACHE_HEADER = "chocnum cache v1"
 
 
@@ -59,9 +57,9 @@ class ChocolateTable:
     Normalizing keys halves the table: an m x n bar and its transpose break
     in equally many ways.  Concurrent readers are safe; writes are one
     dict-entry at a time, so concurrent computes may duplicate work but never
-    corrupt the table.  ``computed`` counts actual recursion-level evaluations
-    (cache misses), which lets tests prove that a reloaded cache short-circuits
-    the recursion.
+    corrupt the table.  ``computed`` counts the bars actually filled (memo
+    misses), which lets tests prove that a reloaded cache short-circuits the
+    computation.
     """
 
     def __init__(self) -> None:
@@ -82,68 +80,70 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     break: a horizontal cut after row i leaves an i x n and an (m-i) x n bar
     whose remaining i*n-1 and (m-i)*n-1 moves interleave in C(mn-2, in-1)
     ways; vertical cuts contribute symmetrically.
+
+    No recursion: the bars the sums reach, a x b with a <= min(b, m) and
+    2 <= b <= n (only 1 x n itself when m = 1), are filled in order of b,
+    then a, so every term is in the memo before it is read.  Cuts i and
+    cuts-i give equal terms, as C(mn-2, in-1) = C(mn-2, (m-i)n-1), so each
+    sum takes the cuts i < cuts/2 twice and the middle cut, if any, once.
     """
     if m < 1 or n < 1:
         raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
     if table is None:
         table = ChocolateTable()
-    return _chocolate(m, n, table)
-
-
-def _chocolate(m: int, n: int, table: ChocolateTable) -> int:
-    if m > n:
-        m, n = n, m
-    cached = table.memo.get((m, n))
+    m, n = min(m, n), max(m, n)
+    memo = table.memo
+    cached = memo.get((m, n))
     if cached is not None:
         return cached
-    table.computed += 1
-    if m == 1:
-        value = math.factorial(n - 1)
-    else:
-        value = 0
-        for i in range(1, m):
-            value += (
-                binomial(m * n - 2, i * n - 1)
-                * _chocolate(i, n, table)
-                * _chocolate(m - i, n, table)
-            )
-        for i in range(1, n):
-            value += (
-                binomial(m * n - 2, i * m - 1)
-                * _chocolate(i, m, table)
-                * _chocolate(n - i, m, table)
-            )
-    table.memo[(m, n)] = value
-    return value
+
+    def count(x: int, y: int) -> int:
+        return memo[(x, y) if x <= y else (y, x)]
+
+    for b in range(n if m == 1 else 2, n + 1):
+        for a in range(1, min(b, m) + 1):
+            if (a, b) in memo:
+                continue
+            if a == 1:
+                value = math.factorial(b - 1)
+            else:
+                value = 0
+                # cutting a side of `cuts` units after i leaves i x side and
+                # (cuts-i) x side: horizontal cuts are (a, b), vertical (b, a)
+                for cuts, side in ((a, b), (b, a)):
+                    for i in range(1, cuts // 2 + 1):
+                        weight = math.comb(a * b - 2, i * side - 1)
+                        term = weight * count(i, side) * count(cuts - i, side)
+                        value += term if 2 * i == cuts else 2 * term
+            memo[(a, b)] = value
+            table.computed += 1
+    return memo[(m, n)]
 
 
 def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
     """Break count for a 2 x n bar via the dedicated one-dimensional
-    recursion (factorial term plus binomially weighted products of smaller
-    cases).  Must agree with chocolate_number(2, n); the two routes are kept
-    independent so they can check each other."""
+    recursion B_n = (2n-2)! + sum_{i=1}^{n-1} C(2n-2, 2i-1) B_i B_{n-i},
+    filled bottom-up; terms i and n-i are equal, so i < n/2 counts twice
+    and the middle term once.  Must agree with chocolate_number(2, n); the
+    two routes are kept independent so they can check each other."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if table is None:
         table = ChocolateTable()
-    known = table.memo.get((2, n) if n >= 2 else (1, 2))
-    if known is not None:
-        return known
-    values = [0] * (n + 1)
-    values[1] = 1
+    cached = table.memo.get((2, n))  # a warm read costs one lookup, not n
+    if cached is not None:
+        return cached
+    values = [0, 1]  # values[j] = B_j
     for j in range(2, n + 1):
-        prior = table.memo.get((2, j) if j >= 2 else (1, 2))
-        if prior is not None:
-            values[j] = prior
-            continue
-        v = math.factorial(2 * j - 2)
-        for i in range(1, j):
-            v += binomial(2 * j - 2, 2 * i - 1) * values[i] * values[j - i]
-        values[j] = v
-        table.memo[(2, j)] = v
-        table.computed += 1
-    if n == 1:
-        return 1
+        v = table.memo.get((2, j))
+        if v is None:
+            v = math.factorial(2 * j - 2)
+            for i in range(1, j // 2 + 1):
+                term = math.comb(2 * j - 2, 2 * i - 1) * values[i] * values[j - i]
+                v += term if 2 * i == j else 2 * term
+            table.memo[(2, j)] = v
+            table.computed += 1
+        values.append(v)
     return values[n]
 
 

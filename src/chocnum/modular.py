@@ -318,101 +318,84 @@ def _certify_zero_tail(k: int, tail_start: int, residues) -> int | None:
     return n if persistent_divisor_check(k, n, residues) else None
 
 
-def _scan_conjecture1(p: int, n_max: int) -> ScanRecord:
-    if not is_prime(p):
-        raise ValueError(f"conjecture 1 takes primes, got {p}")
+# what one scan finds for one modulus: status, preperiod, period, notes
+_Finding = tuple[str, int | None, int | None, str]
+
+
+def _scan_conjecture1(p: int, n_max: int) -> _Finding:
     residues = chocolate2_mod(n_max, p)
     predicted = zero_tail_prime(p)
     nz = [i + 1 for i, r in enumerate(residues) if r != 0]
     tail_start = (nz[-1] + 1) if nz else 1
-    has_tail = tail_start <= n_max
-    cert = _certify_zero_tail(p, tail_start, residues) if has_tail else None
-
-    if has_tail:
-        preperiod, period = tail_start - 1, 1
-    else:
-        preperiod, period = None, None
-    if predicted:
-        if has_tail and cert is not None:
-            notes = (
-                f"zero tail from index {tail_start}; persistence certified by "
-                f"divisibility window at n={cert}"
-            )
-        elif has_tail:
-            notes = (
-                f"trailing zeros from index {tail_start}; window too short to "
-                "certify persistence"
-            )
-        else:
+    if tail_start > n_max:
+        if predicted:
             notes = (
                 f"no zero tail within {n_max} terms; predicted tail would start "
                 "beyond the evidence"
             )
-        return ScanRecord(1, p, n_max, CONSISTENT, preperiod, period, notes)
-    if has_tail and cert is not None:
-        notes = (
+        else:
+            notes = f"no zero tail within {n_max} terms, matching the classifier"
+        return CONSISTENT, None, None, notes
+    cert = _certify_zero_tail(p, tail_start, residues)
+    if predicted and cert is not None:
+        status, notes = CONSISTENT, (
+            f"zero tail from index {tail_start}; persistence certified by "
+            f"divisibility window at n={cert}"
+        )
+    elif predicted:
+        status, notes = CONSISTENT, (
+            f"trailing zeros from index {tail_start}; window too short to "
+            "certify persistence"
+        )
+    elif cert is not None:
+        status, notes = INCONSISTENT, (
             f"certified persistent zero tail from index {tail_start} "
             "contradicts the classifier"
         )
-        return ScanRecord(1, p, n_max, INCONSISTENT, preperiod, period, notes)
-    if has_tail:
-        notes = (
+    else:
+        status, notes = UNRESOLVED, (
             f"trailing zeros from index {tail_start} on a classifier-false "
             "prime; cannot certify either way"
         )
-        return ScanRecord(1, p, n_max, UNRESOLVED, preperiod, period, notes)
-    return ScanRecord(
-        1, p, n_max, CONSISTENT, None, None,
-        f"no zero tail within {n_max} terms, matching the classifier",
-    )
+    return status, tail_start - 1, 1, notes
 
 
-def _scan_conjecture2(m: int, n_max: int) -> ScanRecord:
-    residues = chocolate2_mod(n_max, m)
-    report = detect_eventual_period(residues)
-    if report.resolved and report.eventually_zero:
-        notes = f"eventually zero from index {report.preperiod + 1}; evidence only"
-        return ScanRecord(2, m, n_max, CONSISTENT, report.preperiod, report.period, notes)
-    if report.resolved:
-        notes = (
-            f"periodic on the evidence with period {report.period} after "
-            f"preperiod {report.preperiod}; evidence only"
+def _scan_conjecture2(m: int, n_max: int) -> _Finding:
+    report = detect_eventual_period(chocolate2_mod(n_max, m))
+    if not report.resolved:
+        return UNRESOLVED, None, None, (
+            f"no period certified within {n_max} terms at the configured thresholds"
         )
-        return ScanRecord(2, m, n_max, CONSISTENT, report.preperiod, report.period, notes)
-    return ScanRecord(
-        2, m, n_max, UNRESOLVED, None, None,
-        f"no period certified within {n_max} terms at the configured thresholds",
+    notes = (
+        f"eventually zero from index {report.preperiod + 1}; evidence only"
+        if report.eventually_zero else
+        f"periodic on the evidence with period {report.period} after "
+        f"preperiod {report.preperiod}; evidence only"
     )
+    return CONSISTENT, report.preperiod, report.period, notes
 
 
-def _scan_conjecture3(p: int, n_max: int) -> ScanRecord:
-    if not is_prime(p):
-        raise ValueError(f"conjecture 3 takes primes, got {p}")
+def _scan_conjecture3(p: int, n_max: int) -> _Finding:
     if zero_tail_prime(p):
-        return ScanRecord(
-            3, p, n_max, CONSISTENT, None, None,
-            "hypothesis excludes this prime (classifier-true); nothing to test",
+        return CONSISTENT, None, None, (
+            "hypothesis excludes this prime (classifier-true); nothing to test"
         )
     pp1 = p * (p - 1)
-    residues = chocolate2_mod(n_max, p)
     candidates = divisors(pp1) + list(range(pp1, n_max // 3 + 1, pp1))
-    report = detect_eventual_period(residues, candidates)
-    if report.resolved and not report.eventually_zero:
-        period = report.period
-        notes = (
-            f"minimal observed period {period}, p(p-1)={pp1}; "
-            f"p(p-1) divides period: {'yes' if period % pp1 == 0 else 'no'}; "
-            f"period divides p(p-1): {'yes' if pp1 % period == 0 else 'no'}"
+    report = detect_eventual_period(chocolate2_mod(n_max, p), candidates)
+    if not report.resolved:
+        return UNRESOLVED, None, None, (
+            f"no period certified within {n_max} terms at the configured thresholds"
         )
-        return ScanRecord(3, p, n_max, CONSISTENT, report.preperiod, period, notes)
-    if report.resolved:
-        return ScanRecord(
-            3, p, n_max, UNRESOLVED, report.preperiod, report.period,
-            "sequence died to zeros, which the hypothesis does not anticipate",
+    if report.eventually_zero:
+        return UNRESOLVED, report.preperiod, report.period, (
+            "sequence died to zeros, which the hypothesis does not anticipate"
         )
-    return ScanRecord(
-        3, p, n_max, UNRESOLVED, None, None,
-        f"no period certified within {n_max} terms at the configured thresholds",
+    period = report.period
+    return CONSISTENT, report.preperiod, period, (
+        f"minimal observed period {period}, p(p-1)={pp1}; "
+        f"p(p-1) divides period: {'yes' if period % pp1 == 0 else 'no'}; "
+        f"period divides p(p-1): {'yes' if pp1 % period == 0 else 'no'}"
     )
 
 
@@ -426,5 +409,10 @@ def conjecture_scan(conjecture: int, moduli, n_max: int) -> list[ScanRecord]:
         raise ValueError(f"conjecture must be 1, 2 or 3, got {conjecture}")
     if n_max < 100:
         raise ValueError(f"n_max must be >= 100 for a meaningful scan, got {n_max}")
+    moduli = list(moduli)
+    if conjecture != 2:
+        for p in moduli:
+            if not is_prime(p):
+                raise ValueError(f"conjecture {conjecture} takes primes, got {p}")
     scan = {1: _scan_conjecture1, 2: _scan_conjecture2, 3: _scan_conjecture3}[conjecture]
-    return [scan(m, n_max) for m in moduli]
+    return [ScanRecord(conjecture, m, n_max, *scan(m, n_max)) for m in moduli]

@@ -1,11 +1,15 @@
 """Tests for the exact recursion, the sequence generators, and the cache."""
 
+import functools
+import inspect
 import math
+import sys
 from pathlib import Path
 
 import pytest
 
 import chocnum.chocolate as chocolate_mod
+import chocnum.cli as cli
 from chocnum.chocolate import (
     CacheFormatError,
     ChocolateTable,
@@ -82,8 +86,45 @@ def test_chocolate2_examples(n, expected):
 
 def test_chocolate2_matches_general_recursion():
     # independent routes, so fresh tables on both sides
-    for n in range(1, 31):
+    for n in range(1, 101):
         assert chocolate2(n, ChocolateTable()) == chocolate_number(2, n, ChocolateTable())
+
+
+@functools.lru_cache(maxsize=None)
+def every_cut_count(m, n):
+    """The split recursion summed over every first cut, without using the
+    symmetry of the terms: a reference for the half sums."""
+    if m == 1 or n == 1:
+        return math.factorial(m * n - 1)
+    rows = sum(
+        math.comb(m * n - 2, i * n - 1) * every_cut_count(i, n) * every_cut_count(m - i, n)
+        for i in range(1, m)
+    )
+    cols = sum(
+        math.comb(m * n - 2, i * m - 1) * every_cut_count(m, i) * every_cut_count(m, n - i)
+        for i in range(1, n)
+    )
+    return rows + cols
+
+
+def test_half_sums_match_the_sum_over_every_cut():
+    table = ChocolateTable()
+    for m in range(1, 13):
+        for n in range(1, 13):
+            assert chocolate_number(m, n, table) == every_cut_count(m, n)
+
+
+def test_exact_counts_need_no_deep_recursion(capsys):
+    expected = every_cut_count(40, 3)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 40)
+    try:
+        assert chocolate_number(2, 300, ChocolateTable()) == chocolate2(300, ChocolateTable())
+        assert chocolate_number(40, 3) == expected
+        assert cli.main(["factor", "--seq", "table", "--index", "2", "120"]) == 0
+    finally:
+        sys.setrecursionlimit(limit)
+    assert capsys.readouterr().out.startswith(f"2 120 {chocolate2(120)} ")
 
 
 def test_chocolate2_prefix():
