@@ -16,7 +16,7 @@ from enum import Enum
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
-DEFAULT_TRIAL_BOUND = 10**6
+TRIAL_BOUND = 10**6
 
 
 class CofactorStatus(Enum):
@@ -109,13 +109,13 @@ def nu_p(value: int, p: int) -> int:
     return e
 
 
-def _miller_rabin(n: int, witnesses=MR_WITNESSES) -> bool:
+def _miller_rabin(n: int) -> bool:
     d = n - 1
     s = 0
     while d % 2 == 0:
         d //= 2
         s += 1
-    for a in witnesses:
+    for a in MR_WITNESSES:
         a %= n
         if a == 0:
             continue
@@ -145,18 +145,17 @@ def is_prime(n: int) -> bool:
     return _miller_rabin(n)
 
 
-def factor(value: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Factorization:
-    """Trial-divide out all primes <= trial_bound, then classify whatever is
-    left with the deterministic Miller-Rabin check.  Cofactors at or above the
-    deterministic range are flagged rather than mis-certified."""
+def factor(value: int) -> Factorization:
+    """Trial-divide out all primes <= TRIAL_BOUND (10^6), then classify what
+    is left: prime below TRIAL_BOUND^2, certified prime or flagged composite
+    by Miller-Rabin below its deterministic range, and flagged probable prime
+    or composite at or above that range rather than mis-certified."""
     if value < 1:
         raise ValueError(f"factor requires value >= 1, got {value}")
-    if trial_bound < 2:
-        raise ValueError("trial_bound must be >= 2")
     factors: list[tuple[int, int]] = []
     rem = value
     d = 2
-    while d <= trial_bound and d * d <= rem:
+    while d <= TRIAL_BOUND and d * d <= rem:
         if rem % d == 0:
             e = 0
             while rem % d == 0:
@@ -166,8 +165,8 @@ def factor(value: int, trial_bound: int = DEFAULT_TRIAL_BOUND) -> Factorization:
         d += 1 if d == 2 else 2
     if rem == 1:
         return Factorization(tuple(factors))
-    if rem <= trial_bound * trial_bound:
-        # smallest factor of rem exceeds trial_bound, so rem is prime
+    if rem <= TRIAL_BOUND * TRIAL_BOUND:
+        # smallest factor of rem exceeds TRIAL_BOUND, so rem is prime
         factors.append((rem, 1))
         return Factorization(tuple(factors))
     if rem < MR_DETERMINISTIC_BOUND:

@@ -69,9 +69,6 @@ class ChocolateTable:
     def __len__(self) -> int:
         return len(self.memo)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, ChocolateTable) and self.memo == other.memo
-
 
 def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int:
     """Number of ways to fully break an m x n bar, exactly.

@@ -2,8 +2,8 @@
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all checks
 pass/consistent, 1 a verifiable claim failed, 2 usage error, 3 unresolved
-(insufficient evidence).  Big integers are always printed as exact decimal
-strings.
+(insufficient evidence), 141 stdout closed early by its reader.  Big
+integers are always printed as exact decimal strings.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNRESOLVED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
 CACHE_ENV = "CHOCNUM_CACHE"
 CACHE_FILENAME = "chocolate_table.cache"
@@ -93,7 +94,8 @@ output formats:
 csv/jsonl fields per subcommand:
 {fields_table}
 
-exit codes: 0 ok, 1 a verifiable claim failed, 2 usage error, 3 unresolved.
+exit codes: 0 ok, 1 a verifiable claim failed, 2 usage error, 3 unresolved,
+141 stdout closed early by its reader.
 The default cache directory may be named in the CHOCNUM_CACHE environment
 variable; --cache overrides it.  No cache is touched unless one is named.
 """
@@ -365,11 +367,15 @@ def main(argv=None) -> int:
         # exact values print in full at any size
         with unlimited_int_digits():
             result = args.func(args)
-            if isinstance(result, int):  # oracle and series print their own lines
-                return result
-            fields, records, code = result
-            _emit(records, fields, args.format)
-            return code
+            if not isinstance(result, int):  # oracle and series print their own lines
+                fields, records, result = result
+                _emit(records, fields, args.format)
+            sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+            return result
+    except BrokenPipeError:
+        # the reader has gone: no message, and nothing left for the final flush
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     # CacheFormatError is a ValueError
     except (OSError, ValueError, SequenceFrontierError) as exc:
         print(f"error: {exc}", file=sys.stderr)

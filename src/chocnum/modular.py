@@ -10,9 +10,7 @@ object dtype beyond that) because the prefix cost is quadratic in n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -171,35 +169,26 @@ class PeriodReport:
     evidence_length: int
 
 
-def detect_eventual_period(
-    seq,
-    candidate_periods=None,
-    *,
-    min_cycles: int = 3,
-    min_tail_ratio: Fraction | float = Fraction(1, 2),
-) -> PeriodReport:
+def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
     """Find (preperiod, period) for an eventually periodic residue sequence.
 
     An all-zero tail is reported as eventually_zero before any period search.
     Caller-supplied candidates (say, divisors of p(p-1)) are tried first and
-    refined to the smallest fitting divisor; otherwise every feasible length
-    (up to evidence/min_cycles, a third at the defaults) is tried in
-    increasing order, so the first fit is minimal.  A fit must leave a
-    periodic tail of at least ``min_cycles`` periods covering at least
-    ``min_tail_ratio`` of the evidence -- below that the report comes back
-    unresolved rather than overclaiming.  The ratio is compared exactly; a
-    float ratio is taken at its exact binary value.
+    refined to the smallest fitting divisor; otherwise every length up to a
+    third of the evidence is tried in increasing order, so the first fit is
+    minimal.  A fit must leave a periodic tail of at least 3 periods and at
+    least half the evidence (integer comparisons: tail >= 3 * period and
+    2 * tail >= L) -- with fewer than 3 periods or less than half the
+    evidence the report comes back unresolved rather than overclaiming.
     """
     seq = list(seq)
     L = len(seq)
     if L < 8:
         raise ValueError(f"need at least 8 terms of evidence, got {L}")
     arr = np.asarray(seq)
-    # tail >= min_tail_ratio * L, exactly, for an integer tail
-    min_tail = math.ceil(Fraction(min_tail_ratio) * L)
 
     def tail_ok(tail: int, period: int) -> bool:
-        return tail >= min_cycles * period and tail >= min_tail
+        return tail >= 3 * period and 2 * tail >= L
 
     # zero tail first: a dying sequence is not "period 1"
     nonzero = np.flatnonzero(arr != 0)
@@ -212,8 +201,8 @@ def detect_eventual_period(
         pre = int(mism[-1]) + 1 if mism.size else 0
         return pre if tail_ok(L - pre, period) else None
 
-    # a fit needs a tail of min_cycles periods, so longer periods are hopeless
-    max_period = L // max(min_cycles, 1)
+    # a fit needs a tail of 3 periods, so longer periods are hopeless
+    max_period = L // 3
     if candidate_periods:
         for cand in sorted({c for c in candidate_periods if 1 <= c <= max_period}):
             pre = fit(cand)

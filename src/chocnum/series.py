@@ -38,21 +38,6 @@ class RationalSeries:
             self, "coeffs", tuple(Fraction(c) for c in self.coeffs)
         )
 
-    @classmethod
-    def of(cls, values, order: int | None = None) -> "RationalSeries":
-        """Build from any iterable of ints/Fractions, zero-padded to
-        ``order`` when given."""
-        coeffs = [Fraction(v) for v in values]
-        if order is not None:
-            if len(coeffs) > order + 1:
-                raise ValueError(f"{len(coeffs)} coefficients exceed order {order}")
-            coeffs.extend([Fraction(0)] * (order + 1 - len(coeffs)))
-        return cls(tuple(coeffs))
-
-    @classmethod
-    def constant(cls, value, order: int) -> "RationalSeries":
-        return cls.of([Fraction(value)], order)
-
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
@@ -74,26 +59,18 @@ class RationalSeries:
         self._check_order(other)
         return RationalSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
-    def __neg__(self) -> "RationalSeries":
-        return RationalSeries(tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other):
-        if isinstance(other, RationalSeries):
-            self._check_order(other)
-            n = self.order
-            out = [Fraction(0)] * (n + 1)
-            for i, a in enumerate(self.coeffs):
-                if a == 0:
-                    continue
-                for j in range(n + 1 - i):
-                    b = other.coeffs[j]
-                    if b != 0:
-                        out[i + j] += a * b
-            return RationalSeries(tuple(out))
-        return self.scalar_mul(other)
-
-    def __rmul__(self, other):
-        return self.scalar_mul(other)
+    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
+        self._check_order(other)
+        n = self.order
+        out = [Fraction(0)] * (n + 1)
+        for i, a in enumerate(self.coeffs):
+            if a == 0:
+                continue
+            for j in range(n + 1 - i):
+                b = other.coeffs[j]
+                if b != 0:
+                    out[i + j] += a * b
+        return RationalSeries(tuple(out))
 
     def scalar_mul(self, c) -> "RationalSeries":
         c = Fraction(c)
@@ -106,22 +83,6 @@ class RationalSeries:
         return RationalSeries(
             tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order))
         )
-
-    def divide(self, other: "RationalSeries") -> "RationalSeries":
-        """Series quotient by long division; the divisor must be a unit of
-        the truncated ring, i.e. have nonzero constant term."""
-        self._check_order(other)
-        if other.coeffs[0] == 0:
-            raise ZeroDivisionError("divisor has zero constant term")
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        inv0 = 1 / other.coeffs[0]
-        for k in range(n + 1):
-            acc = self.coeffs[k]
-            for j in range(1, k + 1):
-                acc -= other.coeffs[j] * out[k - j]
-            out[k] = acc * inv0
-        return RationalSeries(tuple(out))
 
     def divide_by_x(self) -> "RationalSeries":
         """Coefficient downshift.  Only legal when the constant term is zero,
@@ -199,7 +160,7 @@ def riccati_residual_of(f: RationalSeries) -> RationalSeries:
         raise ValueError("need order >= 3 to see the equation act")
     n = f.order
     f_prime = f.differentiate()                      # order n-1
-    half_geometric = RationalSeries.of([Fraction(1, 2)] * n)  # 1/(2(1-X))
+    half_geometric = RationalSeries((Fraction(1, 2),) * n)  # 1/(2(1-X))
     f_shift = f.divide_by_x().scalar_mul(Fraction(1, 2))
     f2_shift = (f * f).divide_by_x().scalar_mul(Fraction(1, 2))
     return f_prime - half_geometric - f_shift - f2_shift

@@ -137,7 +137,7 @@ def test_factor_roundtrip_identity():
 
 def test_factor_flags_unresolvable_cofactor():
     p, q = 1000003, 1000033
-    f = factor(p * q, trial_bound=100)
+    f = factor(p * q)  # both primes exceed the trial bound
     assert f.factors == ()
     assert f.cofactor == p * q
     assert f.cofactor_status is CofactorStatus.COMPOSITE_UNRESOLVED
@@ -146,7 +146,7 @@ def test_factor_flags_unresolvable_cofactor():
 
 def test_factor_flags_probable_prime_cofactor():
     m89 = 2**89 - 1  # prime, but beyond the deterministic witness range
-    f = factor(m89, trial_bound=10**4)
+    f = factor(m89)
     assert f.cofactor == m89
     assert f.cofactor_status is CofactorStatus.PROBABLE_PRIME
 

@@ -3,10 +3,13 @@
 import csv
 import io
 import json
+import os
 import re
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +183,14 @@ def test_oracle_compare_fails_loudly_on_mismatch(capsys, monkeypatch):
 
 def test_oracle_rejects_oversized_area(capsys):
     code, _, err = run(capsys, "oracle", "--m", "4", "--n", "4")
+    assert code == EXIT_USAGE and "area" in err
+
+
+def test_oracle_area_limit_flag_admits_a_bigger_bar(capsys):
+    argv = ("oracle", "--m", "2", "--n", "7", "--compare")
+    code, out, _ = run(capsys, *argv, "--area-limit", "14")
+    assert code == EXIT_OK and out.strip() == "984237056 == 984237056"
+    code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE and "area" in err
 
 
@@ -464,3 +475,20 @@ def test_help_exits_zero(capsys):
 def test_data_on_stdout_errors_on_stderr(capsys):
     _, out, err = run(capsys, "oracle", "--m", "9", "--n", "9")
     assert out == "" and err != ""
+
+
+@pytest.mark.parametrize("argv, first_line", [
+    (("mod", "--seq", "p", "--modulus", "7", "--max", "20000"), b"p 7 1 3\n"),
+    (("gen", "--seq", "b", "--max", "300", "--format", "jsonl"), b'{"n": 1, "value": 1}\n'),
+], ids=["mod", "gen"])
+def test_closed_stdout_pipe_exits_quietly(argv, first_line):
+    # the reader takes one line and goes away, as `| head -1` does; the
+    # output is well past a pipe buffer, so the writer sees the pipe close
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen([sys.executable, "-m", "chocnum.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == first_line
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
+    assert err == b""

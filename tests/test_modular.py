@@ -1,6 +1,5 @@
 """Tests for the residue engine, period detection, and the scan harness."""
 
-from fractions import Fraction
 from math import isqrt
 
 import pytest
@@ -173,6 +172,10 @@ def test_detect_zero_tail():
     report = detect_eventual_period([5, 0, 0, 0, 0, 0, 0, 0])
     assert report.resolved and report.eventually_zero
     assert (report.preperiod, report.period) == (1, 1)
+    # a zero tail of exactly half the evidence resolves; one more leading term does not
+    report = detect_eventual_period([1, 2, 3, 4, 0, 0, 0, 0])
+    assert report.eventually_zero and report.preperiod == 4
+    assert not detect_eventual_period([5, 1, 2, 3, 4, 0, 0, 0, 0]).resolved
 
 
 def test_detect_constant_sequence():
@@ -201,19 +204,14 @@ def test_detect_candidate_path_and_refinement():
 
 
 def test_detect_unresolved_below_thresholds():
-    report = detect_eventual_period(hyper_numerators_mod(200, 13))
-    assert not report.resolved
-    assert report.period is None and report.preperiod is None
-    assert report.evidence_length == 200
-
-
-def test_detect_thresholds_are_configurable():
+    # period 156 mod 13: 200 terms hold about 1.3 periods and 400 terms 2.6
+    for length in (200, 400):
+        report = detect_eventual_period(hyper_numerators_mod(length, 13))
+        assert not report.resolved
+        assert report.period is None and report.preperiod is None
+        assert report.evidence_length == length
     residues = hyper_numerators_mod(400, 13)
-    assert not detect_eventual_period(residues).resolved
-    relaxed = detect_eventual_period(
-        residues, [156], min_cycles=2, min_tail_ratio=0.25
-    )
-    assert relaxed.resolved and relaxed.period == 156
+    assert not detect_eventual_period(residues, [156]).resolved
 
 
 def test_detect_tail_ratio_is_exact():
@@ -221,14 +219,25 @@ def test_detect_tail_ratio_is_exact():
     report = detect_eventual_period(seq)
     assert report.resolved and (report.preperiod, report.period) == (8, 2)
     assert not detect_eventual_period([0] + seq).resolved  # 8 in 17: short
-    just_over_half = Fraction(1, 2) + Fraction(1, 10**30)
-    assert not detect_eventual_period(seq, min_tail_ratio=just_over_half).resolved
-    assert detect_eventual_period.__kwdefaults__["min_tail_ratio"] == Fraction(1, 2)
-    # a float ratio means its exact binary value: 0.25 is 1/4
-    residues = hyper_numerators_mod(400, 13)
-    assert detect_eventual_period(residues, [156], min_cycles=2, min_tail_ratio=0.25) == (
-        detect_eventual_period(residues, [156], min_cycles=2, min_tail_ratio=Fraction(1, 4))
-    )
+
+
+@pytest.mark.parametrize("period", [2, 3, 5])
+def test_detect_thresholds_at_both_edges(period):
+    pre = list(range(1, 3 * period + 1))  # distinct, and no term is a cycle term
+    tail = list(range(100, 100 + period)) * 3
+    # a tail of exactly 3 periods that is exactly half the evidence resolves
+    report = detect_eventual_period(pre + tail)
+    assert report.resolved and not report.eventually_zero
+    assert (report.preperiod, report.period) == (len(pre), period)
+    assert detect_eventual_period(pre + tail, [period]) == report
+    short = [
+        pre + tail[:-1],  # one tail term fewer: under 3 periods and under half
+        [0] + pre + tail,  # one preperiod term more: 3 periods, under half
+        pre[1:] + tail[:-1],  # one term fewer at each end: half, under 3 periods
+    ]
+    for seq in short:
+        assert not detect_eventual_period(seq).resolved
+        assert not detect_eventual_period(seq, [period]).resolved
 
 
 def test_detect_is_idempotent_under_extension():

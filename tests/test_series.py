@@ -35,53 +35,21 @@ def _perturb(series: RationalSeries, k: int, value) -> RationalSeries:
 
 
 def test_construction_and_order():
-    s = RationalSeries.of([1, 2, 3])
+    s = RationalSeries((1, 2, 3))
     assert s.order == 2 and s[1] == 2
-    padded = RationalSeries.of([1], order=4)
-    assert padded.order == 4 and padded.coeffs[1:] == (0, 0, 0, 0)
     with pytest.raises(ValueError):
         RationalSeries(())
-    with pytest.raises(ValueError):
-        RationalSeries.of([1, 2, 3], order=1)
 
 
 def test_product_of_conjugates():
-    one_plus = RationalSeries.of([1, 1], order=3)
-    one_minus = RationalSeries.of([1, -1], order=3)
+    one_plus = RationalSeries((1, 1, 0, 0))
+    one_minus = RationalSeries((1, -1, 0, 0))
     assert (one_plus * one_minus).coeffs == (1, 0, -1, 0)
 
 
 def test_differentiate_exponential_pattern():
-    exp = RationalSeries.of([Fraction(1, math.factorial(k)) for k in range(9)])
+    exp = RationalSeries(tuple(Fraction(1, math.factorial(k)) for k in range(9)))
     assert exp.differentiate() == exp.truncate(7)
-
-
-def test_divide_geometric():
-    one = RationalSeries.constant(1, 6)
-    one_minus_x = RationalSeries.of([1, -1], order=6)
-    assert one.divide(one_minus_x).coeffs == (1,) * 7
-
-
-def test_divide_requires_unit_divisor():
-    with pytest.raises(ZeroDivisionError):
-        RationalSeries.constant(1, 3).divide(RationalSeries.of([0, 1], order=3))
-
-
-def test_divide_then_multiply_round_trips():
-    rng = random.Random(5)
-
-    def rand_series(order, nonzero_constant=False):
-        coeffs = [
-            Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(order + 1)
-        ]
-        if nonzero_constant and coeffs[0] == 0:
-            coeffs[0] = Fraction(1, 3)
-        return RationalSeries(tuple(coeffs))
-
-    for _ in range(25):
-        a = rand_series(8)
-        b = rand_series(8, nonzero_constant=True)
-        assert a.divide(b) * b == a
 
 
 def test_ring_laws_on_random_operands():
@@ -115,22 +83,24 @@ def test_truncation_commutes_with_multiplication():
 
 
 def test_shifts_and_their_guards():
-    s = RationalSeries.of([0, 1, 2], order=3)
+    s = RationalSeries((0, 1, 2, 0))
     assert s.divide_by_x().coeffs == (1, 2, 0)
     assert s.times_x().order == 4
     with pytest.raises(ValueError):
-        RationalSeries.of([1, 1]).divide_by_x()
+        RationalSeries((1, 1)).divide_by_x()
     with pytest.raises(ValueError):
         s.truncate(9)
     with pytest.raises(ValueError):
-        s + RationalSeries.of([1], order=5)
+        s + RationalSeries((1, 0, 0, 0, 0, 0))
     with pytest.raises(ValueError):
-        RationalSeries.of([3]).differentiate()
+        s * RationalSeries((1, 0, 0, 0, 0, 0))
+    with pytest.raises(ValueError):
+        RationalSeries((3,)).differentiate()
 
 
 def test_scalar_multiplication():
-    s = RationalSeries.of([1, 2], order=2)
-    assert (2 * s).coeffs == (2, 4, 0)
+    s = RationalSeries((1, 2, 0))
+    assert s.scalar_mul(2).coeffs == (2, 4, 0)
     assert s.scalar_mul(Fraction(1, 2)).coeffs == (Fraction(1, 2), 1, 0)
 
 
@@ -185,16 +155,6 @@ def test_log_derivative_identity_holds(order):
     ok, residual = verify_log_derivative(order)
     assert ok and residual.is_zero()
     assert residual.order == order
-
-
-def test_log_derivative_hand_expansion():
-    # -2X u'/u reproduces the generating function term by term
-    order = 10
-    u = hypergeom_series(order)
-    f = chocolate2_gf(order)
-    quotient = u.differentiate().times_x().scalar_mul(-2).divide(u)
-    assert quotient == f
-    assert quotient[1] == 1 and quotient[2] == Fraction(2, 3)
 
 
 def test_log_derivative_detects_a_wrong_numerator():
