@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import sys
 import textwrap
 from pathlib import Path
 
-from .arith import divisors, factor, nu_p
+from .arith import factor, nu_p
 from .chocolate import (
     ChocolateTable,
     SequenceFrontierError,
@@ -32,10 +33,13 @@ from .chocolate import (
 from .modular import (
     INCONSISTENT,
     UNRESOLVED,
+    PeriodReport,
+    ScanRecord,
     chocolate2_mod,
     conjecture_scan,
     detect_eventual_period,
     hyper_numerators_mod,
+    pp1_divisors,
 )
 from .oracle import DEFAULT_AREA_LIMIT, count_sequences
 from .series import riccati_residual, verify_linear_ode, verify_log_derivative
@@ -60,10 +64,9 @@ FIELDS = {
     "nu --seq b|square": ("n", "nu"),
     "nu --seq table": ("m", "n", "nu"),
     "mod": ("seq", "modulus", "n", "residue"),
-    "period": ("seq", "modulus", "n_max", "resolved", "preperiod", "period",
-               "eventually_zero", "evidence_length"),
-    "conjecture": ("conjecture", "modulus", "n_max", "status", "preperiod",
-                   "period", "notes"),
+    "period": ("seq", "modulus", "n_max",
+               *(f.name for f in dataclasses.fields(PeriodReport))),
+    "conjecture": tuple(f.name for f in dataclasses.fields(ScanRecord)),
 }
 BOUND_FIELDS = ("bound", "ok")  # appended by nu --check-bound
 
@@ -174,22 +177,19 @@ def _cmd_gen(args):
     return _fields(args), records, EXIT_OK
 
 
-def _cmd_oracle(args) -> int:
+def _cmd_oracle(args):
     brute = count_sequences(args.m, args.n, args.area_limit)
     if not args.compare:
-        print(brute)
-        return EXIT_OK
+        return (), [(brute,)], EXIT_OK
     recursed = chocolate_number(args.m, args.n)
-    marker = "==" if brute == recursed else "!="
-    print(f"{brute} {marker} {recursed}")
-    if brute != recursed:
-        print(
-            f"oracle mismatch for {args.m} x {args.n}: enumeration {brute}, "
-            f"recursion {recursed}",
-            file=sys.stderr,
-        )
-        return EXIT_FAILED
-    return EXIT_OK
+    if brute == recursed:
+        return (), [(brute, "==", recursed)], EXIT_OK
+    print(
+        f"oracle mismatch for {args.m} x {args.n}: enumeration {brute}, "
+        f"recursion {recursed}",
+        file=sys.stderr,
+    )
+    return (), [(brute, "!=", recursed)], EXIT_FAILED
 
 
 def _cmd_factor(args):
@@ -243,37 +243,32 @@ def _cmd_mod(args):
 
 def _cmd_period(args):
     residues = _residues(args.seq, args.modulus, args.max)
-    candidates = divisors(args.modulus * (args.modulus - 1)) if args.hint_pp1 else None
+    candidates = pp1_divisors(args.modulus) if args.hint_pp1 else None
     report = detect_eventual_period(residues, candidates)
-    record = (args.seq, args.modulus, args.max, report.resolved, report.preperiod,
-              report.period, report.eventually_zero, report.evidence_length)
+    record = (args.seq, args.modulus, args.max, *dataclasses.astuple(report))
     return _fields(args), [record], EXIT_OK if report.resolved else EXIT_UNRESOLVED
 
 
-def _cmd_series(args) -> int:
+def _cmd_series(args):
     if args.check == "ode":
         if verify_linear_ode(args.order):
-            print(f"identity holds through order {args.order - 1}")
-            return EXIT_OK
-        print("linear ODE residual nonzero")
-        return EXIT_FAILED
+            return (), [(f"identity holds through order {args.order - 1}",)], EXIT_OK
+        return (), [("linear ODE residual nonzero",)], EXIT_FAILED
     if args.check == "riccati":
         residual, through = riccati_residual(args.order), args.order - 1
     else:
         residual, through = verify_log_derivative(args.order)[1], args.order
     if residual.is_zero():
-        print(f"residual zero through order {through}")
-        return EXIT_OK
+        return (), [(f"residual zero through order {through}",)], EXIT_OK
     k = residual.first_nonzero()
-    print(f"residual nonzero at order {k}: {residual[k]}")
-    return EXIT_FAILED
+    return (), [(f"residual nonzero at order {k}: {residual[k]}",)], EXIT_FAILED
 
 
 def _cmd_conjecture(args):
     fields = _fields(args)
-    scan = [r.as_dict() for r in conjecture_scan(args.id, args.primes, args.max)]
-    records = [tuple(r[f] for f in fields) for r in scan]
-    statuses = {r["status"] for r in scan}
+    scan = conjecture_scan(args.id, args.primes, args.max)
+    records = [dataclasses.astuple(r) for r in scan]
+    statuses = {r.status for r in scan}
     if INCONSISTENT in statuses:
         return fields, records, EXIT_FAILED
     return fields, records, EXIT_UNRESOLVED if UNRESOLVED in statuses else EXIT_OK
@@ -306,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--compare", action="store_true")
     p.add_argument("--area-limit", type=int, default=DEFAULT_AREA_LIMIT)
-    p.set_defaults(func=_cmd_oracle)
+    p.set_defaults(func=_cmd_oracle, format="plain")
 
     p = sub.add_parser("factor", help="factor one sequence value")
     p.add_argument("--seq", required=True, choices=("b", "table"))
@@ -345,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("series", help="exact generating-function checks")
     p.add_argument("--check", required=True, choices=("riccati", "ode", "hypergeom"))
     p.add_argument("--order", type=int, required=True)
-    p.set_defaults(func=_cmd_series)
+    p.set_defaults(func=_cmd_series, format="plain")
 
     p = sub.add_parser("conjecture", help="scan one of the open statements")
     p.add_argument("--id", type=int, required=True, choices=(1, 2, 3))
@@ -366,12 +361,10 @@ def main(argv=None) -> int:
     try:
         # exact values print in full at any size
         with unlimited_int_digits():
-            result = args.func(args)
-            if not isinstance(result, int):  # oracle and series print their own lines
-                fields, records, result = result
-                _emit(records, fields, args.format)
+            fields, records, code = args.func(args)
+            _emit(records, fields, args.format)
             sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
-            return result
+            return code
     except BrokenPipeError:
         # the reader has gone: no message, and nothing left for the final flush
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())

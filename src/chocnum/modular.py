@@ -55,12 +55,11 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     term is added when n is even.
 
     Half row: the weights come from C(r, 0..r/2+1) mod m alone, the rest
-    following from C(r, k) = C(r, r-k).  The half row lives in one
-    preallocated buffer of n_max + 3 entries and advances two rows per n, by
-    two Pascal steps that together give
+    following from C(r, k) = C(r, r-k).  The half row advances two rows per
+    n, by two Pascal steps that together give
     C(r+2, k) = C(r, k) + 2 C(r, k-1) + C(r, k-2), with one reduction per
-    step.  Memory stays O(n_max): that row, the residues and a few scratch
-    vectors of the same length.
+    step.  Memory stays O(n_max): that row, the residues and a few
+    temporaries of the same length.
 
     Precondition, checked at run time by ``residue_kernel``: when
     m <= 3 037 000 499 and n_max (m-1)^2 < 2^63, each step reduces the
@@ -81,48 +80,34 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     # zeros stand for C(r, -2) and C(r, -1)
     row = np.zeros(n_max + 3, dtype=dtype)
     row[2] = 1 % m
-    # scratch: row r+1, unreduced row r+2, quotients, products
-    odd_row = np.empty(n_max + 1, dtype=dtype)
-    sums = np.empty(n_max, dtype=dtype)
-    quot = np.empty(n_max, dtype=dtype)
-    prods = np.empty(n_max // 2, dtype=dtype)
 
-    def reduce_into(src, dst):
-        # dst = src mod m; for int64, floor division by a scalar is much
-        # cheaper than numpy's remainder, and src - (src // m) * m is exact
+    def reduce(x):
+        # x mod m, in place; for int64, floor division by a scalar is much
+        # cheaper than numpy's remainder, and x - (x // m) * m is exact
         if dtype is object:
-            np.remainder(src, m, out=dst)
-            return
-        q = quot[: len(src)]
-        np.floor_divide(src, m, out=q)
-        q *= m
-        np.subtract(src, q, out=dst)
+            x %= m
+        else:
+            x -= x // m * m
+        return x
 
     fact = 1 % m  # (2n-2)! mod m, maintained incrementally
     for n in range(2, n_max + 1):
         # row r = 2n-4 to r + 2 = 2n-2; C(r, n-1) = C(r, n-3) by symmetry
         row[n + 1] = row[n - 1]
         # two Pascal steps: odd[j] = C(r+1, j-1), then C(r+2, k) = odd[k+1] + odd[k]
-        odd = odd_row[: n + 1]
-        np.add(row[1 : n + 2], row[0 : n + 1], out=odd)
-        new = sums[:n]
-        np.add(odd[1:], odd[:-1], out=new)
-        reduce_into(new, row[2 : n + 2])
+        odd = row[1 : n + 2] + row[0 : n + 1]
+        row[2 : n + 2] = reduce(odd[1:] + odd[:-1])
         if fact:
             fact = fact * ((2 * n - 3) % m) % m * ((2 * n - 2) % m) % m
         h = (n - 1) // 2  # pairs (i, n-i) with i < n/2
         weights = row[3 : 2 * h + 2 : 2]  # C(2n-2, 2i-1), i = 1..h
-        vals = prods[:h]
-        np.multiply(out[1 : h + 1], out[n - 1 : n - h - 1 : -1], out=vals)
+        prods = out[1 : h + 1] * out[n - 1 : n - h - 1 : -1]
         if kernel == "int64":
-            reduce_into(vals, vals)
-            vals *= weights
-            reduce_into(vals, vals)
-            s = int(vals.sum())
+            s = int(reduce(reduce(prods) * weights).sum())
+        elif kernel == "int64-dot":
+            s = int(np.dot(weights, reduce(prods)))
         else:
-            if kernel == "int64-dot":
-                reduce_into(vals, vals)
-            s = int(np.dot(weights, vals))
+            s = int(np.dot(weights, prods))
         s = 2 * s % m
         if n % 2 == 0:
             b = int(out[n // 2])
@@ -205,15 +190,13 @@ def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
     max_period = L // 3
     if candidate_periods:
         for cand in sorted({c for c in candidate_periods if 1 <= c <= max_period}):
-            pre = fit(cand)
-            if pre is None:
+            if fit(cand) is None:
                 continue
-            for d in range(1, cand):
-                if cand % d == 0:
-                    pre_d = fit(d)
-                    if pre_d is not None:
-                        return PeriodReport(True, pre_d, d, False, L)
-            return PeriodReport(True, pre, cand, False, L)
+            # refine to the smallest fitting divisor, cand itself at worst
+            for d in divisors(cand):
+                pre = fit(d)
+                if pre is not None:
+                    return PeriodReport(True, pre, d, False, L)
     for period in range(1, max_period + 1):
         pre = fit(period)
         if pre is not None:
@@ -228,6 +211,13 @@ def zero_tail_prime(p: int) -> bool:
     if not is_prime(p):
         raise ValueError(f"expected a prime, got {p}")
     return p in (2, 5) or p % 5 in (1, 4)
+
+
+def pp1_divisors(m: int) -> list[int]:
+    """Divisors of m(m-1) for m >= 2, in increasing order.  m and m-1 are
+    coprime, so these are the products of a divisor of each, and trial
+    division runs to sqrt(m) instead of sqrt(m(m-1)), which is about m."""
+    return sorted(a * b for a in divisors(m) for b in divisors(m - 1))
 
 
 def persistent_divisor_check(k: int, n: int, b_mod) -> bool:
@@ -370,7 +360,7 @@ def _scan_conjecture3(p: int, n_max: int) -> _Finding:
             "hypothesis excludes this prime (classifier-true); nothing to test"
         )
     pp1 = p * (p - 1)
-    candidates = divisors(pp1) + list(range(pp1, n_max // 3 + 1, pp1))
+    candidates = pp1_divisors(p) + list(range(pp1, n_max // 3 + 1, pp1))
     report = detect_eventual_period(chocolate2_mod(n_max, p), candidates)
     if not report.resolved:
         return UNRESOLVED, None, None, (

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ import chocnum.modular as modular_mod
 from chocnum.chocolate import ChocolateTable, chocolate_number, load_cache
 from chocnum.cli import EXIT_FAILED, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, main
 from chocnum.modular import chocolate2_mod, hyper_numerators_mod
+from chocnum.series import RationalSeries
 
 
 def run(capsys, *argv):
@@ -302,7 +304,7 @@ def test_period_hint_pp1(capsys):
 
 
 def test_period_hint_pp1_large_prime_is_quick(capsys):
-    # p(p-1) is about 10^8; its divisors come from trial division to sqrt
+    # p(p-1) is about 10^8; its divisors come from those of p and p-1
     start = time.perf_counter()
     code, out, _ = run(
         capsys, "period", "--seq", "p", "--modulus", "10007", "--max", "300",
@@ -354,6 +356,22 @@ def test_series_ode_and_hypergeom(capsys):
     assert code == EXIT_OK and out.strip() == "residual zero through order 12"
 
 
+def test_series_ode_failure(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "verify_linear_ode", lambda order: False)
+    code, out, _ = run(capsys, "series", "--check", "ode", "--order", "12")
+    assert code == EXIT_FAILED and out == "linear ODE residual nonzero\n"
+
+
+@pytest.mark.parametrize("check", ["riccati", "hypergeom"])
+def test_series_residual_failure_names_the_first_nonzero_order(capsys, monkeypatch,
+                                                               check):
+    residual = RationalSeries((0, 0, Fraction(1, 3), 5))
+    monkeypatch.setattr(cli, "riccati_residual", lambda order: residual)
+    monkeypatch.setattr(cli, "verify_log_derivative", lambda order: (False, residual))
+    code, out, _ = run(capsys, "series", "--check", check, "--order", "12")
+    assert code == EXIT_FAILED and out == "residual nonzero at order 2: 1/3\n"
+
+
 def test_series_rejects_tiny_order(capsys):
     code, _, err = run(capsys, "series", "--check", "riccati", "--order", "1")
     assert code == EXIT_USAGE and "order" in err
@@ -389,6 +407,16 @@ def test_conjecture_inconsistent_exit_code(capsys, monkeypatch):
     )
     assert code == EXIT_FAILED
     assert "INCONSISTENT" in out
+
+
+def test_conjecture3_on_a_large_prime_is_quick():
+    # the p(p-1) hints must not trial-divide up to about p
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ("conjecture", "--id", "3", "--primes", "1000000007", "--max", "100")
+    proc = subprocess.run([sys.executable, "-m", "chocnum.cli", *argv], env=env,
+                          capture_output=True, timeout=10)
+    assert proc.returncode == EXIT_UNRESOLVED
+    assert proc.stdout.startswith(b"3 1000000007 100 UNRESOLVED - - ")
 
 
 def test_conjecture_csv_round_trips(capsys):
