@@ -83,6 +83,8 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     then a, so every term is in the memo before it is read.  Cuts i and
     cuts-i give equal terms, as C(mn-2, in-1) = C(mn-2, (m-i)n-1), so each
     sum takes the cuts i < cuts/2 twice and the middle cut, if any, once.
+    Along a sum, with N = ab-2, C(N, k+side) = C(N, k)*perm(N-k, side) //
+    perm(k+side, side): the quotient is a binomial, so the division is exact.
     """
     if m < 1 or n < 1:
         raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
@@ -105,13 +107,17 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
                 value = math.factorial(b - 1)
             else:
                 value = 0
+                top = a * b - 2
                 # cutting a side of `cuts` units after i leaves i x side and
                 # (cuts-i) x side: horizontal cuts are (a, b), vertical (b, a)
                 for cuts, side in ((a, b), (b, a)):
+                    weight = math.comb(top, side - 1)  # C(top, k), k = i*side - 1
                     for i in range(1, cuts // 2 + 1):
-                        weight = math.comb(a * b - 2, i * side - 1)
                         term = weight * count(i, side) * count(cuts - i, side)
                         value += term if 2 * i == cuts else 2 * term
+                        if i < cuts // 2:  # step to C(top, k + side)
+                            k = i * side - 1
+                            weight = weight * math.perm(top - k, side) // math.perm(k + side, side)
             memo[(a, b)] = value
             table.computed += 1
     return memo[(m, n)]
@@ -121,8 +127,10 @@ def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
     """Break count for a 2 x n bar via the dedicated one-dimensional
     recursion B_n = (2n-2)! + sum_{i=1}^{n-1} C(2n-2, 2i-1) B_i B_{n-i},
     filled bottom-up; terms i and n-i are equal, so i < n/2 counts twice
-    and the middle term once.  Must agree with chocolate_number(2, n); the
-    two routes are kept independent so they can check each other."""
+    and the middle term once.  With r = 2n-2, C(r, k+2) = C(r, k)*(r-k)*
+    (r-k-1) // ((k+1)*(k+2)), an exact division: the quotient is C(r, k+2).
+    Must agree with chocolate_number(2, n); the two routes are kept
+    independent so they can check each other."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if table is None:
@@ -134,10 +142,13 @@ def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
     for j in range(2, n + 1):
         v = table.memo.get((2, j))
         if v is None:
-            v = math.factorial(2 * j - 2)
+            r = 2 * j - 2
+            v = math.factorial(r)
+            weight = r  # C(r, k) with k = 2i - 1, then stepped to C(r, k + 2)
             for i in range(1, j // 2 + 1):
-                term = math.comb(2 * j - 2, 2 * i - 1) * values[i] * values[j - i]
+                term = weight * values[i] * values[j - i]
                 v += term if 2 * i == j else 2 * term
+                weight = weight * (r - 2 * i + 1) * (r - 2 * i) // (2 * i * (2 * i + 1))
             table.memo[(2, j)] = v
             table.computed += 1
         values.append(v)

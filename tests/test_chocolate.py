@@ -90,6 +90,23 @@ def test_chocolate2_matches_general_recursion():
         assert chocolate2(n, ChocolateTable()) == chocolate_number(2, n, ChocolateTable())
 
 
+def every_term_chocolate2(n_max):
+    """B_1, ..., B_n_max from B_n = (2n-2)! + sum of C(2n-2, 2i-1) B_i B_{n-i}
+    over every i from 1 to n-1, each weight from math.comb: a reference for
+    the half sum and the walked weights of chocolate2."""
+    b = [0, 1]
+    for n in range(2, n_max + 1):
+        r = 2 * n - 2
+        terms = sum(math.comb(r, 2 * i - 1) * b[i] * b[n - i] for i in range(1, n))
+        b.append(math.factorial(r) + terms)
+    return b[1:]
+
+
+def test_chocolate2_matches_the_sum_over_every_term():
+    table = ChocolateTable()
+    assert [chocolate2(n, table) for n in range(1, 201)] == every_term_chocolate2(200)
+
+
 @functools.lru_cache(maxsize=None)
 def every_cut_count(m, n):
     """The split recursion summed over every first cut, without using the
@@ -108,10 +125,13 @@ def every_cut_count(m, n):
 
 
 def test_half_sums_match_the_sum_over_every_cut():
+    # every bar up to 12 x 12, then long sides (a x b with a <= 5, b <= 30,
+    # and 16 x 16), so one sum walks its weights in many long steps
+    bars = [(m, n) for m in range(1, 13) for n in range(1, 13)]
+    bars += [(m, n) for m in range(1, 6) for n in range(13, 31)] + [(16, 16)]
     table = ChocolateTable()
-    for m in range(1, 13):
-        for n in range(1, 13):
-            assert chocolate_number(m, n, table) == every_cut_count(m, n)
+    for m, n in bars:
+        assert chocolate_number(m, n, table) == every_cut_count(m, n), (m, n)
 
 
 def test_exact_counts_need_no_deep_recursion(capsys):

@@ -48,9 +48,9 @@ def test_chocolate2_mod_eleven_kills_the_tail():
 
 def test_chocolate2_mod_matches_exact_values():
     table = ChocolateTable()
-    exact = [chocolate2(n, table) for n in range(1, 26)]
-    for m in (2, 3, 4, 5, 7, 9, 11, 12, 13):
-        assert chocolate2_mod(25, m) == [v % m for v in exact], m
+    exact = [chocolate2(n, table) for n in range(1, 401)]
+    for m in (2, 3, 4, 5, 7, 9, 11, 12, 13, 43, 999_983):
+        assert chocolate2_mod(400, m) == [v % m for v in exact], m
 
 
 def test_chocolate2_mod_big_modulus_matches_exact():
