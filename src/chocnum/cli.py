@@ -113,14 +113,20 @@ def _fields(args) -> tuple[str, ...]:
 
 
 def _int_list(text: str) -> list[int]:
-    values = [int(tok) for tok in text.split(",") if tok.strip()]
+    try:
+        values = [int(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        values = []
     if not values:
-        raise ValueError("empty list")
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     return values
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
     return value

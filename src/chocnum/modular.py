@@ -6,13 +6,14 @@ period detection, and the three-conjecture scan harness.
 Residues are always normalized to [0, m).  The long-prefix computations are
 vectorized with numpy (int64 while the modulus allows exact products,
 object dtype beyond that) because the prefix cost is quadratic in n.
+numpy is imported on first use, inside ``chocolate2_mod`` and
+``detect_eventual_period``: it is most of the package's import time, and
+the exact counts, factorizations and series checks never need it.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-
-import numpy as np
 
 from .arith import binomial_mod_prime, divides_factorial, divisors, is_prime
 
@@ -72,6 +73,7 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
+    import numpy as np
     kernel = residue_kernel(n_max, m)
     dtype = object if kernel == "object" else np.int64
     out = np.zeros(n_max + 1, dtype=dtype)
@@ -170,6 +172,7 @@ def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
     L = len(seq)
     if L < 8:
         raise ValueError(f"need at least 8 terms of evidence, got {L}")
+    import numpy as np
     arr = np.asarray(seq)
 
     def tail_ok(tail: int, period: int) -> bool:

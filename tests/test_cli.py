@@ -101,6 +101,21 @@ def test_bounds_below_one_are_usage_errors(capsys, argv):
     assert "must be >= 1" in err
 
 
+BAD_VALUES = [
+    (("mod", "--seq", "b", "--modulus", "x", "--max", "5"), "--modulus"),
+    (("mod", "--seq", "b", "--modulus", ",", "--max", "5"), "--modulus"),
+    (("gen", "--seq", "b", "--max", "2.5"), "--max"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_VALUES, ids=[" ".join(argv) for argv, _ in BAD_VALUES])
+def test_bad_flag_values_are_readable_usage_errors(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == EXIT_USAGE and out == ""
+    assert flag in err and "expected" in err
+    assert "_int_list" not in err and "_positive_int" not in err
+
+
 @contextmanager
 def lowest_digit_limit():
     """Python's lowest int <-> str digit limit, 640, where the limit exists."""
@@ -503,6 +518,39 @@ def test_help_exits_zero(capsys):
 def test_data_on_stdout_errors_on_stderr(capsys):
     _, out, err = run(capsys, "oracle", "--m", "9", "--n", "9")
     assert out == "" and err != ""
+
+
+NUMPY_PROBE = """
+import contextlib, io, sys
+from chocnum.cli import main
+
+def run(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0, argv
+    return out.getvalue()
+
+run("--help")
+run("gen", "--seq", "b", "--max", "5")
+run("factor", "--seq", "b", "--index", "5")
+run("oracle", "--m", "2", "--n", "3", "--compare")
+run("nu", "--p", "2", "--seq", "b", "--max", "5")
+run("series", "--check", "riccati", "--order", "10")
+run("mod", "--seq", "p", "--modulus", "7", "--max", "5")
+assert "numpy" not in sys.modules, "numpy loaded without a residue scan"
+residues = run("mod", "--seq", "b", "--modulus", "9", "--max", "5")
+assert residues == "b 9 1 1\\nb 9 2 4\\nb 9 3 2\\nb 9 4 2\\nb 9 5 1\\n", residues
+assert "numpy" in sys.modules, "the residue scan ran without numpy"
+"""
+
+
+def test_only_residue_scans_load_numpy():
+    # a fresh interpreter, since this one has long since imported numpy
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    env.pop(cli.CACHE_ENV, None)
+    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv, first_line", [
