@@ -184,6 +184,29 @@ def test_linear_ode_detects_perturbation():
     assert not linear_ode_residual_of(broken).is_zero()
 
 
+def _fractions(*values):
+    return tuple(Fraction(v) for v in values)
+
+
+def test_perturbed_residuals_are_pinned():
+    # whole residuals recorded from the operator-chain implementation; a
+    # formula off by a constant factor changes them even where the first
+    # nonzero order stays put
+    f = chocolate2_gf(6)
+    broken = _perturb(f, 2, f[2] + Fraction(5, math.factorial(3)))
+    assert riccati_residual_of(broken).coeffs == _fractions(
+        0, "5/4", "-5/6", "-65/72", "-7/18", "-107/378"
+    )
+    f = chocolate2_gf(8)
+    u = hypergeom_series(8)
+    broken = _perturb(u, 2, u[2] + 1)
+    assert log_derivative_residual_of(f, broken).coeffs == _fractions(
+        0, 0, 4, 1, "2/3", "7/15", "107/315", "145/567", "2812/14175"
+    )
+    broken = _perturb(u, 1, u[1] + 1)
+    assert linear_ode_residual_of(broken).coeffs == _fractions(2, -1, 0, 0, 0, 0, 0, 0)
+
+
 def test_identities_hold_at_every_order_up_to_thirty():
     table = ChocolateTable()
     for order in range(3, 31):
