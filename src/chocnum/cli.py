@@ -39,7 +39,6 @@ from .modular import (
     conjecture_scan,
     detect_eventual_period,
     hyper_numerators_mod,
-    pp1_divisors,
 )
 from .oracle import DEFAULT_AREA_LIMIT, count_sequences
 from .series import riccati_residual, verify_linear_ode, verify_log_derivative
@@ -249,7 +248,9 @@ def _cmd_mod(args):
 
 def _cmd_period(args):
     residues = _residues(args.seq, args.modulus, args.max)
-    candidates = pp1_divisors(args.modulus) if args.hint_pp1 else None
+    pp1 = args.modulus * (args.modulus - 1)
+    candidates = ([d for d in range(1, args.max // 3 + 1) if pp1 % d == 0]
+                  if args.hint_pp1 else None)
     report = detect_eventual_period(residues, candidates)
     record = (args.seq, args.modulus, args.max, *dataclasses.astuple(report))
     return _fields(args), [record], EXIT_OK if report.resolved else EXIT_UNRESOLVED

@@ -216,13 +216,6 @@ def zero_tail_prime(p: int) -> bool:
     return p in (2, 5) or p % 5 in (1, 4)
 
 
-def pp1_divisors(m: int) -> list[int]:
-    """Divisors of m(m-1) for m >= 2, in increasing order.  m and m-1 are
-    coprime, so these are the products of a divisor of each, and trial
-    division runs to sqrt(m) instead of sqrt(m(m-1)), which is about m."""
-    return sorted(a * b for a in divisors(m) for b in divisors(m - 1))
-
-
 def persistent_divisor_check(k: int, n: int, b_mod) -> bool:
     """Certificate that k divides every 2 x j break count from j = n on.
 
@@ -362,8 +355,9 @@ def _scan_conjecture3(p: int, n_max: int) -> _Finding:
         return CONSISTENT, None, None, (
             "hypothesis excludes this prime (classifier-true); nothing to test"
         )
+    # a period needs 3 repeats in the evidence, so no candidate above n_max // 3
     pp1 = p * (p - 1)
-    candidates = pp1_divisors(p) + list(range(pp1, n_max // 3 + 1, pp1))
+    candidates = [d for d in range(1, n_max // 3 + 1) if pp1 % d == 0 or d % pp1 == 0]
     report = detect_eventual_period(chocolate2_mod(n_max, p), candidates)
     if not report.resolved:
         return UNRESOLVED, None, None, (

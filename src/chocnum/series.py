@@ -6,8 +6,10 @@ factorials, satisfies a Riccati equation; the standard log-derivative
 substitution turns that into a second-order linear ODE whose solution is a
 hypergeometric series.  The hypergeometric parameters are irrational, but
 rearranging its coefficients gives an equivalent all-rational series, so
-every identity here is checked coefficient-by-coefficient with exact
-Fractions -- zero means zero, no tolerances anywhere.
+every identity here is checked with exact Fractions -- zero means zero, no
+tolerances anywhere.  Each residual is computed coefficient by coefficient
+from the formula its equation gives at X^k, with at most one truncated
+product of series.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .chocolate import ChocolateTable, chocolate2
 class RationalSeries:
     """Power series truncated at a fixed order, coefficients 0..order.
 
-    Coefficients beyond the order are unknown, never assumed zero:
-    arithmetic discards any product terms above the truncation order, and
-    binary operations insist both operands carry the same order so that a
-    result never silently pretends to more precision than it has.
+    Coefficients beyond the order are unknown, never assumed zero: a
+    product discards any terms above the truncation order and insists both
+    operands carry the same order, so that it never silently pretends to
+    more precision than it has.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -45,22 +47,11 @@ class RationalSeries:
     def __getitem__(self, k: int) -> Fraction:
         return self.coeffs[k]
 
-    def _check_order(self, other: "RationalSeries") -> None:
+    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
         if self.order != other.order:
             raise ValueError(
                 f"operands must share a truncation order, got {self.order} and {other.order}"
             )
-
-    def __add__(self, other: "RationalSeries") -> "RationalSeries":
-        self._check_order(other)
-        return RationalSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __sub__(self, other: "RationalSeries") -> "RationalSeries":
-        self._check_order(other)
-        return RationalSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __mul__(self, other: "RationalSeries") -> "RationalSeries":
-        self._check_order(other)
         n = self.order
         out = [Fraction(0)] * (n + 1)
         for i, a in enumerate(self.coeffs):
@@ -71,36 +62,6 @@ class RationalSeries:
                 if b != 0:
                     out[i + j] += a * b
         return RationalSeries(tuple(out))
-
-    def scalar_mul(self, c) -> "RationalSeries":
-        c = Fraction(c)
-        return RationalSeries(tuple(a * c for a in self.coeffs))
-
-    def differentiate(self) -> "RationalSeries":
-        """Termwise derivative; one order of precision is consumed."""
-        if self.order == 0:
-            raise ValueError("cannot differentiate an order-0 series")
-        return RationalSeries(
-            tuple((k + 1) * self.coeffs[k + 1] for k in range(self.order))
-        )
-
-    def divide_by_x(self) -> "RationalSeries":
-        """Coefficient downshift.  Only legal when the constant term is zero,
-        which is asserted rather than assumed."""
-        if self.coeffs[0] != 0:
-            raise ValueError("cannot divide by X: nonzero constant term")
-        if self.order == 0:
-            raise ValueError("cannot divide an order-0 series by X")
-        return RationalSeries(self.coeffs[1:])
-
-    def times_x(self) -> "RationalSeries":
-        """Coefficient upshift; gains one order since nothing is discarded."""
-        return RationalSeries((Fraction(0),) + self.coeffs)
-
-    def truncate(self, order: int) -> "RationalSeries":
-        if order > self.order:
-            raise ValueError(f"cannot extend order {self.order} to {order}")
-        return RationalSeries(self.coeffs[: order + 1])
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)
@@ -155,15 +116,16 @@ def hypergeom_series(order: int) -> RationalSeries:
 def riccati_residual_of(f: RationalSeries) -> RationalSeries:
     """Residual of the Riccati equation f' = 1/(2(1-X)) + f/(2X) + f^2/(2X)
     through order N-1, where N is f's truncation order.  Both divisions by X
-    are genuine downshifts because f has no constant term."""
+    are genuine downshifts because f has no constant term, so the residual at
+    X^k is ((2k+1) f_{k+1} - 1 - (f^2)_{k+1}) / 2."""
     if f.order < 3:
         raise ValueError("need order >= 3 to see the equation act")
-    n = f.order
-    f_prime = f.differentiate()                      # order n-1
-    half_geometric = RationalSeries((Fraction(1, 2),) * n)  # 1/(2(1-X))
-    f_shift = f.divide_by_x().scalar_mul(Fraction(1, 2))
-    f2_shift = (f * f).divide_by_x().scalar_mul(Fraction(1, 2))
-    return f_prime - half_geometric - f_shift - f2_shift
+    if f[0] != 0:
+        raise ValueError("cannot divide by X: nonzero constant term")
+    f2 = f * f
+    return RationalSeries(tuple(
+        ((2 * k + 1) * f[k + 1] - 1 - f2[k + 1]) / 2 for k in range(f.order)
+    ))
 
 
 def riccati_residual(order: int, table: ChocolateTable | None = None) -> RationalSeries:
@@ -174,11 +136,12 @@ def riccati_residual(order: int, table: ChocolateTable | None = None) -> Rationa
 
 def log_derivative_residual_of(f: RationalSeries, u: RationalSeries) -> RationalSeries:
     """Residual of 2X u' + f u = 0 through order N, the product form of
-    "f is -2X times the log-derivative of u" (no division by u needed)."""
+    "f is -2X times the log-derivative of u" (no division by u needed); at
+    X^k it is 2k u_k + (f u)_k."""
     if f.order != u.order:
         raise ValueError("f and u must share a truncation order")
-    two_x_uprime = u.differentiate().times_x().scalar_mul(2)
-    return two_x_uprime + f * u
+    fu = f * u
+    return RationalSeries(tuple(2 * k * u[k] + fu[k] for k in range(u.order + 1)))
 
 
 def verify_log_derivative(
@@ -196,17 +159,14 @@ def verify_log_derivative(
 
 def linear_ode_residual_of(u: RationalSeries) -> RationalSeries:
     """Residual of the cleared-denominator linear ODE
-    4X(1-X) u'' + (2-2X) u' + u = 0 through order N-1."""
+    4X(1-X) u'' + (2-2X) u' + u = 0 through order N-1; collecting the terms
+    at X^k gives 2(k+1)(2k+1) u_{k+1} + (1 + 2k - 4k^2) u_k."""
     if u.order < 4:
         raise ValueError("need order >= 4 to see the equation act")
-    n = u.order
-    u1 = u.differentiate()            # order n-1
-    u2 = u1.differentiate()           # order n-2
-    t_x_u2 = u2.times_x().scalar_mul(4)                       # 4X u'', order n-1
-    t_x2_u2 = u2.times_x().times_x().truncate(n - 1).scalar_mul(4)  # 4X^2 u''
-    t_u1 = u1.scalar_mul(2)                                   # 2u', order n-1
-    t_x_u1 = u1.times_x().truncate(n - 1).scalar_mul(2)       # 2X u'
-    return t_x_u2 - t_x2_u2 + t_u1 - t_x_u1 + u.truncate(n - 1)
+    return RationalSeries(tuple(
+        2 * (k + 1) * (2 * k + 1) * u[k + 1] + (1 + 2 * k - 4 * k * k) * u[k]
+        for k in range(u.order)
+    ))
 
 
 def verify_linear_ode(order: int) -> bool:

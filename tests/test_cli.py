@@ -336,6 +336,16 @@ def test_period_hint_pp1_large_prime_is_quick(capsys):
     assert unhinted == out
 
 
+def test_period_hint_pp1_large_composite_is_quick(capsys):
+    # m(m-1) is about 10^24; no candidate above a third of the evidence
+    # can fit, so none is looked for
+    argv = ("period", "--seq", "b", "--modulus", "1000000000000", "--max", "300")
+    start = time.perf_counter()
+    code, hinted, _ = run(capsys, *argv, "--hint-pp1")
+    assert time.perf_counter() - start < 2.0
+    assert (code, hinted) == run(capsys, *argv)[:2]
+
+
 def test_period_unresolved_exit_code(capsys):
     code, out, _ = run(
         capsys, "period", "--seq", "b", "--modulus", "13", "--max", "100",
@@ -432,6 +442,15 @@ def test_conjecture3_on_a_large_prime_is_quick():
                           capture_output=True, timeout=10)
     assert proc.returncode == EXIT_UNRESOLVED
     assert proc.stdout.startswith(b"3 1000000007 100 UNRESOLVED - - ")
+
+
+def test_conjecture3_on_an_eighteen_digit_prime_is_quick():
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ("conjecture", "--id", "3", "--primes", "1000000000000000003", "--max", "100")
+    proc = subprocess.run([sys.executable, "-m", "chocnum.cli", *argv], env=env,
+                          capture_output=True, timeout=10)
+    assert proc.returncode == EXIT_UNRESOLVED
+    assert proc.stdout.startswith(b"3 1000000000000000003 100 UNRESOLVED - - ")
 
 
 def test_conjecture_csv_round_trips(capsys):

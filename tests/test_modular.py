@@ -5,7 +5,7 @@ from math import isqrt
 import pytest
 
 import chocnum.modular as modular_mod
-from chocnum.arith import binomial, divisors, legendre
+from chocnum.arith import binomial, legendre
 from chocnum.chocolate import ChocolateTable, chocolate2
 from chocnum.modular import (
     CONSISTENT,
@@ -19,7 +19,6 @@ from chocnum.modular import (
     hyper_numerators_mod,
     mod3_pattern_check,
     persistent_divisor_check,
-    pp1_divisors,
     residue_kernel,
     zero_tail_prime,
 )
@@ -202,11 +201,6 @@ def test_detect_candidate_path_and_refinement():
     # useless candidates fall through to the general scan
     fallback = detect_eventual_period(hyper_numerators_mod(120, 3), [7, 11])
     assert fallback.resolved and fallback.period == 3
-
-
-def test_pp1_divisors_are_the_divisors_of_m_times_m_minus_1():
-    for m in range(2, 2001):
-        assert pp1_divisors(m) == divisors(m * (m - 1))
 
 
 def test_detect_unresolved_below_thresholds():

