@@ -6,6 +6,8 @@ period detection, and the three-conjecture scan harness.
 Residues are always normalized to [0, m).  The long-prefix computations are
 vectorized with numpy (int64 while the modulus allows exact products,
 object dtype beyond that) because the prefix cost is quadratic in n.
+The int64-dot kernel reduces its Pascal row and products only when a
+running bound on their entries says int64 would not hold the next step.
 numpy is imported on first use, inside ``chocolate2_mod`` and
 ``detect_eventual_period``: it is most of the package's import time, and
 the exact counts, factorizations and series checks never need it.
@@ -19,6 +21,7 @@ from .arith import binomial_mod_prime, divides_factorial, divisors, is_prime
 
 # products of two residues must stay exact in int64
 _INT64_SAFE_MODULUS = 3_037_000_499
+_INT64_MAX = 2**63 - 1
 
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
@@ -29,9 +32,9 @@ def residue_kernel(n_max: int, m: int) -> str:
     """Name of the arithmetic ``chocolate2_mod(n_max, m)`` runs on.
 
     ``"int64-dot"``: every product of two residues fits int64 and so does a
-    whole dot product of reduced weights and reduced products, which has
-    fewer than n_max terms of at most (m-1)^2 each; one reduction per step
-    then suffices.  ``"int64"``: the products fit (m <= 3 037 000 499) but a
+    dot of fewer than n_max reduced weights and reduced products, so the
+    kernel reduces only when a running bound says int64 might not hold the
+    next step.  ``"int64"``: the products fit (m <= 3 037 000 499) but a
     dot product might not, so every product is reduced before the sum.
     ``"object"``: not even one product fits, so Python integers carry an
     exact dot product, reduced once per step.
@@ -58,16 +61,19 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     Half row: the weights come from C(r, 0..r/2+1) mod m alone, the rest
     following from C(r, k) = C(r, r-k).  The half row advances two rows per
     n, by two Pascal steps that together give
-    C(r+2, k) = C(r, k) + 2 C(r, k-1) + C(r, k-2), with one reduction per
-    step.  Memory stays O(n_max): that row, the residues and a few
-    temporaries of the same length.
+    C(r+2, k) = C(r, k) + 2 C(r, k-1) + C(r, k-2).  Memory stays O(n_max):
+    that row, the residues and a few temporaries of the same length.
 
     Precondition, checked at run time by ``residue_kernel``: when
-    m <= 3 037 000 499 and n_max (m-1)^2 < 2^63, each step reduces the
-    products once and takes one int64 dot product with the weights.
-    Otherwise the kernel falls back to reducing every product before the
-    sum (int64 while m <= 3 037 000 499), or to an exact dot product of
-    Python integers beyond that, so the result is exact for every modulus.
+    m <= 3 037 000 499 and n_max (m-1)^2 < 2^63, each step takes one int64
+    dot product.  A bound on the row entries starts at m-1 and grows 4x per
+    step; with LIM = 2^63 - 1 and h = (n_max-1)//2 dot terms at most, the
+    row is reduced once the bound passes min(LIM // 4, LIM // (h (m-1))),
+    so the next step and a dot with reduced products stay in int64, and
+    the products only while it exceeds LIM // (h (m-1)^2).  Otherwise the
+    row is reduced every step and every product before the sum (int64
+    while m <= 3 037 000 499), or Python integers carry an exact dot
+    product beyond that, so the result is exact for every modulus.
     """
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
@@ -92,13 +98,23 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
             x -= x // m * m
         return x
 
+    # row entries stay <= bound; caps of 0 reduce row and products every step
+    bound, row_cap, prod_cap = m - 1, 0, 0
+    if kernel == "int64-dot":
+        hm = max(1, (n_max - 1) // 2) * (m - 1)  # most dot terms, times m-1
+        row_cap = min(_INT64_MAX // 4, _INT64_MAX // hm)
+        prod_cap = _INT64_MAX // (hm * (m - 1))
     fact = 1 % m  # (2n-2)! mod m, maintained incrementally
     for n in range(2, n_max + 1):
         # row r = 2n-4 to r + 2 = 2n-2; C(r, n-1) = C(r, n-3) by symmetry
         row[n + 1] = row[n - 1]
         # two Pascal steps: odd[j] = C(r+1, j-1), then C(r+2, k) = odd[k+1] + odd[k]
         odd = row[1 : n + 2] + row[0 : n + 1]
-        row[2 : n + 2] = reduce(odd[1:] + odd[:-1])
+        row[2 : n + 2] = odd[1:] + odd[:-1]
+        bound *= 4
+        if bound > row_cap:
+            reduce(row[2 : n + 2])
+            bound = m - 1
         if fact:
             fact = fact * ((2 * n - 3) % m) % m * ((2 * n - 2) % m) % m
         h = (n - 1) // 2  # pairs (i, n-i) with i < n/2
@@ -107,7 +123,7 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
         if kernel == "int64":
             s = int(reduce(reduce(prods) * weights).sum())
         elif kernel == "int64-dot":
-            s = int(np.dot(weights, reduce(prods)))
+            s = int(np.dot(weights, reduce(prods) if bound > prod_cap else prods))
         else:
             s = int(np.dot(weights, prods))
         s = 2 * s % m

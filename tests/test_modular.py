@@ -127,6 +127,93 @@ def test_chocolate2_mod_kernels_match_full_row_path(m, kernel):
     assert chocolate2_mod(599, m) == want[:599]
 
 
+INT64_MAX = 2**63 - 1
+
+
+def deferral_schedule(n_max, m):
+    """Per step n = 2..n_max of the int64-dot kernel: the bound on the row
+    entries after the step, and whether the row and the products are
+    reduced, derived from the int64 limit alone."""
+    h = (n_max - 1) // 2
+    row_cap = min(INT64_MAX // 4, INT64_MAX // (h * (m - 1)))
+    prod_cap = INT64_MAX // (h * (m - 1) ** 2)
+    # the cap sits on the int64 limit: the next step and a dot against
+    # reduced products fit below it and not at 4x it
+    assert 4 * row_cap <= INT64_MAX and h * row_cap * (m - 1) <= INT64_MAX
+    assert 16 * row_cap > INT64_MAX or h * 4 * row_cap * (m - 1) > INT64_MAX
+    assert h * (prod_cap + 1) * (m - 1) ** 2 > INT64_MAX
+    bound, schedule = m - 1, []
+    for _ in range(2, n_max + 1):
+        bound *= 4
+        row_reduced = bound > row_cap
+        if row_reduced:
+            bound = m - 1
+        schedule.append((bound, row_reduced, bound > prod_cap))
+    return schedule
+
+
+@pytest.mark.parametrize("m,deferred_steps", [(EDGE_600, 0), (9, 24)])
+def test_int64_dot_defers_reductions_up_to_the_int64_bound(monkeypatch, m, deferred_steps):
+    import numpy as np
+
+    schedule = deferral_schedule(600, m)
+    # the row is reduced once every deferred_steps + 1 steps
+    assert [r for _, r, _ in schedule[: deferred_steps + 1]] == [False] * deferred_steps + [True]
+    seen = []
+    real_dot = np.dot
+
+    def recording_dot(weights, prods):
+        seen.append((int(weights.max(initial=0)), int(prods.max(initial=0))))
+        return real_dot(weights, prods)
+
+    monkeypatch.setattr(np, "dot", recording_dot)
+    assert residue_kernel(600, m) == "int64-dot"
+    assert chocolate2_mod(600, m) == full_row_chocolate2_mod(600, m)
+    assert len(seen) == len(schedule)
+    for n, ((w, p), (bound, row_reduced, prods_reduced)) in enumerate(zip(seen, schedule), 2):
+        assert w <= bound, n
+        assert p <= (m - 1 if prods_reduced else (m - 1) ** 2), n
+        if n >= 100:  # long rows show whether a step left them unreduced
+            assert (w < m) == row_reduced, n
+            assert (p < m) == prods_reduced, n
+
+
+def log_derivative_chocolate2_mod(n_max, m):
+    """B_1..B_n_max mod an odd m from the log-derivative identity
+    2X u' + f u = 0 cleared of denominators,
+
+        4^n B_n = -P_n - sum_{k<n} C(2n-1, 2k-1) 4^k P_{n-k} B_k,
+
+    with P_0 = 1 and P_n from hyper_numerators_mod: a recurrence that shares
+    no step with the split recursion of chocolate2_mod."""
+    import numpy as np
+
+    P = np.array([1 % m] + hyper_numerators_mod(n_max, m), dtype=np.int64)
+    a = np.zeros(n_max + 1, dtype=np.int64)  # a[k] = 4^k B_k mod m
+    row = np.zeros(2 * n_max, dtype=np.int64)  # C(r, k) mod m, r = 2n-1
+    row[0] = 1 % m
+    inv4, inv4n, r, out = pow(4, -1, m), 1, 0, []
+    for n in range(1, n_max + 1):
+        while r < 2 * n - 1:
+            row[1 : r + 2] = (row[1 : r + 2] + row[0 : r + 1]) % m
+            r += 1
+        terms = a[1:n] * P[n - 1 : 0 : -1] % m * row[1 : 2 * n - 2 : 2] % m
+        a[n] = (-int(P[n]) - int(terms.sum())) % m
+        inv4n = inv4n * inv4 % m
+        out.append(int(a[n]) * inv4n % m)
+    return out
+
+
+def test_log_derivative_reference_matches_exact_values():
+    for m in (3, 9, 43, 999_983):
+        assert log_derivative_chocolate2_mod(40, m) == [v % m for v in EXACT_B], m
+
+
+@pytest.mark.parametrize("m", [9, 43, 999_983])
+def test_chocolate2_mod_matches_log_derivative_reference_at_1500(m):
+    assert chocolate2_mod(1500, m) == log_derivative_chocolate2_mod(1500, m)
+
+
 @pytest.mark.parametrize(
     "n_max,m,expected",
     [(1, 7, [3]), (2, 100, [96, 84])],
