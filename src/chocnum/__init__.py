@@ -13,7 +13,6 @@ from .arith import (
     divisors,
     factor,
     is_prime,
-    legendre,
     nu_p,
     nu_p_factorial,
 )
@@ -43,7 +42,7 @@ from .modular import (
     residue_kernel,
     zero_tail_prime,
 )
-from .oracle import count_sequences, random_break_count
+from .oracle import count_sequences
 from .series import (
     RationalSeries,
     chocolate2_gf,

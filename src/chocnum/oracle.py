@@ -8,8 +8,6 @@ with the recursion in ``chocolate``.
 
 from __future__ import annotations
 
-from random import Random
-
 DEFAULT_AREA_LIMIT = 12
 
 
@@ -77,23 +75,3 @@ def count_sequences(m: int, n: int, area_limit: int = DEFAULT_AREA_LIMIT) -> int
     if start == (1, 1):
         return 1
     return ways(((start, 1),))
-
-
-def random_break_count(m: int, n: int, rng: Random) -> int:
-    """Walk one uniformly-random complete break sequence and return how many
-    breaks it took.  Exercises the invariant that the length never depends
-    on the choices made."""
-    if m < 1 or n < 1:
-        raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
-    pieces = [(m, n)] if (m, n) != (1, 1) else []
-    breaks = 0
-    while pieces:
-        idx = rng.randrange(len(pieces))
-        w, h = pieces.pop(idx)
-        lines = list(_splits(w, h))
-        part_a, part_b = lines[rng.randrange(len(lines))]
-        for part in (part_a, part_b):
-            if part != (1, 1):
-                pieces.append(part)
-        breaks += 1
-    return breaks

@@ -86,13 +86,12 @@ def hyper_numerators(n_max: int) -> list[int]:
     return out
 
 
-def chocolate2_gf(order: int, table: ChocolateTable | None = None) -> RationalSeries:
+def chocolate2_gf(order: int) -> RationalSeries:
     """Generating function of the 2 x n break counts: coefficient of X^n is
     the count divided by (2n-1)!, constant term zero."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if table is None:
-        table = ChocolateTable()
+    table = ChocolateTable()
     chocolate2(order, table)  # fill 1..order in one pass
     coeffs = [Fraction(0)]
     for n in range(1, order + 1):
@@ -128,10 +127,12 @@ def riccati_residual_of(f: RationalSeries) -> RationalSeries:
     ))
 
 
-def riccati_residual(order: int, table: ChocolateTable | None = None) -> RationalSeries:
+def riccati_residual(order: int) -> RationalSeries:
     """Riccati residual for the actual generating function; identically zero
     when the underlying counts are right."""
-    return riccati_residual_of(chocolate2_gf(order, table))
+    if order < 3:
+        raise ValueError(f"order must be >= 3, got {order}")
+    return riccati_residual_of(chocolate2_gf(order))
 
 
 def log_derivative_residual_of(f: RationalSeries, u: RationalSeries) -> RationalSeries:
@@ -144,15 +145,13 @@ def log_derivative_residual_of(f: RationalSeries, u: RationalSeries) -> Rational
     return RationalSeries(tuple(2 * k * u[k] + fu[k] for k in range(u.order + 1)))
 
 
-def verify_log_derivative(
-    order: int, table: ChocolateTable | None = None
-) -> tuple[bool, RationalSeries]:
+def verify_log_derivative(order: int) -> tuple[bool, RationalSeries]:
     """Check that the generating function equals -2X u'/u for the
     hypergeometric series u, through the given order."""
     if order < 3:
         raise ValueError(f"order must be >= 3, got {order}")
     residual = log_derivative_residual_of(
-        chocolate2_gf(order, table), hypergeom_series(order)
+        chocolate2_gf(order), hypergeom_series(order)
     )
     return residual.is_zero(), residual
 

@@ -13,7 +13,6 @@ from chocnum.arith import (
     divisors,
     factor,
     is_prime,
-    legendre,
     nu_p,
     nu_p_factorial,
 )
@@ -128,7 +127,7 @@ def test_factor_roundtrip_identity():
     for v in values:
         f = factor(v)
         assert f.is_complete()
-        assert f.value() == v
+        assert math.prod(p**e for p, e in f.factors) * f.cofactor == v
         primes = [p for p, _ in f.factors]
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
         assert all(e >= 1 for _, e in f.factors)
@@ -141,7 +140,7 @@ def test_factor_flags_unresolvable_cofactor():
     assert f.factors == ()
     assert f.cofactor == p * q
     assert f.cofactor_status is CofactorStatus.COMPOSITE_UNRESOLVED
-    assert f.value() == p * q
+    assert math.prod(p**e for p, e in f.factors) * f.cofactor == p * q
 
 
 def test_factor_flags_probable_prime_cofactor():
@@ -155,28 +154,6 @@ def test_is_prime_matches_sieve():
     primes = set(sieve_below(10000))
     for n in range(10000):
         assert is_prime(n) == (n in primes)
-
-
-@pytest.mark.parametrize("a,p,expected", [(5, 11, 1), (5, 3, -1), (0, 7, 0)])
-def test_legendre_examples(a, p, expected):
-    assert legendre(a, p) == expected
-
-
-def test_legendre_rejects_two_and_composites():
-    with pytest.raises(ValueError):
-        legendre(3, 2)
-    with pytest.raises(ValueError):
-        legendre(3, 9)
-
-
-def test_legendre_against_bruteforce_squares():
-    for p in sieve_below(100):
-        if p == 2:
-            continue
-        squares = {(x * x) % p for x in range(1, p)}
-        for a in range(p):
-            expected = 0 if a == 0 else (1 if a in squares else -1)
-            assert legendre(a, p) == expected
 
 
 def test_divides_factorial_examples():

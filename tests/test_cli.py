@@ -398,8 +398,10 @@ def test_series_residual_failure_names_the_first_nonzero_order(capsys, monkeypat
 
 
 def test_series_rejects_tiny_order(capsys):
-    code, _, err = run(capsys, "series", "--check", "riccati", "--order", "1")
-    assert code == EXIT_USAGE and "order" in err
+    for order in ("0", "1", "2"):
+        code, out, err = run(capsys, "series", "--check", "riccati", "--order", order)
+        assert code == EXIT_USAGE and out == ""
+        assert f"order must be >= 3, got {order}" in err
 
 
 # ------------------------------------------------------------ conjecture

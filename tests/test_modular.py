@@ -1,11 +1,13 @@
 """Tests for the residue engine, period detection, and the scan harness."""
 
+import warnings
 from math import isqrt
 
+import numpy as np
 import pytest
 
 import chocnum.modular as modular_mod
-from chocnum.arith import binomial, legendre
+from chocnum.arith import binomial
 from chocnum.chocolate import ChocolateTable, chocolate2
 from chocnum.modular import (
     CONSISTENT,
@@ -106,6 +108,21 @@ def test_residue_kernel_bound_is_exact():
     assert residue_kernel(2, INT64_SAFE) == "int64"
     assert residue_kernel(40, FALLBACK_INT64) == "int64"
     assert residue_kernel(1, INT64_SAFE + 1) == "object"
+
+
+def test_numpy_integer_arguments_act_as_python_ints():
+    # numpy scalars would run the int64 precondition arithmetic in int64
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        kernel = residue_kernel(np.int64(3000), np.int64(3_037_000_493))
+        assert kernel == residue_kernel(3000, 3_037_000_493) == "int64"
+        for fn, n_max, m in [(hyper_numerators_mod, 2000, 10**12 + 39),
+                             (chocolate2_mod, 8000, 100_000_007)]:
+            got = fn(np.int64(n_max), np.int64(m))
+            assert got == fn(n_max, m) and all(type(x) is int for x in got), fn.__name__
+        scan = conjecture_scan(2, np.array([9, 1_000_000_007]), 100)
+    assert scan == conjecture_scan(2, [9, 1_000_000_007], 100)
+    assert all(type(r.modulus) is int for r in scan)
 
 
 # EDGE_600 + 1 is left out: at n_max <= 40 it runs the fast kernel
@@ -351,7 +368,8 @@ def test_zero_tail_prime_matches_legendre_and_published_list():
     for p in primes_below(100):
         if p in (2, 5):
             continue
-        assert zero_tail_prime(p) == (legendre(5, p) == 1)
+        # Euler's criterion: 5 is a square mod p
+        assert zero_tail_prime(p) == (pow(5, (p - 1) // 2, p) == 1)
 
 
 def test_persistent_divisor_check_windows():

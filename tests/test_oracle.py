@@ -1,12 +1,11 @@
 """Tests for the brute-force break-sequence enumerator."""
 
 import math
-from random import Random
 
 import pytest
 
 from chocnum.chocolate import ChocolateTable, chocolate_number
-from chocnum.oracle import count_sequences, random_break_count
+from chocnum.oracle import count_sequences
 
 
 @pytest.mark.parametrize(
@@ -46,11 +45,3 @@ def test_agrees_with_recursion_everywhere_it_can_reach():
         for n in range(1, 13):
             if m * n <= 12:
                 assert count_sequences(m, n) == chocolate_number(m, n, table), (m, n)
-
-
-def test_every_random_walk_uses_the_forced_break_count():
-    rng = Random(20240817)
-    for m, n in [(1, 1), (1, 6), (2, 3), (3, 3), (2, 5), (3, 4)]:
-        expected = m * n - 1  # every break adds one piece
-        for _ in range(50):
-            assert random_break_count(m, n, rng) == expected

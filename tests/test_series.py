@@ -7,7 +7,6 @@ from fractions import Fraction
 
 import pytest
 
-from chocnum.chocolate import ChocolateTable, chocolate2
 from chocnum.modular import hyper_numerators_mod
 from chocnum.series import (
     RationalSeries,
@@ -182,10 +181,9 @@ def test_perturbed_residuals_are_pinned():
 
 
 def test_identities_hold_at_every_order_up_to_thirty():
-    table = ChocolateTable()
     for order in range(3, 31):
-        assert riccati_residual(order, table).is_zero(), order
-        assert verify_log_derivative(order, table)[0], order
+        assert riccati_residual(order).is_zero(), order
+        assert verify_log_derivative(order)[0], order
         if order >= 4:
             assert verify_linear_ode(order), order
 
@@ -212,12 +210,3 @@ def test_riccati_rejects_a_nonzero_constant_term():
 def test_log_derivative_rejects_mismatched_orders():
     with pytest.raises(ValueError, match="must share a truncation order"):
         log_derivative_residual_of(chocolate2_gf(6), hypergeom_series(7))
-
-
-def test_gf_reuses_a_shared_table():
-    table = ChocolateTable()
-    chocolate2(30, table)
-    computed = table.computed
-    f = chocolate2_gf(30, table)
-    assert table.computed == computed
-    assert f[30] == Fraction(chocolate2(30, table), math.factorial(59))
