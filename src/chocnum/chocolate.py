@@ -263,7 +263,8 @@ def load_cache(path) -> ChocolateTable:
 
     The header must match exactly; malformed lines are reported with their
     line number.  Keys are re-normalized on load so hand-edited files with
-    transposed entries still land in canonical form.
+    transposed entries still land in canonical form; two lines that give one
+    normalized key different values are rejected.
     """
     table = ChocolateTable()
     with open(path, encoding="ascii") as fh, unlimited_int_digits():
@@ -289,5 +290,6 @@ def load_cache(path) -> ChocolateTable:
                 ) from None
             if m < 1 or n < 1 or v < 1:
                 raise CacheFormatError(f"line {lineno}: fields must be positive")
-            table.memo[(min(m, n), max(m, n))] = v
+            if table.memo.setdefault((min(m, n), max(m, n)), v) != v:
+                raise CacheFormatError(f"line {lineno}: {m} x {n} conflicts with an earlier entry")
     return table

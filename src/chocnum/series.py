@@ -15,6 +15,7 @@ product of series.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -28,7 +29,8 @@ class RationalSeries:
     Coefficients beyond the order are unknown, never assumed zero: a
     product discards any terms above the truncation order and insists both
     operands carry the same order, so that it never silently pretends to
-    more precision than it has.
+    more precision than it has.  The product works over a common denominator,
+    one integer convolution and one Fraction per output coefficient.
     """
 
     coeffs: tuple[Fraction, ...]
@@ -52,16 +54,14 @@ class RationalSeries:
             raise ValueError(
                 f"operands must share a truncation order, got {self.order} and {other.order}"
             )
-        n = self.order
-        out = [Fraction(0)] * (n + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j in range(n + 1 - i):
-                b = other.coeffs[j]
-                if b != 0:
-                    out[i + j] += a * b
-        return RationalSeries(tuple(out))
+        da = math.lcm(*(c.denominator for c in self.coeffs))
+        db = math.lcm(*(c.denominator for c in other.coeffs))
+        a = [c.numerator * (da // c.denominator) for c in self.coeffs]
+        b = [c.numerator * (db // c.denominator) for c in other.coeffs]
+        return RationalSeries(tuple(
+            Fraction(sum(map(operator.mul, a[:k + 1], b[k::-1])), da * db)
+            for k in range(len(a))
+        ))
 
     def is_zero(self) -> bool:
         return all(c == 0 for c in self.coeffs)

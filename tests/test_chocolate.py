@@ -272,6 +272,19 @@ def test_cache_normalizes_transposed_keys(tmp_path):
     assert table.memo == {(2, 3): 56}
 
 
+def test_cache_rejects_conflicting_entries(tmp_path):
+    path = tmp_path / "conflict.cache"
+    path.write_text(f"{chocolate_mod.CACHE_HEADER}\n2 3 56\n3 2 57\n")
+    with pytest.raises(CacheFormatError, match="line 3: 3 x 2 conflicts"):
+        load_cache(path)
+
+
+def test_cache_loads_repeated_identical_entries(tmp_path):
+    path = tmp_path / "repeat.cache"
+    path.write_text(f"{chocolate_mod.CACHE_HEADER}\n2 3 56\n3 2 56\n2 3 56\n")
+    assert load_cache(path).memo == {(2, 3): 56}
+
+
 def test_cache_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.cache"
     path.write_text("chocnum cache v9\n1 1 1\n")

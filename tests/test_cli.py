@@ -180,6 +180,15 @@ def test_gen_corrupt_cache_is_a_usage_error(capsys, tmp_path):
     assert code == EXIT_USAGE and "header" in err
 
 
+def test_gen_conflicting_cache_is_a_usage_error(capsys, tmp_path):
+    (tmp_path / cli.CACHE_FILENAME).write_text("chocnum cache v1\n2 3 56\n3 2 57\n")
+    code, out, err = run(
+        capsys, "gen", "--seq", "table", "--max", "3", "--cache", str(tmp_path)
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err.startswith("error:") and "line 3" in err
+
+
 # ---------------------------------------------------------------- oracle
 
 

@@ -74,8 +74,44 @@ def test_truncation_commutes_with_multiplication():
 
 
 def test_product_rejects_mismatched_orders():
-    with pytest.raises(ValueError, match="share a truncation order"):
+    with pytest.raises(ValueError, match="operands must share a truncation order"):
         RationalSeries((0, 1, 2, 0)) * RationalSeries((1, 0, 0, 0, 0, 0))
+
+
+def _schoolbook_product(x: RationalSeries, y: RationalSeries) -> tuple[Fraction, ...]:
+    # reference for the common-denominator product: Fractions added one
+    # term at a time, each addition normalised on its own
+    out = [Fraction(0)] * (x.order + 1)
+    for i, a in enumerate(x.coeffs):
+        for j, b in enumerate(y.coeffs[: x.order + 1 - i]):
+            out[i + j] += a * b
+    return tuple(out)
+
+
+def test_product_matches_schoolbook_reference():
+    coprime = RationalSeries(_fractions("0", "-3/7", "0", "5/11", "-1/13", "0", "2/3"))
+    other = RationalSeries(_fractions("-1/2", "0", "4/5", "-9/17", "0", "1/19", "-7"))
+    assert (coprime * other).coeffs == _schoolbook_product(coprime, other)
+    assert (other * coprime).coeffs == _schoolbook_product(other, coprime)
+    rng = random.Random(7)
+    for _ in range(20):
+        x, y = (
+            RationalSeries(tuple(
+                Fraction(rng.randint(-9, 9), rng.randint(1, 40)) for _ in range(12)
+            ))
+            for _ in range(2)
+        )
+        assert (x * y).coeffs == _schoolbook_product(x, y)
+
+
+def test_product_matches_schoolbook_reference_at_benchmark_size():
+    f, u = chocolate2_gf(150), hypergeom_series(150)
+    exact = (f * u).coeffs
+    assert exact == _schoolbook_product(f, u)
+    broken = _perturb(f, 75, f[75] + Fraction(1, 3))
+    perturbed = (broken * u).coeffs
+    assert perturbed == _schoolbook_product(broken, u)
+    assert perturbed[:75] == exact[:75] and perturbed[75] == exact[75] + Fraction(1, 3)
 
 
 # ------------------------------------------------------- the actual series
