@@ -10,7 +10,6 @@ from .arith import (
     binomial,
     binomial_mod_prime,
     divides_factorial,
-    divisors,
     factor,
     is_prime,
     nu_p,

@@ -79,16 +79,6 @@ def binomial_mod_prime(n: int, k: int, p: int) -> int:
     return r
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n >= 1 in increasing order, found by trial
-    division up to the square root of n."""
-    if n < 1:
-        raise ValueError(f"divisors requires n >= 1, got {n}")
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
-    large = [n // d for d in reversed(small) if d * d != n]
-    return small + large
-
-
 def nu_p(value: int, p: int) -> int:
     """Largest e with p^e dividing value.  value must be >= 1 (the valuation
     of 0 would be infinite) and p must be prime."""

@@ -247,11 +247,7 @@ def _cmd_mod(args):
 
 
 def _cmd_period(args):
-    residues = _residues(args.seq, args.modulus, args.max)
-    pp1 = args.modulus * (args.modulus - 1)
-    candidates = ([d for d in range(1, args.max // 3 + 1) if pp1 % d == 0]
-                  if args.hint_pp1 else None)
-    report = detect_eventual_period(residues, candidates)
+    report = detect_eventual_period(_residues(args.seq, args.modulus, args.max))
     record = (args.seq, args.modulus, args.max, *dataclasses.astuple(report))
     return _fields(args), [record], EXIT_OK if report.resolved else EXIT_UNRESOLVED
 
@@ -340,7 +336,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--modulus", type=int, required=True)
     p.add_argument("--max", type=_positive_int, required=True)
     p.add_argument("--hint-pp1", action="store_true",
-                   help="seed candidates with the divisors of p(p-1)")
+                   help="accepted and ignored: the scan finds the minimal "
+                   "period without hints")
     add_format(p)
     p.set_defaults(func=_cmd_period)
 

@@ -8,9 +8,9 @@ vectorized with numpy (int64 while the modulus allows exact products,
 object dtype beyond that) because the prefix cost is quadratic in n.
 The int64-dot kernel reduces its Pascal row and products only when a
 running bound on their entries says int64 would not hold the next step.
-numpy is imported on first use, inside ``chocolate2_mod`` and
-``detect_eventual_period``: it is most of the package's import time, and
-the exact counts, factorizations and series checks never need it.
+numpy is imported on first use, inside ``chocolate2_mod`` only: it is most
+of the package's import time, and the exact counts, factorizations, series
+checks and period detection never need it.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from __future__ import annotations
 import operator
 from dataclasses import asdict, dataclass
 
-from .arith import binomial_mod_prime, divides_factorial, divisors, is_prime
+from .arith import binomial_mod_prime, divides_factorial, is_prime
 
 # products of two residues must stay exact in int64
 _INT64_SAFE_MODULUS = 3_037_000_499
@@ -164,7 +164,7 @@ class PeriodReport:
     When resolved and not eventually_zero, every term after the preperiod
     repeats with the stated period across the observed evidence, the
     periodic tail covers at least 3 periods and at least half the evidence,
-    and the period is minimal among the divisor-checked candidates.  When
+    and the period is minimal among all periods up to L//3.  When
     eventually_zero, everything after the preperiod is 0 and period is 1.
     Unresolved reports are a valid outcome, not an error.
     """
@@ -180,53 +180,53 @@ def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
     """Find (preperiod, period) for an eventually periodic residue sequence.
 
     An all-zero tail is reported as eventually_zero before any period search.
-    Caller-supplied candidates (say, divisors of p(p-1)) are tried first and
-    refined to the smallest fitting divisor; otherwise every length up to a
-    third of the evidence is tried in increasing order, so the first fit is
-    minimal.  A fit must leave a periodic tail of at least 3 periods and at
-    least half the evidence (integer comparisons: tail >= 3 * period and
-    2 * tail >= L) -- with fewer than 3 periods or less than half the
-    evidence the report comes back unresolved rather than overclaiming.
-    A short period is found fast (0.01 s on 10^5 terms with period 37), but
-    an aperiodic sequence costs quadratic time: 4.4 s on 10^5 terms on a
-    2-core Xeon VM, 0.20 s on 2 * 10^4.
+    Then one scan tries every length P up to a third of the evidence in
+    increasing order, so the first fit is minimal.  The Z-function of the
+    reversed sequence gives, for each P, how many terms from the end repeat
+    P terms earlier, so the periodic tail for P is that count plus P.  A fit
+    must leave a periodic tail of at least 3 periods and at least half the
+    evidence (integer comparisons: tail >= 3 * period and 2 * tail >= L) --
+    with fewer than 3 periods or less than half the evidence the report
+    comes back unresolved rather than overclaiming.  The scan is linear in
+    the evidence, found or not: 0.013 s on 10^5 aperiodic terms, best of 7
+    on one core of a 2-core Xeon VM.
+
+    ``candidate_periods`` is accepted and ignored: hints could only change
+    the speed.  Two fitting periods leave tails of at least half the
+    evidence and are at most a third of it, so the shorter tail spans both,
+    and by the Fine-Wilf theorem it has their gcd as a period; so every
+    fitting candidate is a multiple of the minimal period.
     """
     seq = list(seq)
     L = len(seq)
     if L < 8:
         raise ValueError(f"need at least 8 terms of evidence, got {L}")
-    import numpy as np
-    arr = np.asarray(seq)
 
     def tail_ok(tail: int, period: int) -> bool:
         return tail >= 3 * period and 2 * tail >= L
 
     # zero tail first: a dying sequence is not "period 1"
-    nonzero = np.flatnonzero(arr != 0)
-    t = int(nonzero[-1]) + 1 if nonzero.size else 0
+    t = L
+    while t and seq[t - 1] == 0:
+        t -= 1
     if t < L and tail_ok(L - t, 1):
         return PeriodReport(True, t, 1, True, L)
 
-    def fit(period: int) -> int | None:
-        mism = np.flatnonzero(arr[:-period] != arr[period:])
-        pre = int(mism[-1]) + 1 if mism.size else 0
-        return pre if tail_ok(L - pre, period) else None
-
-    # a fit needs a tail of 3 periods, so longer periods are hopeless
+    # z[P]: longest common prefix of r and r[P:]; a fit needs a tail of
+    # 3 periods, so longer periods are hopeless
+    r = seq[::-1]
     max_period = L // 3
-    if candidate_periods:
-        for cand in sorted({c for c in candidate_periods if 1 <= c <= max_period}):
-            if fit(cand) is None:
-                continue
-            # refine to the smallest fitting divisor, cand itself at worst
-            for d in divisors(cand):
-                pre = fit(d)
-                if pre is not None:
-                    return PeriodReport(True, pre, d, False, L)
+    z = [0] * (max_period + 1)
+    lo = hi = 0  # r[lo:hi] matches r[:hi - lo], with hi the largest seen
     for period in range(1, max_period + 1):
-        pre = fit(period)
-        if pre is not None:
-            return PeriodReport(True, pre, period, False, L)
+        k = min(hi - period, z[period - lo]) if period < hi else 0
+        while period + k < L and r[k] == r[period + k]:
+            k += 1
+        z[period] = k
+        if period + k > hi:
+            lo, hi = period, period + k
+        if tail_ok(k + period, period):
+            return PeriodReport(True, L - k - period, period, False, L)
     return PeriodReport(False, None, None, False, L)
 
 
@@ -382,17 +382,14 @@ def _scan_conjecture3(p: int, n_max: int) -> _Finding:
         return CONSISTENT, None, None, (
             "hypothesis excludes this prime (classifier-true); nothing to test"
         )
-    # a period needs 3 repeats in the evidence, so no candidate above n_max // 3
-    pp1 = p * (p - 1)
-    candidates = [d for d in range(1, n_max // 3 + 1) if pp1 % d == 0 or d % pp1 == 0]
-    report = detect_eventual_period(chocolate2_mod(n_max, p), candidates)
+    report = detect_eventual_period(chocolate2_mod(n_max, p))
     if not report.resolved:
         return _no_period(n_max)
     if report.eventually_zero:
         return UNRESOLVED, report.preperiod, report.period, (
             "sequence died to zeros, which the hypothesis does not anticipate"
         )
-    period = report.period
+    period, pp1 = report.period, p * (p - 1)
     return CONSISTENT, report.preperiod, period, (
         f"minimal observed period {period}, p(p-1)={pp1}; "
         f"p(p-1) divides period: {'yes' if period % pp1 == 0 else 'no'}; "

@@ -10,7 +10,6 @@ from chocnum.arith import (
     binomial,
     binomial_mod_prime,
     divides_factorial,
-    divisors,
     factor,
     is_prime,
     nu_p,
@@ -66,15 +65,6 @@ def test_binomial_mod_prime_other_primes():
         binomial_mod_prime(-1, 0, 3)
     with pytest.raises(ValueError):
         binomial_mod_prime(5, 2, 1)
-
-
-def test_divisors():
-    for n in range(1, 400):
-        assert divisors(n) == [d for d in range(1, n + 1) if n % d == 0], n
-    assert divisors(10007 * 10006)[-1] == 10007 * 10006
-    assert len(divisors(2**20)) == 21
-    with pytest.raises(ValueError):
-        divisors(0)
 
 
 def test_pascal_identity_and_symmetry():

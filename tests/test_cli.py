@@ -328,7 +328,7 @@ def test_period_hint_pp1(capsys):
 
 
 def test_period_hint_pp1_large_prime_is_quick(capsys):
-    # p(p-1) is about 10^8; its divisors come from those of p and p-1
+    # --hint-pp1 is accepted and changes nothing, even where p(p-1) is about 10^8
     start = time.perf_counter()
     code, out, _ = run(
         capsys, "period", "--seq", "p", "--modulus", "10007", "--max", "300",
@@ -346,8 +346,7 @@ def test_period_hint_pp1_large_prime_is_quick(capsys):
 
 
 def test_period_hint_pp1_large_composite_is_quick(capsys):
-    # m(m-1) is about 10^24; no candidate above a third of the evidence
-    # can fit, so none is looked for
+    # m(m-1) is about 10^24; the ignored hint must not make it slow
     argv = ("period", "--seq", "b", "--modulus", "1000000000000", "--max", "300")
     start = time.perf_counter()
     code, hinted, _ = run(capsys, *argv, "--hint-pp1")
@@ -446,7 +445,7 @@ def test_conjecture_inconsistent_exit_code(capsys, monkeypatch):
 
 
 def test_conjecture3_on_a_large_prime_is_quick():
-    # the p(p-1) hints must not trial-divide up to about p
+    # p(p-1) is about 10^18: nothing may scale with p, only with --max
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     argv = ("conjecture", "--id", "3", "--primes", "1000000007", "--max", "100")
     proc = subprocess.run([sys.executable, "-m", "chocnum.cli", *argv], env=env,
@@ -567,7 +566,8 @@ run("oracle", "--m", "2", "--n", "3", "--compare")
 run("nu", "--p", "2", "--seq", "b", "--max", "5")
 run("series", "--check", "riccati", "--order", "10")
 run("mod", "--seq", "p", "--modulus", "7", "--max", "5")
-assert "numpy" not in sys.modules, "numpy loaded without a residue scan"
+run("period", "--seq", "p", "--modulus", "7", "--max", "60")
+assert "numpy" not in sys.modules, "numpy loaded without a 2 x n residue scan"
 residues = run("mod", "--seq", "b", "--modulus", "9", "--max", "5")
 assert residues == "b 9 1 1\\nb 9 2 4\\nb 9 3 2\\nb 9 4 2\\nb 9 5 1\\n", residues
 assert "numpy" in sys.modules, "the residue scan ran without numpy"

@@ -1,5 +1,8 @@
 """Tests for the residue engine, period detection, and the scan harness."""
 
+import itertools
+import random
+import time
 import warnings
 from math import isqrt
 
@@ -13,6 +16,7 @@ from chocnum.modular import (
     CONSISTENT,
     INCONSISTENT,
     UNRESOLVED,
+    PeriodReport,
     binom_sum_1_mod6,
     binom_sum_5_mod6,
     chocolate2_mod,
@@ -293,18 +297,94 @@ def test_detect_requires_evidence():
         detect_eventual_period([1, 2, 3])
 
 
-def test_detect_candidate_path_and_refinement():
+def _reference_period(seq):
+    """The per-period search the linear scan replaced: for each length in
+    increasing order, the preperiod ends after the last mismatch between the
+    sequence and its shift by that length."""
+    L = len(seq)
+
+    def tail_ok(tail, period):
+        return tail >= 3 * period and 2 * tail >= L
+
+    t = next((j + 1 for j in reversed(range(L)) if seq[j] != 0), 0)
+    if t < L and tail_ok(L - t, 1):
+        return PeriodReport(True, t, 1, True, L)
+
+    def fit(period):
+        pre = next((j + 1 for j in reversed(range(L - period)) if seq[j] != seq[j + period]), 0)
+        return pre if tail_ok(L - pre, period) else None
+
+    for period in range(1, L // 3 + 1):
+        pre = fit(period)
+        if pre is not None:
+            return PeriodReport(True, pre, period, False, L)
+    return PeriodReport(False, None, None, False, L)
+
+
+def _random_eventually_periodic(rng):
+    period = rng.randint(1, 12)
+    symbols = rng.randint(2, 5)  # few symbols: shorter periods fit by chance
+    cycle = [rng.randrange(symbols) for _ in range(period)]
+    tail = [cycle[i % period] for i in range(rng.randint(2 * period, 5 * period + 8))]
+    pre_length = max(8 - len(tail), rng.randint(0, len(tail) + 3))
+    pre = [rng.randrange(symbols) for _ in range(pre_length)]
+    return pre + tail
+
+
+def _exhaustive_and_random_sequences():
+    for symbols, lengths in ((2, range(8, 17)), (3, range(8, 12))):
+        for length in lengths:
+            yield from itertools.product(range(symbols), repeat=length)
+    rng = random.Random(20151021)
+    for _ in range(2000):
+        yield _random_eventually_periodic(rng)
+
+
+def test_detect_matches_the_per_period_reference():
+    # every binary sequence of length 8-16, every ternary one of length
+    # 8-11 and 2000 random eventually periodic ones; hints change nothing
+    checked = resolved = 0
+    for seq in _exhaustive_and_random_sequences():
+        seq = list(seq)
+        report = detect_eventual_period(seq)
+        assert report == _reference_period(seq), seq
+        hints = [2, 3, 5, 6, len(seq) // 3] if report.period is None else [
+            report.period * 2, report.period * 6, 5]
+        assert detect_eventual_period(seq, hints) == report, seq
+        checked += 1
+        resolved += report.resolved
+    assert checked == sum(2**n for n in range(8, 17)) + sum(3**n for n in range(8, 12)) + 2000
+    assert 0 < resolved < checked
+
+
+def test_detect_library_residues_and_hints():
+    # mod 13 the numerator products have period p(p-1) = 156 from the start
     residues = hyper_numerators_mod(1560, 13)
     pp1 = 156
-    divisors = [d for d in range(1, pp1 + 1) if pp1 % d == 0]
-    hinted = detect_eventual_period(residues, divisors)
-    assert hinted.resolved and hinted.period == 156 and hinted.preperiod == 0
-    # a candidate that is a multiple of the true period refines down to it
-    coarse = detect_eventual_period(hyper_numerators_mod(120, 3), [30])
-    assert coarse.resolved and coarse.period == 3
-    # useless candidates fall through to the general scan
-    fallback = detect_eventual_period(hyper_numerators_mod(120, 3), [7, 11])
-    assert fallback.resolved and fallback.period == 3
+    report = detect_eventual_period(residues)
+    assert report.resolved and report.period == 156 and report.preperiod == 0
+    assert detect_eventual_period(residues, [d for d in range(1, pp1 + 1) if pp1 % d == 0]) == report
+    # a multiple of the true period, or useless hints, still give period 3
+    for hints in ([30], [7, 11], None):
+        plain = detect_eventual_period(hyper_numerators_mod(120, 3), hints)
+        assert plain.resolved and plain.period == 3
+    for m in (7, 9, 13, 43):
+        residues = chocolate2_mod(600, m)
+        assert detect_eventual_period(residues) == _reference_period(residues), m
+
+
+def test_detect_is_linear_on_aperiodic_evidence():
+    rng = random.Random(999983)
+    aperiodic = [rng.randrange(999_983) for _ in range(10**5)]
+    # and a period-37 tail just short of half the evidence, whose every
+    # multiple of 37 matches over 40 000 terms: linear only if the scan
+    # reuses earlier matches instead of comparing again
+    near_miss = aperiodic[:60_000] + aperiodic[:37] * 1081 + aperiodic[:3]
+    for seq in (aperiodic, near_miss):
+        start = time.perf_counter()
+        report = detect_eventual_period(seq)
+        assert time.perf_counter() - start < 1.0
+        assert not report.resolved and report.evidence_length == 10**5
 
 
 def test_detect_unresolved_below_thresholds():
