@@ -155,6 +155,19 @@ def _emit(records, fields, fmt: str) -> None:
             print(json.dumps(dict(zip(fields, rec))))
 
 
+def _records(seq: str, bound: int, table: ChocolateTable) -> list[tuple]:
+    """(index..., value) records of ``gen --seq SEQ``; ``nu`` reads them too."""
+    if seq == "table":
+        sizes = range(1, bound + 1)
+        return [(m, n, chocolate_number(m, n, table)) for m in sizes for n in sizes]
+    entries = generate(SequenceSpec(_GEN_KINDS[seq], bound), table)
+    if seq == "triangle":
+        return [(m, n, v) for (m, n), v in entries]
+    if seq == "distinct":
+        return [(v,) for _, v in entries]
+    return entries
+
+
 def _cmd_gen(args):
     if args.seq == "distinct":
         bound, other, wanted = args.limit, args.max, "--limit (a value bound)"
@@ -165,18 +178,8 @@ def _cmd_gen(args):
     cache_dir = args.cache or os.environ.get(CACHE_ENV)
     path = Path(cache_dir) / CACHE_FILENAME if cache_dir else None
     table = load_cache(path) if path and path.exists() else ChocolateTable()
-    if args.seq == "table":
-        bars = [(m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)]
-        records = [(m, n, chocolate_number(m, n, table)) for m, n in bars]
-    else:
-        entries = generate(SequenceSpec(_GEN_KINDS[args.seq], bound), table)
-        if args.seq == "triangle":
-            records = [(m, n, v) for (m, n), v in entries]
-        elif args.seq == "distinct":
-            records = [(v,) for _, v in entries]
-        else:
-            records = entries
-    if path:
+    records = _records(args.seq, bound, table)
+    if path and table.computed:  # a warm read leaves the file alone
         path.parent.mkdir(parents=True, exist_ok=True)
         save_cache(table, path)
     return _fields(args), records, EXIT_OK
@@ -210,18 +213,12 @@ def _cmd_factor(args):
 def _cmd_nu(args):
     if args.check_bound and args.p != 2:
         raise ValueError("--check-bound states bounds for p=2 only")
-    table = ChocolateTable()
-    sizes = range(1, args.max + 1)
-    if args.seq == "table":
-        bars = [(m, n) for m in sizes for n in sizes]
-    else:
-        bars = [(2 if args.seq == "b" else n, n) for n in sizes]
     records = []
-    for m, n in bars:
-        value = chocolate2(n, table) if args.seq == "b" else chocolate_number(m, n, table)
-        rec = ((m, n) if args.seq == "table" else (n,)) + (nu_p(value, args.p),)
+    for *index, value in _records(args.seq, args.max, ChocolateTable()):
+        rec = (*index, nu_p(value, args.p))
         if args.check_bound:
             # the 2-adic bound nu_2 >= m + n - 2, stated for m, n > 1
+            m, n = 2 if args.seq == "b" else index[0], index[-1]
             bound = m + n - 2 if m > 1 and n > 1 else None
             rec += (bound, bound is None or rec[-1] >= bound)
         records.append(rec)

@@ -179,8 +179,7 @@ class PeriodReport:
 def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
     """Find (preperiod, period) for an eventually periodic residue sequence.
 
-    An all-zero tail is reported as eventually_zero before any period search.
-    Then one scan tries every length P up to a third of the evidence in
+    One scan tries every length P up to a third of the evidence in
     increasing order, so the first fit is minimal.  The Z-function of the
     reversed sequence gives, for each P, how many terms from the end repeat
     P terms earlier, so the periodic tail for P is that count plus P.  A fit
@@ -196,21 +195,16 @@ def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
     evidence and are at most a third of it, so the shorter tail spans both,
     and by the Fine-Wilf theorem it has their gcd as a period; so every
     fitting candidate is a multiple of the minimal period.
+
+    A zero tail needs no check of its own: the P = 1 tail is the final run of
+    equal terms and is tried first, so the P = 1 fit reports eventually_zero
+    when the last term is 0.  An all-zero tail long enough for any P > 1
+    would already have fit P = 1.
     """
     seq = list(seq)
     L = len(seq)
     if L < 8:
         raise ValueError(f"need at least 8 terms of evidence, got {L}")
-
-    def tail_ok(tail: int, period: int) -> bool:
-        return tail >= 3 * period and 2 * tail >= L
-
-    # zero tail first: a dying sequence is not "period 1"
-    t = L
-    while t and seq[t - 1] == 0:
-        t -= 1
-    if t < L and tail_ok(L - t, 1):
-        return PeriodReport(True, t, 1, True, L)
 
     # z[P]: longest common prefix of r and r[P:]; a fit needs a tail of
     # 3 periods, so longer periods are hopeless
@@ -225,8 +219,9 @@ def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
         z[period] = k
         if period + k > hi:
             lo, hi = period, period + k
-        if tail_ok(k + period, period):
-            return PeriodReport(True, L - k - period, period, False, L)
+        tail = k + period
+        if tail >= 3 * period and 2 * tail >= L:
+            return PeriodReport(True, L - tail, period, period == 1 and seq[-1] == 0, L)
     return PeriodReport(False, None, None, False, L)
 
 
@@ -303,17 +298,19 @@ class ScanRecord:
         return asdict(self)
 
 
-def _certify_zero_tail(k: int, tail_start: int, residues) -> int | None:
+def _certify_zero_tail(p: int, tail_start: int, residues) -> int | None:
     """Smallest n at which persistent_divisor_check certifies the observed
     zero tail (starting at index tail_start) to be permanent, or None when
-    the window cannot fit inside the evidence."""
-    L = len(residues)
-    n = max(2, 2 * tail_start - 1)
-    while not divides_factorial(k, 2 * n - 2):
-        n += 1
-    if n - 1 > L:
+    the window cannot fit inside the evidence.
+
+    The window floor((n+1)/2) .. n-1 lies in the tail from n = 2*tail_start-1
+    on.  conjecture_scan admits only primes here, and a prime p divides
+    (2n-2)! iff 2n-2 >= p, i.e. n >= (p+3)//2; so n is the larger bound,
+    with no search.  persistent_divisor_check still confirms it."""
+    n = max(2, 2 * tail_start - 1, (p + 3) // 2)
+    if n - 1 > len(residues):
         return None
-    return n if persistent_divisor_check(k, n, residues) else None
+    return n if persistent_divisor_check(p, n, residues) else None
 
 
 # what one scan finds for one modulus: status, preperiod, period, notes

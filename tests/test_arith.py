@@ -133,6 +133,14 @@ def test_factor_flags_unresolvable_cofactor():
     assert math.prod(p**e for p, e in f.factors) * f.cofactor == p * q
 
 
+def test_factor_certifies_a_cofactor_by_miller_rabin():
+    # 1000000000039 is prime and above TRIAL_BOUND^2, so only Miller-Rabin
+    # can certify it
+    f = factor(6 * 1000000000039)
+    assert f.is_complete()
+    assert str(f) == "2 * 3 * 1000000000039"
+
+
 def test_factor_flags_probable_prime_cofactor():
     m89 = 2**89 - 1  # prime, but beyond the deterministic witness range
     f = factor(m89)

@@ -285,6 +285,16 @@ def test_cache_loads_repeated_identical_entries(tmp_path):
     assert load_cache(path).memo == {(2, 3): 56}
 
 
+def test_cache_skips_blank_lines(tmp_path):
+    path = tmp_path / "blank.cache"
+    path.write_text(f"{chocolate_mod.CACHE_HEADER}\n\n2 3 56\n  \n1 1 1\n")
+    assert load_cache(path).memo == {(2, 3): 56, (1, 1): 1}
+    # blank lines still count towards the reported line number
+    path.write_text(f"{chocolate_mod.CACHE_HEADER}\n\n2 2\n")
+    with pytest.raises(CacheFormatError, match="line 3"):
+        load_cache(path)
+
+
 def test_cache_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.cache"
     path.write_text("chocnum cache v9\n1 1 1\n")

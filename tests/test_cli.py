@@ -165,6 +165,29 @@ def test_gen_cache_round_trip(capsys, tmp_path):
     assert code == EXIT_OK and second == first
 
 
+def test_gen_warm_read_leaves_the_cache_file_alone(capsys, tmp_path, monkeypatch):
+    argv = ("gen", "--seq", "square", "--max", "4", "--cache", str(tmp_path))
+    cache_file = tmp_path / cli.CACHE_FILENAME
+    assert run(capsys, *argv)[0] == EXIT_OK
+    before = cache_file.stat()
+    code, first, _ = run(capsys, *argv)
+    after = cache_file.stat()
+    assert code == EXIT_OK and first.startswith("1 1\n2 4\n")
+    assert (after.st_ino, after.st_mtime_ns) == (before.st_ino, before.st_mtime_ns)
+
+    def no_write(*_):
+        raise PermissionError("cache directory is read-only")
+
+    # so a warm read works where the cache cannot be written
+    with monkeypatch.context() as m:
+        m.setattr(cli, "save_cache", no_write)
+        assert run(capsys, *argv)[:2] == (EXIT_OK, first)
+    # a run that adds bars still rewrites the file
+    code, _, _ = run(capsys, "gen", "--seq", "square", "--max", "5", "--cache", str(tmp_path))
+    assert code == EXIT_OK and cache_file.stat().st_ino != before.st_ino
+    assert load_cache(cache_file).memo[(5, 5)] == chocolate_number(5, 5)
+
+
 def test_gen_cache_env_var_names_default_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _, _ = run(capsys, "gen", "--seq", "b", "--max", "3")

@@ -1,5 +1,6 @@
 """Tests for the residue engine, period detection, and the scan harness."""
 
+import functools
 import itertools
 import random
 import time
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import chocnum.modular as modular_mod
-from chocnum.arith import binomial
+from chocnum.arith import binomial, divides_factorial
 from chocnum.chocolate import ChocolateTable, chocolate2
 from chocnum.modular import (
     CONSISTENT,
@@ -556,6 +557,46 @@ def test_conjecture1_unresolved_on_uncertifiable_tail(monkeypatch):
     assert rec.status == UNRESOLVED
 
 
+def test_conjecture1_large_prime_factor_answers_at_once():
+    # B_107 has the prime factor 2 751 857; a certificate search would step n
+    # up to 1 375 930, where a prime that large first divides (2n-2)!
+    start = time.perf_counter()
+    (rec,) = conjecture_scan(1, [2751857], 107)
+    assert time.perf_counter() - start < 2
+    assert (rec.status, rec.preperiod, rec.period) == (UNRESOLVED, 106, 1)
+
+
+_divides_factorial = functools.cache(divides_factorial)
+
+
+def _searched_certificate(k, tail_start, residues):
+    """The search the certificate formula replaced: step n up from the
+    window's start until k divides (2n-2)!.  Once the window leaves the
+    evidence the answer is None whatever n the search would reach, so the
+    loop stops there instead of stepping on."""
+    L = len(residues)
+    n = max(2, 2 * tail_start - 1)
+    while n - 1 <= L and not _divides_factorial(k, 2 * n - 2):
+        n += 1
+    if n - 1 > L:
+        return None
+    return n if persistent_divisor_check(k, n, residues) else None
+
+
+def test_zero_tail_certificate_matches_the_search():
+    # every prime below 1500, three evidence lengths and every tail start
+    checked = certified = 0
+    for p in primes_below(1500):
+        for L in (100, 137, 300):
+            for tail_start in range(1, L + 1):
+                residues = [1] * (tail_start - 1) + [0] * (L - tail_start + 1)
+                cert = modular_mod._certify_zero_tail(p, tail_start, residues)
+                assert cert == _searched_certificate(p, tail_start, residues), (p, L, tail_start)
+                checked += 1
+                certified += cert is not None
+    assert (checked, certified) == (128_343, 22_807)
+
+
 def test_conjecture2_resolves_small_moduli():
     rec3, rec9 = conjecture_scan(2, [3, 9], 400)
     assert rec3.status == CONSISTENT
@@ -575,6 +616,12 @@ def test_conjecture3_reports_both_divisibility_directions():
     assert rec.period == 3
     assert "p(p-1) divides period: no" in rec.notes
     assert "period divides p(p-1): yes" in rec.notes
+
+
+def test_conjecture3_unresolved_without_a_period():
+    (rec,) = conjecture_scan(3, [43], 100)
+    assert (rec.status, rec.preperiod, rec.period) == (UNRESOLVED, None, None)
+    assert "no period certified within 100 terms" in rec.notes
 
 
 def test_conjecture3_skips_classifier_true_primes():
