@@ -131,9 +131,10 @@ def is_prime(n: int) -> bool:
 
 def factor(value: int) -> Factorization:
     """Trial-divide out all primes <= TRIAL_BOUND (10^6), then classify what
-    is left: prime below TRIAL_BOUND^2, certified prime or flagged composite
-    by Miller-Rabin below its deterministic range, and flagged probable prime
-    or composite at or above that range rather than mis-certified."""
+    is left by one Miller-Rabin test: certified prime below its deterministic
+    range, flagged probable prime at or above it rather than mis-certified,
+    and flagged composite otherwise.  A remainder left by the d*d > rem exit
+    is prime and below the range, so the same test certifies it."""
     if value < 1:
         raise ValueError(f"factor requires value >= 1, got {value}")
     factors: list[tuple[int, int]] = []
@@ -149,20 +150,11 @@ def factor(value: int) -> Factorization:
         d += 1 if d == 2 else 2
     if rem == 1:
         return Factorization(tuple(factors))
-    if rem <= TRIAL_BOUND * TRIAL_BOUND:
-        # smallest factor of rem exceeds TRIAL_BOUND, so rem is prime
+    prime = _miller_rabin(rem)
+    if prime and rem < MR_DETERMINISTIC_BOUND:
         factors.append((rem, 1))
         return Factorization(tuple(factors))
-    if rem < MR_DETERMINISTIC_BOUND:
-        if _miller_rabin(rem):
-            factors.append((rem, 1))
-            return Factorization(tuple(factors))
-        return Factorization(tuple(factors), rem, CofactorStatus.COMPOSITE_UNRESOLVED)
-    status = (
-        CofactorStatus.PROBABLE_PRIME
-        if _miller_rabin(rem)
-        else CofactorStatus.COMPOSITE_UNRESOLVED
-    )
+    status = CofactorStatus.PROBABLE_PRIME if prime else CofactorStatus.COMPOSITE_UNRESOLVED
     return Factorization(tuple(factors), rem, status)
 
 

@@ -55,9 +55,7 @@ class ChocolateTable:
     """Memo table of break counts keyed by normalized (m, n) with m <= n.
 
     Normalizing keys halves the table: an m x n bar and its transpose break
-    in equally many ways.  Concurrent readers are safe; writes are one
-    dict-entry at a time, so concurrent computes may duplicate work but never
-    corrupt the table.  ``computed`` counts the bars actually filled (memo
+    in equally many ways.  ``computed`` counts the bars actually filled (memo
     misses), which lets tests prove that a reloaded cache short-circuits the
     computation.
     """
@@ -258,22 +256,31 @@ def save_cache(table: ChocolateTable, path) -> None:
         tmp.unlink(missing_ok=True)
 
 
+def _ascii_line(data: bytes, lineno: int) -> str:
+    try:
+        return data.decode("ascii")
+    except UnicodeDecodeError as exc:
+        raise CacheFormatError(f"line {lineno}: {exc}") from None
+
+
 def load_cache(path) -> ChocolateTable:
     """Read a cache file back into a fresh table.
 
-    The header must match exactly; malformed lines are reported with their
-    line number.  Keys are re-normalized on load so hand-edited files with
-    transposed entries still land in canonical form; two lines that give one
-    normalized key different values are rejected.
+    The header must match exactly; malformed lines, non-ASCII bytes
+    included, are reported with their line number.  Keys are re-normalized
+    on load so hand-edited files with transposed entries still land in
+    canonical form; two lines that give one normalized key different values
+    are rejected.
     """
     table = ChocolateTable()
-    with open(path, encoding="ascii") as fh, unlimited_int_digits():
-        header = fh.readline().rstrip("\n")
+    with open(path, "rb") as fh, unlimited_int_digits():
+        header = _ascii_line(fh.readline(), 1).rstrip("\r\n")
         if header != CACHE_HEADER:
             raise CacheFormatError(
                 f"unsupported cache header {header!r} (expected {CACHE_HEADER!r})"
             )
-        for lineno, raw in enumerate(fh, start=2):
+        for lineno, data in enumerate(fh, start=2):
+            raw = _ascii_line(data, lineno)
             line = raw.strip()
             if not line:
                 continue

@@ -295,6 +295,13 @@ def test_cache_skips_blank_lines(tmp_path):
         load_cache(path)
 
 
+def test_cache_names_the_line_of_a_non_ascii_byte(tmp_path):
+    path = tmp_path / "latin.cache"
+    path.write_bytes(f"{chocolate_mod.CACHE_HEADER}\n1 1 1\n2 3 5\xc3\xa96\n".encode("latin-1"))
+    with pytest.raises(CacheFormatError, match="line 3: 'ascii' codec can't decode byte 0xc3"):
+        load_cache(path)
+
+
 def test_cache_rejects_wrong_version(tmp_path):
     path = tmp_path / "bad.cache"
     path.write_text("chocnum cache v9\n1 1 1\n")
