@@ -18,7 +18,17 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
+from .arith import is_prime
+
 CACHE_HEADER = "chocnum cache v1"
+
+# The residue fill works modulo primes below 2**26: a product of two residues
+# is below 2**52, so an int64 dot of at most _DOT_BLOCK products stays below
+# 2**63.  Each chunk of primes gets about _CHUNK_BYTES of arrays.
+_PRIME_CEILING = 1 << 26
+_DOT_BLOCK = (1 << 11) - 1
+_CHUNK_BYTES = 1 << 20
+_crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
 
 
 @contextmanager
@@ -83,6 +93,18 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     sum takes the cuts i < cuts/2 twice and the middle cut, if any, once.
     Along a sum, with N = ab-2, C(N, k+side) = C(N, k)*perm(N-k, side) //
     perm(k+side, side): the quotient is a binomial, so the division is exact.
+
+    One fresh count of a long bar is rebuilt from residues instead: with an
+    empty table, m >= 2, n >= 4m and (mn-1) * E.bit_length() >= 900 m,
+    where E = m(n-1) + n(m-1), a crossover measured over 2 x n to 30 x n
+    and squares (see ``_residue_primes``).  Squares and bars below about
+    2 x 100 stay on big integers and never load numpy.  The scaled counts
+    c(a, b) = count(a, b) / (ab-1)! need no binomial weights, so they fill
+    modulo primes just below 2**26 in int64 numpy arrays, and one CRT
+    gives the count.  Only the m x n entry is stored.  Measured on one
+    core against big integers, it is about 3x faster at 2 x 182 and
+    3 x 210, 2-3x at 10 x 200, 6-7x at 2 x 282 and over 20x at 2 x 1200,
+    which takes about 1-1.3 s.
     """
     if m < 1 or n < 1:
         raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
@@ -93,6 +115,11 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     cached = memo.get((m, n))
     if cached is not None:
         return cached
+    primes = _residue_primes(m, n, memo)
+    if primes:
+        memo[(m, n)] = _count_from_residues(m, n, primes)
+        table.computed += 1
+        return memo[(m, n)]
 
     def count(x: int, y: int) -> int:
         return memo[(x, y) if x <= y else (y, x)]
@@ -119,6 +146,122 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
             memo[(a, b)] = value
             table.computed += 1
     return memo[(m, n)]
+
+
+def _residue_primes(m: int, n: int, memo: dict) -> list[int] | None:
+    """The primes for the residue fill of the m x n bar (m <= n), or None
+    when the big-integer fill should run instead.
+
+    The residue route pays only for one large, long value.  It needs m >= 2
+    and an empty memo, so a sweep or a warm table keeps reusing the
+    big-integer memo.  Above that, the crossover was measured over 2 x n,
+    3 x n, 5 x n, 6 x n, 10 x n, 20 x n, 30 x n and squares: the route wins
+    once (mn-1) * E.bit_length() >= 900 m and n >= 4 m, while squares lose
+    to the big integers at every size tried, up to 72 x 72, since each of
+    their many chunks of primes pays numpy's per-call cost on every cell.
+    E = m(n-1) + n(m-1) bounds the breaks one state offers, since every
+    available break cuts interior unit edges that no other available break
+    cuts; the mn-1 moves then bound the count by E^(mn-1).
+    """
+    top = m * n - 1
+    breaks = m * (n - 1) + n * (m - 1)
+    if m < 2 or memo or n < 4 * m or top * breaks.bit_length() < 900 * m:
+        return None
+    return _fewest_primes(breaks**top, top)
+
+
+def _fewest_primes(bound: int, floor: int) -> list[int] | None:
+    """The fewest primes below 2**26 whose product exceeds ``bound``: the
+    largest ones, found by stepping down with ``is_prime`` and kept for the
+    next call.  None if that takes a prime <= ``floor``."""
+    product, primes = 1, []
+    while product <= bound:
+        if len(primes) == len(_crt_primes):
+            p = (_crt_primes[-1] if _crt_primes else _PRIME_CEILING) - 1
+            while not is_prime(p):
+                p -= 1
+            _crt_primes.append(p)
+        p = _crt_primes[len(primes)]
+        if p <= floor:
+            return None
+        primes.append(p)
+        product *= p
+    return primes
+
+
+def _count_from_residues(m: int, n: int, primes: list[int]) -> int:
+    """count(m, n) from the scaled counts c(a, b) = count(a, b) / (ab-1)!,
+    whose binomial weights cancel:
+
+        (ab-1) c(a,b) = sum_{i<a} c(i,b) c(a-i,b) + sum_{j<b} c(a,j) c(a,b-j),
+
+    with c(1, b) = c(a, 1) = 1.  The fill runs modulo all the primes at once,
+    a chunk of them at a time; one CRT then gives c(m, n) modulo their
+    product, and the count is that times (mn-1)!, reduced once more."""
+    top = m * n - 1
+    # per prime: int64 rows a >= 2 of n + 1 columns and their int32 inverses
+    # of ab-1; the chunks are as equal as their number allows
+    chunks = -(-len(primes) * 12 * (m - 1) * (n + 1) // _CHUNK_BYTES)
+    residues = []
+    for i in range(chunks):
+        residues += _scaled_residues(m, n, primes[i * len(primes) // chunks:
+                                                  (i + 1) * len(primes) // chunks])
+    modulus = math.prod(primes)
+    scaled = 0
+    for r, p in zip(residues, primes):
+        rest = modulus // p
+        scaled += r * pow(rest, -1, p) % p * rest
+    return scaled * math.factorial(top) % modulus
+
+
+def _scaled_residues(m: int, n: int, primes: list[int]) -> list[int]:
+    """c(m, n) modulo each of the primes, all above mn-1, one int64 lane
+    per prime.  Both sums are symmetric, so each takes the terms below its
+    middle twice and the middle term once."""
+    import numpy as np
+
+    q = np.array(primes, dtype=np.int64)
+    lanes = np.arange(len(q))
+    c = np.empty((m - 1, n + 1, len(q)), dtype=np.int64)  # c[a - 2, b]
+    # the int32 inverses of 1..mn-1 fit in c's memory, which they use until
+    # those of ab-1 are copied out and the fill starts
+    inv = c.reshape(-1).view(np.int32)[:m * n * len(q)].reshape(m * n, len(q))
+    inv[1] = 1
+    for i in range(2, m * n):  # q = d i + r, so 1/i = -d/r
+        d, r = np.divmod(q, i)
+        inv[i] = (q - d) * inv[r, lanes] % q
+    inverse = inv[np.arange(2, m + 1)[:, None] * np.arange(n + 1) - 1]  # 1/(ab-1)
+
+    def twice_dot(x, y):  # 2 sum_j x[j] y[j] over the first axis, reduced
+        total = np.einsum("j...,j...->...", x[:_DOT_BLOCK], y[:_DOT_BLOCK]) % q
+        for s in range(_DOT_BLOCK, len(x), _DOT_BLOCK):
+            total += np.einsum("j...,j...->...", x[s:s + _DOT_BLOCK], y[s:s + _DOT_BLOCK]) % q
+        return 2 * total
+
+    c[:, 1] = 1
+    for a in range(2, m + 1):
+        # the row first holds the sum over i < a, for every column at once;
+        # c(1, b) = 1 is not stored, so its two terms are 2 c(a-1, b)
+        row = c[a - 2]
+        if a == 2:
+            row[2:] = 1
+        else:
+            np.multiply(c[a - 3, 2:], 2, out=row[2:])
+            rows, pairs = c[:a - 3, 2:], (a - 3) // 2  # i = 2 .. a-2
+            if pairs:
+                row[2:] += twice_dot(rows[:pairs], rows[::-1][:pairs])
+            if a % 2 == 0:
+                row[2:] += c[a // 2 - 2, 2:] ** 2 % q
+        for b in range(2, n + 1):
+            h = (b - 1) // 2
+            value = twice_dot(row[1:h + 1], row[b - 1:b - h - 1:-1])
+            value += row[b]
+            if b % 2 == 0:
+                value += row[b // 2] * row[b // 2]
+            value %= q
+            value *= inverse[a - 2, b]
+            np.remainder(value, q, out=row[b])
+    return c[m - 2, n].tolist()
 
 
 def chocolate2(n: int, table: ChocolateTable | None = None) -> int:

@@ -1,6 +1,7 @@
 """Tests for the exact recursion, the sequence generators, and the cache."""
 
 import functools
+import importlib
 import inspect
 import math
 import sys
@@ -10,6 +11,7 @@ import pytest
 
 import chocnum.chocolate as chocolate_mod
 import chocnum.cli as cli
+from chocnum.arith import is_prime
 from chocnum.chocolate import (
     CacheFormatError,
     ChocolateTable,
@@ -136,15 +138,123 @@ def test_half_sums_match_the_sum_over_every_cut():
 
 def test_exact_counts_need_no_deep_recursion(capsys):
     expected = every_cut_count(40, 3)
+    # the residue route imports numpy on first use, and the import machinery
+    # nests more frames than the fills may: load it before the limit drops
+    importlib.import_module("numpy")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
     try:
         assert chocolate_number(2, 300, ChocolateTable()) == chocolate2(300, ChocolateTable())
+        # the residue route answers the fresh query above; this one fills
+        assert chocolate_number(2, 300, seeded_table()) == chocolate2(300, ChocolateTable())
         assert chocolate_number(40, 3) == expected
         assert cli.main(["factor", "--seq", "table", "--index", "2", "120"]) == 0
     finally:
         sys.setrecursionlimit(limit)
     assert capsys.readouterr().out.startswith(f"2 120 {chocolate2(120)} ")
+
+
+def big_integer_count(m, n):
+    """chocolate_number through the big-integer fill: a table that already
+    holds an entry never takes the residue route."""
+    return chocolate_number(m, n, seeded_table())
+
+
+def seeded_table():
+    table = ChocolateTable()
+    chocolate_number(1, 1, table)
+    return table
+
+
+def residue_count(m, n):
+    """The residue fill of any bar, whatever the route rule says."""
+    top, breaks = m * n - 1, m * (n - 1) + n * (m - 1)
+    return chocolate_mod._count_from_residues(m, n, chocolate_mod._fewest_primes(breaks**top, top))
+
+
+def test_residue_fill_matches_the_big_integer_fill():
+    # every bar from 2 x 2 to 9 x 9, then squares and bars of the shapes the
+    # route rule was measured on, all below its crossover
+    bars = [(m, n) for m in range(2, 10) for n in range(m, 10)]
+    bars += [(12, 12), (20, 20), (2, 60), (3, 50), (10, 30)]
+    for m, n in bars:
+        assert residue_count(m, n) == big_integer_count(m, n), (m, n)
+
+
+@pytest.mark.parametrize("m,n,route", [
+    (2, 100, False), (2, 101, True), (3, 100, False), (3, 101, True),
+    (10, 81, False), (10, 82, True), (10, 200, True),
+])
+def test_route_agrees_with_the_big_integer_fill_at_the_crossover(monkeypatch, m, n, route):
+    routed = []
+    fill = chocolate_mod._count_from_residues
+    monkeypatch.setattr(chocolate_mod, "_count_from_residues",
+                        lambda *args: routed.append(args) or fill(*args))
+    assert chocolate_number(m, n) == big_integer_count(m, n)
+    assert bool(routed) is route
+
+
+def test_route_matches_chocolate2_on_a_long_bar():
+    # two kinds of arithmetic: residues and a CRT against big integers
+    assert chocolate_number(2, 600) == chocolate2(600)
+
+
+def test_squares_stay_on_big_integers():
+    # squares lost to the big integers at every size measured, up to 72 x 72
+    for s in (40, 72, 100, 400):
+        assert chocolate_mod._residue_primes(s, s, {}) is None
+
+
+def test_count_bound_holds_on_every_bar_of_area_up_to_400():
+    # a state offers at most E = m(n-1) + n(m-1) breaks, over mn-1 moves
+    table = ChocolateTable()
+    for m in range(1, 21):
+        for n in range(m, 400 // m + 1):
+            breaks = m * (n - 1) + n * (m - 1)
+            assert chocolate_number(m, n, table) <= breaks ** (m * n - 1), (m, n)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 2**26, 2**100, 10**1000, 2400**2399],
+                         ids=["1", "2", "2^26", "2^100", "10^1000", "2400^2399"])
+def test_residue_primes_are_the_fewest_that_pass_the_bound(bound):
+    primes = chocolate_mod._fewest_primes(bound, 1000)
+    assert math.prod(primes) > bound >= math.prod(primes[:-1])
+    # no prime below 2**26 is skipped, so no shorter list of primes below
+    # 2**26 has a larger product
+    expected, q = [], 2**26
+    while len(expected) < len(primes):
+        q -= 1
+        if is_prime(q):
+            expected.append(q)
+    assert primes == expected
+    assert chocolate_mod._fewest_primes(bound, 2**26) is None
+
+
+def test_blocked_dot_products_are_exact(monkeypatch):
+    # with blocks of 5 terms, rows of 16 and columns of 20 take several
+    expected = big_integer_count(16, 20)
+    monkeypatch.setattr(chocolate_mod, "_DOT_BLOCK", 5)
+    assert residue_count(16, 20) == expected
+    assert chocolate_number(2, 150) == chocolate2(150)
+
+
+def test_single_rows_and_warm_tables_keep_the_big_integer_fill(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("took the residue route")
+
+    monkeypatch.setattr(chocolate_mod, "_count_from_residues", refuse)
+    assert chocolate_number(1, 3000) == chocolate_number(3000, 1) == math.factorial(2999)
+    assert chocolate_number(2, 300, seeded_table()) == chocolate2(300)
+    with pytest.raises(AssertionError, match="residue route"):
+        chocolate_number(2, 300)
+
+
+def test_route_stores_only_the_requested_entry():
+    table = ChocolateTable()
+    value = chocolate_number(300, 2, table)
+    assert table.memo == {(2, 300): value}
+    assert table.computed == 1
+    assert chocolate_number(2, 300, table) == value and table.computed == 1
 
 
 def test_chocolate2_prefix():

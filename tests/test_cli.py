@@ -5,6 +5,7 @@ import io
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 import time
@@ -574,6 +575,7 @@ def test_data_on_stdout_errors_on_stderr(capsys):
 
 NUMPY_PROBE = """
 import contextlib, io, sys
+from chocnum import chocolate2, chocolate_number
 from chocnum.cli import main
 
 def run(*argv):
@@ -584,26 +586,39 @@ def run(*argv):
 
 run("--help")
 run("gen", "--seq", "b", "--max", "5")
+run("gen", "--seq", "table", "--max", "10")
 run("factor", "--seq", "b", "--index", "5")
+run("factor", "--seq", "table", "--index", "4", "5")
 run("oracle", "--m", "2", "--n", "3", "--compare")
 run("nu", "--p", "2", "--seq", "b", "--max", "5")
 run("series", "--check", "riccati", "--order", "10")
 run("mod", "--seq", "p", "--modulus", "7", "--max", "5")
 run("period", "--seq", "p", "--modulus", "7", "--max", "60")
-assert "numpy" not in sys.modules, "numpy loaded without a 2 x n residue scan"
+chocolate_number(2, 100)  # below the residue route's crossover
+assert "numpy" not in sys.modules, "numpy loaded without a residue scan or a long bar"
+"""
+
+# each loads numpy; the probe above must not
+NUMPY_LOADERS = {
+    "the residue scan": """
 residues = run("mod", "--seq", "b", "--modulus", "9", "--max", "5")
 assert residues == "b 9 1 1\\nb 9 2 4\\nb 9 3 2\\nb 9 4 2\\nb 9 5 1\\n", residues
-assert "numpy" in sys.modules, "the residue scan ran without numpy"
-"""
+""",
+    "the residue route": """
+assert chocolate_number(2, 300) == chocolate2(300)
+""",
+}
 
 
 def test_only_residue_scans_load_numpy():
-    # a fresh interpreter, since this one has long since imported numpy
+    # fresh interpreters, since this one has long since imported numpy
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     env.pop(cli.CACHE_ENV, None)
-    proc = subprocess.run([sys.executable, "-c", NUMPY_PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == 0, proc.stderr
+    for name, loader in NUMPY_LOADERS.items():
+        probe = f"{NUMPY_PROBE}{loader}assert 'numpy' in sys.modules, '{name} ran without numpy'\n"
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.parametrize("argv, first_line", [
@@ -621,3 +636,17 @@ def test_closed_stdout_pipe_exits_quietly(argv, first_line):
     _, err = proc.communicate(timeout=120)
     assert proc.returncode == cli.EXIT_BROKEN_PIPE == 141
     assert err == b""
+
+
+def test_interrupt_exits_130_without_a_traceback():
+    # megabytes of output and a reader that stops reading: the writer is
+    # still in main, blocked on the full pipe, when Ctrl-C's SIGINT arrives
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    argv = ("mod", "--seq", "p", "--modulus", "7", "--max", "200000")
+    proc = subprocess.Popen([sys.executable, "-m", "chocnum.cli", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline() == b"p 7 1 3\n"
+    proc.send_signal(signal.SIGINT)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == cli.EXIT_INTERRUPTED == 130
+    assert err == b"interrupted\n"  # one line, no traceback
