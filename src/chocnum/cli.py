@@ -179,10 +179,14 @@ def _cmd_gen(args):
     cache_dir = args.cache or os.environ.get(CACHE_ENV)
     path = Path(cache_dir) / CACHE_FILENAME if cache_dir else None
     table = load_cache(path) if path and path.exists() else ChocolateTable()
-    records = _records(args.seq, bound, table)
-    if path and table.computed:  # a warm read leaves the file alone
-        path.parent.mkdir(parents=True, exist_ok=True)
-        save_cache(table, path)
+    try:
+        records = _records(args.seq, bound, table)
+    finally:
+        # the memo holds finished values only, so a fill cut short by Ctrl-C
+        # is saved too, and a rerun resumes it; a warm read leaves the file alone
+        if path and table.computed:
+            path.parent.mkdir(parents=True, exist_ok=True)
+            save_cache(table, path)
     return _fields(args), records, EXIT_OK
 
 

@@ -6,8 +6,11 @@ period detection, and the three-conjecture scan harness.
 Residues are always normalized to [0, m).  The long-prefix computations are
 vectorized with numpy (int64 while the modulus allows exact products,
 object dtype beyond that) because the prefix cost is quadratic in n.
-The int64-dot kernel reduces its Pascal row and products only when a
-running bound on their entries says int64 would not hold the next step.
+When every 2n-1 is invertible mod m, the 2 x n residues come from the
+scaled counts B_n / (2n-1)!, which need no binomial weights; any other
+modulus walks a Pascal row, which the int64-dot kernel reduces, with its
+products, only when a running bound on their entries says int64 would not
+hold the next step.
 numpy is imported on first use, inside ``chocolate2_mod`` only: it is most
 of the package's import time, and the exact counts, factorizations, series
 checks and period detection never need it.
@@ -15,6 +18,7 @@ checks and period detection never need it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import asdict, dataclass
 
@@ -30,15 +34,17 @@ UNRESOLVED = "UNRESOLVED"
 
 
 def residue_kernel(n_max: int, m: int) -> str:
-    """Name of the arithmetic ``chocolate2_mod(n_max, m)`` runs on.
+    """Name of the arithmetic ``chocolate2_mod(n_max, m)`` runs on, on
+    either of its routes.
 
     ``"int64-dot"``: every product of two residues fits int64 and so does a
-    dot of fewer than n_max reduced weights and reduced products, so the
-    kernel reduces only when a running bound says int64 might not hold the
-    next step.  ``"int64"``: the products fit (m <= 3 037 000 499) but a
-    dot product might not, so every product is reduced before the sum.
-    ``"object"``: not even one product fits, so Python integers carry an
-    exact dot product, reduced once per step.
+    dot of fewer than n_max of them, so each step takes one int64 dot: of
+    reduced residues on the scaled route, and on the Pascal route of row
+    entries and products that are reduced only when a running bound says
+    int64 might not hold the next step.  ``"int64"``: the products fit
+    (m <= 3 037 000 499) but a dot product might not, so every product is
+    reduced before the sum.  ``"object"``: not even one product fits, so
+    Python integers carry an exact dot product, reduced once per step.
     """
     n_max, m = operator.index(n_max), operator.index(m)
     if m > _INT64_SAFE_MODULUS:
@@ -48,34 +54,58 @@ def residue_kernel(n_max: int, m: int) -> str:
     return "int64"
 
 
+def _unit_factorials(n_max: int, m: int) -> list[int] | None:
+    """(2n-1)! mod m for n = 1..n_max when every one of them is a unit mod m,
+    i.e. m >= 2 n_max and gcd((2n_max-1)! mod m, m) = 1; otherwise None,
+    at once when m < 2 n_max.  A running product of small ints, never the
+    factorial itself."""
+    if m < 2 * n_max:
+        return None
+    facts = [1]
+    for k in range(3, 2 * n_max, 2):
+        facts.append(facts[-1] * (k - 1) * k % m)
+    return facts if math.gcd(facts[-1], m) == 1 else None
+
+
 def chocolate2_mod(n_max: int, m: int) -> list[int]:
     """Residues of the 2 x n break counts B_1..B_n_max mod m, computed
-    entirely in residue arithmetic from
+    entirely in residue arithmetic, by one of two routes.
+
+    Scaled route, whenever every 2n-1 <= 2n_max-1 is invertible mod m
+    (m >= 2 n_max and gcd((2n_max-1)! mod m, m) = 1): the scaled counts
+    c_n = B_n / (2n-1)! satisfy
+
+        (2n-1) c_n = 1 + sum_{j=1}^{n-1} c_j c_{n-j},  c_1 = 1,
+
+    so each step is one dot product of residues and one modular inverse,
+    and B_n = (2n-1)! c_n at the end.
+
+    Pascal route, for every other modulus:
 
         B_n = (2n-2)! + sum_{i=1}^{n-1} C(2n-2, 2i-1) B_i B_{n-i}.
 
     The factorial term is a running product that sticks at 0 once it hits 0.
-
-    Half sum: the weight and the product are both symmetric under
-    i <-> n-i, so only i < n/2 is summed, the sum is doubled, and the middle
-    term is added when n is even.
-
     Half row: the weights come from C(r, 0..r/2+1) mod m alone, the rest
     following from C(r, k) = C(r, r-k).  The half row advances two rows per
     n, by two Pascal steps that together give
-    C(r+2, k) = C(r, k) + 2 C(r, k-1) + C(r, k-2).  Memory stays O(n_max):
-    that row, the residues and a few temporaries of the same length.
+    C(r+2, k) = C(r, k) + 2 C(r, k-1) + C(r, k-2).
 
-    Precondition, checked at run time by ``residue_kernel``: when
-    m <= 3 037 000 499 and n_max (m-1)^2 < 2^63, each step takes one int64
-    dot product.  A bound on the row entries starts at m-1 and grows 4x per
-    step; with LIM = 2^63 - 1 and h = (n_max-1)//2 dot terms at most, the
-    row is reduced once the bound passes min(LIM // 4, LIM // (h (m-1))),
-    so the next step and a dot with reduced products stay in int64, and
-    the products only while it exceeds LIM // (h (m-1)^2).  Otherwise the
-    row is reduced every step and every product before the sum (int64
-    while m <= 3 037 000 499), or Python integers carry an exact dot
-    product beyond that, so the result is exact for every modulus.
+    Half sum, on both routes: the summand is symmetric under i <-> n-i, so
+    only i < n/2 is summed, the sum is doubled, and the middle term is
+    added when n is even.  Memory stays O(n_max).
+
+    ``residue_kernel`` picks the arithmetic of either route, checking its
+    int64 precondition at run time.  ``"int64-dot"`` (m <= 3 037 000 499
+    and n_max (m-1)^2 < 2^63): on the scaled route one int64 dot of h < n_max
+    reduced residues, which stays below h (m-1)^2 < 2^63.  On the Pascal
+    route a bound on the row entries starts at m-1 and grows 4x per step;
+    with LIM = 2^63 - 1 and h = (n_max-1)//2 dot terms at most, the row is
+    reduced once the bound passes min(LIM // 4, LIM // (h (m-1))), so the
+    next step and a dot with reduced products stay in int64, and the
+    products only while it exceeds LIM // (h (m-1)^2).  ``"int64"``
+    (m <= 3 037 000 499 only): every product is reduced before the sum,
+    and the Pascal row every step.  ``"object"``: Python integers carry an
+    exact dot product, so the result is exact for every modulus.
     """
     n_max, m = operator.index(n_max), operator.index(m)
     if n_max < 1:
@@ -85,12 +115,6 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     import numpy as np
     kernel = residue_kernel(n_max, m)
     dtype = object if kernel == "object" else np.int64
-    out = np.zeros(n_max + 1, dtype=dtype)
-    out[1] = 1 % m
-    # row[k + 2] = C(r, k) mod m for k = 0..r/2 at r = 2n-2; two leading
-    # zeros stand for C(r, -2) and C(r, -1)
-    row = np.zeros(n_max + 3, dtype=dtype)
-    row[2] = 1 % m
 
     def reduce(x):
         # x mod m, in place; for int64, floor division by a scalar is much
@@ -100,6 +124,25 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
         else:
             x -= x // m * m
         return x
+
+    facts = _unit_factorials(n_max, m)
+    if facts is not None:
+        c = np.zeros(n_max + 1, dtype=dtype)  # c[n] = B_n / (2n-1)! mod m
+        c[1] = 1
+        for n in range(2, n_max + 1):
+            h = (n - 1) // 2  # pairs (j, n-j) with j < n/2
+            lo, hi = c[1 : h + 1], c[n - 1 : n - h - 1 : -1]
+            s = int(reduce(lo * hi).sum()) if kernel == "int64" else int(np.dot(lo, hi))
+            s = 1 + 2 * s + (int(c[n // 2]) ** 2 if n % 2 == 0 else 0)
+            c[n] = s % m * pow(2 * n - 1, -1, m) % m
+        return [f * int(x) % m for f, x in zip(facts, c[1:])]
+
+    out = np.zeros(n_max + 1, dtype=dtype)
+    out[1] = 1 % m
+    # row[k + 2] = C(r, k) mod m for k = 0..r/2 at r = 2n-2; two leading
+    # zeros stand for C(r, -2) and C(r, -1)
+    row = np.zeros(n_max + 3, dtype=dtype)
+    row[2] = 1 % m
 
     # row entries stay <= bound; caps of 0 reduce row and products every step
     bound, row_cap, prod_cap = m - 1, 0, 0

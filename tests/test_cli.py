@@ -189,6 +189,43 @@ def test_gen_warm_read_leaves_the_cache_file_alone(capsys, tmp_path, monkeypatch
     assert load_cache(cache_file).memo[(5, 5)] == chocolate_number(5, 5)
 
 
+class CutMemo(dict):
+    """A memo whose fill is cut by Ctrl-C when it would store bar 21."""
+
+    def __setitem__(self, key, value):
+        if len(self) == 20:
+            raise KeyboardInterrupt
+        super().__setitem__(key, value)
+
+
+def test_gen_cache_keeps_the_work_of_an_interrupted_fill(capsys, tmp_path, monkeypatch):
+    argv = ("gen", "--seq", "b", "--max", "60", "--cache")
+    tables = []
+
+    def recorded(table):
+        tables.append(table)
+        return table
+
+    monkeypatch.setattr(cli, "ChocolateTable", lambda: recorded(ChocolateTable()))
+    code, cold_out, _ = run(capsys, *argv, str(tmp_path / "cold"))
+    assert code == EXIT_OK and tables[-1].computed == 59
+
+    def cut_table():
+        table = ChocolateTable()
+        table.memo = CutMemo()
+        return table
+
+    monkeypatch.setattr(cli, "ChocolateTable", cut_table)
+    cache = tmp_path / "cut"
+    assert run(capsys, *argv, str(cache)) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
+    kept = load_cache(cache / cli.CACHE_FILENAME).memo
+    assert len(kept) == 20 and kept.items() <= tables[-1].memo.items()
+
+    monkeypatch.setattr(cli, "load_cache", lambda path: recorded(load_cache(path)))
+    assert run(capsys, *argv, str(cache))[:2] == (EXIT_OK, cold_out)
+    assert tables[-1].computed == 59 - 20
+
+
 def test_gen_cache_env_var_names_default_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _, _ = run(capsys, "gen", "--seq", "b", "--max", "3")

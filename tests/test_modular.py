@@ -149,6 +149,50 @@ def test_chocolate2_mod_kernels_match_full_row_path(m, kernel):
     assert chocolate2_mod(599, m) == want[:599]
 
 
+def scaled_route(n_max, m):
+    """Whether chocolate2_mod(n_max, m) takes the scaled route."""
+    return modular_mod._unit_factorials(n_max, m) is not None
+
+
+@functools.cache
+def exact_b(n_max):
+    return [chocolate2(n, _table) for n in range(1, n_max + 1)]
+
+
+# (modulus, scaled route, kernel) at n_max = 600: every route with every kernel
+ROUTE_CASES = [
+    (9, False, "int64-dot"),
+    (EDGE_600 + 1, False, "int64"),  # even
+    (3 * 1_012_333_503, False, "object"),
+    (999_983, True, "int64-dot"),
+    (FALLBACK_INT64, True, "int64"),
+    (OBJECT, True, "object"),
+]
+
+
+@pytest.mark.parametrize("m,scaled,kernel", ROUTE_CASES)
+def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel):
+    assert (scaled_route(600, m), residue_kernel(600, m)) == (scaled, kernel)
+    got = chocolate2_mod(600, m)
+    assert got == full_row_chocolate2_mod(600, m)
+    assert got[:200] == [v % m for v in exact_b(200)]
+
+
+@pytest.mark.parametrize("n_max,m,scaled", [
+    (600, 1201, True),  # a prime p >= 2 n_max
+    (601, 1201, False),  # the prime 2 n_max - 1
+    (600, 2 * 601, False),  # 2q with q <= 2 n_max - 1 < 2q
+])
+def test_chocolate2_mod_route_boundaries(n_max, m, scaled):
+    assert scaled_route(n_max, m) == scaled
+    assert chocolate2_mod(n_max, m) == full_row_chocolate2_mod(n_max, m)
+
+
+def test_moduli_below_twice_n_max_skip_the_route_rule():
+    # no running factorial: this would take 10^12 steps
+    assert not scaled_route(10**12, 9)
+
+
 INT64_MAX = 2**63 - 1
 
 
@@ -189,7 +233,7 @@ def test_int64_dot_defers_reductions_up_to_the_int64_bound(monkeypatch, m, defer
         return real_dot(weights, prods)
 
     monkeypatch.setattr(np, "dot", recording_dot)
-    assert residue_kernel(600, m) == "int64-dot"
+    assert residue_kernel(600, m) == "int64-dot" and not scaled_route(600, m)
     assert chocolate2_mod(600, m) == full_row_chocolate2_mod(600, m)
     assert len(seen) == len(schedule)
     for n, ((w, p), (bound, row_reduced, prods_reduced)) in enumerate(zip(seen, schedule), 2):
