@@ -33,6 +33,7 @@ from .modular import (
     binom_sum_1_mod6,
     binom_sum_5_mod6,
     chocolate2_mod,
+    chocolate2_mod_many,
     conjecture_scan,
     detect_eventual_period,
     hyper_numerators_mod,

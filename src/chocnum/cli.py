@@ -36,6 +36,7 @@ from .modular import (
     PeriodReport,
     ScanRecord,
     chocolate2_mod,
+    chocolate2_mod_many,
     conjecture_scan,
     detect_eventual_period,
     hyper_numerators_mod,
@@ -242,9 +243,13 @@ def _residues(seq: str, modulus: int, n_max: int) -> list[int]:
 
 
 def _cmd_mod(args):
+    if args.seq == "b":
+        prefixes = chocolate2_mod_many(args.max, args.modulus)
+    else:
+        prefixes = [hyper_numerators_mod(args.max, m) for m in args.modulus]
     records = [(args.seq, modulus, n, r)
-               for modulus in args.modulus
-               for n, r in enumerate(_residues(args.seq, modulus, args.max), start=1)]
+               for modulus, prefix in zip(args.modulus, prefixes)
+               for n, r in enumerate(prefix, start=1)]
     return _fields(args), records, EXIT_OK
 
 

@@ -6,11 +6,12 @@ period detection, and the three-conjecture scan harness.
 Residues are always normalized to [0, m).  The long-prefix computations are
 vectorized with numpy (int64 while the modulus allows exact products,
 object dtype beyond that) because the prefix cost is quadratic in n.
-When every 2n-1 is invertible mod m, the 2 x n residues come from the
-scaled counts B_n / (2n-1)!, which need no binomial weights; any other
-modulus walks a Pascal row, which the int64-dot kernel reduces, with its
-products, only when a running bound on their entries says int64 would not
-hold the next step.
+When every 2n-1 is invertible mod m (the odd part of m has no prime factor
+below 2n), the 2 x n residues come from the scaled counts B_n / (2n-1)!,
+which need no binomial weights; any other modulus walks a Pascal row, which
+the int64-dot kernel reduces, with its products, only when a running bound
+on their entries says int64 would not hold the next step.  Several moduli
+share one kernel pass mod their lcm (``chocolate2_mod_many``).
 numpy is imported on first use, inside ``chocolate2_mod`` only: it is most
 of the package's import time, and the exact counts, factorizations, series
 checks and period detection never need it.
@@ -55,30 +56,32 @@ def residue_kernel(n_max: int, m: int) -> str:
 
 
 def _unit_factorials(n_max: int, m: int) -> list[int] | None:
-    """(2n-1)! mod m for n = 1..n_max when every one of them is a unit mod m,
-    i.e. m >= 2 n_max and gcd((2n_max-1)! mod m, m) = 1; otherwise None,
-    at once when m < 2 n_max.  A running product of small ints, never the
-    factorial itself."""
-    if m < 2 * n_max:
+    """(2n-1)! mod m for n = 1..n_max when every odd number below 2 n_max is
+    a unit mod m, i.e. the odd part q of m has no prime factor below
+    2 n_max: q = 1, or q >= 2 n_max and gcd((2n_max-1)! mod m, q) = 1.
+    Otherwise None, at once when 1 < q < 2 n_max.  A running product of
+    small ints, never the factorial itself."""
+    q = m >> ((m & -m).bit_length() - 1)
+    if 1 < q < 2 * n_max:
         return None
     facts = [1]
     for k in range(3, 2 * n_max, 2):
         facts.append(facts[-1] * (k - 1) * k % m)
-    return facts if math.gcd(facts[-1], m) == 1 else None
+    return facts if math.gcd(facts[-1], q) == 1 else None
 
 
 def chocolate2_mod(n_max: int, m: int) -> list[int]:
     """Residues of the 2 x n break counts B_1..B_n_max mod m, computed
     entirely in residue arithmetic, by one of two routes.
 
-    Scaled route, whenever every 2n-1 <= 2n_max-1 is invertible mod m
-    (m >= 2 n_max and gcd((2n_max-1)! mod m, m) = 1): the scaled counts
-    c_n = B_n / (2n-1)! satisfy
+    Scaled route, whenever every 2n-1 <= 2n_max-1 is invertible mod m (the
+    odd part of m has no prime factor below 2 n_max; powers of 2 qualify):
+    the scaled counts c_n = B_n / (2n-1)! satisfy
 
         (2n-1) c_n = 1 + sum_{j=1}^{n-1} c_j c_{n-j},  c_1 = 1,
 
-    so each step is one dot product of residues and one modular inverse,
-    and B_n = (2n-1)! c_n at the end.
+    which divides by odd numbers only, so each step is one dot product of
+    residues and one modular inverse, and B_n = (2n-1)! c_n at the end.
 
     Pascal route, for every other modulus:
 
@@ -178,6 +181,33 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
             s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
         out[n] = (fact + s) % m
     return [int(x) for x in out[1:]]
+
+
+def chocolate2_mod_many(n_max: int, moduli) -> list[list[int]]:
+    """``chocolate2_mod(n_max, m)`` for each m of moduli, in order, from one
+    kernel pass per group: residues mod the lcm of a group reduce to each
+    member's.  Each modulus joins the first group whose lcm keeps the
+    ``"int64-dot"`` kernel and whose members share its route (an lcm of
+    moduli on one route takes that route), so no modulus moves to a slower
+    kernel or off the scaled route; one that fits no group runs alone."""
+    n_max = operator.index(n_max)
+    moduli = [operator.index(m) for m in moduli]
+    groups, member_of = [], []  # [lcm, scaled route] per group; group per modulus
+    for m in moduli:
+        if m < 2:
+            raise ValueError(f"modulus must be >= 2, got {m}")
+        scaled = _unit_factorials(n_max, m) is not None
+        for g, (lcm, route) in enumerate(groups):
+            lcm = math.lcm(lcm, m)
+            if route == scaled and residue_kernel(n_max, lcm) == "int64-dot":
+                groups[g][0] = lcm
+                break
+        else:
+            g = len(groups)
+            groups.append([m, scaled])
+        member_of.append(g)
+    residues = [chocolate2_mod(n_max, lcm) for lcm, _ in groups]
+    return [[r % m for r in residues[g]] for m, g in zip(moduli, member_of)]
 
 
 def hyper_numerators_mod(n_max: int, m: int) -> list[int]:
@@ -366,8 +396,7 @@ def _no_period(n_max: int) -> _Finding:
     )
 
 
-def _scan_conjecture1(p: int, n_max: int) -> _Finding:
-    residues = chocolate2_mod(n_max, p)
+def _scan_conjecture1(p: int, n_max: int, residues) -> _Finding:
     predicted = zero_tail_prime(p)
     nz = [i + 1 for i, r in enumerate(residues) if r != 0]
     tail_start = (nz[-1] + 1) if nz else 1
@@ -404,8 +433,8 @@ def _scan_conjecture1(p: int, n_max: int) -> _Finding:
     return status, tail_start - 1, 1, notes
 
 
-def _scan_conjecture2(m: int, n_max: int) -> _Finding:
-    report = detect_eventual_period(chocolate2_mod(n_max, m))
+def _scan_conjecture2(m: int, n_max: int, residues) -> _Finding:
+    report = detect_eventual_period(residues)
     if not report.resolved:
         return _no_period(n_max)
     notes = (
@@ -417,12 +446,12 @@ def _scan_conjecture2(m: int, n_max: int) -> _Finding:
     return CONSISTENT, report.preperiod, report.period, notes
 
 
-def _scan_conjecture3(p: int, n_max: int) -> _Finding:
-    if zero_tail_prime(p):
+def _scan_conjecture3(p: int, n_max: int, residues) -> _Finding:
+    if residues is None:
         return CONSISTENT, None, None, (
             "hypothesis excludes this prime (classifier-true); nothing to test"
         )
-    report = detect_eventual_period(chocolate2_mod(n_max, p))
+    report = detect_eventual_period(residues)
     if not report.resolved:
         return _no_period(n_max)
     if report.eventually_zero:
@@ -452,5 +481,9 @@ def conjecture_scan(conjecture: int, moduli, n_max: int) -> list[ScanRecord]:
         for p in moduli:
             if not is_prime(p):
                 raise ValueError(f"conjecture {conjecture} takes primes, got {p}")
+    # conjecture 3 needs no residues for the primes the classifier excludes
+    tested = [m for m in moduli if conjecture != 3 or not zero_tail_prime(m)]
+    residues = dict(zip(tested, chocolate2_mod_many(n_max, tested)))
     scan = {1: _scan_conjecture1, 2: _scan_conjecture2, 3: _scan_conjecture3}[conjecture]
-    return [ScanRecord(conjecture, m, n_max, *scan(m, n_max)) for m in moduli]
+    return [ScanRecord(conjecture, m, n_max, *scan(m, n_max, residues.get(m)))
+            for m in moduli]

@@ -348,6 +348,26 @@ def test_mod_multiple_moduli_in_input_order(capsys):
     assert lines[4:] == ["b 5 1 1", "b 5 2 4", "b 5 3 1", "b 5 4 2"]
 
 
+def test_mod_grouped_moduli_print_like_single_runs(capsys):
+    # 9 and 3 share a Pascal-row pass mod 9, and 999983 and 8 a scaled-route
+    # pass mod their lcm; the output follows the input, repeats included
+    moduli = (9, 3, 9, 999_983, 8)
+    code, out, _ = run(capsys, "mod", "--seq", "b", "--modulus",
+                       ",".join(map(str, moduli)), "--max", "400")
+    assert code == EXIT_OK
+    singles = [run(capsys, "mod", "--seq", "b", "--modulus", str(m), "--max", "400")
+               for m in moduli]
+    assert out == "".join(single_out for _, single_out, _ in singles)
+    assert out.splitlines() == [f"b {m} {n} {r}" for m in moduli
+                                for n, r in enumerate(chocolate2_mod(400, m), start=1)]
+
+
+def test_mod_rejects_a_modulus_below_two_in_a_list(capsys):
+    code, out, err = run(capsys, "mod", "--seq", "b", "--modulus", "9,1", "--max", "40")
+    assert code == EXIT_USAGE and out == ""
+    assert "modulus must be >= 2, got 1" in err
+
+
 def test_mod_hyper_numerators(capsys):
     code, out, _ = run(capsys, "mod", "--seq", "p", "--modulus", "7", "--max", "1")
     assert code == EXIT_OK and out.strip() == "p 7 1 3"
@@ -503,6 +523,18 @@ def test_conjecture_inconsistent_exit_code(capsys, monkeypatch):
     )
     assert code == EXIT_FAILED
     assert "INCONSISTENT" in out
+
+
+def test_conjecture_keeps_order_and_repeated_moduli(capsys):
+    code, out, _ = run(capsys, "conjecture", "--id", "2", "--primes", "12,4,12",
+                       "--max", "300")
+    singles = [run(capsys, "conjecture", "--id", "2", "--primes", str(m), "--max", "300")
+               for m in (12, 4, 12)]
+    assert code == EXIT_OK and all(c == EXIT_OK for c, _, _ in singles)
+    assert out == "".join(single_out for _, single_out, _ in singles)
+    lines = out.splitlines()
+    assert [line.split()[1] for line in lines] == ["12", "4", "12"]
+    assert lines[0] == lines[2]
 
 
 def test_conjecture3_on_a_large_prime_is_quick():

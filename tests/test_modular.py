@@ -21,6 +21,7 @@ from chocnum.modular import (
     binom_sum_1_mod6,
     binom_sum_5_mod6,
     chocolate2_mod,
+    chocolate2_mod_many,
     conjecture_scan,
     detect_eventual_period,
     hyper_numerators_mod,
@@ -126,8 +127,13 @@ def test_numpy_integer_arguments_act_as_python_ints():
             got = fn(np.int64(n_max), np.int64(m))
             assert got == fn(n_max, m) and all(type(x) is int for x in got), fn.__name__
         scan = conjecture_scan(2, np.array([9, 1_000_000_007]), 100)
+        grouped = conjecture_scan(2, np.array([4, 6, 8, 10]), 300)
+        many = chocolate2_mod_many(np.int64(300), np.array([4, 6, 8, 10]))
     assert scan == conjecture_scan(2, [9, 1_000_000_007], 100)
-    assert all(type(r.modulus) is int for r in scan)
+    assert grouped == conjecture_scan(2, [4, 6, 8, 10], 300)
+    assert all(type(r.modulus) is int for r in scan + grouped)
+    assert many == [chocolate2_mod(300, m) for m in (4, 6, 8, 10)]
+    assert all(type(x) is int for prefix in many for x in prefix)
 
 
 # EDGE_600 + 1 is left out: at n_max <= 40 it runs the fast kernel
@@ -182,10 +188,81 @@ def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel)
     (600, 1201, True),  # a prime p >= 2 n_max
     (601, 1201, False),  # the prime 2 n_max - 1
     (600, 2 * 601, False),  # 2q with q <= 2 n_max - 1 < 2q
+    # the recursion divides by odd numbers only, so powers of 2 do not count
+    (600, 8, True),
+    (600, 32 * 1201, True),
+    (3000, 4 * 999_983, True),
+    (600, EDGE_600 + 1, False),  # 2^2 * 71 * 461 * 947
 ])
 def test_chocolate2_mod_route_boundaries(n_max, m, scaled):
     assert scaled_route(n_max, m) == scaled
     assert chocolate2_mod(n_max, m) == full_row_chocolate2_mod(n_max, m)
+
+
+def recorded_kernel_moduli(monkeypatch):
+    """The moduli chocolate2_mod runs its kernel on, as calls happen."""
+    seen = []
+
+    def recording(n_max, m):
+        seen.append(m)
+        return chocolate2_mod(n_max, m)
+
+    monkeypatch.setattr(modular_mod, "chocolate2_mod", recording)
+    return seen
+
+
+# every conjecture set of the benchmark, at its evidence length
+BENCHMARK_SCANS = [(1, tuple(primes_below(100)[i::3]), 560) for i in range(3)] + [
+    (2, ms, 1500) for ms in [(4, 6, 8, 10), (9, 12, 14, 15), (16, 18, 20, 21)]
+] + [(3, (3, 7, 13, 43), 1800)]
+
+
+@pytest.mark.parametrize("conjecture,moduli,n_max", BENCHMARK_SCANS)
+def test_grouped_scan_matches_one_modulus_at_a_time(monkeypatch, conjecture, moduli, n_max):
+    seen = recorded_kernel_moduli(monkeypatch)
+    grouped = conjecture_scan(conjecture, moduli, n_max)
+    assert len(seen) < len(moduli)
+    assert all(residue_kernel(n_max, m) == "int64-dot" for m in seen)
+    assert grouped == [rec for m in moduli for rec in conjecture_scan(conjecture, [m], n_max)]
+
+
+def test_grouping_never_leaves_the_int64_dot_kernel(monkeypatch):
+    # one group would need the object kernel (lcm 7 943 076 345), and the
+    # first six primes alone the int64 one at n_max = 1500
+    primes = (3, 5, 17, 53, 73, 83, 97)
+    seen = recorded_kernel_moduli(monkeypatch)
+    got = chocolate2_mod_many(1500, primes)
+    assert seen == [3 * 5 * 17 * 53 * 73, 83 * 97]
+    assert all(residue_kernel(1500, m) == "int64-dot" for m in seen)
+    assert got == [chocolate2_mod(1500, p) for p in primes]
+
+
+def test_grouping_keeps_the_scaled_route(monkeypatch):
+    # lcm(999983, 9) keeps the int64-dot kernel but would cost 999983 its
+    # scaled route
+    assert scaled_route(3000, 999_983) and not scaled_route(3000, 9 * 999_983)
+    assert residue_kernel(3000, 9 * 999_983) == "int64-dot"
+    seen = recorded_kernel_moduli(monkeypatch)
+    got = chocolate2_mod_many(3000, [999_983, 9, 3])
+    assert seen == [999_983, 9]
+    assert got == [chocolate2_mod(3000, m) for m in (999_983, 9, 3)]
+
+
+def test_grouping_keeps_order_and_duplicates():
+    moduli = [12, 4, 12, 9, 999_983, 8]
+    assert chocolate2_mod_many(300, moduli) == [chocolate2_mod(300, m) for m in moduli]
+    assert chocolate2_mod_many(300, []) == []
+    with pytest.raises(ValueError, match="got 1"):
+        chocolate2_mod_many(300, [9, 1, 0])
+
+
+def test_grouped_lcm_matches_log_derivative_reference():
+    # 11 739 = lcm(3, 7, 13, 43), the conjecture-3 set's group, is odd
+    lcm = 3 * 7 * 13 * 43
+    got = chocolate2_mod(1500, lcm)
+    assert got == log_derivative_chocolate2_mod(1500, lcm)
+    for p in (3, 7, 13, 43):
+        assert [r % p for r in got] == chocolate2_mod(1500, p), p
 
 
 def test_moduli_below_twice_n_max_skip_the_route_rule():
