@@ -35,7 +35,6 @@ from .modular import (
     UNRESOLVED,
     PeriodReport,
     ScanRecord,
-    chocolate2_mod,
     chocolate2_mod_many,
     conjecture_scan,
     detect_eventual_period,
@@ -236,25 +235,24 @@ def _cmd_nu(args):
     return _fields(args) + BOUND_FIELDS, records, EXIT_FAILED if violated else EXIT_OK
 
 
-def _residues(seq: str, modulus: int, n_max: int) -> list[int]:
+def _residues(seq: str, moduli: list[int], n_max: int) -> list[list[int]]:
+    """One residue prefix per modulus, in order."""
     if seq == "b":
-        return chocolate2_mod(n_max, modulus)
-    return hyper_numerators_mod(n_max, modulus)
+        return chocolate2_mod_many(n_max, moduli)
+    return [hyper_numerators_mod(n_max, m) for m in moduli]
 
 
 def _cmd_mod(args):
-    if args.seq == "b":
-        prefixes = chocolate2_mod_many(args.max, args.modulus)
-    else:
-        prefixes = [hyper_numerators_mod(args.max, m) for m in args.modulus]
     records = [(args.seq, modulus, n, r)
-               for modulus, prefix in zip(args.modulus, prefixes)
+               for modulus, prefix in zip(args.modulus,
+                                          _residues(args.seq, args.modulus, args.max))
                for n, r in enumerate(prefix, start=1)]
     return _fields(args), records, EXIT_OK
 
 
 def _cmd_period(args):
-    report = detect_eventual_period(_residues(args.seq, args.modulus, args.max))
+    [residues] = _residues(args.seq, [args.modulus], args.max)
+    report = detect_eventual_period(residues)
     record = (args.seq, args.modulus, args.max, *dataclasses.astuple(report))
     return _fields(args), [record], EXIT_OK if report.resolved else EXIT_UNRESOLVED
 

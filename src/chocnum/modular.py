@@ -61,7 +61,7 @@ def _unit_factorials(n_max: int, m: int) -> list[int] | None:
     2 n_max: q = 1, or q >= 2 n_max and gcd((2n_max-1)! mod m, q) = 1.
     Otherwise None, at once when 1 < q < 2 n_max.  A running product of
     small ints, never the factorial itself."""
-    q = m >> ((m & -m).bit_length() - 1)
+    q = m // (m & -m)
     if 1 < q < 2 * n_max:
         return None
     facts = [1]
@@ -187,24 +187,26 @@ def chocolate2_mod_many(n_max: int, moduli) -> list[list[int]]:
     """``chocolate2_mod(n_max, m)`` for each m of moduli, in order, from one
     kernel pass per group: residues mod the lcm of a group reduce to each
     member's.  Each modulus joins the first group whose lcm keeps the
-    ``"int64-dot"`` kernel and whose members share its route (an lcm of
-    moduli on one route takes that route), so no modulus moves to a slower
-    kernel or off the scaled route; one that fits no group runs alone."""
+    ``"int64-dot"`` kernel and whose members' odd parts are all below
+    2 n_max or all at least 2 n_max; one that fits no group runs alone.
+    The latter may take the scaled route, whose own pass costs less than
+    their large factor adds to a shared Pascal pass; powers of 2 ride free
+    on Pascal rows."""
     n_max = operator.index(n_max)
     moduli = [operator.index(m) for m in moduli]
-    groups, member_of = [], []  # [lcm, scaled route] per group; group per modulus
+    groups, member_of = [], []  # [lcm, odd parts >= 2 n_max] per group; group per modulus
     for m in moduli:
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-        scaled = _unit_factorials(n_max, m) is not None
-        for g, (lcm, route) in enumerate(groups):
+        large = m // (m & -m) >= 2 * n_max
+        for g, (lcm, kind) in enumerate(groups):
             lcm = math.lcm(lcm, m)
-            if route == scaled and residue_kernel(n_max, lcm) == "int64-dot":
+            if kind == large and residue_kernel(n_max, lcm) == "int64-dot":
                 groups[g][0] = lcm
                 break
         else:
             g = len(groups)
-            groups.append([m, scaled])
+            groups.append([m, large])
         member_of.append(g)
     residues = [chocolate2_mod(n_max, lcm) for lcm, _ in groups]
     return [[r % m for r in residues[g]] for m, g in zip(moduli, member_of)]

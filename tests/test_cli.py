@@ -349,8 +349,8 @@ def test_mod_multiple_moduli_in_input_order(capsys):
 
 
 def test_mod_grouped_moduli_print_like_single_runs(capsys):
-    # 9 and 3 share a Pascal-row pass mod 9, and 999983 and 8 a scaled-route
-    # pass mod their lcm; the output follows the input, repeats included
+    # 9, 3 and 8 share a Pascal-row pass mod 72, and 999983 runs alone on
+    # the scaled route; the output follows the input, repeats included
     moduli = (9, 3, 9, 999_983, 8)
     code, out, _ = run(capsys, "mod", "--seq", "b", "--modulus",
                        ",".join(map(str, moduli)), "--max", "400")

@@ -239,13 +239,18 @@ def test_grouping_never_leaves_the_int64_dot_kernel(monkeypatch):
 
 def test_grouping_keeps_the_scaled_route(monkeypatch):
     # lcm(999983, 9) keeps the int64-dot kernel but would cost 999983 its
-    # scaled route
+    # scaled route; powers of 2 share the Pascal pass of small odd moduli
     assert scaled_route(3000, 999_983) and not scaled_route(3000, 9 * 999_983)
     assert residue_kernel(3000, 9 * 999_983) == "int64-dot"
+    assert scaled_route(1500, 8) and not scaled_route(1500, 120)
     seen = recorded_kernel_moduli(monkeypatch)
     got = chocolate2_mod_many(3000, [999_983, 9, 3])
     assert seen == [999_983, 9]
     assert got == [chocolate2_mod(3000, m) for m in (999_983, 9, 3)]
+    seen.clear()
+    got = chocolate2_mod_many(1500, [4, 6, 8, 10])
+    assert seen == [120]
+    assert got == [chocolate2_mod(1500, m) for m in (4, 6, 8, 10)]
 
 
 def test_grouping_keeps_order_and_duplicates():
