@@ -24,10 +24,9 @@ CACHE_HEADER = "chocnum cache v1"
 
 # The residue fill works modulo primes below 2**26: a product of two residues
 # is below 2**52, so an int64 dot of at most _DOT_BLOCK products stays below
-# 2**63.  Each chunk of primes gets about _CHUNK_BYTES of arrays.
+# 2**63.
 _PRIME_CEILING = 1 << 26
 _DOT_BLOCK = (1 << 11) - 1
-_CHUNK_BYTES = 1 << 20
 _crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
 
 
@@ -102,9 +101,9 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     c(a, b) = count(a, b) / (ab-1)! need no binomial weights, so they fill
     modulo primes just below 2**26 in int64 numpy arrays, and one CRT
     gives the count.  Only the m x n entry is stored.  Measured on one
-    core against big integers, it is about 3x faster at 2 x 182 and
-    3 x 210, 2-3x at 10 x 200, 6-7x at 2 x 282 and over 20x at 2 x 1200,
-    which takes about 1-1.3 s.
+    core against big integers, it is about 3x faster at 2 x 182, 4-5x at
+    3 x 210, 6x at 2 x 282, 9x at 10 x 200 and 30 x 120, and over 30x at
+    2 x 1200, which takes about 0.5-0.7 s.
     """
     if m < 1 or n < 1:
         raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
@@ -156,9 +155,11 @@ def _residue_primes(m: int, n: int, memo: dict) -> list[int] | None:
     and an empty memo, so a sweep or a warm table keeps reusing the
     big-integer memo.  Above that, the crossover was measured over 2 x n,
     3 x n, 5 x n, 6 x n, 10 x n, 20 x n, 30 x n and squares: the route wins
-    once (mn-1) * E.bit_length() >= 900 m and n >= 4 m, while squares lose
-    to the big integers at every size tried, up to 72 x 72, since each of
-    their many chunks of primes pays numpy's per-call cost on every cell.
+    once (mn-1) * E.bit_length() >= 900 m and n >= 4 m.  Squares stay on
+    big integers for memory: the fill holds about 12 bytes per prime and
+    cell, so forced through residues 40 x 40 took 0.14-0.16 s against
+    0.25-0.27 s, and 50 x 50 0.32-0.38 s against 0.94-1.05 s, but the
+    process peaked at 42 and 64 MiB against 29 MiB.
     E = m(n-1) + n(m-1) bounds the breaks one state offers, since every
     available break cuts interior unit edges that no other available break
     cuts; the mn-1 moves then bound the count by E^(mn-1).
@@ -196,28 +197,11 @@ def _count_from_residues(m: int, n: int, primes: list[int]) -> int:
         (ab-1) c(a,b) = sum_{i<a} c(i,b) c(a-i,b) + sum_{j<b} c(a,j) c(a,b-j),
 
     with c(1, b) = c(a, 1) = 1.  The fill runs modulo all the primes at once,
-    a chunk of them at a time; one CRT then gives c(m, n) modulo their
-    product, and the count is that times (mn-1)!, reduced once more."""
-    top = m * n - 1
-    # per prime: int64 rows a >= 2 of n + 1 columns and their int32 inverses
-    # of ab-1; the chunks are as equal as their number allows
-    chunks = -(-len(primes) * 12 * (m - 1) * (n + 1) // _CHUNK_BYTES)
-    residues = []
-    for i in range(chunks):
-        residues += _scaled_residues(m, n, primes[i * len(primes) // chunks:
-                                                  (i + 1) * len(primes) // chunks])
-    modulus = math.prod(primes)
-    scaled = 0
-    for r, p in zip(residues, primes):
-        rest = modulus // p
-        scaled += r * pow(rest, -1, p) % p * rest
-    return scaled * math.factorial(top) % modulus
-
-
-def _scaled_residues(m: int, n: int, primes: list[int]) -> list[int]:
-    """c(m, n) modulo each of the primes, all above mn-1, one int64 lane
-    per prime.  Both sums are symmetric, so each takes the terms below its
-    middle twice and the middle term once."""
+    all above mn-1, one int64 lane per prime; both sums are symmetric, so
+    each takes the terms below its middle twice and the middle term once.
+    One CRT then gives c(m, n) modulo the primes' product, and the count is
+    that times (mn-1)!, reduced once more.  The fill holds about 12 bytes per
+    prime and cell of c: the int64 residues and the int32 inverses of ab-1."""
     import numpy as np
 
     q = np.array(primes, dtype=np.int64)
@@ -261,7 +245,12 @@ def _scaled_residues(m: int, n: int, primes: list[int]) -> list[int]:
             value %= q
             value *= inverse[a - 2, b]
             np.remainder(value, q, out=row[b])
-    return c[m - 2, n].tolist()
+    modulus = math.prod(primes)
+    scaled = 0
+    for r, p in zip(c[m - 2, n].tolist(), primes):
+        rest = modulus // p
+        scaled += r * pow(rest, -1, p) % p * rest
+    return scaled * math.factorial(m * n - 1) % modulus
 
 
 def chocolate2(n: int, table: ChocolateTable | None = None) -> int:

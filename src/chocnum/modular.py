@@ -12,9 +12,9 @@ which need no binomial weights; any other modulus walks a Pascal row, which
 the int64-dot kernel reduces, with its products, only when a running bound
 on their entries says int64 would not hold the next step.  Several moduli
 share one kernel pass mod their lcm (``chocolate2_mod_many``).
-numpy is imported on first use, inside ``chocolate2_mod`` only: it is most
-of the package's import time, and the exact counts, factorizations, series
-checks and period detection never need it.
+numpy is imported on first use, inside ``chocolate2_mod`` and the residue
+route of ``chocolate_number``: it is most of the package's import time, and
+factorizations, series checks and period detection never need it.
 """
 
 from __future__ import annotations

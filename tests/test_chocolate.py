@@ -5,6 +5,7 @@ import importlib
 import inspect
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -194,13 +195,32 @@ def test_route_agrees_with_the_big_integer_fill_at_the_crossover(monkeypatch, m,
     assert bool(routed) is route
 
 
+@pytest.mark.parametrize("m,n", [(2, 600), (10, 200)])
+def test_residue_fill_holds_at_most_16_bytes_per_prime_and_cell(m, n):
+    # one pass holds the int64 residues and the int32 inverses of ab-1 for
+    # (m-1)(n+1) cells per prime; a second table that size would pass 16.
+    # numpy is loaded first, so its import is not counted
+    importlib.import_module("numpy")
+
+    top, breaks = m * n - 1, m * (n - 1) + n * (m - 1)
+    primes = chocolate_mod._fewest_primes(breaks**top, top)
+    tracemalloc.start()
+    try:
+        chocolate_mod._count_from_residues(m, n, primes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * (m - 1) * (n + 1) * len(primes)
+
+
 def test_route_matches_chocolate2_on_a_long_bar():
     # two kinds of arithmetic: residues and a CRT against big integers
     assert chocolate_number(2, 600) == chocolate2(600)
 
 
 def test_squares_stay_on_big_integers():
-    # squares lost to the big integers at every size measured, up to 72 x 72
+    # squares run faster on residues but hold far more memory: the process
+    # peaked at 42 MiB (40 x 40) and 64 MiB (50 x 50) against 29 MiB
     for s in (40, 72, 100, 400):
         assert chocolate_mod._residue_primes(s, s, {}) is None
 

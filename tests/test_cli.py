@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import hashlib
 import io
 import json
 import os
@@ -572,6 +573,21 @@ def test_conjecture_csv_round_trips(capsys):
 
 
 # ------------------------------------------------------------------ misc
+
+
+@pytest.mark.parametrize("argv,digest", [
+    ("mod --seq b --modulus 2,9,43,999983,55447790 --max 3000",
+     "5c6faf190eeb94699e708f497a29bbc2aff235cc627ed16f96dc0e8216f3a609"),
+    ("mod --seq b --modulus 8,12,3999932 --max 3000",
+     "2fb66a3027028eccae9299cdc9a55c8f162cfe8ee3131d1f807c341fb6ddca56"),
+    ("conjecture --id 2 --primes 4,6,8,10 --max 1500",
+     "ce729ae6620d66ef58930de7e3842b5dba0a15b2b1913e70cf800bbf2317ee15"),
+])
+def test_stdout_matches_the_ci_digest(capsys, argv, digest):
+    # the sha256 digests that the CI smoke step checks for these commands
+    code, out, _ = run(capsys, *argv.split())
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def listed_fields(help_text):
