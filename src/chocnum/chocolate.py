@@ -162,13 +162,23 @@ def _residue_primes(m: int, n: int, memo: dict) -> list[int] | None:
     process peaked at 42 and 64 MiB against 29 MiB.
     E = m(n-1) + n(m-1) bounds the breaks one state offers, since every
     available break cuts interior unit edges that no other available break
-    cuts; the mn-1 moves then bound the count by E^(mn-1).
+    cuts.  The primes bound the count by ``_count_bound``.
     """
     top = m * n - 1
     breaks = m * (n - 1) + n * (m - 1)
     if m < 2 or memo or n < 4 * m or top * breaks.bit_length() < 900 * m:
         return None
-    return _fewest_primes(breaks**top, top)
+    return _fewest_primes(_count_bound(m, n), top)
+
+
+def _count_bound(a: int, b: int) -> int:
+    """(a+b-2) (ab-2)!, an upper bound on count(a, b) for ab >= 2, equal at
+    2 x 2.  The scaled counts c(a, b) = count(a, b) / (ab-1)! have
+    c(1, b) = c(a, 1) = 1, and the scaled recursion (``_count_from_residues``)
+    divides a sum of a+b-2 products of smaller ones by ab-1 >= a+b-2.  So by
+    induction every c <= 1, then c(a, b) <= (a+b-2) / (ab-1), and
+    count(a, b) = (ab-1)! c(a, b) <= (a+b-2) (ab-2)!."""
+    return (a + b - 2) * math.factorial(a * b - 2)
 
 
 def _fewest_primes(bound: int, floor: int) -> list[int] | None:

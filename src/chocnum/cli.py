@@ -2,8 +2,9 @@
 
 Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all checks
 pass/consistent, 1 a verifiable claim failed, 2 usage error, 3 unresolved
-(insufficient evidence), 130 interrupted (Ctrl-C), 141 stdout closed early
-by its reader.  Big integers are always printed as exact decimal strings.
+(insufficient evidence), 4 out of memory, 130 interrupted (Ctrl-C), 141
+stdout closed early by its reader.  Big integers are always printed as
+exact decimal strings.
 """
 
 from __future__ import annotations
@@ -47,6 +48,7 @@ EXIT_OK = 0
 EXIT_FAILED = 1
 EXIT_USAGE = 2
 EXIT_UNRESOLVED = 3
+EXIT_OUT_OF_MEMORY = 4
 EXIT_INTERRUPTED = 130  # 128 + SIGINT
 EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a killed writer
 
@@ -98,7 +100,7 @@ csv/jsonl fields per subcommand:
 {fields_table}
 
 exit codes: 0 ok, 1 a verifiable claim failed, 2 usage error, 3 unresolved,
-130 interrupted, 141 stdout closed early by its reader.
+4 out of memory, 130 interrupted, 141 stdout closed early by its reader.
 The default cache directory may be named in the CHOCNUM_CACHE environment
 variable; --cache overrides it.  No cache is touched unless one is named.
 """
@@ -381,6 +383,10 @@ def main(argv=None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except MemoryError:
+        # the failed allocation's frames are gone, so one line still prints
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_OUT_OF_MEMORY
     # CacheFormatError is a ValueError
     except (OSError, ValueError, SequenceFrontierError) as exc:
         print(f"error: {exc}", file=sys.stderr)

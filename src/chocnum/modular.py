@@ -4,14 +4,16 @@ divisibility-propagation certificates, the forced mod-3 pattern, eventual
 period detection, and the three-conjecture scan harness.
 
 Residues are always normalized to [0, m).  The long-prefix computations are
-vectorized with numpy (int64 while the modulus allows exact products,
-object dtype beyond that) because the prefix cost is quadratic in n.
+vectorized with numpy in int64 because the prefix cost is quadratic in n.
 When every 2n-1 is invertible mod m (the odd part of m has no prime factor
 below 2n), the 2 x n residues come from the scaled counts B_n / (2n-1)!,
-which need no binomial weights; any other modulus walks a Pascal row, which
-the int64-dot kernel reduces, with its products, only when a running bound
-on their entries says int64 would not hold the next step.  Several moduli
-share one kernel pass mod their lcm (``chocolate2_mod_many``).
+which need no binomial weights: each step is one int64 dot, of the residues
+while int64 holds it and of the residues split into limbs beyond that.  Any
+other modulus walks a Pascal row, in int64 while the products fit (the
+int64-dot kernel reduces the row and the products only when a running
+bound on their entries says int64 would not hold the next step) and in
+Python integers beyond that.  Several moduli share one kernel pass mod
+their lcm (``chocolate2_mod_many``).
 numpy is imported on first use, inside ``chocolate2_mod`` and the residue
 route of ``chocolate_number``: it is most of the package's import time, and
 factorizations, series checks and period detection never need it.
@@ -23,7 +25,7 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 
-from .arith import binomial_mod_prime, divides_factorial, is_prime
+from .arith import divides_factorial, is_prime
 
 # products of two residues must stay exact in int64
 _INT64_SAFE_MODULUS = 3_037_000_499
@@ -35,17 +37,21 @@ UNRESOLVED = "UNRESOLVED"
 
 
 def residue_kernel(n_max: int, m: int) -> str:
-    """Name of the arithmetic ``chocolate2_mod(n_max, m)`` runs on, on
-    either of its routes.
+    """Name of the int64 precondition class of ``chocolate2_mod(n_max, m)``,
+    which picks the arithmetic of either of its routes.
 
     ``"int64-dot"``: every product of two residues fits int64 and so does a
-    dot of fewer than n_max of them, so each step takes one int64 dot: of
-    reduced residues on the scaled route, and on the Pascal route of row
+    dot of fewer than n_max of them.  The scaled route takes one int64 dot
+    of reduced residues per step; the Pascal route one int64 dot of row
     entries and products that are reduced only when a running bound says
-    int64 might not hold the next step.  ``"int64"``: the products fit
-    (m <= 3 037 000 499) but a dot product might not, so every product is
-    reduced before the sum.  ``"object"``: not even one product fits, so
-    Python integers carry an exact dot product, reduced once per step.
+    int64 might not hold the next step.
+    ``"int64"``: the products fit (m <= 3 037 000 499) but a dot product
+    might not.  The scaled route splits the residues into limbs, whose
+    int64 matmul stays exact; the Pascal route reduces every product before
+    the sum.
+    ``"object"``: not even one product fits.  The scaled route runs on
+    limbs as for ``"int64"``; the Pascal route carries Python integers, an
+    exact dot reduced once per step.
     """
     n_max, m = operator.index(n_max), operator.index(m)
     if m > _INT64_SAFE_MODULUS:
@@ -97,26 +103,98 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     only i < n/2 is summed, the sum is doubled, and the middle term is
     added when n is even.  Memory stays O(n_max).
 
-    ``residue_kernel`` picks the arithmetic of either route, checking its
-    int64 precondition at run time.  ``"int64-dot"`` (m <= 3 037 000 499
-    and n_max (m-1)^2 < 2^63): on the scaled route one int64 dot of h < n_max
-    reduced residues, which stays below h (m-1)^2 < 2^63.  On the Pascal
-    route a bound on the row entries starts at m-1 and grows 4x per step;
-    with LIM = 2^63 - 1 and h = (n_max-1)//2 dot terms at most, the row is
-    reduced once the bound passes min(LIM // 4, LIM // (h (m-1))), so the
-    next step and a dot with reduced products stay in int64, and the
-    products only while it exceeds LIM // (h (m-1)^2).  ``"int64"``
-    (m <= 3 037 000 499 only): every product is reduced before the sum,
-    and the Pascal row every step.  ``"object"``: Python integers carry an
-    exact dot product, so the result is exact for every modulus.
+    ``residue_kernel`` names the int64 precondition class, checked at run
+    time, that picks the arithmetic.  With h < n_max dot terms and
+    h_max = (n_max-1)//2 the most of them:
+
+    - scaled route, ``"int64-dot"`` (m <= 3 037 000 499 and
+      n_max (m-1)^2 < 2^63): one int64 dot of reduced residues, which stays
+      below h (m-1)^2 < 2^63.
+    - scaled route, ``"int64"`` and ``"object"``: each c_n is held as L
+      limbs of w = (62 - h_max.bit_length()) // 2 bits, and the sum is one
+      int64 (L x h) @ (h x L) matmul of the limbs.  Every entry is below
+      h 2^(2w) <= 2^62, and Python recombines the L^2 entries, shifted by
+      their limbs' weights, into the exact sum.
+    - Pascal route, ``"int64-dot"``: a bound on the row entries starts at
+      m-1 and grows 4x per step.  With LIM = 2^63 - 1, the row is reduced
+      once the bound passes min(LIM // 4, LIM // (h_max (m-1))), so the
+      next step and a dot with reduced products stay in int64, and the
+      products only while it exceeds LIM // (h_max (m-1)^2).
+    - Pascal route, ``"int64"`` (m <= 3 037 000 499 only): every product is
+      reduced before the sum, and the row every step.
+    - Pascal route, ``"object"``: Python integers carry an exact dot
+      product, so the result is exact for every modulus.
     """
     n_max, m = operator.index(n_max), operator.index(m)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    import numpy as np
     kernel = residue_kernel(n_max, m)
+    facts = _unit_factorials(n_max, m)
+    if facts is None:
+        return _pascal_residues(n_max, m, kernel)
+    scaled = _scaled_dot if kernel == "int64-dot" else _scaled_limbs
+    return [f * c % m for f, c in zip(facts, scaled(n_max, m))]
+
+
+def _scaled_dot(n_max: int, m: int) -> list[int]:
+    """The scaled counts c_1..c_n_max mod m, each step one int64 dot of
+    residues; the ``"int64-dot"`` precondition must hold."""
+    import numpy as np
+
+    c = np.zeros(n_max + 1, dtype=np.int64)  # c[n] = B_n / (2n-1)! mod m
+    c[1] = 1
+    for n in range(2, n_max + 1):
+        h = (n - 1) // 2  # pairs (j, n-j) with j < n/2
+        s = 1 + 2 * int(np.dot(c[1 : h + 1], c[n - 1 : n - h - 1 : -1]))
+        if n % 2 == 0:
+            s += int(c[n // 2]) ** 2
+        c[n] = s % m * pow(2 * n - 1, -1, m) % m
+    return c[1:].tolist()
+
+
+def _scaled_limbs(n_max: int, m: int) -> list[int]:
+    """The scaled counts c_1..c_n_max mod any m, each step one int64 matmul
+    of limbs of w bits (see ``chocolate2_mod``)."""
+    import numpy as np
+
+    w = _limb_width(n_max)
+    shifts = [w * k for k in range(-(-(m - 1).bit_length() // w))]  # limb weights
+    mask = (1 << w) - 1
+    top = n_max + 1
+    c = np.zeros((len(shifts), top + 1), dtype=np.int64)  # c[k, n]: limb k of c_n
+    rev = np.zeros((top + 1, len(shifts)), dtype=np.int64)  # rev[top - n] = c[:, n]
+    values = [0, 1]  # values[n] = c_n mod m
+    c[0, 1] = rev[top - 1, 0] = 1
+    for n in range(2, n_max + 1):
+        h = (n - 1) // 2  # pairs (j, n-j) with j < n/2
+        products = np.dot(c[:, 1 : h + 1], rev[top - n + 1 : top - n + h + 1]).tolist()
+        s = 0
+        for row, a in zip(products, shifts):
+            for x, b in zip(row, shifts):
+                s += x << (a + b)
+        s = 1 + 2 * s
+        if n % 2 == 0:
+            s += values[n // 2] ** 2
+        value = s % m * pow(2 * n - 1, -1, m) % m
+        values.append(value)
+        c[:, n] = rev[top - n] = [value >> k & mask for k in shifts]
+    return values[1:]
+
+
+def _limb_width(n_max: int) -> int:
+    """Bits per limb at n_max: h_max 2^(2w) <= 2^62 for h_max = (n_max-1)//2,
+    the most terms of one dot."""
+    return (62 - ((n_max - 1) // 2).bit_length()) // 2
+
+
+def _pascal_residues(n_max: int, m: int, kernel: str) -> list[int]:
+    """B_1..B_n_max mod m on half Pascal rows (see ``chocolate2_mod``).  The
+    row steps and the products go into buffers allocated once; a reversed
+    copy of the residues makes both factors of the products contiguous."""
+    import numpy as np
+
     dtype = object if kernel == "object" else np.int64
 
     def reduce(x):
@@ -128,24 +206,17 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
             x -= x // m * m
         return x
 
-    facts = _unit_factorials(n_max, m)
-    if facts is not None:
-        c = np.zeros(n_max + 1, dtype=dtype)  # c[n] = B_n / (2n-1)! mod m
-        c[1] = 1
-        for n in range(2, n_max + 1):
-            h = (n - 1) // 2  # pairs (j, n-j) with j < n/2
-            lo, hi = c[1 : h + 1], c[n - 1 : n - h - 1 : -1]
-            s = int(reduce(lo * hi).sum()) if kernel == "int64" else int(np.dot(lo, hi))
-            s = 1 + 2 * s + (int(c[n // 2]) ** 2 if n % 2 == 0 else 0)
-            c[n] = s % m * pow(2 * n - 1, -1, m) % m
-        return [f * int(x) % m for f, x in zip(facts, c[1:])]
-
-    out = np.zeros(n_max + 1, dtype=dtype)
-    out[1] = 1 % m
+    top = n_max + 1
+    out = np.zeros(top + 1, dtype=dtype)  # out[n] = B_n mod m
+    rev = np.zeros(top + 1, dtype=dtype)  # rev[top - n] = out[n]
+    values = [0, 1 % m]  # the same, for scalar reads
+    out[1] = rev[top - 1] = 1 % m
     # row[k + 2] = C(r, k) mod m for k = 0..r/2 at r = 2n-2; two leading
     # zeros stand for C(r, -2) and C(r, -1)
     row = np.zeros(n_max + 3, dtype=dtype)
     row[2] = 1 % m
+    odd = np.zeros(n_max + 2, dtype=dtype)  # odd[j] = C(r+1, j-1)
+    prods = np.zeros(max(1, (n_max - 1) // 2), dtype=dtype)
 
     # row entries stay <= bound; caps of 0 reduce row and products every step
     bound, row_cap, prod_cap = m - 1, 0, 0
@@ -158,8 +229,8 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
         # row r = 2n-4 to r + 2 = 2n-2; C(r, n-1) = C(r, n-3) by symmetry
         row[n + 1] = row[n - 1]
         # two Pascal steps: odd[j] = C(r+1, j-1), then C(r+2, k) = odd[k+1] + odd[k]
-        odd = row[1 : n + 2] + row[0 : n + 1]
-        row[2 : n + 2] = odd[1:] + odd[:-1]
+        np.add(row[1 : n + 2], row[: n + 1], out=odd[: n + 1])
+        np.add(odd[1 : n + 1], odd[:n], out=row[2 : n + 2])
         bound *= 4
         if bound > row_cap:
             reduce(row[2 : n + 2])
@@ -168,19 +239,20 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
             fact = fact * ((2 * n - 3) % m) % m * ((2 * n - 2) % m) % m
         h = (n - 1) // 2  # pairs (i, n-i) with i < n/2
         weights = row[3 : 2 * h + 2 : 2]  # C(2n-2, 2i-1), i = 1..h
-        prods = out[1 : h + 1] * out[n - 1 : n - h - 1 : -1]
+        p = np.multiply(out[1 : h + 1], rev[top - n + 1 : top - n + h + 1], out=prods[:h])
         if kernel == "int64":
-            s = int(reduce(reduce(prods) * weights).sum())
+            s = int(reduce(np.multiply(reduce(p), weights, out=p)).sum())
         elif kernel == "int64-dot":
-            s = int(np.dot(weights, reduce(prods) if bound > prod_cap else prods))
+            s = int(np.dot(weights, reduce(p) if bound > prod_cap else p))
         else:
-            s = int(np.dot(weights, prods))
+            s = int(np.dot(weights, p))
         s = 2 * s % m
         if n % 2 == 0:
-            b = int(out[n // 2])
+            b = values[n // 2]
             s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
-        out[n] = (fact + s) % m
-    return [int(x) for x in out[1:]]
+        values.append((fact + s) % m)
+        out[n] = rev[top - n] = values[n]
+    return values[1:]
 
 
 def chocolate2_mod_many(n_max: int, moduli) -> list[list[int]]:
@@ -338,20 +410,45 @@ def mod3_pattern_check(n_max: int) -> bool:
     return all(residues[n - 1] == (1 if n % 3 == 2 else 2) for n in range(2, n_max + 1))
 
 
+def _odd_class_sum_mod3(n: int, r: int) -> int:
+    """The sum of C(n, i) mod 3 over every i = r mod 6, for odd r.
+
+    By Lucas' theorem C(n, i) = prod_k C(n_k, i_k) mod 3 over the base-3
+    digits, and each i is one choice of digits i_k <= n_k.  i mod 3 is its
+    lowest digit, and i mod 2 the parity of its digit sum, since 3 is odd.
+    So the digits are walked from the lowest, the lowest fixed to r mod 3,
+    keeping for each parity of the digit sum so far the sum mod 3 of the
+    products of the digit binomials; the odd one is the answer."""
+    n, digit = divmod(n, 3)
+    sums = [0, 0]  # by parity of the digit sum
+    if r % 3 <= digit:
+        sums[r % 3 % 2] = math.comb(digit, r % 3)
+    while n:
+        n, digit = divmod(n, 3)
+        new = [0, 0]
+        for k in range(digit + 1):
+            for parity in (0, 1):
+                new[parity ^ k % 2] += sums[parity] * math.comb(digit, k)
+        sums = [x % 3 for x in new]
+    return sums[1]
+
+
 def binom_sum_1_mod6(n: int) -> int:
     """(C(n,1) + C(n,7) + ... + C(n,n-1)) mod 3 for n = 2 mod 6, n > 2;
-    the mod-3 pattern proof needs this to be 1 in that range."""
+    the mod-3 pattern proof needs this to be 1 in that range.  These are
+    all the nonzero C(n, i) with i = 1 mod 6, summed digit by digit."""
     if n <= 2 or n % 6 != 2:
         raise ValueError(f"n must be > 2 with n = 2 mod 6, got {n}")
-    return sum(binomial_mod_prime(n, i, 3) for i in range(1, n, 6)) % 3
+    return _odd_class_sum_mod3(n, 1)
 
 
 def binom_sum_5_mod6(n: int) -> int:
     """(C(n,5) + C(n,11) + ... + C(n,n-5)) mod 3 for n = 4 mod 6, n > 4;
-    the mod-3 pattern proof needs this to be 0 in that range."""
+    the mod-3 pattern proof needs this to be 0 in that range.  These are
+    all the nonzero C(n, i) with i = 5 mod 6, summed digit by digit."""
     if n <= 4 or n % 6 != 4:
         raise ValueError(f"n must be > 4 with n = 4 mod 6, got {n}")
-    return sum(binomial_mod_prime(n, i, 3) for i in range(5, n - 4, 6)) % 3
+    return _odd_class_sum_mod3(n, 5)
 
 
 @dataclass(frozen=True)

@@ -169,8 +169,8 @@ def seeded_table():
 
 def residue_count(m, n):
     """The residue fill of any bar, whatever the route rule says."""
-    top, breaks = m * n - 1, m * (n - 1) + n * (m - 1)
-    return chocolate_mod._count_from_residues(m, n, chocolate_mod._fewest_primes(breaks**top, top))
+    primes = chocolate_mod._fewest_primes(chocolate_mod._count_bound(m, n), m * n - 1)
+    return chocolate_mod._count_from_residues(m, n, primes)
 
 
 def test_residue_fill_matches_the_big_integer_fill():
@@ -202,8 +202,7 @@ def test_residue_fill_holds_at_most_16_bytes_per_prime_and_cell(m, n):
     # numpy is loaded first, so its import is not counted
     importlib.import_module("numpy")
 
-    top, breaks = m * n - 1, m * (n - 1) + n * (m - 1)
-    primes = chocolate_mod._fewest_primes(breaks**top, top)
+    primes = chocolate_mod._residue_primes(m, n, {})
     tracemalloc.start()
     try:
         chocolate_mod._count_from_residues(m, n, primes)
@@ -232,6 +231,23 @@ def test_count_bound_holds_on_every_bar_of_area_up_to_400():
         for n in range(m, 400 // m + 1):
             breaks = m * (n - 1) + n * (m - 1)
             assert chocolate_number(m, n, table) <= breaks ** (m * n - 1), (m, n)
+
+
+def test_residue_route_bound_holds_and_is_tight_at_2_x_2():
+    # (a+b-2) (ab-2)! bounds every bar but 1 x 1, which has no move
+    table = ChocolateTable()
+    bars = [(a, b) for a in range(1, 13) for b in range(a, 13) if a * b > 1]
+    bars += [(2, n) for n in range(13, 301)]
+    for a, b in bars:
+        assert chocolate_number(a, b, table) <= chocolate_mod._count_bound(a, b), (a, b)
+    assert chocolate_mod._count_bound(2, 2) == chocolate_number(2, 2) == 4
+
+
+@pytest.mark.parametrize("m,n,primes", [(2, 182, 99), (2, 1200, 904), (10, 200, 733)])
+def test_residue_route_takes_the_primes_of_its_bound(m, n, primes):
+    got = chocolate_mod._residue_primes(m, n, {})
+    assert len(got) == primes
+    assert math.prod(got[:-1]) <= chocolate_mod._count_bound(m, n) < math.prod(got)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 2**26, 2**100, 10**1000, 2400**2399],

@@ -227,6 +227,16 @@ def test_gen_cache_keeps_the_work_of_an_interrupted_fill(capsys, tmp_path, monke
     assert tables[-1].computed == 59 - 20
 
 
+def test_out_of_memory_ends_in_one_stderr_line(capsys, monkeypatch):
+    def exhausted(n_max, moduli):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "chocolate2_mod_many", exhausted)
+    code, out, err = run(capsys, "mod", "--seq", "b", "--modulus", "9", "--max", "5")
+    assert (code, out, err) == (cli.EXIT_OUT_OF_MEMORY, "", "error: out of memory\n")
+    assert "4 out of memory" in run(capsys, "--help")[1]
+
+
 def test_gen_cache_env_var_names_default_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _, _ = run(capsys, "gen", "--seq", "b", "--max", "3")
@@ -582,6 +592,9 @@ def test_conjecture_csv_round_trips(capsys):
      "2fb66a3027028eccae9299cdc9a55c8f162cfe8ee3131d1f807c341fb6ddca56"),
     ("conjecture --id 2 --primes 4,6,8,10 --max 1500",
      "ce729ae6620d66ef58930de7e3842b5dba0a15b2b1913e70cf800bbf2317ee15"),
+    # above the int64-dot bound: the scaled route's limb matmuls
+    ("mod --seq b --modulus 3037000493,3037000507,4294967311 --max 3000",
+     "d653ab4b4eb8a26ec3c8e4ff7a45453683e5e76c7cc7a4a039a3c39c8593c64b"),
 ])
 def test_stdout_matches_the_ci_digest(capsys, argv, digest):
     # the sha256 digests that the CI smoke step checks for these commands

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import chocnum.modular as modular_mod
-from chocnum.arith import binomial, divides_factorial
+from chocnum.arith import binomial, binomial_mod_prime, divides_factorial, factor, is_prime
 from chocnum.chocolate import ChocolateTable, chocolate2
 from chocnum.modular import (
     CONSISTENT,
@@ -197,6 +197,95 @@ def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel)
 def test_chocolate2_mod_route_boundaries(n_max, m, scaled):
     assert scaled_route(n_max, m) == scaled
     assert chocolate2_mod(n_max, m) == full_row_chocolate2_mod(n_max, m)
+
+
+def int64_dot_edge(n_max):
+    """The largest modulus with n_max (m-1)^2 < 2^63: the int64-dot kernel's."""
+    return isqrt((2**63 - 1) // n_max) + 1
+
+
+def fuzz_moduli(seed, n_max, count):
+    """Random moduli on both routes, each side of every kernel bound at n_max:
+    the int64-dot edge and 3 037 000 499, the last modulus with int64
+    products.  A Pascal-route modulus is a multiple of 3, and a scaled-route
+    one a power of 2 times a prime above 2 n_max."""
+
+    def prime_from(x, step):
+        while not is_prime(x):
+            x += step
+        return x
+
+    rng = random.Random(seed)
+    moduli = []
+    for bound in (int64_dot_edge(n_max), INT64_SAFE):
+        for _ in range(count):
+            off = rng.randint(0, 40)
+            below, above = bound - off, bound + 1 + off
+            moduli += [below, above, below - below % 3, above + -above % 3,
+                       prime_from(below, -1) << rng.randrange(3),
+                       prime_from(above, 1) << rng.randrange(3)]
+    for bits in (12, 20, 40, 70):
+        moduli.append(3 * rng.randrange(1, 2**bits))
+        moduli.append(prime_from(rng.randrange(2 * n_max, 2**bits), 1) << rng.randrange(3))
+    return moduli
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_chocolate2_mod_fuzz_across_the_kernel_bounds(seed):
+    n_max = 150
+    want_exact = exact_b(n_max)
+    seen = set()
+    for m in fuzz_moduli(seed, n_max, 3):
+        seen.add((scaled_route(n_max, m), residue_kernel(n_max, m)))
+        got = chocolate2_mod(n_max, m)
+        assert got == full_row_chocolate2_mod(n_max, m), m
+        assert got == [v % m for v in want_exact], m
+    # every route meets every kernel
+    assert seen == {(r, k) for r in (False, True) for k in ("int64-dot", "int64", "object")}
+
+
+def crt_reference(n_max, m):
+    """chocolate2_mod(n_max, m) joined by CRT from its prime-power factors,
+    each of which runs its own kernel pass, mostly with other caps."""
+    residues, modulus = [0] * n_max, 1
+    for p, e in factor(m).factors:
+        q = p**e
+        for n, r in enumerate(chocolate2_mod(n_max, q)):
+            t = (r - residues[n]) * pow(modulus, -1, q) % q
+            residues[n] += modulus * t
+        modulus *= q
+    assert modulus == m
+    return residues
+
+
+def test_int64_dot_edge_at_3000_matches_its_prime_power_parts():
+    # 55 447 790 is the last modulus the int64-dot kernel takes at n = 3000,
+    # which then reduces its Pascal row and products every step; merging the
+    # two caps into one overflows int64 here
+    edge = int64_dot_edge(3000)
+    assert edge == 55_447_790
+    assert residue_kernel(3000, edge) == "int64-dot" != residue_kernel(3000, edge + 1)
+    for m in (edge - 3, edge, edge + 1):
+        assert not scaled_route(3000, m), m
+        assert chocolate2_mod(3000, m) == crt_reference(3000, m), m
+
+
+def test_limb_width_keeps_every_matmul_entry_below_2_62():
+    for n_max in itertools.chain(range(1, 70), (2**k + d for k in range(6, 40) for d in (-1, 0, 1, 2))):
+        h, w = (n_max - 1) // 2, modular_mod._limb_width(n_max)
+        assert h * 2 ** (2 * w) <= 2**62 and w >= 11, n_max
+
+
+@pytest.mark.parametrize("m", [2**64 + 13, 10**30 + 57, FALLBACK_INT64, OBJECT])
+def test_limbs_at_their_width_boundaries(m):
+    # (n_max - 1) // 2 crosses 64 and 128 here, so the limb width changes
+    widths = set()
+    for n_max in (1, 2, 3, 127, 128, 129, 130, 255, 256, 257, 258):
+        assert scaled_route(n_max, m)
+        assert residue_kernel(n_max, m) != "int64-dot" or n_max == 1
+        widths.add(modular_mod._limb_width(n_max))
+        assert chocolate2_mod(n_max, m) == [v % m for v in exact_b(n_max)], n_max
+    assert len(widths) == 4
 
 
 def recorded_kernel_moduli(monkeypatch):
@@ -631,6 +720,19 @@ def test_binom_sums_reject_out_of_class_n():
 def test_binomial_sums_match_direct_definition():
     assert binom_sum_1_mod6(8) == (binomial(8, 1) + binomial(8, 7)) % 3
     assert binom_sum_5_mod6(10) == binomial(10, 5) % 3
+
+
+def termwise_binom_sum(n, first, stop):
+    """sum C(n, i) mod 3 over i = first, first + 6, ... below stop, by
+    Lucas' theorem term by term."""
+    return sum(binomial_mod_prime(n, i, 3) for i in range(first, stop, 6)) % 3
+
+
+def test_binom_sums_match_the_termwise_sum_below_3000():
+    for n in range(8, 3000, 6):
+        assert binom_sum_1_mod6(n) == termwise_binom_sum(n, 1, n), n
+    for n in range(10, 3000, 6):
+        assert binom_sum_5_mod6(n) == termwise_binom_sum(n, 5, n - 4), n
 
 
 # -------------------------------------------------------------- scan harness
