@@ -24,7 +24,6 @@ from .chocolate import (
     SequenceFrontierError,
     SequenceKind,
     SequenceSpec,
-    chocolate2,
     chocolate_number,
     generate,
     load_cache,
@@ -213,7 +212,7 @@ def _cmd_factor(args):
     if len(args.index) != len(index):
         raise ValueError(f"factor --seq {args.seq} takes --index "
                          + " ".join(name.upper() for name in index))
-    value = chocolate2(*args.index) if args.seq == "b" else chocolate_number(*args.index)
+    value = chocolate_number(2 if args.seq == "b" else args.index[0], args.index[-1])
     return fields, [(*args.index, value, str(factor(value)))], EXIT_OK
 
 

@@ -5,15 +5,15 @@ period detection, and the three-conjecture scan harness.
 
 Residues are always normalized to [0, m).  The long-prefix computations are
 vectorized with numpy in int64 because the prefix cost is quadratic in n.
-When every 2n-1 is invertible mod m (the odd part of m has no prime factor
-below 2n), the 2 x n residues come from the scaled counts B_n / (2n-1)!,
-which need no binomial weights: each step is one int64 dot, of the residues
-while int64 holds it and of the residues split into limbs beyond that.  Any
-other modulus walks a Pascal row, in int64 while the products fit (the
-int64-dot kernel reduces the row and the products only when a running
-bound on their entries says int64 would not hold the next step) and in
-Python integers beyond that.  Several moduli share one kernel pass mod
-their lcm (``chocolate2_mod_many``).
+The 2 x n residues split m into a rough part, coprime to every odd number
+below 2n, and a smooth part, joined by one CRT.  The rough part takes the
+scaled counts B_n / (2n-1)!, which need no binomial weights: each step is
+one int64 dot, of the residues while int64 holds it and of the residues
+split into limbs beyond that.  The smooth part walks a Pascal row, in int64
+while the products fit (the int64-dot kernel reduces the row and the
+products only when a running bound on their entries says int64 would not
+hold the next step) and in Python integers beyond that.  Several moduli
+share one kernel pass mod their lcm (``chocolate2_mod_many``).
 numpy is imported on first use, inside ``chocolate2_mod`` and the residue
 route of ``chocolate_number``: it is most of the package's import time, and
 factorizations, series checks and period detection never need it.
@@ -37,8 +37,8 @@ UNRESOLVED = "UNRESOLVED"
 
 
 def residue_kernel(n_max: int, m: int) -> str:
-    """Name of the int64 precondition class of ``chocolate2_mod(n_max, m)``,
-    which picks the arithmetic of either of its routes.
+    """Name of the int64 precondition class of a kernel pass mod m up to
+    n_max, which picks the arithmetic of either route of ``chocolate2_mod``.
 
     ``"int64-dot"``: every product of two residues fits int64 and so does a
     dot of fewer than n_max of them.  The scaled route takes one int64 dot
@@ -61,51 +61,43 @@ def residue_kernel(n_max: int, m: int) -> str:
     return "int64"
 
 
-def _unit_factorials(n_max: int, m: int) -> list[int] | None:
-    """(2n-1)! mod m for n = 1..n_max when every odd number below 2 n_max is
-    a unit mod m, i.e. the odd part q of m has no prime factor below
-    2 n_max: q = 1, or q >= 2 n_max and gcd((2n_max-1)! mod m, q) = 1.
-    Otherwise None, at once when 1 < q < 2 n_max.  A running product of
-    small ints, never the factorial itself."""
-    q = m // (m & -m)
-    if 1 < q < 2 * n_max:
-        return None
-    facts = [1]
-    for k in range(3, 2 * n_max, 2):
-        facts.append(facts[-1] * (k - 1) * k % m)
-    return facts if math.gcd(facts[-1], q) == 1 else None
-
-
 def chocolate2_mod(n_max: int, m: int) -> list[int]:
     """Residues of the 2 x n break counts B_1..B_n_max mod m, computed
-    entirely in residue arithmetic, by one of two routes.
+    entirely in residue arithmetic.  m = s r: the rough part r is the
+    largest factor of m coprime to every odd number below 2 n_max, the
+    smooth part s the rest, and the powers of 2 of m go to s unless s = 1,
+    for they ride free on Pascal rows.  r takes the scaled route, s walks
+    Pascal rows, and one CRT per index joins them; a modulus that is all
+    rough or all smooth runs its one route alone.
 
-    Scaled route, whenever every 2n-1 <= 2n_max-1 is invertible mod m (the
-    odd part of m has no prime factor below 2 n_max; powers of 2 qualify):
-    the scaled counts c_n = B_n / (2n-1)! satisfy
+    Scaled route, for r: every 2n-1 <= 2n_max-1 is a unit mod r, and the
+    scaled counts c_n = B_n / (2n-1)! satisfy
 
         (2n-1) c_n = 1 + sum_{j=1}^{n-1} c_j c_{n-j},  c_1 = 1,
 
     which divides by odd numbers only, so each step is one dot product of
     residues and one modular inverse, and B_n = (2n-1)! c_n at the end.
+    The running product (2n-1)! mod m also finds r: the odd part of m,
+    divided by its gcd with (2n_max-1)! until the two are coprime.  An odd
+    part below 2 n_max is all smooth and needs no product.
 
-    Pascal route, for every other modulus:
+    Pascal route, for s:
 
         B_n = (2n-2)! + sum_{i=1}^{n-1} C(2n-2, 2i-1) B_i B_{n-i}.
 
     The factorial term is a running product that sticks at 0 once it hits 0.
-    Half row: the weights come from C(r, 0..r/2+1) mod m alone, the rest
-    following from C(r, k) = C(r, r-k).  The half row advances two rows per
+    Half row: the weights come from C(t, 0..t/2+1) mod s alone, the rest
+    following from C(t, k) = C(t, t-k).  The half row advances two rows per
     n, by two Pascal steps that together give
-    C(r+2, k) = C(r, k) + 2 C(r, k-1) + C(r, k-2).
+    C(t+2, k) = C(t, k) + 2 C(t, k-1) + C(t, k-2).
 
     Half sum, on both routes: the summand is symmetric under i <-> n-i, so
     only i < n/2 is summed, the sum is doubled, and the middle term is
     added when n is even.  Memory stays O(n_max).
 
-    ``residue_kernel`` names the int64 precondition class, checked at run
-    time, that picks the arithmetic.  With h < n_max dot terms and
-    h_max = (n_max-1)//2 the most of them:
+    ``residue_kernel`` names the int64 precondition class of each part m,
+    checked at run time, that picks its arithmetic.  With h < n_max dot
+    terms and h_max = (n_max-1)//2 the most of them:
 
     - scaled route, ``"int64-dot"`` (m <= 3 037 000 499 and
       n_max (m-1)^2 < 2^63): one int64 dot of reduced residues, which stays
@@ -130,12 +122,24 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    kernel = residue_kernel(n_max, m)
-    facts = _unit_factorials(n_max, m)
-    if facts is None:
-        return _pascal_residues(n_max, m, kernel)
-    scaled = _scaled_dot if kernel == "int64-dot" else _scaled_limbs
-    return [f * c % m for f, c in zip(facts, scaled(n_max, m))]
+    q = m // (m & -m)  # the odd part
+    if 1 < q < 2 * n_max:
+        return _pascal_residues(n_max, m)
+    facts = [1]  # (2n-1)! mod m for n = 1..n_max
+    for k in range(3, 2 * n_max, 2):
+        facts.append(facts[-1] * (k - 1) * k % m)
+    r = q  # divided down to the rough part, coprime to (2n_max-1)!
+    while (g := math.gcd(facts[-1], r)) > 1:
+        r //= g
+    s, r = (m // r, r) if r < q else (1, m)  # the powers of 2 go to s unless s = 1
+    if r == 1:
+        return _pascal_residues(n_max, m)
+    scaled = _scaled_dot if residue_kernel(n_max, r) == "int64-dot" else _scaled_limbs
+    rough = [f * c % r for f, c in zip(facts, scaled(n_max, r))]
+    if s == 1:
+        return rough
+    inverse = pow(s, -1, r)
+    return [a + s * ((b - a) * inverse % r) for a, b in zip(_pascal_residues(n_max, s), rough)]
 
 
 def _scaled_dot(n_max: int, m: int) -> list[int]:
@@ -189,12 +193,13 @@ def _limb_width(n_max: int) -> int:
     return (62 - ((n_max - 1) // 2).bit_length()) // 2
 
 
-def _pascal_residues(n_max: int, m: int, kernel: str) -> list[int]:
+def _pascal_residues(n_max: int, m: int) -> list[int]:
     """B_1..B_n_max mod m on half Pascal rows (see ``chocolate2_mod``).  The
     row steps and the products go into buffers allocated once; a reversed
     copy of the residues makes both factors of the products contiguous."""
     import numpy as np
 
+    kernel = residue_kernel(n_max, m)
     dtype = object if kernel == "object" else np.int64
 
     def reduce(x):
@@ -259,28 +264,23 @@ def chocolate2_mod_many(n_max: int, moduli) -> list[list[int]]:
     """``chocolate2_mod(n_max, m)`` for each m of moduli, in order, from one
     kernel pass per group: residues mod the lcm of a group reduce to each
     member's.  Each modulus joins the first group whose lcm keeps the
-    ``"int64-dot"`` kernel and whose members' odd parts are all below
-    2 n_max or all at least 2 n_max; one that fits no group runs alone.
-    The latter may take the scaled route, whose own pass costs less than
-    their large factor adds to a shared Pascal pass; powers of 2 ride free
-    on Pascal rows."""
+    ``"int64-dot"`` kernel; one that fits no group runs alone.  A pass
+    splits its lcm as ``chocolate2_mod`` splits any modulus, so the smooth
+    parts of the members share its Pascal rows and their rough parts its
+    scaled route."""
     n_max = operator.index(n_max)
     moduli = [operator.index(m) for m in moduli]
-    groups, member_of = [], []  # [lcm, odd parts >= 2 n_max] per group; group per modulus
+    groups, member_of = [], []  # lcm per group; group per modulus
     for m in moduli:
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-        large = m // (m & -m) >= 2 * n_max
-        for g, (lcm, kind) in enumerate(groups):
-            lcm = math.lcm(lcm, m)
-            if kind == large and residue_kernel(n_max, lcm) == "int64-dot":
-                groups[g][0] = lcm
-                break
-        else:
-            g = len(groups)
-            groups.append([m, large])
+        g = next((g for g, lcm in enumerate(groups)
+                  if residue_kernel(n_max, math.lcm(lcm, m)) == "int64-dot"), len(groups))
+        if g == len(groups):
+            groups.append(1)
+        groups[g] = math.lcm(groups[g], m)
         member_of.append(g)
-    residues = [chocolate2_mod(n_max, lcm) for lcm, _ in groups]
+    residues = [chocolate2_mod(n_max, lcm) for lcm in groups]
     return [[r % m for r in residues[g]] for m, g in zip(moduli, member_of)]
 
 

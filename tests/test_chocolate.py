@@ -225,19 +225,11 @@ def test_squares_stay_on_big_integers():
 
 
 def test_count_bound_holds_on_every_bar_of_area_up_to_400():
-    # a state offers at most E = m(n-1) + n(m-1) breaks, over mn-1 moves
+    # the residue route's primes bound a count by (a+b-2) (ab-2)!, which
+    # holds for every bar but 1 x 1, which has no move, and is tight at 2 x 2
     table = ChocolateTable()
-    for m in range(1, 21):
-        for n in range(m, 400 // m + 1):
-            breaks = m * (n - 1) + n * (m - 1)
-            assert chocolate_number(m, n, table) <= breaks ** (m * n - 1), (m, n)
-
-
-def test_residue_route_bound_holds_and_is_tight_at_2_x_2():
-    # (a+b-2) (ab-2)! bounds every bar but 1 x 1, which has no move
-    table = ChocolateTable()
-    bars = [(a, b) for a in range(1, 13) for b in range(a, 13) if a * b > 1]
-    bars += [(2, n) for n in range(13, 301)]
+    bars = [(a, b) for a in range(1, 21) for b in range(a, 400 // a + 1) if a * b > 1]
+    bars += [(2, n) for n in range(201, 301)]
     for a, b in bars:
         assert chocolate_number(a, b, table) <= chocolate_mod._count_bound(a, b), (a, b)
     assert chocolate_mod._count_bound(2, 2) == chocolate_number(2, 2) == 4

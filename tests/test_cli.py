@@ -18,7 +18,7 @@ import pytest
 
 import chocnum.cli as cli
 import chocnum.modular as modular_mod
-from chocnum.chocolate import ChocolateTable, chocolate_number, load_cache
+from chocnum.chocolate import ChocolateTable, chocolate2, chocolate_number, load_cache
 from chocnum.cli import EXIT_FAILED, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, main
 from chocnum.modular import chocolate2_mod, hyper_numerators_mod
 from chocnum.series import RationalSeries
@@ -304,6 +304,19 @@ def test_factor_table(capsys):
     code, out, _ = run(capsys, "factor", "--seq", "table", "--index", "4", "4")
     assert code == EXIT_OK
     assert out.strip() == "4 4 63352393728 2^12 * 3 * 13 * 19 * 20873"
+
+
+@pytest.mark.parametrize("n", [4, 150])
+def test_factor_two_by_n_is_the_table_entry_2_x_n(capsys, n):
+    # one dispatch: 2 x 150 is above the residue route's crossover
+    code, out, _ = run(capsys, "factor", "--seq", "b", "--index", str(n))
+    assert code == EXIT_OK
+    _, table_out, _ = run(capsys, "factor", "--seq", "table", "--index", "2", str(n))
+    assert table_out.split()[:2] == ["2", str(n)]
+    assert out.split() == table_out.split()[1:]
+    assert int(out.split()[1]) == chocolate2(n)
+    code, _, err = run(capsys, "factor", "--seq", "b", "--index", "0")
+    assert code == EXIT_USAGE and err.startswith("error: ")
 
 
 def test_factor_index_arity_is_checked(capsys):
@@ -595,6 +608,10 @@ def test_conjecture_csv_round_trips(capsys):
     # above the int64-dot bound: the scaled route's limb matmuls
     ("mod --seq b --modulus 3037000493,3037000507,4294967311 --max 3000",
      "d653ab4b4eb8a26ec3c8e4ff7a45453683e5e76c7cc7a4a039a3c39c8593c64b"),
+    # mixed moduli: 9 * 337 444 501 and 43 * 999 983 walk Pascal rows mod 9
+    # and 43 only; the digest is that of whole moduli on Pascal rows
+    ("mod --seq b --modulus 3037000509,42999269 --max 3000",
+     "5bf207ec5ad4e8dc32abe1b8951406416f13424f1fc3c5d5847d133f08aae1d5"),
 ])
 def test_stdout_matches_the_ci_digest(capsys, argv, digest):
     # the sha256 digests that the CI smoke step checks for these commands

@@ -155,9 +155,25 @@ def test_chocolate2_mod_kernels_match_full_row_path(m, kernel):
     assert chocolate2_mod(599, m) == want[:599]
 
 
-def scaled_route(n_max, m):
-    """Whether chocolate2_mod(n_max, m) takes the scaled route."""
-    return modular_mod._unit_factorials(n_max, m) is not None
+KERNEL_ROUTES = {"_pascal_residues": "pascal", "_scaled_dot": "scaled", "_scaled_limbs": "scaled"}
+
+
+def routed(n_max, m):
+    """chocolate2_mod(n_max, m) and the kernel passes it ran, in order, each
+    as (route, modulus of the pass, its residue_kernel class)."""
+    passes = []
+
+    def recording(route, kernel):
+        def run(n, q):
+            passes.append((route, q, residue_kernel(n, q)))
+            return kernel(n, q)
+        return run
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name, route in KERNEL_ROUTES.items():
+            mp.setattr(modular_mod, name, recording(route, getattr(modular_mod, name)))
+        got = chocolate2_mod(n_max, m)
+    return got, passes
 
 
 @functools.cache
@@ -165,21 +181,26 @@ def exact_b(n_max):
     return [chocolate2(n, _table) for n in range(1, n_max + 1)]
 
 
-# (modulus, scaled route, kernel) at n_max = 600: every route with every kernel
+# (modulus, scaled route, kernel) at n_max = 600: every route with every
+# kernel, each on the whole modulus
 ROUTE_CASES = [
     (9, False, "int64-dot"),
-    (EDGE_600 + 1, False, "int64"),  # even
-    (3 * 1_012_333_503, False, "object"),
+    (EDGE_600 + 1, False, "int64"),  # 2^2 * 71 * 461 * 947
+    (3**21, False, "object"),
     (999_983, True, "int64-dot"),
     (FALLBACK_INT64, True, "int64"),
     (OBJECT, True, "object"),
 ]
 
 
+def route_of(scaled):
+    return "scaled" if scaled else "pascal"
+
+
 @pytest.mark.parametrize("m,scaled,kernel", ROUTE_CASES)
 def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel):
-    assert (scaled_route(600, m), residue_kernel(600, m)) == (scaled, kernel)
-    got = chocolate2_mod(600, m)
+    got, passes = routed(600, m)
+    assert passes == [(route_of(scaled), m, kernel)]
     assert got == full_row_chocolate2_mod(600, m)
     assert got[:200] == [v % m for v in exact_b(200)]
 
@@ -195,8 +216,9 @@ def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel)
     (600, EDGE_600 + 1, False),  # 2^2 * 71 * 461 * 947
 ])
 def test_chocolate2_mod_route_boundaries(n_max, m, scaled):
-    assert scaled_route(n_max, m) == scaled
-    assert chocolate2_mod(n_max, m) == full_row_chocolate2_mod(n_max, m)
+    got, passes = routed(n_max, m)
+    assert [(r, q) for r, q, _ in passes] == [(route_of(scaled), m)]
+    assert got == full_row_chocolate2_mod(n_max, m)
 
 
 def int64_dot_edge(n_max):
@@ -204,17 +226,40 @@ def int64_dot_edge(n_max):
     return isqrt((2**63 - 1) // n_max) + 1
 
 
+def prime_from(x, step):
+    while not is_prime(x):
+        x += step
+    return x
+
+
+def smooth_factor(rng, n_max, limit):
+    """A random odd modulus above 1 and at most limit whose prime factors
+    all lie below 2 n_max."""
+    primes = [p for p in primes_below(2 * n_max) if p > 2]
+    s = rng.choice(primes)
+    while (p := rng.choice(primes)) * s <= limit and rng.randrange(3):
+        s *= p
+    return s
+
+
+def smooth_on_each_side(rng, n_max, bound):
+    """Two moduli whose odd prime factors all lie below 2 n_max, the first at
+    most bound and the second above it, each within a factor 2 of it."""
+    below = smooth_factor(rng, n_max, bound)
+    while 2 * below <= bound:
+        below *= 2
+    above = smooth_factor(rng, n_max, bound)
+    while above <= bound:
+        above *= 2
+    return [below, above]
+
+
 def fuzz_moduli(seed, n_max, count):
     """Random moduli on both routes, each side of every kernel bound at n_max:
     the int64-dot edge and 3 037 000 499, the last modulus with int64
-    products.  A Pascal-route modulus is a multiple of 3, and a scaled-route
-    one a power of 2 times a prime above 2 n_max."""
-
-    def prime_from(x, step):
-        while not is_prime(x):
-            x += step
-        return x
-
+    products.  A smooth modulus (odd prime factors below 2 n_max only) takes
+    the Pascal route whole, a power of 2 times a prime above 2 n_max the
+    scaled route, and a multiple of 3 mostly splits between the two."""
     rng = random.Random(seed)
     moduli = []
     for bound in (int64_dot_edge(n_max), INT64_SAFE):
@@ -222,6 +267,7 @@ def fuzz_moduli(seed, n_max, count):
             off = rng.randint(0, 40)
             below, above = bound - off, bound + 1 + off
             moduli += [below, above, below - below % 3, above + -above % 3,
+                       *smooth_on_each_side(rng, n_max, bound),
                        prime_from(below, -1) << rng.randrange(3),
                        prime_from(above, 1) << rng.randrange(3)]
     for bits in (12, 20, 40, 70):
@@ -236,12 +282,66 @@ def test_chocolate2_mod_fuzz_across_the_kernel_bounds(seed):
     want_exact = exact_b(n_max)
     seen = set()
     for m in fuzz_moduli(seed, n_max, 3):
-        seen.add((scaled_route(n_max, m), residue_kernel(n_max, m)))
-        got = chocolate2_mod(n_max, m)
+        got, passes = routed(n_max, m)
+        seen.update((route, kernel) for route, _, kernel in passes)
         assert got == full_row_chocolate2_mod(n_max, m), m
         assert got == [v % m for v in want_exact], m
     # every route meets every kernel
-    assert seen == {(r, k) for r in (False, True) for k in ("int64-dot", "int64", "object")}
+    assert seen == {(r, k) for r in ("pascal", "scaled") for k in ("int64-dot", "int64", "object")}
+
+
+def mixed_moduli(seed, n_max, count):
+    """(modulus, smooth part with the powers of 2, rough part) on each side
+    of the int64-dot edge and of 3 037 000 499 at n_max: a smooth odd factor
+    times a rough one (a prime above 2 n_max, or two) times 2^k."""
+    rng = random.Random(seed)
+    cases = []
+    for bound in (int64_dot_edge(n_max), INT64_SAFE):
+        for _ in range(count):
+            s = smooth_factor(rng, n_max, 10**4) << rng.randrange(3)
+            off = rng.randint(0, 40)
+            below = prime_from(bound // s - off, -1)
+            above = prime_from(bound // s + 1 + off, 1)
+            cases += [(s * below, s, below), (s * above, s, above)]
+            if rng.randrange(2):  # a rough part of two primes
+                p = prime_from(rng.randrange(2 * n_max, 4000), 1)
+                q = prime_from(max(2 * n_max, bound // (s * p) + 1 + off), 1)
+                cases.append((s * p * q, s, p * q))
+    for bits in (40, 70):  # large parts, the smooth one on Pascal "object" rows
+        s = 3**21 if bits == 70 else smooth_factor(rng, n_max, 2**bits)
+        r = prime_from(rng.randrange(2 * n_max, 2**bits), 1)
+        cases.append((s * r, s, r))
+    return cases
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_mixed_moduli_split_into_a_pascal_and_a_scaled_pass(seed):
+    n_max = 150
+    want_exact = exact_b(n_max)
+    crossed = set()
+    for m, s, r in mixed_moduli(seed, n_max, 3):
+        got, passes = routed(n_max, m)
+        assert passes == [("scaled", r, residue_kernel(n_max, r)),
+                          ("pascal", s, residue_kernel(n_max, s))], m
+        assert got == full_row_chocolate2_mod(n_max, m), m
+        assert got == [v % m for v in want_exact], m
+        crossed.add((residue_kernel(n_max, m), {k for _, _, k in passes} == {"int64-dot"}))
+    # whole moduli of every class, and parts that both run int64-dot below
+    # a whole modulus that would not
+    assert {whole for whole, _ in crossed} == {"int64-dot", "int64", "object"}
+    assert ("int64", True) in crossed and ("object", True) in crossed
+
+
+def test_mixed_modulus_walks_pascal_rows_on_its_smooth_part_only():
+    # 3 * 1 012 333 503 = 9 * 337 444 501: the Pascal "object" kernel, which
+    # the whole modulus would need, never runs
+    m = 3 * 1_012_333_503
+    assert residue_kernel(3000, m) == "object"
+    got, passes = routed(3000, m)
+    assert passes == [("scaled", 337_444_501, "int64"), ("pascal", 9, "int64-dot")]
+    assert got[:200] == [v % m for v in exact_b(200)]
+    assert [x % 9 for x in got] == chocolate2_mod(3000, 9)
+    assert [x % 337_444_501 for x in got] == chocolate2_mod(3000, 337_444_501)
 
 
 def crt_reference(n_max, m):
@@ -259,15 +359,21 @@ def crt_reference(n_max, m):
 
 
 def test_int64_dot_edge_at_3000_matches_its_prime_power_parts():
-    # 55 447 790 is the last modulus the int64-dot kernel takes at n = 3000,
-    # which then reduces its Pascal row and products every step; merging the
-    # two caps into one overflows int64 here
+    # 55 447 790 is the last modulus the int64-dot kernel takes at n = 3000;
+    # its odd prime 5 544 779 lies above 2n, so only 10 walks Pascal rows.
+    # 55 447 788 = 2^2 * 3 * 11 * 101 * 4159 walks them whole, the row and
+    # products reduced every step; merging the two caps into one overflows
+    # int64 there.  55 447 795 = 5 * 13 * 17 * 19^2 * 139 lies above the
+    # edge, on the "int64" kernel.
     edge = int64_dot_edge(3000)
     assert edge == 55_447_790
     assert residue_kernel(3000, edge) == "int64-dot" != residue_kernel(3000, edge + 1)
-    for m in (edge - 3, edge, edge + 1):
-        assert not scaled_route(3000, m), m
-        assert chocolate2_mod(3000, m) == crt_reference(3000, m), m
+    assert routed(3000, edge)[1] == [("scaled", 5_544_779, "int64-dot"),
+                                     ("pascal", 10, "int64-dot")]
+    for m, kernel in ((edge - 2, "int64-dot"), (edge + 5, "int64")):
+        got, passes = routed(3000, m)
+        assert passes == [("pascal", m, kernel)], m
+        assert got == crt_reference(3000, m), m
 
 
 def test_limb_width_keeps_every_matmul_entry_below_2_62():
@@ -281,10 +387,11 @@ def test_limbs_at_their_width_boundaries(m):
     # (n_max - 1) // 2 crosses 64 and 128 here, so the limb width changes
     widths = set()
     for n_max in (1, 2, 3, 127, 128, 129, 130, 255, 256, 257, 258):
-        assert scaled_route(n_max, m)
+        got, passes = routed(n_max, m)
+        assert [(r, q) for r, q, _ in passes] == [("scaled", m)]
         assert residue_kernel(n_max, m) != "int64-dot" or n_max == 1
         widths.add(modular_mod._limb_width(n_max))
-        assert chocolate2_mod(n_max, m) == [v % m for v in exact_b(n_max)], n_max
+        assert got == [v % m for v in exact_b(n_max)], n_max
     assert len(widths) == 4
 
 
@@ -327,14 +434,16 @@ def test_grouping_never_leaves_the_int64_dot_kernel(monkeypatch):
 
 
 def test_grouping_keeps_the_scaled_route(monkeypatch):
-    # lcm(999983, 9) keeps the int64-dot kernel but would cost 999983 its
-    # scaled route; powers of 2 share the Pascal pass of small odd moduli
-    assert scaled_route(3000, 999_983) and not scaled_route(3000, 9 * 999_983)
-    assert residue_kernel(3000, 9 * 999_983) == "int64-dot"
-    assert scaled_route(1500, 8) and not scaled_route(1500, 120)
+    # 999983, 9 and 3 share one pass mod their lcm 8 999 847, which keeps
+    # 999983 on the scaled route and walks Pascal rows mod 9 only; powers of
+    # 2 share the Pascal pass of small odd moduli
+    assert routed(3000, 9 * 999_983)[1] == [("scaled", 999_983, "int64-dot"),
+                                            ("pascal", 9, "int64-dot")]
+    assert routed(1500, 8)[1] == [("scaled", 8, "int64-dot")]
+    assert routed(1500, 120)[1] == [("pascal", 120, "int64-dot")]
     seen = recorded_kernel_moduli(monkeypatch)
     got = chocolate2_mod_many(3000, [999_983, 9, 3])
-    assert seen == [999_983, 9]
+    assert seen == [9 * 999_983]
     assert got == [chocolate2_mod(3000, m) for m in (999_983, 9, 3)]
     seen.clear()
     got = chocolate2_mod_many(1500, [4, 6, 8, 10])
@@ -350,6 +459,24 @@ def test_grouping_keeps_order_and_duplicates():
         chocolate2_mod_many(300, [9, 1, 0])
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_grouped_moduli_fuzz_matches_one_modulus_at_a_time(seed):
+    # random lists of smooth, rough and mixed moduli and powers of 2, some
+    # repeated, on each side of the int64-dot edge
+    rng = random.Random(seed)
+    n_max = 300
+    pool = [2**rng.randrange(1, 40), 3**rng.randrange(1, 30), int64_dot_edge(n_max)]
+    for _ in range(12):
+        smooth = smooth_factor(rng, n_max, 10**rng.randrange(1, 9))
+        rough = prime_from(rng.randrange(2 * n_max, 10**rng.randrange(4, 12)), 1)
+        pool += [smooth, rough << rng.randrange(3), smooth * rough, rng.randrange(2, 10**6)]
+    for _ in range(25):
+        moduli = rng.sample(pool, rng.randrange(1, 8))
+        moduli += rng.sample(moduli, rng.randrange(2))
+        want = [chocolate2_mod(n_max, m) for m in moduli]
+        assert chocolate2_mod_many(n_max, moduli) == want, moduli
+
+
 def test_grouped_lcm_matches_log_derivative_reference():
     # 11 739 = lcm(3, 7, 13, 43), the conjecture-3 set's group, is odd
     lcm = 3 * 7 * 13 * 43
@@ -359,9 +486,10 @@ def test_grouped_lcm_matches_log_derivative_reference():
         assert [r % p for r in got] == chocolate2_mod(1500, p), p
 
 
-def test_moduli_below_twice_n_max_skip_the_route_rule():
+def test_moduli_below_twice_n_max_skip_the_route_rule(monkeypatch):
     # no running factorial: this would take 10^12 steps
-    assert not scaled_route(10**12, 9)
+    monkeypatch.setattr(modular_mod, "_pascal_residues", lambda n_max, m: ("pascal", n_max, m))
+    assert chocolate2_mod(10**12, 9) == ("pascal", 10**12, 9)
 
 
 INT64_MAX = 2**63 - 1
@@ -389,7 +517,9 @@ def deferral_schedule(n_max, m):
     return schedule
 
 
-@pytest.mark.parametrize("m,deferred_steps", [(EDGE_600, 0), (9, 24)])
+# 123 985 020 = 2^2 * 3 * 5 * 53 * 127 * 307 sits 7 below EDGE_600 and walks
+# Pascal rows whole; EDGE_600 = 31 * 3 999 517 walks them mod 31 only
+@pytest.mark.parametrize("m,deferred_steps", [(123_985_020, 0), (9, 24)])
 def test_int64_dot_defers_reductions_up_to_the_int64_bound(monkeypatch, m, deferred_steps):
     import numpy as np
 
@@ -404,8 +534,9 @@ def test_int64_dot_defers_reductions_up_to_the_int64_bound(monkeypatch, m, defer
         return real_dot(weights, prods)
 
     monkeypatch.setattr(np, "dot", recording_dot)
-    assert residue_kernel(600, m) == "int64-dot" and not scaled_route(600, m)
-    assert chocolate2_mod(600, m) == full_row_chocolate2_mod(600, m)
+    got, passes = routed(600, m)
+    assert passes == [("pascal", m, "int64-dot")]
+    assert got == full_row_chocolate2_mod(600, m)
     assert len(seen) == len(schedule)
     for n, ((w, p), (bound, row_reduced, prods_reduced)) in enumerate(zip(seen, schedule), 2):
         assert w <= bound, n
