@@ -8,11 +8,11 @@ vectorized with numpy in int64 because the prefix cost is quadratic in n.
 The 2 x n residues split m into a rough part, coprime to every odd number
 below 2n, and a smooth part, joined by one CRT.  The rough part takes the
 scaled counts B_n / (2n-1)!, which need no binomial weights: each step is
-one int64 dot, of the residues while int64 holds it and of the residues
-split into limbs beyond that.  The smooth part walks a Pascal row, in int64
-while the products fit (the int64-dot kernel reduces the row and the
-products only when a running bound on their entries says int64 would not
-hold the next step) and in Python integers beyond that.  Several moduli
+one int64 inner product, of the residues while int64 holds it and beyond
+that of their limbs, all in one array.  The smooth part walks a Pascal row,
+in int64 while the products fit (the int64-dot kernel reduces the row and
+the products only when a running bound on their entries says int64 would
+not hold the next step) and in Python integers beyond that.  Several moduli
 share one kernel pass mod their lcm (``chocolate2_mod_many``).
 numpy is imported on first use, inside ``chocolate2_mod`` and the residue
 route of ``chocolate_number``: it is most of the package's import time, and
@@ -47,8 +47,8 @@ def residue_kernel(n_max: int, m: int) -> str:
     int64 might not hold the next step.
     ``"int64"``: the products fit (m <= 3 037 000 499) but a dot product
     might not.  The scaled route splits the residues into limbs, whose
-    int64 matmul stays exact; the Pascal route reduces every product before
-    the sum.
+    int64 inner product stays exact; the Pascal route reduces every product
+    before the sum.
     ``"object"``: not even one product fits.  The scaled route runs on
     limbs as for ``"int64"``; the Pascal route carries Python integers, an
     exact dot reduced once per step.
@@ -103,10 +103,11 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
       n_max (m-1)^2 < 2^63): one int64 dot of reduced residues, which stays
       below h (m-1)^2 < 2^63.
     - scaled route, ``"int64"`` and ``"object"``: each c_n is held as L
-      limbs of w = (62 - h_max.bit_length()) // 2 bits, and the sum is one
-      int64 (L x h) @ (h x L) matmul of the limbs.  Every entry is below
-      h 2^(2w) <= 2^62, and Python recombines the L^2 entries, shifted by
-      their limbs' weights, into the exact sum.
+      limbs of w = (62 - h_max.bit_length()) // 2 bits in one L x (n_max+1)
+      array, and the sum is one int64 inner product of its columns 1..h
+      with its columns n-1..n-h, read reversed as a view.  Each of the L^2
+      entries is below h 2^(2w) <= 2^62, and one Python sum of the entries,
+      shifted by their limbs' weights, gives the exact sum.
     - Pascal route, ``"int64-dot"``: a bound on the row entries starts at
       m-1 and grows 4x per step.  With LIM = 2^63 - 1, the row is reduced
       once the bound passes min(LIM // 4, LIM // (h_max (m-1))), so the
@@ -159,31 +160,26 @@ def _scaled_dot(n_max: int, m: int) -> list[int]:
 
 
 def _scaled_limbs(n_max: int, m: int) -> list[int]:
-    """The scaled counts c_1..c_n_max mod any m, each step one int64 matmul
-    of limbs of w bits (see ``chocolate2_mod``)."""
+    """The scaled counts c_1..c_n_max mod any m, each step one int64 inner
+    product of limbs of w bits over one array (see ``chocolate2_mod``)."""
     import numpy as np
 
     w = _limb_width(n_max)
     shifts = [w * k for k in range(-(-(m - 1).bit_length() // w))]  # limb weights
+    pairs = [a + b for a in shifts for b in shifts]  # weights of the L^2 limb pairs
     mask = (1 << w) - 1
-    top = n_max + 1
-    c = np.zeros((len(shifts), top + 1), dtype=np.int64)  # c[k, n]: limb k of c_n
-    rev = np.zeros((top + 1, len(shifts)), dtype=np.int64)  # rev[top - n] = c[:, n]
+    c = np.zeros((len(shifts), n_max + 1), dtype=np.int64)  # c[k, n]: limb k of c_n
     values = [0, 1]  # values[n] = c_n mod m
-    c[0, 1] = rev[top - 1, 0] = 1
+    c[0, 1] = 1
     for n in range(2, n_max + 1):
         h = (n - 1) // 2  # pairs (j, n-j) with j < n/2
-        products = np.dot(c[:, 1 : h + 1], rev[top - n + 1 : top - n + h + 1]).tolist()
-        s = 0
-        for row, a in zip(products, shifts):
-            for x, b in zip(row, shifts):
-                s += x << (a + b)
-        s = 1 + 2 * s
+        products = np.inner(c[:, 1 : h + 1], c[:, n - 1 : n - h - 1 : -1]).ravel().tolist()
+        s = 1 + 2 * sum(map(operator.lshift, products, pairs))
         if n % 2 == 0:
             s += values[n // 2] ** 2
         value = s % m * pow(2 * n - 1, -1, m) % m
         values.append(value)
-        c[:, n] = rev[top - n] = [value >> k & mask for k in shifts]
+        c[:, n] = [value >> k & mask for k in shifts]
     return values[1:]
 
 

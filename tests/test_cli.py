@@ -605,13 +605,18 @@ def test_conjecture_csv_round_trips(capsys):
      "2fb66a3027028eccae9299cdc9a55c8f162cfe8ee3131d1f807c341fb6ddca56"),
     ("conjecture --id 2 --primes 4,6,8,10 --max 1500",
      "ce729ae6620d66ef58930de7e3842b5dba0a15b2b1913e70cf800bbf2317ee15"),
-    # above the int64-dot bound: the scaled route's limb matmuls
+    # above the int64-dot bound: the scaled route's limb inner products,
+    # one per step over one array of limbs
     ("mod --seq b --modulus 3037000493,3037000507,4294967311 --max 3000",
      "d653ab4b4eb8a26ec3c8e4ff7a45453683e5e76c7cc7a4a039a3c39c8593c64b"),
     # mixed moduli: 9 * 337 444 501 and 43 * 999 983 walk Pascal rows mod 9
     # and 43 only; the digest is that of whole moduli on Pascal rows
     ("mod --seq b --modulus 3037000509,42999269 --max 3000",
      "5bf207ec5ad4e8dc32abe1b8951406416f13424f1fc3c5d5847d133f08aae1d5"),
+    # smooth moduli, one Pascal pass each: the "int64" arm mod 10^9 and the
+    # "object" arm mod 10^12
+    ("mod --seq b --modulus 1000000000,1000000000000 --max 1200",
+     "15d5485c84c1bd2165768470bafc6a4406019d2a0d636c011e87ef7050f873b9"),
 ])
 def test_stdout_matches_the_ci_digest(capsys, argv, digest):
     # the sha256 digests that the CI smoke step checks for these commands

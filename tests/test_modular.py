@@ -218,7 +218,10 @@ def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel)
 def test_chocolate2_mod_route_boundaries(n_max, m, scaled):
     got, passes = routed(n_max, m)
     assert [(r, q) for r, q, _ in passes] == [(route_of(scaled), m)]
-    assert got == full_row_chocolate2_mod(n_max, m)
+    # past n = 601 the full row is slow; Pascal rows share no arithmetic
+    # with the scaled route, so they check it as well
+    reference = full_row_chocolate2_mod if n_max <= 601 else modular_mod._pascal_residues
+    assert got == reference(n_max, m)
 
 
 def int64_dot_edge(n_max):
