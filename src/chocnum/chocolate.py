@@ -18,8 +18,6 @@ from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from .arith import is_prime
-
 CACHE_HEADER = "chocnum cache v1"
 
 # The residue fill works modulo primes below 2**26: a product of two residues
@@ -185,6 +183,8 @@ def _fewest_primes(bound: int, floor: int) -> list[int] | None:
     """The fewest primes below 2**26 whose product exceeds ``bound``: the
     largest ones, found by stepping down with ``is_prime`` and kept for the
     next call.  None if that takes a prime <= ``floor``."""
+    from .arith import is_prime
+
     product, primes = 1, []
     while product <= bound:
         if len(primes) == len(_crt_primes):

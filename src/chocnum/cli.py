@@ -4,21 +4,19 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all checks
 pass/consistent, 1 a verifiable claim failed, 2 usage error, 3 unresolved
 (insufficient evidence), 4 out of memory, 130 interrupted (Ctrl-C), 141
 stdout closed early by its reader.  Big integers are always printed as
-exact decimal strings.
+exact decimal strings.  Each subcommand imports the modules it runs (modular,
+series, arith) when it runs, so start-up does not pay for the others.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
-import json
 import os
 import sys
 import textwrap
 from pathlib import Path
 
-from .arith import factor, nu_p
 from .chocolate import (
     ChocolateTable,
     SequenceFrontierError,
@@ -30,18 +28,7 @@ from .chocolate import (
     save_cache,
     unlimited_int_digits,
 )
-from .modular import (
-    INCONSISTENT,
-    UNRESOLVED,
-    PeriodReport,
-    ScanRecord,
-    chocolate2_mod_many,
-    conjecture_scan,
-    detect_eventual_period,
-    hyper_numerators_mod,
-)
 from .oracle import DEFAULT_AREA_LIMIT, count_sequences
-from .series import riccati_residual, verify_linear_ode, verify_log_derivative
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -55,7 +42,9 @@ CACHE_ENV = "CHOCNUM_CACHE"
 CACHE_FILENAME = "chocolate_table.cache"
 
 # csv/jsonl fields of each record-producing subcommand, keyed by the command
-# and the --seq values it covers; the --help epilog is generated from here
+# and the --seq values it covers; the --help epilog is generated from here.
+# period and conjecture list the fields of modular.PeriodReport and
+# modular.ScanRecord as literals, so that --help need not import modular.
 FIELDS = {
     "gen --seq table|triangle": ("m", "n", "value"),
     "gen --seq b|square": ("n", "value"),
@@ -65,9 +54,10 @@ FIELDS = {
     "nu --seq b|square": ("n", "nu"),
     "nu --seq table": ("m", "n", "nu"),
     "mod": ("seq", "modulus", "n", "residue"),
-    "period": ("seq", "modulus", "n_max",
-               *(f.name for f in dataclasses.fields(PeriodReport))),
-    "conjecture": tuple(f.name for f in dataclasses.fields(ScanRecord)),
+    "period": ("seq", "modulus", "n_max", "resolved", "preperiod", "period",
+               "eventually_zero", "evidence_length"),
+    "conjecture": ("conjecture", "modulus", "n_max", "status", "preperiod", "period",
+                   "notes"),
 }
 BOUND_FIELDS = ("bound", "ok")  # appended by nu --check-bound
 
@@ -149,10 +139,14 @@ def _emit(records, fields, fmt: str) -> None:
         for rec in records:
             print(" ".join(map(_render, rec)))
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(fields)
         writer.writerows(map(_render, rec) for rec in records)
     else:
+        import json
+
         for rec in records:
             print(json.dumps(dict(zip(fields, rec))))
 
@@ -207,6 +201,8 @@ def _cmd_oracle(args):
 
 
 def _cmd_factor(args):
+    from .arith import factor
+
     fields = _fields(args)
     index = fields[:-2]  # ("n",) or ("m", "n")
     if len(args.index) != len(index):
@@ -217,6 +213,8 @@ def _cmd_factor(args):
 
 
 def _cmd_nu(args):
+    from .arith import nu_p
+
     if args.check_bound and args.p != 2:
         raise ValueError("--check-bound states bounds for p=2 only")
     records = []
@@ -238,6 +236,8 @@ def _cmd_nu(args):
 
 def _residues(seq: str, moduli: list[int], n_max: int) -> list[list[int]]:
     """One residue prefix per modulus, in order."""
+    from .modular import chocolate2_mod_many, hyper_numerators_mod
+
     if seq == "b":
         return chocolate2_mod_many(n_max, moduli)
     return [hyper_numerators_mod(n_max, m) for m in moduli]
@@ -252,6 +252,8 @@ def _cmd_mod(args):
 
 
 def _cmd_period(args):
+    from .modular import detect_eventual_period
+
     [residues] = _residues(args.seq, [args.modulus], args.max)
     report = detect_eventual_period(residues)
     record = (args.seq, args.modulus, args.max, *dataclasses.astuple(report))
@@ -259,6 +261,8 @@ def _cmd_period(args):
 
 
 def _cmd_series(args):
+    from .series import riccati_residual, verify_linear_ode, verify_log_derivative
+
     if args.check == "ode":
         if verify_linear_ode(args.order):
             return (), [(f"identity holds through order {args.order - 1}",)], EXIT_OK
@@ -274,6 +278,8 @@ def _cmd_series(args):
 
 
 def _cmd_conjecture(args):
+    from .modular import INCONSISTENT, UNRESOLVED, conjecture_scan
+
     fields = _fields(args)
     scan = conjecture_scan(args.id, args.primes, args.max)
     records = [dataclasses.astuple(r) for r in scan]
@@ -309,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--compare", action="store_true")
-    p.add_argument("--area-limit", type=int, default=DEFAULT_AREA_LIMIT)
+    p.add_argument("--area-limit", type=_positive_int, default=DEFAULT_AREA_LIMIT)
     p.set_defaults(func=_cmd_oracle, format="plain")
 
     p = sub.add_parser("factor", help="factor one sequence value")

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -18,9 +19,10 @@ import pytest
 
 import chocnum.cli as cli
 import chocnum.modular as modular_mod
+import chocnum.series as series_mod
 from chocnum.chocolate import ChocolateTable, chocolate2, chocolate_number, load_cache
 from chocnum.cli import EXIT_FAILED, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, main
-from chocnum.modular import chocolate2_mod, hyper_numerators_mod
+from chocnum.modular import PeriodReport, ScanRecord, chocolate2_mod, hyper_numerators_mod
 from chocnum.series import RationalSeries
 
 
@@ -231,7 +233,7 @@ def test_out_of_memory_ends_in_one_stderr_line(capsys, monkeypatch):
     def exhausted(n_max, moduli):
         raise MemoryError
 
-    monkeypatch.setattr(cli, "chocolate2_mod_many", exhausted)
+    monkeypatch.setattr(modular_mod, "chocolate2_mod_many", exhausted)
     code, out, err = run(capsys, "mod", "--seq", "b", "--modulus", "9", "--max", "5")
     assert (code, out, err) == (cli.EXIT_OUT_OF_MEMORY, "", "error: out of memory\n")
     assert "4 out of memory" in run(capsys, "--help")[1]
@@ -290,6 +292,13 @@ def test_oracle_area_limit_flag_admits_a_bigger_bar(capsys):
     assert code == EXIT_OK and out.strip() == "984237056 == 984237056"
     code, _, err = run(capsys, *argv)
     assert code == EXIT_USAGE and "area" in err
+
+
+@pytest.mark.parametrize("limit", ["0", "-1"])
+def test_oracle_area_limit_must_be_positive(capsys, limit):
+    code, out, err = run(capsys, "oracle", "--m", "2", "--n", "2", "--area-limit", limit)
+    assert code == EXIT_USAGE and out == ""
+    assert f"argument --area-limit: must be >= 1, got {limit}" in err
 
 
 # ---------------------------------------------------------------- factor
@@ -495,7 +504,7 @@ def test_series_ode_and_hypergeom(capsys):
 
 
 def test_series_ode_failure(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "verify_linear_ode", lambda order: False)
+    monkeypatch.setattr(series_mod, "verify_linear_ode", lambda order: False)
     code, out, _ = run(capsys, "series", "--check", "ode", "--order", "12")
     assert code == EXIT_FAILED and out == "linear ODE residual nonzero\n"
 
@@ -504,8 +513,8 @@ def test_series_ode_failure(capsys, monkeypatch):
 def test_series_residual_failure_names_the_first_nonzero_order(capsys, monkeypatch,
                                                                check):
     residual = RationalSeries((0, 0, Fraction(1, 3), 5))
-    monkeypatch.setattr(cli, "riccati_residual", lambda order: residual)
-    monkeypatch.setattr(cli, "verify_log_derivative", lambda order: (False, residual))
+    monkeypatch.setattr(series_mod, "riccati_residual", lambda order: residual)
+    monkeypatch.setattr(series_mod, "verify_log_derivative", lambda order: (False, residual))
     code, out, _ = run(capsys, "series", "--check", check, "--order", "12")
     assert code == EXIT_FAILED and out == "residual nonzero at order 2: 1/3\n"
 
@@ -640,6 +649,13 @@ def listed_fields(help_text):
     return {v: (text.split(","), note) for v, (text, note) in listed.items()}
 
 
+def test_literal_record_fields_are_the_dataclass_fields():
+    # spelled out in cli so that --help does not import modular
+    assert cli.FIELDS["period"] == ("seq", "modulus", "n_max",
+                                    *(f.name for f in dataclasses.fields(PeriodReport)))
+    assert cli.FIELDS["conjecture"] == tuple(f.name for f in dataclasses.fields(ScanRecord))
+
+
 FIELD_CASES = [
     ("gen --seq table|triangle", ("gen", "--seq", "table", "--max", "2")),
     ("gen --seq table|triangle", ("gen", "--seq", "triangle", "--max", "2")),
@@ -739,6 +755,50 @@ def test_only_residue_scans_load_numpy():
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
+
+
+IMPORT_PROBE = """
+import contextlib, io, sys
+import chocnum.cli
+
+argv = {argv!r}
+if argv:
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert chocnum.cli.main(argv) == 0, argv
+print(sorted(name for name in {watched!r} if name in sys.modules))
+"""
+WATCHED = ("chocnum.arith", "chocnum.modular", "chocnum.series", "numpy", "fractions",
+           "json", "csv")
+
+
+IMPORT_CASES = [
+    ((), []),
+    (("--help",), []),
+    (("gen", "--seq", "b", "--max", "5"), []),
+    (("gen", "--seq", "b", "--max", "5", "--format", "csv"), ["csv"]),
+    (("gen", "--seq", "b", "--max", "5", "--format", "jsonl"), ["json"]),
+    (("oracle", "--m", "2", "--n", "3", "--compare"), []),
+    (("factor", "--seq", "b", "--index", "5"), ["chocnum.arith"]),
+    (("nu", "--p", "2", "--seq", "b", "--max", "5"), ["chocnum.arith"]),
+    (("mod", "--seq", "p", "--modulus", "7", "--max", "5"),
+     ["chocnum.arith", "chocnum.modular"]),
+    (("series", "--check", "ode", "--order", "10"), ["chocnum.series", "fractions"]),
+]
+
+
+@pytest.mark.parametrize("argv, loaded", IMPORT_CASES,
+                         ids=[" ".join(argv) or "import" for argv, _ in IMPORT_CASES])
+def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
+    # fresh interpreters compiling from source, as a process without cached
+    # bytecode starts
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
+               PYTHONDONTWRITEBYTECODE="1")
+    env.pop(cli.CACHE_ENV, None)
+    probe = IMPORT_PROBE.format(argv=list(argv), watched=WATCHED)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == f"{loaded}\n"
 
 
 @pytest.mark.parametrize("argv, first_line", [
