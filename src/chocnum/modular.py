@@ -14,6 +14,16 @@ in int64 while the products fit (the int64-dot kernel reduces the row and
 the products only when a running bound on their entries says int64 would
 not hold the next step) and in Python integers beyond that.  Several moduli
 share one kernel pass mod their lcm (``chocolate2_mod_many``).
+
+Zero tails: if m divides B_i for every i in floor((n+1)/2)..n-1 and m
+divides (2n-2)!, then m divides every B_j with j >= n, the lemma that
+``persistent_divisor_check`` certifies.  Both routes stop on it and fill
+the rest with zeros: the Pascal route once its trailing zero residues cover
+the window and its running factorial is 0 mod m, the scaled route once its
+running (2n-1)! is 0 mod the rough part.  A stop rests on this proof about
+the residues computed so far, never on the classifier ``zero_tail_prime``,
+which states an open conjecture.
+
 numpy is imported on first use, inside ``chocolate2_mod`` and the residue
 route of ``chocolate_number``: it is most of the package's import time, and
 factorizations, series checks and period detection never need it.
@@ -91,6 +101,17 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     n, by two Pascal steps that together give
     C(t+2, k) = C(t, k) + 2 C(t, k-1) + C(t, k-2).
 
+    Zero tails, on both routes (see the module docstring): the Pascal route
+    keeps the last n with B_n not 0 mod m beside its running factorial, and
+    once B_i = 0 for i = floor((n+2)/2)..n and m divides (2n)!, it has
+    ``persistent_divisor_check(m, n + 1)`` and pads the rest with zeros.
+    On the scaled route B_n = (2n-1)! c_n mod r, so c is filled only while
+    (2n-1)! is not 0 mod r, which only a power of 2 reaches, such as 8 at
+    n = 3 or 2^40 at n = 23.  A mixed modulus stops on each part on its
+    own, and the CRT join is unchanged.  The classifier ``zero_tail_prime``
+    is not used: it states conjecture 1, which the scans test, while the
+    lemma is proved, and it speaks of primes only.
+
     Half sum, on both routes: the summand is symmetric under i <-> n-i, so
     only i < n/2 is summed, the sum is doubled, and the middle term is
     added when n is even.  Memory stays O(n_max).
@@ -135,8 +156,10 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     s, r = (m // r, r) if r < q else (1, m)  # the powers of 2 go to s unless s = 1
     if r == 1:
         return _pascal_residues(n_max, m)
-    scaled = _scaled_dot if residue_kernel(n_max, r) == "int64-dot" else _scaled_limbs
-    rough = [f * c % r for f, c in zip(facts, scaled(n_max, r))]
+    # (2n-1)! mod r sticks at 0 from n = live + 1 on, and so do the B_n
+    live = facts.index(0) if facts[-1] == 0 else n_max
+    scaled = _scaled_dot if residue_kernel(live, r) == "int64-dot" else _scaled_limbs
+    rough = [f * c % r for f, c in zip(facts, scaled(live, r))] + [0] * (n_max - live)
     if s == 1:
         return rough
     inverse = pow(s, -1, r)
@@ -225,7 +248,8 @@ def _pascal_residues(n_max: int, m: int) -> list[int]:
         hm = max(1, (n_max - 1) // 2) * (m - 1)  # most dot terms, times m-1
         row_cap = min(_INT64_MAX // 4, _INT64_MAX // hm)
         prod_cap = _INT64_MAX // (hm * (m - 1))
-    fact = 1 % m  # (2n-2)! mod m, maintained incrementally
+    fact = 2 % m  # (2n-2)! mod m at step n, maintained incrementally
+    last = 1  # the last n with B_n not 0 mod m
     for n in range(2, n_max + 1):
         # row r = 2n-4 to r + 2 = 2n-2; C(r, n-1) = C(r, n-3) by symmetry
         row[n + 1] = row[n - 1]
@@ -236,8 +260,6 @@ def _pascal_residues(n_max: int, m: int) -> list[int]:
         if bound > row_cap:
             reduce(row[2 : n + 2])
             bound = m - 1
-        if fact:
-            fact = fact * ((2 * n - 3) % m) % m * ((2 * n - 2) % m) % m
         h = (n - 1) // 2  # pairs (i, n-i) with i < n/2
         weights = row[3 : 2 * h + 2 : 2]  # C(2n-2, 2i-1), i = 1..h
         p = np.multiply(out[1 : h + 1], rev[top - n + 1 : top - n + h + 1], out=prods[:h])
@@ -251,8 +273,16 @@ def _pascal_residues(n_max: int, m: int) -> list[int]:
         if n % 2 == 0:
             b = values[n // 2]
             s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
-        values.append((fact + s) % m)
-        out[n] = rev[top - n] = values[n]
+        value = (fact + s) % m
+        values.append(value)
+        out[n] = rev[top - n] = value
+        if fact:
+            fact = fact * (2 * n - 1) * (2 * n) % m  # the next step's (2n-2)!
+        if value:
+            last = n
+        elif not fact and n >= 2 * last:  # persistent_divisor_check(m, n + 1) holds
+            values += [0] * (n_max - n)
+            break
     return values[1:]
 
 
@@ -384,6 +414,8 @@ def persistent_divisor_check(k: int, n: int, b_mod) -> bool:
     and k divides (2n-2)!.  Under those hypotheses every term of the
     recursion for B_j, j >= n, is divisible by k, so divisibility propagates
     forever.  ``b_mod`` must hold residues of B_1..B_L mod k with L >= n-1.
+    ``chocolate2_mod`` stops its kernels on the same lemma, at the first n
+    for which this check holds on the residues computed so far.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

@@ -623,9 +623,16 @@ def test_conjecture_csv_round_trips(capsys):
     ("mod --seq b --modulus 3037000509,42999269 --max 3000",
      "5bf207ec5ad4e8dc32abe1b8951406416f13424f1fc3c5d5847d133f08aae1d5"),
     # smooth moduli, one Pascal pass each: the "int64" arm mod 10^9 and the
-    # "object" arm mod 10^12
+    # "object" arm mod 10^12, which stop at their certified zero tails, at
+    # n = 125 and n = 151
     ("mod --seq b --modulus 1000000000,1000000000000 --max 1200",
      "15d5485c84c1bd2165768470bafc6a4406019d2a0d636c011e87ef7050f873b9"),
+    # zero tails: Pascal rows mod 41 stop at n = 1681, the scaled limbs mod
+    # 2^40 after 22 steps, and 11 * 3 037 000 507 joins Pascal rows mod 11,
+    # stopped at n = 11, to a full scaled pass; recorded before the kernels
+    # stopped, so the stop changes no residue
+    ("mod --seq b --modulus 41,1099511627776,33407005577 --max 3000",
+     "48f3906e8296bc8601b6c299de480b9006aa8e9410163d4bafa796cd727432fe"),
 ])
 def test_stdout_matches_the_ci_digest(capsys, argv, digest):
     # the sha256 digests that the CI smoke step checks for these commands

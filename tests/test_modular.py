@@ -5,7 +5,7 @@ import itertools
 import random
 import time
 import warnings
-from math import isqrt
+from math import factorial, isqrt
 
 import numpy as np
 import pytest
@@ -583,6 +583,100 @@ def test_log_derivative_reference_matches_exact_values():
 @pytest.mark.parametrize("m", [9, 43, 999_983])
 def test_chocolate2_mod_matches_log_derivative_reference_at_1500(m):
     assert chocolate2_mod(1500, m) == log_derivative_chocolate2_mod(1500, m)
+
+
+# ------------------------------------------------------------- zero tails
+
+
+def test_chocolate2_mod_matches_the_big_integer_counts_at_600():
+    # every small modulus, stopped or not, on both routes and all three
+    # kernel classes, and through the CRT join of 11 * 3 037 000 507
+    want = exact_b(600)
+    for m in [*range(2, 301), 2**40, 10**12, 41 * 1024, 11 * 3_037_000_507]:
+        assert chocolate2_mod(600, m) == [v % m for v in want], m
+
+
+def kernel_work(run):
+    """run() and the work of the kernel passes it made: the Pascal steps
+    taken (each calls numpy.add twice) and the lengths of the scaled
+    passes."""
+    adds, lengths = [], []
+    real_add = np.add
+
+    def recording_add(*args, **kwargs):
+        adds.append(None)
+        return real_add(*args, **kwargs)
+
+    def recording(kernel):
+        def scaled(n_max, m):
+            lengths.append(n_max)
+            return kernel(n_max, m)
+        return scaled
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(np, "add", recording_add)
+        for name in ("_scaled_dot", "_scaled_limbs"):
+            mp.setattr(modular_mod, name, recording(getattr(modular_mod, name)))
+        got = run()
+    assert len(adds) % 2 == 0
+    return got, len(adds) // 2, lengths
+
+
+def certified_from(m, residues):
+    """The smallest n at which persistent_divisor_check certifies that m
+    divides every B_j from j = n on, or None."""
+    return next((n for n in range(1, len(residues) + 2)
+                 if persistent_divisor_check(m, n, residues)), None)
+
+
+# the first n at which persistent_divisor_check certifies the zero tail
+KNOWN_STOPS = {11: 11, 19: 361, 41: 1681, 10**9: 125, 10**12: 151}
+
+
+@pytest.mark.parametrize("n_max,m", [
+    *((3000, m) for m in (5, 10, 11, 19, 25, 29, 31, 41, 55, 121, 10**9, 10**12)),
+    (20_000, 11),  # a long prefix that the stop makes cheap
+])
+def test_pascal_rows_stop_at_the_certified_zero_tail(n_max, m):
+    got, steps, lengths = kernel_work(lambda: chocolate2_mod(n_max, m))
+    k = certified_from(m, got)
+    assert k is not None and k == KNOWN_STOPS.get(m, k)
+    assert steps == k - 2 and lengths == []  # B_2..B_{k-1}, nothing more
+    assert got[k - 1 :] == [0] * (n_max - k + 1)
+    assert got[:600] == chocolate2_mod(600, m)
+
+
+def test_pascal_stop_keeps_the_values_of_an_independent_recurrence():
+    # 41 stops at n = 1681, past the big-integer check at n = 600
+    assert chocolate2_mod(3000, 41) == log_derivative_chocolate2_mod(3000, 41)
+
+
+@pytest.mark.parametrize("m,live", [(2, 1), (4, 2), (8, 2), (2**40, 22)])
+def test_scaled_route_stops_where_the_factorial_vanishes(m, live):
+    # (2n-1)! is not 0 mod m up to n = live, and 0 from n = live + 1 on
+    assert factorial(2 * live - 1) % m != 0 == factorial(2 * live + 1) % m
+    got, steps, lengths = kernel_work(lambda: chocolate2_mod(3000, m))
+    assert steps == 0 and lengths == [live]
+    assert got[live:] == [0] * (3000 - live)
+    assert got[:600] == chocolate2_mod(600, m)
+
+
+@pytest.mark.parametrize("m,steps,lengths", [
+    *((m, 2999, []) for m in (3, 9, 12, 37, 43)),
+    (999_983, 0, [3000]),
+    # the smooth part 11 stops at n = 11, the rough part runs in full
+    (11 * 3_037_000_507, 9, [3000]),
+])
+def test_kernel_passes_without_a_certified_tail_run_the_full_length(m, steps, lengths):
+    _, *work = kernel_work(lambda: chocolate2_mod(3000, m))
+    assert work == [steps, lengths]
+
+
+def test_a_group_stops_when_its_lcm_does():
+    many, steps, _ = kernel_work(lambda: chocolate2_mod_many(3000, [5, 11]))
+    lcm = chocolate2_mod(3000, 55)
+    assert many == [[r % 5 for r in lcm], [r % 11 for r in lcm]]
+    assert steps == certified_from(55, lcm) - 2 == 23
 
 
 @pytest.mark.parametrize(
