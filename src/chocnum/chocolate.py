@@ -98,10 +98,8 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     2 x 100 stay on big integers and never load numpy.  The scaled counts
     c(a, b) = count(a, b) / (ab-1)! need no binomial weights, so they fill
     modulo primes just below 2**26 in int64 numpy arrays, and one CRT
-    gives the count.  Only the m x n entry is stored.  Measured on one
-    core against big integers, it is about 3x faster at 2 x 182, 4-5x at
-    3 x 210, 6x at 2 x 282, 9x at 10 x 200 and 30 x 120, and over 30x at
-    2 x 1200, which takes about 0.5-0.7 s.
+    gives the count.  Only the m x n entry is stored.  README "Performance
+    notes" times both fills.
     """
     if m < 1 or n < 1:
         raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
@@ -155,9 +153,8 @@ def _residue_primes(m: int, n: int, memo: dict) -> list[int] | None:
     3 x n, 5 x n, 6 x n, 10 x n, 20 x n, 30 x n and squares: the route wins
     once (mn-1) * E.bit_length() >= 900 m and n >= 4 m.  Squares stay on
     big integers for memory: the fill holds about 12 bytes per prime and
-    cell, so forced through residues 40 x 40 took 0.14-0.16 s against
-    0.25-0.27 s, and 50 x 50 0.32-0.38 s against 0.94-1.05 s, but the
-    process peaked at 42 and 64 MiB against 29 MiB.
+    cell, and a square gains on time what it loses on peak memory (README,
+    Performance notes).
     E = m(n-1) + n(m-1) bounds the breaks one state offers, since every
     available break cuts interior unit edges that no other available break
     cuts.  The primes bound the count by ``_count_bound``.

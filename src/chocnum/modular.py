@@ -80,6 +80,12 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     Pascal rows, and one CRT per index joins them; a modulus that is all
     rough or all smooth runs its one route alone.
 
+    The plan comes first, from the pure ``_split(n_max, m)``: (s, r, facts),
+    with facts the running factorials (2n-1)! mod m for n = 1..live, where
+    live is the last n <= n_max with (2n-1)! not 0 mod m, and (m, 1, [])
+    when the whole modulus walks Pascal rows.  The rest runs the passes it
+    names and nothing else.
+
     Scaled route, for r: every 2n-1 <= 2n_max-1 is a unit mod r, and the
     scaled counts c_n = B_n / (2n-1)! satisfy
 
@@ -105,12 +111,12 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     keeps the last n with B_n not 0 mod m beside its running factorial, and
     once B_i = 0 for i = floor((n+2)/2)..n and m divides (2n)!, it has
     ``persistent_divisor_check(m, n + 1)`` and pads the rest with zeros.
-    On the scaled route B_n = (2n-1)! c_n mod r, so c is filled only while
-    (2n-1)! is not 0 mod r, which only a power of 2 reaches, such as 8 at
-    n = 3 or 2^40 at n = 23.  A mixed modulus stops on each part on its
-    own, and the CRT join is unchanged.  The classifier ``zero_tail_prime``
-    is not used: it states conjecture 1, which the scans test, while the
-    lemma is proved, and it speaks of primes only.
+    On the scaled route B_n = (2n-1)! c_n mod r, so c is filled only up to
+    live: (2n-1)! is 0 mod r from there on, which only a power of 2
+    reaches, such as 8 at n = 3 or 2^40 at n = 23.  A mixed modulus stops
+    on each part on its own, and the CRT join is unchanged.  The classifier
+    ``zero_tail_prime`` is not used: it states conjecture 1, which the scans
+    test, while the lemma is proved, and it speaks of primes only.
 
     Half sum, on both routes: the summand is symmetric under i <-> n-i, so
     only i < n/2 is summed, the sum is doubled, and the middle term is
@@ -144,26 +150,34 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
-    q = m // (m & -m)  # the odd part
-    if 1 < q < 2 * n_max:
-        return _pascal_residues(n_max, m)
-    facts = [1]  # (2n-1)! mod m for n = 1..n_max
-    for k in range(3, 2 * n_max, 2):
-        facts.append(facts[-1] * (k - 1) * k % m)
-    r = q  # divided down to the rough part, coprime to (2n_max-1)!
-    while (g := math.gcd(facts[-1], r)) > 1:
-        r //= g
-    s, r = (m // r, r) if r < q else (1, m)  # the powers of 2 go to s unless s = 1
+    s, r, facts = _split(n_max, m)
     if r == 1:
         return _pascal_residues(n_max, m)
-    # (2n-1)! mod r sticks at 0 from n = live + 1 on, and so do the B_n
-    live = facts.index(0) if facts[-1] == 0 else n_max
+    live = len(facts)  # B_n = 0 mod r from n = live + 1 on
     scaled = _scaled_dot if residue_kernel(live, r) == "int64-dot" else _scaled_limbs
     rough = [f * c % r for f, c in zip(facts, scaled(live, r))] + [0] * (n_max - live)
     if s == 1:
         return rough
     inverse = pow(s, -1, r)
     return [a + s * ((b - a) * inverse % r) for a, b in zip(_pascal_residues(n_max, s), rough)]
+
+
+def _split(n_max: int, m: int) -> tuple[int, int, list[int]]:
+    """The plan (s, r, facts) of ``chocolate2_mod(n_max, m)``; its
+    docstring defines each part."""
+    q = m // (m & -m)  # the odd part
+    if 1 < q < 2 * n_max:
+        return m, 1, []
+    facts, f = [], 1
+    for k in range(3, 2 * n_max + 2, 2):
+        facts.append(f)  # (2n-1)! mod m for n = (k-1)/2
+        if not (f := f * (k - 1) * k % m):
+            break
+    r = q  # divided down to the rough part, coprime to (2n_max-1)!
+    while (g := math.gcd(facts[-1] if len(facts) == n_max else 0, r)) > 1:
+        r //= g
+    s, r = (m // r, r) if r < q else (1, m)  # the powers of 2 go to s unless s = 1
+    return (m, 1, []) if r == 1 else (s, r, facts)
 
 
 def _scaled_dot(n_max: int, m: int) -> list[int]:
@@ -293,21 +307,29 @@ def chocolate2_mod_many(n_max: int, moduli) -> list[list[int]]:
     ``"int64-dot"`` kernel; one that fits no group runs alone.  A pass
     splits its lcm as ``chocolate2_mod`` splits any modulus, so the smooth
     parts of the members share its Pascal rows and their rough parts its
-    scaled route."""
+    scaled route.  The pure ``_groups(n_max, moduli)`` plans this first:
+    (lcms, member_of), the lcm of each group and the group of each
+    modulus."""
     n_max = operator.index(n_max)
     moduli = [operator.index(m) for m in moduli]
-    groups, member_of = [], []  # lcm per group; group per modulus
+    lcms, member_of = _groups(n_max, moduli)
+    residues = [chocolate2_mod(n_max, lcm) for lcm in lcms]
+    return [[r % m for r in residues[g]] for m, g in zip(moduli, member_of)]
+
+
+def _groups(n_max: int, moduli: list[int]) -> tuple[list[int], list[int]]:
+    """The plan (lcms, member_of) of ``chocolate2_mod_many(n_max, moduli)``."""
+    lcms, member_of = [], []
     for m in moduli:
         if m < 2:
             raise ValueError(f"modulus must be >= 2, got {m}")
-        g = next((g for g, lcm in enumerate(groups)
-                  if residue_kernel(n_max, math.lcm(lcm, m)) == "int64-dot"), len(groups))
-        if g == len(groups):
-            groups.append(1)
-        groups[g] = math.lcm(groups[g], m)
+        g = next((g for g, lcm in enumerate(lcms)
+                  if residue_kernel(n_max, math.lcm(lcm, m)) == "int64-dot"), len(lcms))
+        if g == len(lcms):
+            lcms.append(1)
+        lcms[g] = math.lcm(lcms[g], m)
         member_of.append(g)
-    residues = [chocolate2_mod(n_max, lcm) for lcm in groups]
-    return [[r % m for r in residues[g]] for m, g in zip(moduli, member_of)]
+    return lcms, member_of
 
 
 def hyper_numerators_mod(n_max: int, m: int) -> list[int]:
@@ -360,8 +382,7 @@ def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
     evidence (integer comparisons: tail >= 3 * period and 2 * tail >= L) --
     with fewer than 3 periods or less than half the evidence the report
     comes back unresolved rather than overclaiming.  The scan is linear in
-    the evidence, found or not: 0.013 s on 10^5 aperiodic terms, best of 7
-    on one core of a 2-core Xeon VM.
+    the evidence, found or not.
 
     ``candidate_periods`` is accepted and ignored: hints could only change
     the speed.  Two fitting periods leave tails of at least half the

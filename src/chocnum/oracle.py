@@ -34,10 +34,7 @@ def count_sequences(m: int, n: int, area_limit: int = DEFAULT_AREA_LIMIT) -> int
     sequences reaching them, and the answer is the count of the empty state
     after the last move.  A move picks any physical piece -- equal pieces
     are distinct choices, so each distinct piece is expanded once and
-    weighted by its multiplicity -- and any of its grid lines.
-
-    On one core of a 2-core VM, every bar of area <= 12 takes about 0.015 s
-    in all, 5 x 5 about 0.07 s and 6 x 6 about 1.2 s; areas above
+    weighted by its multiplicity -- and any of its grid lines.  Areas above
     ``area_limit`` are rejected up front.
     """
     if m < 1 or n < 1:

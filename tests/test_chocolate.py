@@ -186,13 +186,9 @@ def test_residue_fill_matches_the_big_integer_fill():
     (2, 100, False), (2, 101, True), (3, 100, False), (3, 101, True),
     (10, 81, False), (10, 82, True), (10, 200, True),
 ])
-def test_route_agrees_with_the_big_integer_fill_at_the_crossover(monkeypatch, m, n, route):
-    routed = []
-    fill = chocolate_mod._count_from_residues
-    monkeypatch.setattr(chocolate_mod, "_count_from_residues",
-                        lambda *args: routed.append(args) or fill(*args))
+def test_route_agrees_with_the_big_integer_fill_at_the_crossover(m, n, route):
+    assert (chocolate_mod._residue_primes(m, n, {}) is not None) is route
     assert chocolate_number(m, n) == big_integer_count(m, n)
-    assert bool(routed) is route
 
 
 @pytest.mark.parametrize("m,n", [(2, 600), (10, 200)])
@@ -222,6 +218,14 @@ def test_squares_stay_on_big_integers():
     # peaked at 42 MiB (40 x 40) and 64 MiB (50 x 50) against 29 MiB
     for s in (40, 72, 100, 400):
         assert chocolate_mod._residue_primes(s, s, {}) is None
+
+
+def test_residue_route_needs_n_at_least_4_m():
+    # both bars pass the 900 m size rule, so n >= 4 m alone decides
+    for n in (119, 120):
+        assert (30 * n - 1) * (30 * (n - 1) + n * 29).bit_length() >= 900 * 30
+    assert chocolate_mod._residue_primes(30, 119, {}) is None
+    assert isinstance(chocolate_mod._residue_primes(30, 120, {}), list)
 
 
 def test_count_bound_holds_on_every_bar_of_area_up_to_400():
@@ -264,6 +268,15 @@ def test_residue_primes_are_the_fewest_that_pass_the_bound(bound):
     assert chocolate_mod._fewest_primes(bound, 2**26) is None
 
 
+def test_dot_block_keeps_a_dot_of_residues_in_int64():
+    # the largest residue factor is p_max - 1 for the largest prime p_max
+    # below the ceiling; one more term per block could pass 2^63
+    p_max = next(p for p in range(chocolate_mod._PRIME_CEILING - 1, 0, -1) if is_prime(p))
+    assert p_max == 67_108_859
+    assert chocolate_mod._DOT_BLOCK * (p_max - 1) ** 2 < 2**63
+    assert 2048 * (p_max - 1) ** 2 < 2**63 <= 2049 * (p_max - 1) ** 2
+
+
 def test_blocked_dot_products_are_exact(monkeypatch):
     # with blocks of 5 terms, rows of 16 and columns of 20 take several
     expected = big_integer_count(16, 20)
@@ -272,15 +285,12 @@ def test_blocked_dot_products_are_exact(monkeypatch):
     assert chocolate_number(2, 150) == chocolate2(150)
 
 
-def test_single_rows_and_warm_tables_keep_the_big_integer_fill(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("took the residue route")
-
-    monkeypatch.setattr(chocolate_mod, "_count_from_residues", refuse)
+def test_single_rows_and_warm_tables_keep_the_big_integer_fill():
+    assert chocolate_mod._residue_primes(1, 3000, {}) is None
+    assert chocolate_mod._residue_primes(2, 300, seeded_table().memo) is None
+    assert chocolate_mod._residue_primes(2, 300, {}) is not None
     assert chocolate_number(1, 3000) == chocolate_number(3000, 1) == math.factorial(2999)
     assert chocolate_number(2, 300, seeded_table()) == chocolate2(300)
-    with pytest.raises(AssertionError, match="residue route"):
-        chocolate_number(2, 300)
 
 
 def test_route_stores_only_the_requested_entry():

@@ -155,25 +155,18 @@ def test_chocolate2_mod_kernels_match_full_row_path(m, kernel):
     assert chocolate2_mod(599, m) == want[:599]
 
 
-KERNEL_ROUTES = {"_pascal_residues": "pascal", "_scaled_dot": "scaled", "_scaled_limbs": "scaled"}
-
-
-def routed(n_max, m):
-    """chocolate2_mod(n_max, m) and the kernel passes it ran, in order, each
+def planned(n_max, m):
+    """The kernel passes that chocolate2_mod(n_max, m) plans, in order, each
     as (route, modulus of the pass, its residue_kernel class)."""
-    passes = []
+    s, r, facts = modular_mod._split(n_max, m)
+    passes = [("scaled", r, residue_kernel(len(facts), r))] if r > 1 else []
+    return passes + [("pascal", s, residue_kernel(n_max, s))] * (s > 1)
 
-    def recording(route, kernel):
-        def run(n, q):
-            passes.append((route, q, residue_kernel(n, q)))
-            return kernel(n, q)
-        return run
 
-    with pytest.MonkeyPatch.context() as mp:
-        for name, route in KERNEL_ROUTES.items():
-            mp.setattr(modular_mod, name, recording(route, getattr(modular_mod, name)))
-        got = chocolate2_mod(n_max, m)
-    return got, passes
+def scaled_lengths(n_max, m):
+    """The length of the scaled pass that chocolate2_mod(n_max, m) plans, if any."""
+    _, r, facts = modular_mod._split(n_max, m)
+    return [len(facts)] * (r > 1)
 
 
 @functools.cache
@@ -199,10 +192,28 @@ def route_of(scaled):
 
 @pytest.mark.parametrize("m,scaled,kernel", ROUTE_CASES)
 def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel):
-    got, passes = routed(600, m)
-    assert passes == [(route_of(scaled), m, kernel)]
+    assert planned(600, m) == [(route_of(scaled), m, kernel)]
+    got = chocolate2_mod(600, m)
     assert got == full_row_chocolate2_mod(600, m)
     assert got[:200] == [v % m for v in exact_b(200)]
+
+
+def test_chocolate2_mod_runs_the_passes_of_its_plan():
+    # the one test that hooks the kernels: both scaled kernels are exact on
+    # "int64-dot" moduli, so only a hook sees a dispatch to the slower one
+    cases = [(600, m) for m, _, _ in ROUTE_CASES] + [(3000, 3 * 1_012_333_503), (3000, 2**40)]
+    for n_max, m in cases:
+        ran = []
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_pascal_residues", "_scaled_dot", "_scaled_limbs"):
+                kernel = getattr(modular_mod, name)
+                mp.setattr(modular_mod, name, lambda n, q, name=name, kernel=kernel:
+                           ran.append((name, q, n)) or kernel(n, q))
+            chocolate2_mod(n_max, m)
+        s, r, facts = modular_mod._split(n_max, m)
+        scaled = "_scaled_dot" if residue_kernel(len(facts), r) == "int64-dot" else "_scaled_limbs"
+        want = [(scaled, r, len(facts))] * (r > 1) + [("_pascal_residues", s, n_max)] * (s > 1)
+        assert ran == want, m
 
 
 @pytest.mark.parametrize("n_max,m,scaled", [
@@ -216,12 +227,11 @@ def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel)
     (600, EDGE_600 + 1, False),  # 2^2 * 71 * 461 * 947
 ])
 def test_chocolate2_mod_route_boundaries(n_max, m, scaled):
-    got, passes = routed(n_max, m)
-    assert [(r, q) for r, q, _ in passes] == [(route_of(scaled), m)]
+    assert [(r, q) for r, q, _ in planned(n_max, m)] == [(route_of(scaled), m)]
     # past n = 601 the full row is slow; Pascal rows share no arithmetic
     # with the scaled route, so they check it as well
     reference = full_row_chocolate2_mod if n_max <= 601 else modular_mod._pascal_residues
-    assert got == reference(n_max, m)
+    assert chocolate2_mod(n_max, m) == reference(n_max, m)
 
 
 def int64_dot_edge(n_max):
@@ -285,8 +295,8 @@ def test_chocolate2_mod_fuzz_across_the_kernel_bounds(seed):
     want_exact = exact_b(n_max)
     seen = set()
     for m in fuzz_moduli(seed, n_max, 3):
-        got, passes = routed(n_max, m)
-        seen.update((route, kernel) for route, _, kernel in passes)
+        seen.update((route, kernel) for route, _, kernel in planned(n_max, m))
+        got = chocolate2_mod(n_max, m)
         assert got == full_row_chocolate2_mod(n_max, m), m
         assert got == [v % m for v in want_exact], m
     # every route meets every kernel
@@ -323,7 +333,7 @@ def test_mixed_moduli_split_into_a_pascal_and_a_scaled_pass(seed):
     want_exact = exact_b(n_max)
     crossed = set()
     for m, s, r in mixed_moduli(seed, n_max, 3):
-        got, passes = routed(n_max, m)
+        passes, got = planned(n_max, m), chocolate2_mod(n_max, m)
         assert passes == [("scaled", r, residue_kernel(n_max, r)),
                           ("pascal", s, residue_kernel(n_max, s))], m
         assert got == full_row_chocolate2_mod(n_max, m), m
@@ -340,8 +350,8 @@ def test_mixed_modulus_walks_pascal_rows_on_its_smooth_part_only():
     # the whole modulus would need, never runs
     m = 3 * 1_012_333_503
     assert residue_kernel(3000, m) == "object"
-    got, passes = routed(3000, m)
-    assert passes == [("scaled", 337_444_501, "int64"), ("pascal", 9, "int64-dot")]
+    assert planned(3000, m) == [("scaled", 337_444_501, "int64"), ("pascal", 9, "int64-dot")]
+    got = chocolate2_mod(3000, m)
     assert got[:200] == [v % m for v in exact_b(200)]
     assert [x % 9 for x in got] == chocolate2_mod(3000, 9)
     assert [x % 337_444_501 for x in got] == chocolate2_mod(3000, 337_444_501)
@@ -371,12 +381,11 @@ def test_int64_dot_edge_at_3000_matches_its_prime_power_parts():
     edge = int64_dot_edge(3000)
     assert edge == 55_447_790
     assert residue_kernel(3000, edge) == "int64-dot" != residue_kernel(3000, edge + 1)
-    assert routed(3000, edge)[1] == [("scaled", 5_544_779, "int64-dot"),
-                                     ("pascal", 10, "int64-dot")]
+    assert planned(3000, edge) == [("scaled", 5_544_779, "int64-dot"),
+                                   ("pascal", 10, "int64-dot")]
     for m, kernel in ((edge - 2, "int64-dot"), (edge + 5, "int64")):
-        got, passes = routed(3000, m)
-        assert passes == [("pascal", m, kernel)], m
-        assert got == crt_reference(3000, m), m
+        assert planned(3000, m) == [("pascal", m, kernel)], m
+        assert chocolate2_mod(3000, m) == crt_reference(3000, m), m
 
 
 def test_limb_width_keeps_every_matmul_entry_below_2_62():
@@ -390,24 +399,11 @@ def test_limbs_at_their_width_boundaries(m):
     # (n_max - 1) // 2 crosses 64 and 128 here, so the limb width changes
     widths = set()
     for n_max in (1, 2, 3, 127, 128, 129, 130, 255, 256, 257, 258):
-        got, passes = routed(n_max, m)
-        assert [(r, q) for r, q, _ in passes] == [("scaled", m)]
+        assert [(r, q) for r, q, _ in planned(n_max, m)] == [("scaled", m)]
         assert residue_kernel(n_max, m) != "int64-dot" or n_max == 1
         widths.add(modular_mod._limb_width(n_max))
-        assert got == [v % m for v in exact_b(n_max)], n_max
+        assert chocolate2_mod(n_max, m) == [v % m for v in exact_b(n_max)], n_max
     assert len(widths) == 4
-
-
-def recorded_kernel_moduli(monkeypatch):
-    """The moduli chocolate2_mod runs its kernel on, as calls happen."""
-    seen = []
-
-    def recording(n_max, m):
-        seen.append(m)
-        return chocolate2_mod(n_max, m)
-
-    monkeypatch.setattr(modular_mod, "chocolate2_mod", recording)
-    return seen
 
 
 # every conjecture set of the benchmark, at its evidence length
@@ -417,41 +413,36 @@ BENCHMARK_SCANS = [(1, tuple(primes_below(100)[i::3]), 560) for i in range(3)] +
 
 
 @pytest.mark.parametrize("conjecture,moduli,n_max", BENCHMARK_SCANS)
-def test_grouped_scan_matches_one_modulus_at_a_time(monkeypatch, conjecture, moduli, n_max):
-    seen = recorded_kernel_moduli(monkeypatch)
+def test_grouped_scan_matches_one_modulus_at_a_time(conjecture, moduli, n_max):
+    # no benchmark set has a prime that conjecture 3 leaves out
+    lcms, _ = modular_mod._groups(n_max, moduli)
+    assert len(lcms) < len(moduli)
+    assert all(residue_kernel(n_max, m) == "int64-dot" for m in lcms)
     grouped = conjecture_scan(conjecture, moduli, n_max)
-    assert len(seen) < len(moduli)
-    assert all(residue_kernel(n_max, m) == "int64-dot" for m in seen)
     assert grouped == [rec for m in moduli for rec in conjecture_scan(conjecture, [m], n_max)]
 
 
-def test_grouping_never_leaves_the_int64_dot_kernel(monkeypatch):
+def test_grouping_never_leaves_the_int64_dot_kernel():
     # one group would need the object kernel (lcm 7 943 076 345), and the
     # first six primes alone the int64 one at n_max = 1500
     primes = (3, 5, 17, 53, 73, 83, 97)
-    seen = recorded_kernel_moduli(monkeypatch)
-    got = chocolate2_mod_many(1500, primes)
-    assert seen == [3 * 5 * 17 * 53 * 73, 83 * 97]
-    assert all(residue_kernel(1500, m) == "int64-dot" for m in seen)
-    assert got == [chocolate2_mod(1500, p) for p in primes]
+    lcms, member_of = modular_mod._groups(1500, primes)
+    assert (lcms, member_of) == ([3 * 5 * 17 * 53 * 73, 83 * 97], [0, 0, 0, 0, 0, 1, 1])
+    assert all(residue_kernel(1500, m) == "int64-dot" for m in lcms)
+    assert chocolate2_mod_many(1500, primes) == [chocolate2_mod(1500, p) for p in primes]
 
 
-def test_grouping_keeps_the_scaled_route(monkeypatch):
+def test_grouping_keeps_the_scaled_route():
     # 999983, 9 and 3 share one pass mod their lcm 8 999 847, which keeps
     # 999983 on the scaled route and walks Pascal rows mod 9 only; powers of
     # 2 share the Pascal pass of small odd moduli
-    assert routed(3000, 9 * 999_983)[1] == [("scaled", 999_983, "int64-dot"),
-                                            ("pascal", 9, "int64-dot")]
-    assert routed(1500, 8)[1] == [("scaled", 8, "int64-dot")]
-    assert routed(1500, 120)[1] == [("pascal", 120, "int64-dot")]
-    seen = recorded_kernel_moduli(monkeypatch)
-    got = chocolate2_mod_many(3000, [999_983, 9, 3])
-    assert seen == [9 * 999_983]
-    assert got == [chocolate2_mod(3000, m) for m in (999_983, 9, 3)]
-    seen.clear()
-    got = chocolate2_mod_many(1500, [4, 6, 8, 10])
-    assert seen == [120]
-    assert got == [chocolate2_mod(1500, m) for m in (4, 6, 8, 10)]
+    assert planned(3000, 9 * 999_983) == [("scaled", 999_983, "int64-dot"),
+                                          ("pascal", 9, "int64-dot")]
+    assert planned(1500, 8) == [("scaled", 8, "int64-dot")]
+    assert planned(1500, 120) == [("pascal", 120, "int64-dot")]
+    for n_max, moduli, lcm in ((3000, [999_983, 9, 3], 9 * 999_983), (1500, [4, 6, 8, 10], 120)):
+        assert modular_mod._groups(n_max, moduli) == ([lcm], [0] * len(moduli))
+        assert chocolate2_mod_many(n_max, moduli) == [chocolate2_mod(n_max, m) for m in moduli]
 
 
 def test_grouping_keeps_order_and_duplicates():
@@ -489,10 +480,9 @@ def test_grouped_lcm_matches_log_derivative_reference():
         assert [r % p for r in got] == chocolate2_mod(1500, p), p
 
 
-def test_moduli_below_twice_n_max_skip_the_route_rule(monkeypatch):
+def test_moduli_below_twice_n_max_skip_the_route_rule():
     # no running factorial: this would take 10^12 steps
-    monkeypatch.setattr(modular_mod, "_pascal_residues", lambda n_max, m: ("pascal", n_max, m))
-    assert chocolate2_mod(10**12, 9) == ("pascal", 10**12, 9)
+    assert modular_mod._split(10**12, 9) == (9, 1, [])
 
 
 INT64_MAX = 2**63 - 1
@@ -537,8 +527,8 @@ def test_int64_dot_defers_reductions_up_to_the_int64_bound(monkeypatch, m, defer
         return real_dot(weights, prods)
 
     monkeypatch.setattr(np, "dot", recording_dot)
-    got, passes = routed(600, m)
-    assert passes == [("pascal", m, "int64-dot")]
+    assert planned(600, m) == [("pascal", m, "int64-dot")]
+    got = chocolate2_mod(600, m)
     assert got == full_row_chocolate2_mod(600, m)
     assert len(seen) == len(schedule)
     for n, ((w, p), (bound, row_reduced, prods_reduced)) in enumerate(zip(seen, schedule), 2):
@@ -596,30 +586,21 @@ def test_chocolate2_mod_matches_the_big_integer_counts_at_600():
         assert chocolate2_mod(600, m) == [v % m for v in want], m
 
 
-def kernel_work(run):
-    """run() and the work of the kernel passes it made: the Pascal steps
-    taken (each calls numpy.add twice) and the lengths of the scaled
-    passes."""
-    adds, lengths = [], []
+def pascal_steps(run):
+    """run() and the Pascal steps its kernel passes took, each of which
+    calls numpy.add twice."""
+    adds = []
     real_add = np.add
 
     def recording_add(*args, **kwargs):
         adds.append(None)
         return real_add(*args, **kwargs)
 
-    def recording(kernel):
-        def scaled(n_max, m):
-            lengths.append(n_max)
-            return kernel(n_max, m)
-        return scaled
-
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(np, "add", recording_add)
-        for name in ("_scaled_dot", "_scaled_limbs"):
-            mp.setattr(modular_mod, name, recording(getattr(modular_mod, name)))
         got = run()
     assert len(adds) % 2 == 0
-    return got, len(adds) // 2, lengths
+    return got, len(adds) // 2
 
 
 def certified_from(m, residues):
@@ -638,10 +619,11 @@ KNOWN_STOPS = {11: 11, 19: 361, 41: 1681, 10**9: 125, 10**12: 151}
     (20_000, 11),  # a long prefix that the stop makes cheap
 ])
 def test_pascal_rows_stop_at_the_certified_zero_tail(n_max, m):
-    got, steps, lengths = kernel_work(lambda: chocolate2_mod(n_max, m))
+    assert scaled_lengths(n_max, m) == []
+    got, steps = pascal_steps(lambda: chocolate2_mod(n_max, m))
     k = certified_from(m, got)
     assert k is not None and k == KNOWN_STOPS.get(m, k)
-    assert steps == k - 2 and lengths == []  # B_2..B_{k-1}, nothing more
+    assert steps == k - 2  # B_2..B_{k-1}, nothing more
     assert got[k - 1 :] == [0] * (n_max - k + 1)
     assert got[:600] == chocolate2_mod(600, m)
 
@@ -653,10 +635,12 @@ def test_pascal_stop_keeps_the_values_of_an_independent_recurrence():
 
 @pytest.mark.parametrize("m,live", [(2, 1), (4, 2), (8, 2), (2**40, 22)])
 def test_scaled_route_stops_where_the_factorial_vanishes(m, live):
-    # (2n-1)! is not 0 mod m up to n = live, and 0 from n = live + 1 on
+    # (2n-1)! is not 0 mod m up to n = live, and 0 from n = live + 1 on, so
+    # the plan holds live factorials and the scaled pass is that long
     assert factorial(2 * live - 1) % m != 0 == factorial(2 * live + 1) % m
-    got, steps, lengths = kernel_work(lambda: chocolate2_mod(3000, m))
-    assert steps == 0 and lengths == [live]
+    assert scaled_lengths(3000, m) == [live]
+    got, steps = pascal_steps(lambda: chocolate2_mod(3000, m))
+    assert steps == 0
     assert got[live:] == [0] * (3000 - live)
     assert got[:600] == chocolate2_mod(600, m)
 
@@ -668,12 +652,12 @@ def test_scaled_route_stops_where_the_factorial_vanishes(m, live):
     (11 * 3_037_000_507, 9, [3000]),
 ])
 def test_kernel_passes_without_a_certified_tail_run_the_full_length(m, steps, lengths):
-    _, *work = kernel_work(lambda: chocolate2_mod(3000, m))
-    assert work == [steps, lengths]
+    assert scaled_lengths(3000, m) == lengths
+    assert pascal_steps(lambda: chocolate2_mod(3000, m))[1] == steps
 
 
 def test_a_group_stops_when_its_lcm_does():
-    many, steps, _ = kernel_work(lambda: chocolate2_mod_many(3000, [5, 11]))
+    many, steps = pascal_steps(lambda: chocolate2_mod_many(3000, [5, 11]))
     lcm = chocolate2_mod(3000, 55)
     assert many == [[r % 5 for r in lcm], [r % 11 for r in lcm]]
     assert steps == certified_from(55, lcm) - 2 == 23
