@@ -12,8 +12,8 @@ submodule is what ``chocnum.<name>`` returns.
 from importlib import import_module
 
 _EXPORTS = {
-    "arith": ("CofactorStatus", "Factorization", "binomial", "binomial_mod_prime",
-              "divides_factorial", "factor", "is_prime", "nu_p", "nu_p_factorial"),
+    "arith": ("CofactorStatus", "Factorization", "binomial", "divides_factorial", "factor",
+              "is_prime", "nu_p"),
     "chocolate": ("CacheFormatError", "ChocolateTable", "SequenceFrontierError",
                   "SequenceKind", "SequenceSpec", "chocolate2", "chocolate_number",
                   "generate", "load_cache", "save_cache"),

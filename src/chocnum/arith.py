@@ -60,25 +60,6 @@ def binomial(n: int, k: int) -> int:
     return math.comb(n, k)
 
 
-def binomial_mod_prime(n: int, k: int, p: int) -> int:
-    """C(n, k) mod the prime p by Lucas' theorem: the product of the
-    binomials of the base-p digits of n and k, which is 0 as soon as a digit
-    of k exceeds the digit of n.  Same out-of-range convention as
-    ``binomial``.  Primality of p is the caller's promise; p < 2 raises."""
-    if n < 0:
-        raise ValueError("binomial requires n >= 0")
-    if p < 2:
-        raise ValueError(f"binomial_mod_prime requires a prime p, got {p}")
-    if k < 0 or k > n:
-        return 0
-    r = 1
-    while k and r:
-        n, n_digit = divmod(n, p)
-        k, k_digit = divmod(k, p)
-        r = r * math.comb(n_digit, k_digit) % p
-    return r
-
-
 def nu_p(value: int, p: int) -> int:
     """Largest e with p^e dividing value.  value must be >= 1 (the valuation
     of 0 would be infinite) and p must be prime."""
@@ -158,21 +139,10 @@ def factor(value: int) -> Factorization:
     return Factorization(tuple(factors), rem, status)
 
 
-def nu_p_factorial(N: int, p: int) -> int:
-    """Valuation of N! at prime p by summing floor(N / p^i)."""
-    if N < 0:
-        raise ValueError("N must be >= 0")
-    total = 0
-    q = p
-    while q <= N:
-        total += N // q
-        q *= p
-    return total
-
-
 def divides_factorial(k: int, N: int) -> bool:
-    """Whether k divides N!, decided from the factorization of k and the
-    valuation formula for N! -- the factorial itself is never computed.
+    """Whether k divides N!, decided from the factorization of k and
+    Legendre's formula nu_p(N!) = sum_{i >= 1} floor(N / p^i), whose terms
+    vanish once p^i > N -- the factorial itself is never computed.
 
     Fails if k cannot be fully factored (unresolved cofactor).
     """
@@ -185,4 +155,4 @@ def divides_factorial(k: int, N: int) -> bool:
         raise ValueError(
             f"cannot decide divisibility: {k} has unresolved cofactor {f.cofactor}"
         )
-    return all(nu_p_factorial(N, p) >= e for p, e in f.factors)
+    return all(sum(N // p**i for i in range(1, N.bit_length() + 1)) >= e for p, e in f.factors)

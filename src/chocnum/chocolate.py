@@ -91,15 +91,9 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     Along a sum, with N = ab-2, C(N, k+side) = C(N, k)*perm(N-k, side) //
     perm(k+side, side): the quotient is a binomial, so the division is exact.
 
-    One fresh count of a long bar is rebuilt from residues instead: with an
-    empty table, m >= 2, n >= 4m and (mn-1) * E.bit_length() >= 900 m,
-    where E = m(n-1) + n(m-1), a crossover measured over 2 x n to 30 x n
-    and squares (see ``_residue_primes``).  Squares and bars below about
-    2 x 100 stay on big integers and never load numpy.  The scaled counts
-    c(a, b) = count(a, b) / (ab-1)! need no binomial weights, so they fill
-    modulo primes just below 2**26 in int64 numpy arrays, and one CRT
-    gives the count.  Only the m x n entry is stored.  README "Performance
-    notes" times both fills.
+    One fresh count of a long bar is rebuilt from residues instead, when
+    ``_residue_primes`` gives primes for it; its docstring has the rule and
+    ``_count_from_residues`` the math.  Only the m x n entry is stored.
     """
     if m < 1 or n < 1:
         raise ValueError(f"bar dimensions must be positive, got {m} x {n}")

@@ -3,30 +3,26 @@ numerator products, plus the machinery that scans them:
 divisibility-propagation certificates, the forced mod-3 pattern, eventual
 period detection, and the three-conjecture scan harness.
 
-Residues are always normalized to [0, m).  The long-prefix computations are
-vectorized with numpy in int64 because the prefix cost is quadratic in n.
-The 2 x n residues split m into a rough part, coprime to every odd number
-below 2n, and a smooth part, joined by one CRT.  The rough part takes the
-scaled counts B_n / (2n-1)!, which need no binomial weights: each step is
-one int64 inner product, of the residues while int64 holds it and beyond
-that of their limbs, all in one array.  The smooth part walks a Pascal row,
-in int64 while the products fit (the int64-dot kernel reduces the row and
-the products only when a running bound on their entries says int64 would
-not hold the next step) and in Python integers beyond that.  Several moduli
-share one kernel pass mod their lcm (``chocolate2_mod_many``).
+Residues are always normalized to [0, m).  The 2 x n residues cost time
+quadratic in n, so they run in three int64 numpy kernels: ``chocolate2_mod``
+splits m into a rough part for the scaled counts (``_scaled_dot``,
+``_scaled_limbs``) and a smooth part for Pascal rows (``_pascal_residues``),
+``residue_kernel`` names the int64 class that picks the arithmetic of each,
+and several moduli share one pass mod their lcm (``chocolate2_mod_many``).
 
 Zero tails: if m divides B_i for every i in floor((n+1)/2)..n-1 and m
-divides (2n-2)!, then m divides every B_j with j >= n, the lemma that
-``persistent_divisor_check`` certifies.  Both routes stop on it and fill
-the rest with zeros: the Pascal route once its trailing zero residues cover
-the window and its running factorial is 0 mod m, the scaled route once its
-running (2n-1)! is 0 mod the rough part.  A stop rests on this proof about
-the residues computed so far, never on the classifier ``zero_tail_prime``,
-which states an open conjecture.
+divides (2n-2)!, then m divides every B_j with j >= n.  By induction on j:
+m divides (2j-2)!, and each product B_i B_{j-i} of the recursion has an
+index max(i, j-i) in floor((n+1)/2)..j-1, inside the window or at or
+beyond n.  ``persistent_divisor_check`` certifies this lemma, and
+``_pascal_residues`` stops on it.  A stop rests on this proof about the
+residues computed so far, never on the classifier ``zero_tail_prime``,
+which states an open conjecture (conjecture 1, which the scans test) and
+speaks of primes only.
 
-numpy is imported on first use, inside ``chocolate2_mod`` and the residue
-route of ``chocolate_number``: it is most of the package's import time, and
-factorizations, series checks and period detection never need it.
+numpy is imported on first use, inside the three kernels and
+``chocolate._count_from_residues``: it is most of the package's import
+time, and factorizations, series checks and period detection never need it.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from dataclasses import asdict, dataclass
 
 from .arith import divides_factorial, is_prime
 
-# products of two residues must stay exact in int64
+# isqrt(2**63 - 1): a product of two residues mod m <= this fits int64
 _INT64_SAFE_MODULUS = 3_037_000_499
 _INT64_MAX = 2**63 - 1
 
@@ -49,16 +45,17 @@ UNRESOLVED = "UNRESOLVED"
 def residue_kernel(n_max: int, m: int) -> str:
     """Name of the int64 precondition class of a kernel pass mod m up to
     n_max, which picks the arithmetic of either route of ``chocolate2_mod``.
+    Each kernel states the bound it relies on.
 
     ``"int64-dot"``: every product of two residues fits int64 and so does a
     dot of fewer than n_max of them.  The scaled route takes one int64 dot
-    of reduced residues per step; the Pascal route one int64 dot of row
-    entries and products that are reduced only when a running bound says
-    int64 might not hold the next step.
+    of reduced residues per step (``_scaled_dot``); the Pascal route one
+    int64 dot of row entries and products that are reduced only when a
+    running bound says int64 might not hold the next step.
     ``"int64"``: the products fit (m <= 3 037 000 499) but a dot product
     might not.  The scaled route splits the residues into limbs, whose
-    int64 inner product stays exact; the Pascal route reduces every product
-    before the sum.
+    int64 inner product stays exact (``_scaled_limbs``); the Pascal route
+    reduces every product before the sum.
     ``"object"``: not even one product fits.  The scaled route runs on
     limbs as for ``"int64"``; the Pascal route carries Python integers, an
     exact dot reduced once per step.
@@ -93,9 +90,11 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
 
     which divides by odd numbers only, so each step is one dot product of
     residues and one modular inverse, and B_n = (2n-1)! c_n at the end.
-    The running product (2n-1)! mod m also finds r: the odd part of m,
-    divided by its gcd with (2n_max-1)! until the two are coprime.  An odd
-    part below 2 n_max is all smooth and needs no product.
+    From live + 1 on, (2n-1)! is 0 mod r and so is B_n, so c is filled only
+    up to live; only a power of 2 gets there, such as 8 at n = 3 or 2^40 at
+    n = 23.  The running product (2n-1)! mod m also finds r: the odd part
+    of m, divided by its gcd with (2n_max-1)! until the two are coprime.
+    An odd part below 2 n_max is all smooth and needs no product.
 
     Pascal route, for s:
 
@@ -105,45 +104,16 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     Half row: the weights come from C(t, 0..t/2+1) mod s alone, the rest
     following from C(t, k) = C(t, t-k).  The half row advances two rows per
     n, by two Pascal steps that together give
-    C(t+2, k) = C(t, k) + 2 C(t, k-1) + C(t, k-2).
-
-    Zero tails, on both routes (see the module docstring): the Pascal route
-    keeps the last n with B_n not 0 mod m beside its running factorial, and
-    once B_i = 0 for i = floor((n+2)/2)..n and m divides (2n)!, it has
-    ``persistent_divisor_check(m, n + 1)`` and pads the rest with zeros.
-    On the scaled route B_n = (2n-1)! c_n mod r, so c is filled only up to
-    live: (2n-1)! is 0 mod r from there on, which only a power of 2
-    reaches, such as 8 at n = 3 or 2^40 at n = 23.  A mixed modulus stops
-    on each part on its own, and the CRT join is unchanged.  The classifier
-    ``zero_tail_prime`` is not used: it states conjecture 1, which the scans
-    test, while the lemma is proved, and it speaks of primes only.
+    C(t+2, k) = C(t, k) + 2 C(t, k-1) + C(t, k-2).  The rows stop at a
+    certified zero tail (``_pascal_residues``).
 
     Half sum, on both routes: the summand is symmetric under i <-> n-i, so
     only i < n/2 is summed, the sum is doubled, and the middle term is
     added when n is even.  Memory stays O(n_max).
 
-    ``residue_kernel`` names the int64 precondition class of each part m,
-    checked at run time, that picks its arithmetic.  With h < n_max dot
-    terms and h_max = (n_max-1)//2 the most of them:
-
-    - scaled route, ``"int64-dot"`` (m <= 3 037 000 499 and
-      n_max (m-1)^2 < 2^63): one int64 dot of reduced residues, which stays
-      below h (m-1)^2 < 2^63.
-    - scaled route, ``"int64"`` and ``"object"``: each c_n is held as L
-      limbs of w = (62 - h_max.bit_length()) // 2 bits in one L x (n_max+1)
-      array, and the sum is one int64 inner product of its columns 1..h
-      with its columns n-1..n-h, read reversed as a view.  Each of the L^2
-      entries is below h 2^(2w) <= 2^62, and one Python sum of the entries,
-      shifted by their limbs' weights, gives the exact sum.
-    - Pascal route, ``"int64-dot"``: a bound on the row entries starts at
-      m-1 and grows 4x per step.  With LIM = 2^63 - 1, the row is reduced
-      once the bound passes min(LIM // 4, LIM // (h_max (m-1))), so the
-      next step and a dot with reduced products stay in int64, and the
-      products only while it exceeds LIM // (h_max (m-1)^2).
-    - Pascal route, ``"int64"`` (m <= 3 037 000 499 only): every product is
-      reduced before the sum, and the row every step.
-    - Pascal route, ``"object"``: Python integers carry an exact dot
-      product, so the result is exact for every modulus.
+    ``residue_kernel`` names the int64 class of each part, checked at run
+    time, which picks its arithmetic.  A mixed modulus stops each part on
+    its own, and the CRT join is unchanged.
     """
     n_max, m = operator.index(n_max), operator.index(m)
     if n_max < 1:
@@ -182,7 +152,8 @@ def _split(n_max: int, m: int) -> tuple[int, int, list[int]]:
 
 def _scaled_dot(n_max: int, m: int) -> list[int]:
     """The scaled counts c_1..c_n_max mod m, each step one int64 dot of
-    residues; the ``"int64-dot"`` precondition must hold."""
+    h < n_max reduced residues, which stays below h (m-1)^2 < 2^63 under
+    the ``"int64-dot"`` precondition n_max (m-1)^2 < 2^63."""
     import numpy as np
 
     c = np.zeros(n_max + 1, dtype=np.int64)  # c[n] = B_n / (2n-1)! mod m
@@ -197,8 +168,12 @@ def _scaled_dot(n_max: int, m: int) -> list[int]:
 
 
 def _scaled_limbs(n_max: int, m: int) -> list[int]:
-    """The scaled counts c_1..c_n_max mod any m, each step one int64 inner
-    product of limbs of w bits over one array (see ``chocolate2_mod``)."""
+    """The scaled counts c_1..c_n_max mod any m.  Each c_n is held as L
+    limbs of w = ``_limb_width(n_max)`` bits in one L x (n_max+1) array, and
+    the sum of step n is one int64 inner product of its columns 1..h with
+    its columns n-1..n-h, read reversed as a view.  Each of the L^2 entries
+    is below h 2^(2w) <= 2^62, and one Python sum of the entries, shifted
+    by their limbs' weights, gives the exact sum."""
     import numpy as np
 
     w = _limb_width(n_max)
@@ -221,15 +196,30 @@ def _scaled_limbs(n_max: int, m: int) -> list[int]:
 
 
 def _limb_width(n_max: int) -> int:
-    """Bits per limb at n_max: h_max 2^(2w) <= 2^62 for h_max = (n_max-1)//2,
-    the most terms of one dot."""
+    """Bits per limb w at n_max, with h_max 2^(2w) <= 2^62 for the most
+    terms of one dot, h_max = (n_max-1)//2."""
     return (62 - ((n_max - 1) // 2).bit_length()) // 2
 
 
 def _pascal_residues(n_max: int, m: int) -> list[int]:
     """B_1..B_n_max mod m on half Pascal rows (see ``chocolate2_mod``).  The
     row steps and the products go into buffers allocated once; a reversed
-    copy of the residues makes both factors of the products contiguous."""
+    copy of the residues makes both factors of the products contiguous.
+
+    Under ``"int64-dot"`` a bound on the row entries starts at m-1 and grows
+    4x per step.  With LIM = 2^63 - 1 and h_max = (n_max-1)//2, the row is
+    reduced once the bound passes min(LIM // 4, LIM // (h_max (m-1))), so
+    the next step and a dot with reduced products stay in int64, and the
+    products only while it exceeds LIM // (h_max (m-1)^2).  Otherwise both
+    caps are 0, so the row is reduced every step.
+
+    Stop: after step n, fact is (2n)! mod m and last the last index with a
+    nonzero residue.  Once B_n = 0, n >= 2 last and m divides (2n)!, the
+    zeros cover floor((n+2)/2)..n and the zero-tail lemma of the module
+    docstring holds at n + 1, so every later residue is the 0 already in
+    ``out``.  At odd n the window alone gives m | (2n-2)!, since every
+    product of the recursion for B_n has an index in it and so B_n = (2n-2)!
+    mod m; at even n that is not proved, and the stop checks both."""
     import numpy as np
 
     kernel = residue_kernel(n_max, m)
@@ -247,7 +237,6 @@ def _pascal_residues(n_max: int, m: int) -> list[int]:
     top = n_max + 1
     out = np.zeros(top + 1, dtype=dtype)  # out[n] = B_n mod m
     rev = np.zeros(top + 1, dtype=dtype)  # rev[top - n] = out[n]
-    values = [0, 1 % m]  # the same, for scalar reads
     out[1] = rev[top - 1] = 1 % m
     # row[k + 2] = C(r, k) mod m for k = 0..r/2 at r = 2n-2; two leading
     # zeros stand for C(r, -2) and C(r, -1)
@@ -256,7 +245,7 @@ def _pascal_residues(n_max: int, m: int) -> list[int]:
     odd = np.zeros(n_max + 2, dtype=dtype)  # odd[j] = C(r+1, j-1)
     prods = np.zeros(max(1, (n_max - 1) // 2), dtype=dtype)
 
-    # row entries stay <= bound; caps of 0 reduce row and products every step
+    # row entries stay <= bound, reduced past row_cap (see above)
     bound, row_cap, prod_cap = m - 1, 0, 0
     if kernel == "int64-dot":
         hm = max(1, (n_max - 1) // 2) * (m - 1)  # most dot terms, times m-1
@@ -285,19 +274,17 @@ def _pascal_residues(n_max: int, m: int) -> list[int]:
             s = int(np.dot(weights, p))
         s = 2 * s % m
         if n % 2 == 0:
-            b = values[n // 2]
+            b = int(out[n // 2])
             s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
         value = (fact + s) % m
-        values.append(value)
         out[n] = rev[top - n] = value
         if fact:
             fact = fact * (2 * n - 1) * (2 * n) % m  # the next step's (2n-2)!
         if value:
             last = n
-        elif not fact and n >= 2 * last:  # persistent_divisor_check(m, n + 1) holds
-            values += [0] * (n_max - n)
+        elif not fact and n >= 2 * last:  # the lemma needs m | (2n)! beside the zeros
             break
-    return values[1:]
+    return out[1:top].tolist()
 
 
 def chocolate2_mod_many(n_max: int, moduli) -> list[list[int]]:
@@ -432,11 +419,9 @@ def persistent_divisor_check(k: int, n: int, b_mod) -> bool:
     """Certificate that k divides every 2 x j break count from j = n on.
 
     True iff k divides B_i for every i in the window floor((n+1)/2) .. n-1
-    and k divides (2n-2)!.  Under those hypotheses every term of the
-    recursion for B_j, j >= n, is divisible by k, so divisibility propagates
-    forever.  ``b_mod`` must hold residues of B_1..B_L mod k with L >= n-1.
-    ``chocolate2_mod`` stops its kernels on the same lemma, at the first n
-    for which this check holds on the residues computed so far.
+    and k divides (2n-2)!, the hypotheses of the zero-tail lemma in the
+    module docstring.  ``b_mod`` must hold residues of B_1..B_L mod k with
+    L >= n-1.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")

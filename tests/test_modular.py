@@ -5,13 +5,13 @@ import itertools
 import random
 import time
 import warnings
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
 import numpy as np
 import pytest
 
 import chocnum.modular as modular_mod
-from chocnum.arith import binomial, binomial_mod_prime, divides_factorial, factor, is_prime
+from chocnum.arith import binomial, divides_factorial, factor, is_prime
 from chocnum.chocolate import ChocolateTable, chocolate2
 from chocnum.modular import (
     CONSISTENT,
@@ -114,6 +114,14 @@ def test_residue_kernel_bound_is_exact():
     assert residue_kernel(2, INT64_SAFE) == "int64"
     assert residue_kernel(40, FALLBACK_INT64) == "int64"
     assert residue_kernel(1, INT64_SAFE + 1) == "object"
+
+
+def test_int64_safe_modulus_keeps_a_product_of_residues_in_int64():
+    # residues mod m <= M are at most M - 1, so a product is at most (M-1)^2;
+    # M + 1 would still fit, as M^2 <= 2^63 - 1, and M + 2 would not
+    M = modular_mod._INT64_SAFE_MODULUS
+    assert M == INT64_SAFE == isqrt(2**63 - 1)
+    assert (M - 1) ** 2 <= 2**63 - 1
 
 
 def test_numpy_integer_arguments_act_as_python_ints():
@@ -932,6 +940,42 @@ def test_binom_sums_reject_out_of_class_n():
 def test_binomial_sums_match_direct_definition():
     assert binom_sum_1_mod6(8) == (binomial(8, 1) + binomial(8, 7)) % 3
     assert binom_sum_5_mod6(10) == binomial(10, 5) % 3
+
+
+def binomial_mod_prime(n, k, p):
+    """C(n, k) mod the prime p by Lucas' theorem: the product of the
+    binomials of the base-p digits of n and k, which is 0 as soon as a digit
+    of k exceeds the digit of n.  Any k outside [0, n] gives 0, as for
+    ``binomial``.  Primality of p is the caller's promise; p < 2 raises."""
+    if n < 0:
+        raise ValueError("binomial requires n >= 0")
+    if p < 2:
+        raise ValueError(f"binomial_mod_prime requires a prime p, got {p}")
+    if k < 0 or k > n:
+        return 0
+    r = 1
+    while k and r:
+        n, n_digit = divmod(n, p)
+        k, k_digit = divmod(k, p)
+        r = r * comb(n_digit, k_digit) % p
+    return r
+
+
+def test_binomial_mod_prime_matches_exact_mod_3():
+    for n in range(300):
+        for k in range(-1, n + 2):
+            assert binomial_mod_prime(n, k, 3) == binomial(n, k) % 3, (n, k)
+
+
+def test_binomial_mod_prime_other_primes():
+    for p in (2, 5, 7, 13):
+        for n in range(0, 120, 7):
+            for k in range(n + 1):
+                assert binomial_mod_prime(n, k, p) == comb(n, k) % p
+    with pytest.raises(ValueError):
+        binomial_mod_prime(-1, 0, 3)
+    with pytest.raises(ValueError):
+        binomial_mod_prime(5, 2, 1)
 
 
 def termwise_binom_sum(n, first, stop):
