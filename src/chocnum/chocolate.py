@@ -22,9 +22,13 @@ CACHE_HEADER = "chocnum cache v1"
 
 # The residue fill works modulo primes below 2**26: a product of two residues
 # is below 2**52, so an int64 dot of at most _DOT_BLOCK products stays below
-# 2**63.
+# 2**63, and so does twice a reduced residue plus _SUM_BLOCK products, plus
+# one more product.  _residue_primes states the memory ceiling.
 _PRIME_CEILING = 1 << 26
 _DOT_BLOCK = (1 << 11) - 1
+_SUM_BLOCK = (1 << 10) - 1
+_FILL_BYTES = 1 << 20
+_FILL_RESERVE = 32 << 10
 _crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
 
 
@@ -91,9 +95,10 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     Along a sum, with N = ab-2, C(N, k+side) = C(N, k)*perm(N-k, side) //
     perm(k+side, side): the quotient is a binomial, so the division is exact.
 
-    One fresh count of a long bar is rebuilt from residues instead, when
-    ``_residue_primes`` gives primes for it; its docstring has the rule and
-    ``_count_from_residues`` the math.  Only the m x n entry is stored.
+    One fresh count of a large bar is rebuilt from residues instead, when
+    ``_residue_primes`` gives a plan for it; its docstring has the rule and
+    the ceiling, and ``_count_from_residues`` the math.  Only the m x n
+    entry is stored.
     """
     if m < 1 or n < 1:
         raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
@@ -104,9 +109,9 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     cached = memo.get((m, n))
     if cached is not None:
         return cached
-    primes = _residue_primes(m, n, memo)
-    if primes:
-        memo[(m, n)] = _count_from_residues(m, n, primes)
+    plan = _residue_primes(m, n, memo)
+    if plan:
+        memo[(m, n)] = _count_from_residues(m, n, *plan)
         table.computed += 1
         return memo[(m, n)]
 
@@ -137,27 +142,70 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     return memo[(m, n)]
 
 
-def _residue_primes(m: int, n: int, memo: dict) -> list[int] | None:
-    """The primes for the residue fill of the m x n bar (m <= n), or None
-    when the big-integer fill should run instead.
+def _residue_primes(m: int, n: int, memo: dict) -> tuple[list[int], int] | None:
+    """The plan of the residue fill of the m x n bar (m <= n): its primes
+    and the most primes one chunk takes, or None when the big-integer fill
+    should run instead.
 
-    The residue route pays only for one large, long value.  It needs m >= 2
-    and an empty memo, so a sweep or a warm table keeps reusing the
-    big-integer memo.  Above that, the crossover was measured over 2 x n,
-    3 x n, 5 x n, 6 x n, 10 x n, 20 x n, 30 x n and squares: the route wins
-    once (mn-1) * E.bit_length() >= 900 m and n >= 4 m.  Squares stay on
-    big integers for memory: the fill holds about 12 bytes per prime and
-    cell, and a square gains on time what it loses on peak memory (README,
-    Performance notes).
-    E = m(n-1) + n(m-1) bounds the breaks one state offers, since every
-    available break cuts interior unit edges that no other available break
-    cuts.  The primes bound the count by ``_count_bound``.
+    The rule.  The residue route pays only for one large value.  It needs
+    m >= 2 and an empty memo, so a sweep or a warm table keeps reusing the
+    big-integer memo.  Above that, time alone decides: the route takes a
+    long bar once (mn-1) * E.bit_length() >= 900 m, the crossover measured
+    over 2 x n, 3 x n, 5 x n, 6 x n, 10 x n, 20 x n and 30 x n, and every
+    bar from 28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds the breaks
+    one state offers, since every available break cuts interior unit edges
+    that no other available break cuts.  The primes bound the count by
+    ``_count_bound``.
+
+    The ceiling.  One chunk of the fill holds at most ``_FILL_BYTES``: one
+    block of ``_FILL_BYTES - _FILL_RESERVE`` bytes for all its arrays,
+    whose use ``_fill_bytes`` counts from the plan alone, and the reserve
+    for what it holds besides (the running CRT, the staged inverses,
+    numpy's iterators).  numpy may add a buffer of up to 64 KiB for a
+    broadcast operand.  ``_chunked`` splits the primes into the fewest
+    chunks that fit; a bar where one prime does not fit gets no plan.
     """
     top = m * n - 1
     breaks = m * (n - 1) + n * (m - 1)
-    if m < 2 or memo or n < 4 * m or top * breaks.bit_length() < 900 * m:
+    if m < 2 or memo or (m < 28 and top * breaks.bit_length() < 900 * m):
         return None
-    return _fewest_primes(_count_bound(m, n), top)
+    return _chunked(m, n, _fewest_primes(_count_bound(m, n), top))
+
+
+def _chunked(m: int, n: int, primes: list[int] | None) -> tuple[list[int], int] | None:
+    """The plan (primes, primes per chunk): the fewest chunks, all of one
+    size but the last, with ``_fill_bytes`` at most ``_FILL_BYTES``.  None
+    if there are no primes or one prime does not fit."""
+    fixed = _fill_bytes(m, n, 0)
+    most = (_FILL_BYTES - fixed) // (_fill_bytes(m, n, 1) - fixed)
+    if not primes or most < 1:
+        return None
+    chunks = -(-len(primes) // most)
+    return primes, -(-len(primes) // chunks)
+
+
+def _fill_bytes(m: int, n: int, k: int) -> int:
+    """Bytes one chunk of k primes of the m x n fill needs: the reserve,
+    and in the block, per prime, the header, the cells, the spare slots
+    (``_fill_layout``) and two lanes (the primes and the running value),
+    and once the values ab-1 as int32, two to a slot."""
+    cells, groups, width, header, spare = _fill_layout(m, n)
+    return _FILL_RESERVE + 8 * (k * (header + cells + spare + 2) + -(-groups * width // 2))
+
+
+def _fill_layout(m: int, n: int) -> tuple[int, int, int, int, int]:
+    """(cells, groups, width, header, spare): int64 slots per prime of the
+    m x n fill (``_count_from_residues``).  The cells a <= b of rows 2..m
+    go in G groups of W slots for the batch inversion, the padding at the
+    end of the header, the G group totals at its start.  Then the header
+    holds the prefix of row m, and from m = 3 the column sums: n slots,
+    which the prefix of no row overlaps.  The spare slots hold a row's
+    column products, from a = 4, then its saved prefix."""
+    cells = (m - 1) * (2 * n - m) // 2
+    groups = math.isqrt(cells)
+    width = -(-cells // groups)
+    header = max(1 if m == 2 else n, groups * width - cells + groups)
+    return cells, groups, width, header, max(m - 2, (n - 3) * (m >= 4))
 
 
 def _count_bound(a: int, b: int) -> int:
@@ -172,85 +220,92 @@ def _count_bound(a: int, b: int) -> int:
 
 def _fewest_primes(bound: int, floor: int) -> list[int] | None:
     """The fewest primes below 2**26 whose product exceeds ``bound``: the
-    largest ones, found by stepping down with ``is_prime`` and kept for the
-    next call.  None if that takes a prime <= ``floor``."""
-    from .arith import is_prime
-
-    product, primes = 1, []
+    largest ones, sieved in windows and kept for the next call.  None if
+    that takes a prime <= ``floor`` or more primes than lie above 2**13.
+    Blocks of 1024 primes multiply in while the product stays at most
+    ``bound``, then single primes, so the product costs no quadratic walk."""
+    product, count = 1, 0
     while product <= bound:
-        if len(primes) == len(_crt_primes):
-            p = (_crt_primes[-1] if _crt_primes else _PRIME_CEILING) - 1
-            while not is_prime(p):
-                p -= 1
-            _crt_primes.append(p)
-        p = _crt_primes[len(primes)]
-        if p <= floor:
+        while len(_crt_primes) < count + 1024:
+            more = _primes_below(_crt_primes[-1] if _crt_primes else _PRIME_CEILING)
+            if not more:
+                break
+            _crt_primes.extend(more)
+        block = _crt_primes[count:count + 1024]
+        if not block:
             return None
-        primes.append(p)
-        product *= p
-    return primes
+        step = product * math.prod(block)
+        if step <= bound:
+            product, count = step, count + len(block)
+            continue
+        for p in block:
+            product *= p
+            count += 1
+            if product > bound:
+                break
+    if count and _crt_primes[count - 1] <= floor:
+        return None
+    return _crt_primes[:count]
 
 
-def _count_from_residues(m: int, n: int, primes: list[int]) -> int:
+def _primes_below(top: int) -> list[int]:
+    """The primes in [max(top - 2**16, 2**13), top), largest first, for
+    top <= 2**26: a sieve by the primes below 2**13, whose squares pass
+    2**26."""
+    low = max(top - (1 << 16), 1 << 13)
+    small = bytearray([1]) * (1 << 13)
+    window = bytearray([1]) * max(top - low, 0)
+    for p in range(2, 1 << 13):
+        if small[p]:
+            small[p * p::p] = bytes(len(range(p * p, 1 << 13, p)))
+            window[-low % p::p] = bytes(len(range(-low % p, len(window), p)))
+    return [low + i for i in range(len(window) - 1, -1, -1) if window[i]]
+
+
+def _count_from_residues(m: int, n: int, primes: list[int], per_chunk: int) -> int:
     """count(m, n) from the scaled counts c(a, b) = count(a, b) / (ab-1)!,
     whose binomial weights cancel:
 
         (ab-1) c(a,b) = sum_{i<a} c(i,b) c(a-i,b) + sum_{j<b} c(a,j) c(a,b-j),
 
-    with c(1, b) = c(a, 1) = 1.  The fill runs modulo all the primes at once,
-    all above mn-1, one int64 lane per prime; both sums are symmetric, so
-    each takes the terms below its middle twice and the middle term once.
-    One CRT then gives c(m, n) modulo the primes' product, and the count is
-    that times (mn-1)!, reduced once more.  The fill holds about 12 bytes per
-    prime and cell of c: the int64 residues and the int32 inverses of ab-1."""
-    import numpy as np
+    with c(1, b) = c(a, 1) = 1.  ``fill.fill_chunk`` fills c modulo
+    ``per_chunk`` of the primes at a time, one int64 lane per prime, all
+    above mn-1; that module, and numpy with it, is imported only here.  A
+    CRT folds in each residue as it comes (Garner), giving c(m, n) modulo
+    the primes' product; the count is that times (mn-1)!, reduced once
+    more.
 
-    q = np.array(primes, dtype=np.int64)
-    lanes = np.arange(len(q))
-    c = np.empty((m - 1, n + 1, len(q)), dtype=np.int64)  # c[a - 2, b]
-    # the int32 inverses of 1..mn-1 fit in c's memory, which they use until
-    # those of ab-1 are copied out and the fill starts
-    inv = c.reshape(-1).view(np.int32)[:m * n * len(q)].reshape(m * n, len(q))
-    inv[1] = 1
-    for i in range(2, m * n):  # q = d i + r, so 1/i = -d/r
-        d, r = np.divmod(q, i)
-        inv[i] = (q - d) * inv[r, lanes] % q
-    inverse = inv[np.arange(2, m + 1)[:, None] * np.arange(n + 1) - 1]  # 1/(ab-1)
+    The fill keeps only the cells a <= b of rows 2..m (``_fill_layout``)
+    and reads c(a, j) with j < a as c(j, a).  Each cell's slot first holds
+    1/(ab-1), from one batch inversion: the slots split into W steps of G,
+    one per group; a group's prefix products of ab-1 go into its slots,
+    all groups at once; the group totals take one ``pow(x, -1, p)`` per
+    prime through their own prefix products; and a backward pass turns
+    each prefix into the inverse of its own ab-1.
 
-    def twice_dot(x, y):  # 2 sum_j x[j] y[j] over the first axis, reduced
-        total = np.einsum("j...,j...->...", x[:_DOT_BLOCK], y[:_DOT_BLOCK]) % q
-        for s in range(_DOT_BLOCK, len(x), _DOT_BLOCK):
-            total += np.einsum("j...,j...->...", x[s:s + _DOT_BLOCK], y[s:s + _DOT_BLOCK]) % q
-        return 2 * total
+    Row a holds columns a..n, and the rows lie from m down to 2 after the
+    header, so the a-1 slots before row a belong to the rows above it or
+    to the header.  They are saved, hold c(a, 1..a-1) while row a fills,
+    and are restored: the row then reads as columns 1..n, and the sum over
+    j is one dot of that view with itself reversed, in blocks of
+    ``_DOT_BLOCK`` products; past b = 64, of its first half, doubled, plus
+    c(a, b/2)^2 for even b.  The sum over i, 2 c(a-1, b)
+    + 2 sum_{1<i<a/2} c(i,b) c(a-i,b) + c(a/2,b)^2 for even a, is built
+    first for the whole row in the header, reduced every ``_SUM_BLOCK``
+    products.  All arrays of a chunk lie in one block of the same size for
+    every chunk and bar, so the allocator hands a freed block back instead
+    of growing the heap."""
+    from .fill import fill_chunk
 
-    c[:, 1] = 1
-    for a in range(2, m + 1):
-        # the row first holds the sum over i < a, for every column at once;
-        # c(1, b) = 1 is not stored, so its two terms are 2 c(a-1, b)
-        row = c[a - 2]
-        if a == 2:
-            row[2:] = 1
-        else:
-            np.multiply(c[a - 3, 2:], 2, out=row[2:])
-            rows, pairs = c[:a - 3, 2:], (a - 3) // 2  # i = 2 .. a-2
-            if pairs:
-                row[2:] += twice_dot(rows[:pairs], rows[::-1][:pairs])
-            if a % 2 == 0:
-                row[2:] += c[a // 2 - 2, 2:] ** 2 % q
-        for b in range(2, n + 1):
-            h = (b - 1) // 2
-            value = twice_dot(row[1:h + 1], row[b - 1:b - h - 1:-1])
-            value += row[b]
-            if b % 2 == 0:
-                value += row[b // 2] * row[b // 2]
-            value %= q
-            value *= inverse[a - 2, b]
-            np.remainder(value, q, out=row[b])
-    modulus = math.prod(primes)
-    scaled = 0
-    for r, p in zip(c[m - 2, n].tolist(), primes):
-        rest = modulus // p
-        scaled += r * pow(rest, -1, p) % p * rest
+    layout = _fill_layout(m, n)
+    scaled, modulus = 0, 1
+    for s in range(0, len(primes), per_chunk):
+        chunk = primes[s:s + per_chunk]
+        residues = fill_chunk(m, n, chunk, layout, _FILL_BYTES - _FILL_RESERVE,
+                              _DOT_BLOCK, _SUM_BLOCK)
+        for r, p in zip(residues.tolist(), chunk):
+            scaled += (r - scaled) * pow(modulus, -1, p) % p * modulus
+            modulus *= p
     return scaled * math.factorial(m * n - 1) % modulus
 
 

@@ -21,7 +21,7 @@ which states an open conjecture (conjecture 1, which the scans test) and
 speaks of primes only.
 
 numpy is imported on first use, inside the three kernels and
-``chocolate._count_from_residues``: it is most of the package's import
+``fill.fill_chunk``: it is most of the package's import
 time, and factorizations, series checks and period detection never need it.
 """
 
@@ -196,8 +196,8 @@ def _scaled_limbs(n_max: int, m: int) -> list[int]:
 
 
 def _limb_width(n_max: int) -> int:
-    """Bits per limb w at n_max, with h_max 2^(2w) <= 2^62 for the most
-    terms of one dot, h_max = (n_max-1)//2."""
+    """Bits per limb w at n_max: the widest with h_max 2^(2w) < 2^62, where
+    h_max = (n_max-1)//2 is the most terms of one dot (when h_max >= 1)."""
     return (62 - ((n_max - 1) // 2).bit_length()) // 2
 
 

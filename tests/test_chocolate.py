@@ -170,7 +170,7 @@ def seeded_table():
 def residue_count(m, n):
     """The residue fill of any bar, whatever the route rule says."""
     primes = chocolate_mod._fewest_primes(chocolate_mod._count_bound(m, n), m * n - 1)
-    return chocolate_mod._count_from_residues(m, n, primes)
+    return chocolate_mod._count_from_residues(m, n, *chocolate_mod._chunked(m, n, primes))
 
 
 def test_residue_fill_matches_the_big_integer_fill():
@@ -184,28 +184,61 @@ def test_residue_fill_matches_the_big_integer_fill():
 
 @pytest.mark.parametrize("m,n,route", [
     (2, 100, False), (2, 101, True), (3, 100, False), (3, 101, True),
-    (10, 81, False), (10, 82, True), (10, 200, True),
+    (10, 81, False), (10, 82, True), (10, 200, True), (27, 29, False), (28, 28, True),
 ])
 def test_route_agrees_with_the_big_integer_fill_at_the_crossover(m, n, route):
     assert (chocolate_mod._residue_primes(m, n, {}) is not None) is route
     assert chocolate_number(m, n) == big_integer_count(m, n)
 
 
-@pytest.mark.parametrize("m,n", [(2, 600), (10, 200)])
-def test_residue_fill_holds_at_most_16_bytes_per_prime_and_cell(m, n):
-    # one pass holds the int64 residues and the int32 inverses of ab-1 for
-    # (m-1)(n+1) cells per prime; a second table that size would pass 16.
-    # numpy is loaded first, so its import is not counted
+@pytest.mark.parametrize("m,n", [(40, 40), (2, 600), (10, 200)])
+def test_residue_fill_peaks_within_its_ceiling(m, n):
+    # the fill's arrays stay under _FILL_BYTES; numpy may add one buffer of
+    # up to 64 KiB for a broadcast operand.  numpy is loaded and the plan
+    # made first, so neither is counted
     importlib.import_module("numpy")
 
-    primes = chocolate_mod._residue_primes(m, n, {})
+    plan = chocolate_mod._residue_primes(m, n, {})
     tracemalloc.start()
     try:
-        chocolate_mod._count_from_residues(m, n, primes)
+        chocolate_mod._count_from_residues(m, n, *plan)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 16 * (m - 1) * (n + 1) * len(primes)
+    assert peak <= chocolate_mod._FILL_BYTES + (64 << 10)
+
+
+@pytest.mark.parametrize("m,n", [(30, 1000), (400, 400)])
+def test_every_chunk_of_a_plan_fits_the_ceiling(m, n):
+    # the plan alone: neither fill runs.  One chunk fewer would not fit
+    primes, per_chunk = chocolate_mod._residue_primes(m, n, {})
+    chunks = -(-len(primes) // per_chunk)
+    fewer = -(-len(primes) // (chunks - 1))  # primes per chunk in one chunk fewer
+    assert chocolate_mod._fill_bytes(m, n, per_chunk) <= chocolate_mod._FILL_BYTES
+    assert chocolate_mod._fill_bytes(m, n, fewer) > chocolate_mod._FILL_BYTES
+    assert per_chunk * (chunks - 1) < len(primes) <= per_chunk * chunks
+
+
+def test_chunks_and_blocks_are_exact(monkeypatch):
+    # every bar fills in at least three chunks, with blocks of 5 products on
+    # both sums; a bound of 2**52 or more takes at least three primes
+    bars = [(m, n) for m in range(2, 10) for n in range(m, 10)] + [(16, 20), (2, 150)]
+    expected = {bar: big_integer_count(*bar) for bar in bars}
+    monkeypatch.setattr(chocolate_mod, "_DOT_BLOCK", 5)
+    monkeypatch.setattr(chocolate_mod, "_SUM_BLOCK", 5)
+    for m, n in bars:
+        bound = max(chocolate_mod._count_bound(m, n), 2**52)
+        primes = chocolate_mod._fewest_primes(bound, m * n - 1)
+        fill_bytes = chocolate_mod._fill_bytes(m, n, len(primes) // 3)
+        monkeypatch.setattr(chocolate_mod, "_FILL_BYTES", fill_bytes)
+        primes, per_chunk = chocolate_mod._chunked(m, n, primes)
+        assert -(-len(primes) // per_chunk) >= 3, (m, n)
+        assert chocolate_mod._count_from_residues(m, n, primes, per_chunk) == expected[(m, n)]
+
+
+def test_a_fresh_square_matches_the_big_integer_fill():
+    assert chocolate_mod._residue_primes(40, 40, {}) is not None
+    assert chocolate_number(40, 40) == big_integer_count(40, 40)
 
 
 def test_route_matches_chocolate2_on_a_long_bar():
@@ -213,19 +246,13 @@ def test_route_matches_chocolate2_on_a_long_bar():
     assert chocolate_number(2, 600) == chocolate2(600)
 
 
-def test_squares_stay_on_big_integers():
-    # squares run faster on residues but hold far more memory: the process
-    # peaked at 42 MiB (40 x 40) and 64 MiB (50 x 50) against 29 MiB
-    for s in (40, 72, 100, 400):
-        assert chocolate_mod._residue_primes(s, s, {}) is None
-
-
-def test_residue_route_needs_n_at_least_4_m():
-    # both bars pass the 900 m size rule, so n >= 4 m alone decides
-    for n in (119, 120):
-        assert (30 * n - 1) * (30 * (n - 1) + n * 29).bit_length() >= 900 * 30
-    assert chocolate_mod._residue_primes(30, 119, {}) is None
-    assert isinstance(chocolate_mod._residue_primes(30, 120, {}), list)
+def test_residue_route_takes_every_bar_from_28_x_28():
+    # all three bars fail the 900 m size rule, so the short side alone decides
+    for m, n in ((27, 29), (27, 74), (28, 28)):
+        assert (m * n - 1) * (m * (n - 1) + n * (m - 1)).bit_length() < 900 * m
+    assert chocolate_mod._residue_primes(27, 29, {}) is None
+    assert chocolate_mod._residue_primes(27, 74, {}) is None
+    assert isinstance(chocolate_mod._residue_primes(28, 28, {}), tuple)
 
 
 def test_count_bound_holds_on_every_bar_of_area_up_to_400():
@@ -247,7 +274,7 @@ def test_residue_route_bound_holds_and_is_tight_at_2_x_2():
 
 @pytest.mark.parametrize("m,n,primes", [(2, 182, 99), (2, 1200, 904), (10, 200, 733)])
 def test_residue_route_takes_the_primes_of_its_bound(m, n, primes):
-    got = chocolate_mod._residue_primes(m, n, {})
+    got = chocolate_mod._residue_primes(m, n, {})[0]
     assert len(got) == primes
     assert math.prod(got[:-1]) <= chocolate_mod._count_bound(m, n) < math.prod(got)
 
@@ -275,6 +302,18 @@ def test_dot_block_keeps_a_dot_of_residues_in_int64():
     assert p_max == 67_108_859
     assert chocolate_mod._DOT_BLOCK * (p_max - 1) ** 2 < 2**63
     assert 2048 * (p_max - 1) ** 2 < 2**63 <= 2049 * (p_max - 1) ** 2
+
+
+def test_column_sums_keep_twice_a_block_of_products_in_int64():
+    # a column sum carries one reduced residue, adds _SUM_BLOCK products,
+    # doubles and adds the middle square before it is reduced again; one
+    # more product per block could pass 2^63
+    p_max = next(p for p in range(chocolate_mod._PRIME_CEILING - 1, 0, -1) if is_prime(p))
+
+    def peak(block):
+        return 2 * (block * (p_max - 1) ** 2 + p_max - 1) + (p_max - 1) ** 2
+
+    assert peak(chocolate_mod._SUM_BLOCK) < 2**63 <= peak(chocolate_mod._SUM_BLOCK + 1)
 
 
 def test_blocked_dot_products_are_exact(monkeypatch):

@@ -402,6 +402,13 @@ def test_limb_width_keeps_every_matmul_entry_below_2_62():
         assert h * 2 ** (2 * w) <= 2**62 and w >= 11, n_max
 
 
+def test_limb_width_is_the_widest_below_2_62():
+    # w + 1 would take a dot of h_max limb products to 2^62 or past it
+    for n_max in itertools.chain(range(3, 70), (2**k + d for k in range(6, 40) for d in (-1, 0, 1, 2))):
+        h, w = (n_max - 1) // 2, modular_mod._limb_width(n_max)
+        assert h * 2 ** (2 * w) < 2**62 <= h * 2 ** (2 * (w + 1)), n_max
+
+
 @pytest.mark.parametrize("m", [2**64 + 13, 10**30 + 57, FALLBACK_INT64, OBJECT])
 def test_limbs_at_their_width_boundaries(m):
     # (n_max - 1) // 2 crosses 64 and 128 here, so the limb width changes
