@@ -111,7 +111,7 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
         return cached
     plan = _residue_primes(m, n, memo)
     if plan:
-        memo[(m, n)] = _count_from_residues(m, n, *plan)
+        memo[(m, n)] = _count_from_residues(m, n, *plan, [(m, n)])[0]
         table.computed += 1
         return memo[(m, n)]
 
@@ -147,12 +147,14 @@ def _residue_primes(m: int, n: int, memo: dict) -> tuple[list[int], int] | None:
     and the most primes one chunk takes, or None when the big-integer fill
     should run instead.
 
-    The rule.  The residue route pays only for one large value.  It needs
-    m >= 2 and an empty memo, so a sweep or a warm table keeps reusing the
-    big-integer memo.  Above that, time alone decides: the route takes a
-    long bar once (mn-1) * E.bit_length() >= 900 m, the crossover measured
-    over 2 x n, 3 x n, 5 x n, 6 x n, 10 x n, 20 x n and 30 x n, and every
-    bar from 28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds the breaks
+    The rule.  The residue route pays only for large values.  It needs
+    m >= 2 and an empty memo, so a warm table keeps reusing the big-integer
+    memo; a square or 2 x n sweep asks for the plan of its largest bar and
+    takes all its values from that one fill (``generate``).  Above that,
+    time alone decides: the route takes a long bar once
+    (mn-1) * E.bit_length() >= 900 m, the crossover measured over 2 x n,
+    3 x n, 5 x n, 6 x n, 10 x n, 20 x n and 30 x n, and every bar from
+    28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds the breaks
     one state offers, since every available break cuts interior unit edges
     that no other available break cuts.  The primes bound the count by
     ``_count_bound``.
@@ -161,7 +163,8 @@ def _residue_primes(m: int, n: int, memo: dict) -> tuple[list[int], int] | None:
     block of ``_FILL_BYTES - _FILL_RESERVE`` bytes for all its arrays,
     whose use ``_fill_bytes`` counts from the plan alone, and the reserve
     for what it holds besides (the running CRT, the staged inverses,
-    numpy's iterators).  numpy may add a buffer of up to 64 KiB for a
+    numpy's iterators); a sweep's cells and running values, one of each
+    per cell, come on top.  numpy may add a buffer of up to 64 KiB for a
     broadcast operand.  ``_chunked`` splits the primes into the fewest
     chunks that fit; a bar where one prime does not fit gets no plan.
     """
@@ -262,18 +265,24 @@ def _primes_below(top: int) -> list[int]:
     return [low + i for i in range(len(window) - 1, -1, -1) if window[i]]
 
 
-def _count_from_residues(m: int, n: int, primes: list[int], per_chunk: int) -> int:
-    """count(m, n) from the scaled counts c(a, b) = count(a, b) / (ab-1)!,
-    whose binomial weights cancel:
+def _count_from_residues(m: int, n: int, primes: list[int], per_chunk: int,
+                         cells: list[tuple[int, int]]) -> list[int]:
+    """count(a, b) of each cell (a, b), 2 <= a <= b, of the m x n bar, from
+    the scaled counts c(a, b) = count(a, b) / (ab-1)!, whose binomial
+    weights cancel:
 
         (ab-1) c(a,b) = sum_{i<a} c(i,b) c(a-i,b) + sum_{j<b} c(a,j) c(a,b-j),
 
     with c(1, b) = c(a, 1) = 1.  ``fill.fill_chunk`` fills c modulo
     ``per_chunk`` of the primes at a time, one int64 lane per prime, all
-    above mn-1; that module, and numpy with it, is imported only here.  A
-    CRT folds in each residue as it comes (Garner), giving c(m, n) modulo
-    the primes' product; the count is that times (mn-1)!, reduced once
-    more.
+    above mn-1; that module, and numpy with it, is imported only here.  Each
+    cell folds in its residues prime by prime (Garner), with one
+    ``pow(modulus, -1, p)`` per prime for all cells, until the product of
+    the primes so far exceeds its ``_count_bound``: the leading run of the
+    primes that ``_fewest_primes`` gives it, when the cells come in order of
+    their bounds (any order is exact).  Its count is then c(a, b) times
+    (ab-1)!, reduced once more.  The fold keeps one running value per cell
+    and reads the residues of one prime at a time from the chunk's block.
 
     The fill keeps only the cells a <= b of rows 2..m (``_fill_layout``)
     and reads c(a, j) with j < a as c(j, a).  Each cell's slot first holds
@@ -298,15 +307,28 @@ def _count_from_residues(m: int, n: int, primes: list[int], per_chunk: int) -> i
     from .fill import fill_chunk
 
     layout = _fill_layout(m, n)
-    scaled, modulus = 0, 1
+    counts, modulus, done, top, moves = [0] * len(cells), 1, 0, 0, 1  # moves = top!
     for s in range(0, len(primes), per_chunk):
         chunk = primes[s:s + per_chunk]
-        residues = fill_chunk(m, n, chunk, layout, _FILL_BYTES - _FILL_RESERVE,
+        f, slots = fill_chunk(m, n, chunk, cells, layout, _FILL_BYTES - _FILL_RESERVE,
                               _DOT_BLOCK, _SUM_BLOCK)
-        for r, p in zip(residues.tolist(), chunk):
-            scaled += (r - scaled) * pow(modulus, -1, p) % p * modulus
+        for j, p in enumerate(chunk):
+            inverse = pow(modulus, -1, p)
+            for i, r in enumerate(f[slots[done:], j].tolist(), start=done):
+                counts[i] += (r - counts[i] % p) * inverse % p * modulus
             modulus *= p
-    return scaled * math.factorial(m * n - 1) % modulus
+            while done < len(cells):
+                a, b = cells[done]
+                if top != a * b - 2:  # (ab-2)!, stepped up from the last cell's
+                    moves = (moves * math.prod(range(top + 1, a * b - 1)) if 0 < top < a * b - 2
+                             else math.factorial(a * b - 2))
+                    top = a * b - 2
+                if modulus <= (a + b - 2) * moves:  # _count_bound(a, b)
+                    break
+                counts[done] = counts[done] * moves * (a * b - 1) % modulus
+                done += 1
+        del f  # the next chunk's block takes its place
+    return counts
 
 
 def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
@@ -366,9 +388,26 @@ class SequenceSpec:
 
 def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tuple]:
     """Generate one of the four derived sequences as (index-or-pair, value)
-    entries in canonical order."""
+    entries in canonical order.
+
+    A square or 2 x n sweep whose memo is empty takes its values from one
+    residue fill of its largest bar, n x n or 2 x n, when ``_residue_primes``
+    gives that bar a plan: the cells (k, k) or (2, k), 2 <= k <= n, go into
+    the memo, ``computed`` counts them, and the loop below reads them (a
+    square sweep fills 1 x 1 itself).  So a cold square sweep leaves the n
+    squares in the memo, not every bar up to n x n, and the memo gets its
+    values only when the fill ends.  A warm memo, the triangle and the
+    distinct values keep the paths of ``chocolate_number`` and
+    ``chocolate2``."""
     if table is None:
         table = ChocolateTable()
+    if spec.kind in (SequenceKind.SQUARE, SequenceKind.TWO_BY_N):
+        m, n = (spec.bound if spec.kind is SequenceKind.SQUARE else 2), spec.bound
+        plan = _residue_primes(m, n, table.memo)  # None for 2 x 1, as for any small bar
+        if plan:
+            cells = [(min(m, k), k) for k in range(2, n + 1)]
+            table.memo.update(zip(cells, _count_from_residues(m, n, *plan, cells)))
+            table.computed += len(cells)
     if spec.kind is SequenceKind.TRIANGLE_ROWS:
         out = []
         for r in range(1, spec.bound + 1):

@@ -1,8 +1,9 @@
-"""The residue fill behind ``chocolate._count_from_residues``: c(m, n)
-modulo one chunk of primes, in int64 numpy lanes.  ``chocolate`` imports
-this module only when the residue route runs, so small exact counts, the
-CLI and the scans neither compile it nor load numpy for it; the contract
-(recursion, layout, bounds and memory ceiling) lives in ``chocolate``.
+"""The residue fill behind ``chocolate._count_from_residues``: c(a, b) of
+the cells of an m x n bar modulo one chunk of primes, in int64 numpy
+lanes.  ``chocolate`` imports this module only when the residue route
+runs, so small exact counts, the CLI and the scans neither compile it nor
+load numpy for it; the contract (recursion, layout, bounds and memory
+ceiling) lives in ``chocolate``.
 """
 
 from __future__ import annotations
@@ -10,13 +11,17 @@ from __future__ import annotations
 import numpy as np
 
 
-def fill_chunk(m: int, n: int, primes: list[int], layout: tuple[int, int, int, int, int],
-               block_bytes: int, dot_block: int, sum_block: int) -> np.ndarray:
-    """c(m, n) modulo each prime: one chunk of the fill, with the slots of
-    ``layout`` (``chocolate._fill_layout``) in one block of ``block_bytes``,
-    dots in blocks of ``dot_block`` products and column sums reduced every
-    ``sum_block`` products."""
-    cells, groups, width, header, spare = layout
+def fill_chunk(m: int, n: int, primes: list[int], cells: list[tuple[int, int]],
+               layout: tuple[int, int, int, int, int], block_bytes: int, dot_block: int,
+               sum_block: int) -> tuple[np.ndarray, np.ndarray]:
+    """c(a, b) modulo each prime for the cells (a, b), 2 <= a <= b, of one
+    chunk of the m x n fill, with the slots of ``layout``
+    (``chocolate._fill_layout``) in one block of ``block_bytes``, dots in
+    blocks of ``dot_block`` products and column sums reduced every
+    ``sum_block`` products.  Returns the residues of every slot, one row
+    each, as a view of the block, which lives as long as the view, and the
+    row of each cell."""
+    size, groups, width, header, spare = layout
     start, end = {}, header  # start[a]: the slot of c(a, a)
     for a in range(m, 1, -1):
         start[a], end = end, end + n - a + 1
@@ -25,7 +30,7 @@ def fill_chunk(m: int, n: int, primes: list[int], layout: tuple[int, int, int, i
     f, scratch, q, value = slots[:end], slots[end:-2], slots[-2], slots[-1]
     q[:] = primes
 
-    pad = groups * width - cells
+    pad = groups * width - size
     values = block[slots.size:].view(np.int32)[:groups * width]  # ab-1 in slot order
     values[:] = 1
     for a in range(2, m + 1):
@@ -65,10 +70,10 @@ def fill_chunk(m: int, n: int, primes: list[int], layout: tuple[int, int, int, i
             # every pair is, which saves calls
             pairs = b - 1 if b <= 64 else (b - 1) // 2
             x, y = row[:pairs], rev[n - b + 1:n - b + 1 + pairs]
-            np.einsum("jk,jk->k", x[:dot_block], y[:dot_block], out=value)
+            np.vecdot(x[:dot_block], y[:dot_block], axis=0, out=value)
             for s in range(dot_block, pairs, dot_block):
                 value %= q
-                value += np.einsum("jk,jk->k", x[s:s + dot_block], y[s:s + dot_block])
+                value += np.vecdot(x[s:s + dot_block], y[s:s + dot_block], axis=0)
             if pairs < b - 1:
                 value %= q
                 value <<= 1
@@ -81,7 +86,7 @@ def fill_chunk(m: int, n: int, primes: list[int], layout: tuple[int, int, int, i
             np.remainder(value, q, out=cell)
         if a < m:
             row[:a - 1] = saved
-    return f[start[m] + n - m].copy()
+    return f, np.array([start[a] + b - a for a, b in cells])
 
 
 def _invert(z, values, totals, inverse, q) -> None:

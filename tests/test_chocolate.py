@@ -12,6 +12,7 @@ import pytest
 
 import chocnum.chocolate as chocolate_mod
 import chocnum.cli as cli
+import chocnum.fill as fill_mod
 from chocnum.arith import is_prime
 from chocnum.chocolate import (
     CacheFormatError,
@@ -170,7 +171,8 @@ def seeded_table():
 def residue_count(m, n):
     """The residue fill of any bar, whatever the route rule says."""
     primes = chocolate_mod._fewest_primes(chocolate_mod._count_bound(m, n), m * n - 1)
-    return chocolate_mod._count_from_residues(m, n, *chocolate_mod._chunked(m, n, primes))
+    return chocolate_mod._count_from_residues(m, n, *chocolate_mod._chunked(m, n, primes),
+                                              [(m, n)])[0]
 
 
 def test_residue_fill_matches_the_big_integer_fill():
@@ -201,7 +203,7 @@ def test_residue_fill_peaks_within_its_ceiling(m, n):
     plan = chocolate_mod._residue_primes(m, n, {})
     tracemalloc.start()
     try:
-        chocolate_mod._count_from_residues(m, n, *plan)
+        chocolate_mod._count_from_residues(m, n, *plan, [(m, n)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -221,9 +223,12 @@ def test_every_chunk_of_a_plan_fits_the_ceiling(m, n):
 
 def test_chunks_and_blocks_are_exact(monkeypatch):
     # every bar fills in at least three chunks, with blocks of 5 products on
-    # both sums; a bound of 2**52 or more takes at least three primes
+    # both sums; a bound of 2**52 or more takes at least three primes.  Each
+    # fill counts all its cells, in an order that is not that of their bounds
     bars = [(m, n) for m in range(2, 10) for n in range(m, 10)] + [(16, 20), (2, 150)]
-    expected = {bar: big_integer_count(*bar) for bar in bars}
+    table = seeded_table()
+    for m, n in bars:  # the big-integer fill of every cell
+        chocolate_number(m, n, table)
     monkeypatch.setattr(chocolate_mod, "_DOT_BLOCK", 5)
     monkeypatch.setattr(chocolate_mod, "_SUM_BLOCK", 5)
     for m, n in bars:
@@ -233,7 +238,38 @@ def test_chunks_and_blocks_are_exact(monkeypatch):
         monkeypatch.setattr(chocolate_mod, "_FILL_BYTES", fill_bytes)
         primes, per_chunk = chocolate_mod._chunked(m, n, primes)
         assert -(-len(primes) // per_chunk) >= 3, (m, n)
-        assert chocolate_mod._count_from_residues(m, n, primes, per_chunk) == expected[(m, n)]
+        cells = [(a, b) for a in range(m, 1, -1) for b in range(a, n + 1)]
+        counts = chocolate_mod._count_from_residues(m, n, primes, per_chunk, cells)
+        assert counts == [table.memo[cell] for cell in cells], (m, n)
+
+
+def test_each_cell_folds_the_primes_of_its_own_bound(monkeypatch):
+    # a wrong residue at the last prime of a cell's run changes its count,
+    # and one at the next prime does not: each cell folds exactly the
+    # leading primes whose product first exceeds its own bound
+    m, n = 2, 150
+    primes, per_chunk = chocolate_mod._residue_primes(m, n, {})
+    cells = [(2, b) for b in range(2, n + 1)]
+    runs = [len(chocolate_mod._fewest_primes(chocolate_mod._count_bound(*cell), 0))
+            for cell in cells]
+    expected = chocolate_mod._count_from_residues(m, n, primes, per_chunk, cells)
+    fill = fill_mod.fill_chunk
+
+    def poisoned(past):
+        def fill_chunk(m, n, chunk, cells, *rest):
+            f, slots = fill(m, n, chunk, cells, *rest)
+            for slot, run in zip(slots, runs):
+                j = run - 1 + past - primes.index(chunk[0])
+                if 0 <= j < len(chunk):
+                    f[slot, j] = (f[slot, j] + 1) % chunk[j]
+            return f, slots
+        return fill_chunk
+
+    monkeypatch.setattr(fill_mod, "fill_chunk", poisoned(1))
+    assert chocolate_mod._count_from_residues(m, n, primes, per_chunk, cells) == expected
+    monkeypatch.setattr(fill_mod, "fill_chunk", poisoned(0))
+    got = chocolate_mod._count_from_residues(m, n, primes, per_chunk, cells)
+    assert all(g != e for g, e in zip(got, expected))
 
 
 def test_a_fresh_square_matches_the_big_integer_fill():
@@ -338,6 +374,63 @@ def test_route_stores_only_the_requested_entry():
     assert table.memo == {(2, 300): value}
     assert table.computed == 1
     assert chocolate_number(2, 300, table) == value and table.computed == 1
+
+
+def fills(monkeypatch):
+    """The (m, n, cells) of each residue fill from here on."""
+    calls, count = [], chocolate_mod._count_from_residues
+
+    def recorded(m, n, primes, per_chunk, cells):
+        calls.append((m, n, list(cells)))
+        return count(m, n, primes, per_chunk, cells)
+
+    monkeypatch.setattr(chocolate_mod, "_count_from_residues", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("kind,bound,routed", [
+    (SequenceKind.SQUARE, 27, False), (SequenceKind.SQUARE, 28, True),
+    (SequenceKind.SQUARE, 33, True), (SequenceKind.TWO_BY_N, 100, False),
+    (SequenceKind.TWO_BY_N, 101, True), (SequenceKind.TWO_BY_N, 600, True),
+])
+def test_square_and_2_x_n_sweeps_take_one_fill_from_the_route(monkeypatch, kind, bound, routed):
+    # against the big-integer sweep of a seeded table: every bar up to n x n,
+    # or chocolate2 at every index
+    calls = fills(monkeypatch)
+    table = ChocolateTable()
+    got = generate(SequenceSpec(kind, bound), table)
+    assert got == generate(SequenceSpec(kind, bound), seeded_table())
+    if not routed:
+        assert calls == []
+        return
+    m = bound if kind is SequenceKind.SQUARE else 2
+    cells = [(min(m, k), k) for k in range(2, bound + 1)]
+    assert calls == [(m, bound, cells)]
+    # the memo holds exactly the swept entries, and computed counts them
+    swept = {(1, 1), *cells} if kind is SequenceKind.SQUARE else set(cells)
+    assert set(table.memo) == swept and table.computed == len(swept)
+
+
+def test_warm_tables_keep_the_memo_path_in_sweeps(monkeypatch):
+    calls = fills(monkeypatch)
+    generate(SequenceSpec(SequenceKind.SQUARE, 30), seeded_table())
+    generate(SequenceSpec(SequenceKind.TWO_BY_N, 150), seeded_table())
+    assert calls == []
+
+
+def test_a_routed_sweep_peaks_within_the_fill_ceiling():
+    # the residues of the 599 cells are folded one prime at a time out of
+    # each chunk's block: the peak, less the values, stays that of one fill.
+    # The fill's module, numpy with it, and the primes are loaded first
+    importlib.import_module("chocnum.fill")
+    chocolate_mod._residue_primes(2, 600, {})
+    tracemalloc.start()
+    try:
+        values = generate(SequenceSpec(SequenceKind.TWO_BY_N, 600), ChocolateTable())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - sum(sys.getsizeof(v) for _, v in values) <= chocolate_mod._FILL_BYTES + (64 << 10)
 
 
 def test_chocolate2_prefix():

@@ -18,9 +18,16 @@ from pathlib import Path
 import pytest
 
 import chocnum.cli as cli
+import chocnum.fill as fill_mod
 import chocnum.modular as modular_mod
 import chocnum.series as series_mod
-from chocnum.chocolate import ChocolateTable, chocolate2, chocolate_number, load_cache
+from chocnum.chocolate import (
+    ChocolateTable,
+    chocolate2,
+    chocolate_number,
+    load_cache,
+    save_cache,
+)
 from chocnum.cli import EXIT_FAILED, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, main
 from chocnum.modular import PeriodReport, ScanRecord, chocolate2_mod, hyper_numerators_mod
 from chocnum.series import RationalSeries
@@ -227,6 +234,23 @@ def test_gen_cache_keeps_the_work_of_an_interrupted_fill(capsys, tmp_path, monke
     monkeypatch.setattr(cli, "load_cache", lambda path: recorded(load_cache(path)))
     assert run(capsys, *argv, str(cache))[:2] == (EXIT_OK, cold_out)
     assert tables[-1].computed == 59 - 20
+
+
+def test_ctrl_c_in_a_routed_sweep_leaves_the_cache_as_it_was(capsys, tmp_path, monkeypatch):
+    # an empty cache loads an empty memo, so the sweep takes the residue
+    # fill, whose values reach the memo only when it ends
+    def cut(*args):
+        raise KeyboardInterrupt
+
+    cache = tmp_path / cli.CACHE_FILENAME
+    save_cache(ChocolateTable(), cache)
+    before = cache.stat(), cache.read_bytes()
+    monkeypatch.setattr(fill_mod, "fill_chunk", cut)
+    argv = ("gen", "--seq", "b", "--max", "300", "--cache", str(tmp_path))
+    assert run(capsys, *argv) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
+    after = cache.stat(), cache.read_bytes()
+    assert (after[0].st_ino, after[0].st_mtime_ns, after[1]) == (
+        before[0].st_ino, before[0].st_mtime_ns, before[1])
 
 
 def test_out_of_memory_ends_in_one_stderr_line(capsys, monkeypatch):
@@ -633,6 +657,12 @@ def test_conjecture_csv_round_trips(capsys):
     # stopped, so the stop changes no residue
     ("mod --seq b --modulus 41,1099511627776,33407005577 --max 3000",
      "48f3906e8296bc8601b6c299de480b9006aa8e9410163d4bafa796cd727432fe"),
+    # sweeps that take every value from one residue fill of their largest
+    # bar; recorded on the big-integer sweeps
+    ("gen --seq b --max 300",
+     "ea0dc484409ea48ee4a0cb72edb3983e87e92ebe7d4593bd33894ba40ca43a39"),
+    ("gen --seq square --max 34",
+     "e438303939798106fc22aa2a79ba729112600a067bcc4710b393899a5ac0552f"),
 ])
 def test_stdout_matches_the_ci_digest(capsys, argv, digest):
     # the sha256 digests that the CI smoke step checks for these commands
@@ -730,6 +760,8 @@ def run(*argv):
 run("--help")
 run("gen", "--seq", "b", "--max", "5")
 run("gen", "--seq", "table", "--max", "10")
+run("gen", "--seq", "square", "--max", "27")  # below the sweep route
+run("gen", "--seq", "b", "--max", "100")
 run("factor", "--seq", "b", "--index", "5")
 run("factor", "--seq", "table", "--index", "4", "5")
 run("oracle", "--m", "2", "--n", "3", "--compare")
@@ -749,6 +781,9 @@ assert residues == "b 9 1 1\\nb 9 2 4\\nb 9 3 2\\nb 9 4 2\\nb 9 5 1\\n", residue
 """,
     "the residue route": """
 assert chocolate_number(2, 300) == chocolate2(300)
+""",
+    "the sweep route": """
+run("gen", "--seq", "square", "--max", "28")
 """,
 }
 
