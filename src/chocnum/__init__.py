@@ -2,6 +2,8 @@
 its brute-force oracle, the derived integer sequences, p-adic valuations and
 factorizations, modular residue scans with eventual-period detection, and
 exact rational power-series checks of the generating-function identities.
+Exact values print in full at any size: the modules that turn big
+integers into decimal text do so under ``unlimited_int_digits``.
 
 ``import chocnum`` loads no submodule.  Each public name is looked up in
 its submodule on every access (PEP 562), which imports that submodule the
@@ -9,6 +11,8 @@ first time; nothing is copied into this namespace, so a name patched in its
 submodule is what ``chocnum.<name>`` returns.
 """
 
+import sys
+from contextlib import contextmanager
 from importlib import import_module
 
 _EXPORTS = {
@@ -30,6 +34,23 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 
 __all__ = list(_HOME)
 __version__ = "0.1.0"
+
+
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's limit on int <-> decimal string conversion (4300 digits
+    by default since 3.10.7) for the duration of the block, so exact values
+    print and parse in full at any size.  The limit is process-wide; the
+    caller's value is restored on exit.  Pythons without it are left alone."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def __getattr__(name: str):

@@ -1,22 +1,28 @@
 """Exact integer utilities shared by every module.
 
-Everything here is pure, stateless and arbitrary-precision: binomials,
-p-adic valuations, trial-division factoring with a deterministic
-Miller-Rabin cofactor check, and a factorial-divisibility test that never
-builds the factorial.
+Everything here is pure and arbitrary-precision: binomials, p-adic
+valuations, trial-division factoring with a deterministic Miller-Rabin
+cofactor check, and a factorial-divisibility test that never builds the
+factorial.  The only state is the primes trial division has sieved so far.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress, islice
+
+from . import unlimited_int_digits
 
 # Fixed witness set is a deterministic primality test below this bound.
 MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 TRIAL_BOUND = 10**6
+_trial_primes = array("I", [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31])  # below _trial_sieved
+_trial_sieved = 33
 
 
 class CofactorStatus(Enum):
@@ -46,7 +52,8 @@ class Factorization:
         parts = [f"{p}^{e}" if e > 1 else str(p) for p, e in self.factors]
         if self.cofactor != 1:
             tag = "?" if self.cofactor_status is CofactorStatus.COMPOSITE_UNRESOLVED else "(prp)"
-            parts.append(f"{self.cofactor}{tag}")
+            with unlimited_int_digits():  # a cofactor of any size prints in full
+                parts.append(f"{self.cofactor}{tag}")
         return " * ".join(parts) if parts else "1"
 
 
@@ -114,21 +121,25 @@ def factor(value: int) -> Factorization:
     """Trial-divide out all primes <= TRIAL_BOUND (10^6), then classify what
     is left by one Miller-Rabin test: certified prime below its deterministic
     range, flagged probable prime at or above it rather than mis-certified,
-    and flagged composite otherwise.  A remainder left by the d*d > rem exit
-    is prime and below the range, so the same test certifies it."""
+    and flagged composite otherwise.  A remainder left by the p*p > rem exit
+    is prime and below the range, so the same test certifies it.  The primes
+    come from ``_sieve_window`` as far as the loop reaches."""
     if value < 1:
         raise ValueError(f"factor requires value >= 1, got {value}")
     factors: list[tuple[int, int]] = []
     rem = value
-    d = 2
-    while d <= TRIAL_BOUND and d * d <= rem:
-        if rem % d == 0:
+    last = _trial_primes[-1]
+    for p in _trial_primes:  # runs on into each window sieved below
+        if p * p > rem:
+            break
+        if rem % p == 0:
             e = 0
-            while rem % d == 0:
-                rem //= d
+            while rem % p == 0:
+                rem //= p
                 e += 1
-            factors.append((d, e))
-        d += 1 if d == 2 else 2
+            factors.append((p, e))
+        if p == last and _sieve_window():
+            last = _trial_primes[-1]
     if rem == 1:
         return Factorization(tuple(factors))
     prime = _miller_rabin(rem)
@@ -137,6 +148,30 @@ def factor(value: int) -> Factorization:
         return Factorization(tuple(factors))
     status = CofactorStatus.PROBABLE_PRIME if prime else CofactorStatus.COMPOSITE_UNRESOLVED
     return Factorization(tuple(factors), rem, status)
+
+
+def _sieve_window() -> bool:
+    """Append the primes of the next window of odd numbers [low, high) to
+    ``_trial_primes``; False once past TRIAL_BOUND.  The first window ends
+    at 2**10 and each next one is at most as long as the span below it, so
+    the odd primes found so far sieve it; it is at most 2**17 long."""
+    global _trial_sieved
+    low = _trial_sieved
+    if low > TRIAL_BOUND:
+        return False
+    high = min(max(2 * low, 1 << 10) + 1, low + (1 << 17), TRIAL_BOUND + 1)
+    odd = bytearray([1]) * ((high - low) // 2)  # odd[i]: whether low + 2i is prime
+    for p in islice(_trial_primes, 1, None):
+        if p * p >= high:
+            break
+        i = ((max(p, -(-low // p)) | 1) * p - low) // 2  # the first odd multiple >= p*p, low
+        odd[i::p] = bytes(len(range(i, len(odd), p)))
+    _trial_primes.extend(compress(range(low, high, 2), odd))
+    _trial_sieved = high
+    return True
+
+
+_sieve_window()  # the primes below 2**10, which most small values need
 
 
 def divides_factorial(k: int, N: int) -> bool:

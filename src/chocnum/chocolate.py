@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import math
 import os
-import sys
-from contextlib import contextmanager
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+
+from . import unlimited_int_digits
 
 CACHE_HEADER = "chocnum cache v1"
 
@@ -30,23 +30,6 @@ _SUM_BLOCK = (1 << 10) - 1
 _FILL_BYTES = 1 << 20
 _FILL_RESERVE = 32 << 10
 _crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
-
-
-@contextmanager
-def unlimited_int_digits():
-    """Lift Python's limit on int <-> decimal string conversion (4300 digits
-    by default since 3.10.7) for the duration of the block, so exact values
-    print and parse in full at any size.  The limit is process-wide; the
-    caller's value is restored on exit.  Pythons without it are left alone."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 class CacheFormatError(ValueError):
@@ -87,13 +70,8 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     whose remaining i*n-1 and (m-i)*n-1 moves interleave in C(mn-2, in-1)
     ways; vertical cuts contribute symmetrically.
 
-    No recursion: the bars the sums reach, a x b with a <= min(b, m) and
-    2 <= b <= n (only 1 x n itself when m = 1), are filled in order of b,
-    then a, so every term is in the memo before it is read.  Cuts i and
-    cuts-i give equal terms, as C(mn-2, in-1) = C(mn-2, (m-i)n-1), so each
-    sum takes the cuts i < cuts/2 twice and the middle cut, if any, once.
-    Along a sum, with N = ab-2, C(N, k+side) = C(N, k)*perm(N-k, side) //
-    perm(k+side, side): the quotient is a binomial, so the division is exact.
+    The bars the sums reach, a x b with a <= min(b, m) and 2 <= b <= n
+    (only 1 x n itself when m = 1), are one ``_fill``.
 
     One fresh count of a large bar is rebuilt from residues instead, when
     ``_residue_primes`` gives a plan for it; its docstring has the rule and
@@ -115,31 +93,53 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
         table.computed += 1
         return memo[(m, n)]
 
+    _fill(table, ((b, min(b, m)) for b in range(n if m == 1 else 2, n + 1)))
+    return memo[(m, n)]
+
+
+def _fill(table: ChocolateTable, columns) -> None:
+    """Count on big integers every cell a x b, 1 <= a <= last, of each
+    column (b, last) of ``columns`` that the memo lacks, and store it: the
+    columns in the order given, which callers make the order of b, and
+    each from a = 1 up.  No recursion: every term of a sum must already be
+    in the memo, from before or from an earlier cell, so the cells must be
+    closed under the bars their sums read; a term that is missing raises
+    ValueError, and the memo keeps the cells finished before it.
+
+    Cuts i and cuts-i give equal terms, as C(ab-2, i side-1) =
+    C(ab-2, (cuts-i) side-1), so each sum takes the cuts i < cuts/2 twice
+    and the middle cut, if any, once.  Along a sum, with N = ab-2,
+    C(N, k+side) = C(N, k)*perm(N-k, side) // perm(k+side, side): the
+    quotient is a binomial, so the division is exact."""
+    memo = table.memo
+
     def count(x: int, y: int) -> int:
         return memo[(x, y) if x <= y else (y, x)]
 
-    for b in range(n if m == 1 else 2, n + 1):
-        for a in range(1, min(b, m) + 1):
-            if (a, b) in memo:
-                continue
-            if a == 1:
-                value = math.factorial(b - 1)
-            else:
-                value = 0
-                top = a * b - 2
-                # cutting a side of `cuts` units after i leaves i x side and
-                # (cuts-i) x side: horizontal cuts are (a, b), vertical (b, a)
-                for cuts, side in ((a, b), (b, a)):
-                    weight = math.comb(top, side - 1)  # C(top, k), k = i*side - 1
-                    for i in range(1, cuts // 2 + 1):
-                        term = weight * count(i, side) * count(cuts - i, side)
-                        value += term if 2 * i == cuts else 2 * term
-                        if i < cuts // 2:  # step to C(top, k + side)
-                            k = i * side - 1
-                            weight = weight * math.perm(top - k, side) // math.perm(k + side, side)
-            memo[(a, b)] = value
-            table.computed += 1
-    return memo[(m, n)]
+    try:
+        for b, last in columns:
+            for a in range(1, last + 1):
+                if (a, b) in memo:
+                    continue
+                if a == 1:
+                    value = math.factorial(b - 1)
+                else:
+                    value = 0
+                    top = a * b - 2
+                    # cutting a side of `cuts` units after i leaves i x side and
+                    # (cuts-i) x side: horizontal cuts are (a, b), vertical (b, a)
+                    for cuts, side in ((a, b), (b, a)):
+                        weight = math.comb(top, side - 1)  # C(top, k), k = i*side - 1
+                        for i in range(1, cuts // 2 + 1):
+                            term = weight * count(i, side) * count(cuts - i, side)
+                            value += term if 2 * i == cuts else 2 * term
+                            if i < cuts // 2:  # step to C(top, k + side)
+                                k = i * side - 1
+                                weight = weight * math.perm(top - k, side) // math.perm(k + side, side)
+                memo[(a, b)] = value
+                table.computed += 1
+    except KeyError as exc:
+        raise ValueError(f"{a} x {b} reads {exc.args[0]}, which no earlier cell filled") from None
 
 
 def _residue_primes(m: int, n: int, memo: dict) -> tuple[list[int], int] | None:
@@ -225,30 +225,40 @@ def _fewest_primes(bound: int, floor: int) -> list[int] | None:
     """The fewest primes below 2**26 whose product exceeds ``bound``: the
     largest ones, sieved in windows and kept for the next call.  None if
     that takes a prime <= ``floor`` or more primes than lie above 2**13.
-    Blocks of 1024 primes multiply in while the product stays at most
-    ``bound``, then single primes, so the product costs no quadratic walk."""
-    product, count = 1, 0
+    The first (bits - 1) // 26 of them, for a bound of that bit length,
+    cannot exceed it and multiply at once in a balanced tree, then single
+    primes, so the product costs no quadratic walk."""
+    count = (bound.bit_length() - 1) // 26
+    if not _sieve_crt_primes(count):
+        return None
+    product = _product(_crt_primes[:count])
     while product <= bound:
-        while len(_crt_primes) < count + 1024:
-            more = _primes_below(_crt_primes[-1] if _crt_primes else _PRIME_CEILING)
-            if not more:
-                break
-            _crt_primes.extend(more)
-        block = _crt_primes[count:count + 1024]
-        if not block:
+        if not _sieve_crt_primes(count + 1):
             return None
-        step = product * math.prod(block)
-        if step <= bound:
-            product, count = step, count + len(block)
-            continue
-        for p in block:
-            product *= p
-            count += 1
-            if product > bound:
-                break
-    if count and _crt_primes[count - 1] <= floor:
+        product *= _crt_primes[count]
+        count += 1
+    if _crt_primes[count - 1] <= floor:
         return None
     return _crt_primes[:count]
+
+
+def _sieve_crt_primes(count: int) -> bool:
+    """Whether ``_crt_primes`` holds at least ``count`` primes, once the
+    windows below its last one are sieved as far as that needs."""
+    while len(_crt_primes) < count:
+        more = _primes_below(_crt_primes[-1] if _crt_primes else _PRIME_CEILING)
+        if not more:
+            return False
+        _crt_primes.extend(more)
+    return True
+
+
+def _product(factors: list[int]) -> int:
+    """The product of ``factors``, pairwise by levels, so that factors of
+    equal size meet and the big multiplications use Karatsuba."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
 
 
 def _primes_below(top: int) -> list[int]:
@@ -368,14 +378,16 @@ class SequenceKind(Enum):
     DISTINCT_SORTED = "distinct_sorted"
     TWO_BY_N = "two_by_n"
     SQUARE = "square"
+    TABLE = "table"
 
 
 @dataclass(frozen=True)
 class SequenceSpec:
     """Which derived sequence to generate and how far.
 
-    ``bound`` is an index bound (row count / max index) for triangle_rows,
-    two_by_n and square, and an inclusive value bound for distinct_sorted.
+    ``bound`` is an index bound (row count / max index / side) for
+    triangle_rows, two_by_n, square and table, and an inclusive value bound
+    for distinct_sorted.
     """
 
     kind: SequenceKind
@@ -387,8 +399,13 @@ class SequenceSpec:
 
 
 def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tuple]:
-    """Generate one of the four derived sequences as (index-or-pair, value)
-    entries in canonical order.
+    """Generate one of the derived sequences as (index-or-pair, value)
+    entries in canonical order: the m x n table row by row, m, n <= bound,
+    and the triangle by its rows r = m + n - 1 <= bound, m increasing.
+
+    The table and the triangle are one ``_fill`` of the bars a x b, a <= b,
+    that they read, b <= bound, and a + b <= bound + 1 for the triangle,
+    on big integers; their entries are then read from the memo.
 
     A square or 2 x n sweep whose memo is empty takes its values from one
     residue fill of its largest bar, n x n or 2 x n, when ``_residue_primes``
@@ -396,11 +413,20 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
     the memo, ``computed`` counts them, and the loop below reads them (a
     square sweep fills 1 x 1 itself).  So a cold square sweep leaves the n
     squares in the memo, not every bar up to n x n, and the memo gets its
-    values only when the fill ends.  A warm memo, the triangle and the
-    distinct values keep the paths of ``chocolate_number`` and
-    ``chocolate2``."""
+    values only when the fill ends.  A warm memo and the distinct values
+    keep the paths of ``chocolate_number`` and ``chocolate2``."""
     if table is None:
         table = ChocolateTable()
+    if spec.kind in (SequenceKind.TABLE, SequenceKind.TRIANGLE_ROWS):
+        k = spec.bound
+        if spec.kind is SequenceKind.TABLE:
+            _fill(table, ((b, b) for b in range(1, k + 1)))
+            pairs = [(m, n) for m in range(1, k + 1) for n in range(1, k + 1)]
+        else:
+            _fill(table, ((b, min(b, k + 1 - b)) for b in range(1, k + 1)))
+            pairs = [(i, r + 1 - i) for r in range(1, k + 1) for i in range(1, r + 1)]
+        memo = table.memo
+        return [((m, n), memo[(m, n) if m <= n else (n, m)]) for m, n in pairs]
     if spec.kind in (SequenceKind.SQUARE, SequenceKind.TWO_BY_N):
         m, n = (spec.bound if spec.kind is SequenceKind.SQUARE else 2), spec.bound
         plan = _residue_primes(m, n, table.memo)  # None for 2 x 1, as for any small bar
@@ -408,12 +434,6 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
             cells = [(min(m, k), k) for k in range(2, n + 1)]
             table.memo.update(zip(cells, _count_from_residues(m, n, *plan, cells)))
             table.computed += len(cells)
-    if spec.kind is SequenceKind.TRIANGLE_ROWS:
-        out = []
-        for r in range(1, spec.bound + 1):
-            for i in range(1, r + 1):
-                out.append(((i, r + 1 - i), chocolate_number(i, r + 1 - i, table)))
-        return out
     if spec.kind is SequenceKind.TWO_BY_N:
         return [(n, chocolate2(n, table)) for n in range(1, spec.bound + 1)]
     if spec.kind is SequenceKind.SQUARE:

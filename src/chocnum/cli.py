@@ -17,6 +17,7 @@ import sys
 import textwrap
 from pathlib import Path
 
+from . import unlimited_int_digits
 from .chocolate import (
     ChocolateTable,
     SequenceFrontierError,
@@ -26,7 +27,6 @@ from .chocolate import (
     generate,
     load_cache,
     save_cache,
-    unlimited_int_digits,
 )
 from .oracle import DEFAULT_AREA_LIMIT, count_sequences
 
@@ -62,6 +62,7 @@ FIELDS = {
 BOUND_FIELDS = ("bound", "ok")  # appended by nu --check-bound
 
 _GEN_KINDS = {
+    "table": SequenceKind.TABLE,
     "triangle": SequenceKind.TRIANGLE_ROWS,
     "b": SequenceKind.TWO_BY_N,
     "square": SequenceKind.SQUARE,
@@ -153,11 +154,8 @@ def _emit(records, fields, fmt: str) -> None:
 
 def _records(seq: str, bound: int, table: ChocolateTable) -> list[tuple]:
     """(index..., value) records of ``gen --seq SEQ``; ``nu`` reads them too."""
-    if seq == "table":
-        sizes = range(1, bound + 1)
-        return [(m, n, chocolate_number(m, n, table)) for m in sizes for n in sizes]
     entries = generate(SequenceSpec(_GEN_KINDS[seq], bound), table)
-    if seq == "triangle":
+    if seq in ("table", "triangle"):
         return [(m, n, v) for (m, n), v in entries]
     if seq == "distinct":
         return [(v,) for _, v in entries]
@@ -303,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("plain", "csv", "jsonl"), default="plain")
 
     p = sub.add_parser("gen", help="generate a sequence")
-    p.add_argument("--seq", required=True, choices=("table", *_GEN_KINDS))
+    p.add_argument("--seq", required=True, choices=tuple(_GEN_KINDS))
     p.add_argument("--max", type=_positive_int, help="index bound (all but distinct)")
     p.add_argument("--limit", type=_positive_int, help="value bound (distinct only)")
     add_format(p)

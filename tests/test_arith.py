@@ -2,18 +2,23 @@
 
 import math
 import random
+import sys
 
 import pytest
 
+import chocnum.arith as arith_mod
 from chocnum.arith import (
+    MR_DETERMINISTIC_BOUND,
+    TRIAL_BOUND,
     CofactorStatus,
+    Factorization,
     binomial,
     divides_factorial,
     factor,
     is_prime,
     nu_p,
 )
-from chocnum.chocolate import chocolate2
+from chocnum.chocolate import ChocolateTable, chocolate2, chocolate_number
 
 
 def sieve_below(limit):
@@ -103,6 +108,60 @@ def test_factor_roundtrip_identity():
         assert primes == sorted(primes) and len(set(primes)) == len(primes)
         assert all(e >= 1 for _, e in f.factors)
         assert all(is_prime(p) for p in primes)
+
+
+def odd_divisor_factor(value):
+    """factor as it was before it divided by primes only: 2, then every odd
+    d up to TRIAL_BOUND while d*d <= rem, then the same classification."""
+    factors = []
+    rem = value
+    d = 2
+    while d <= TRIAL_BOUND and d * d <= rem:
+        if rem % d == 0:
+            e = 0
+            while rem % d == 0:
+                rem //= d
+                e += 1
+            factors.append((d, e))
+        d += 1 if d == 2 else 2
+    if rem == 1:
+        return Factorization(tuple(factors))
+    prime = arith_mod._miller_rabin(rem)
+    if prime and rem < MR_DETERMINISTIC_BOUND:
+        factors.append((rem, 1))
+        return Factorization(tuple(factors))
+    status = CofactorStatus.PROBABLE_PRIME if prime else CofactorStatus.COMPOSITE_UNRESOLVED
+    return Factorization(tuple(factors), rem, status)
+
+
+def test_factor_by_primes_matches_every_odd_divisor():
+    # B_1..B_40, every bar up to 6 x 8, primes at and beyond the trial
+    # bound, whose products sieve every window, and random values
+    table = ChocolateTable()
+    values = {chocolate2(n, table) for n in range(1, 41)}
+    values |= {chocolate_number(m, n, table) for m in range(1, 7) for n in range(m, 9)}
+    rng = random.Random(31)
+    values |= {rng.randrange(1, 10**12) for _ in range(12)}
+    values |= {1000003 * 1000033, 999983**2, 999983 * 1000003}
+    for v in sorted(values):
+        assert factor(v) == odd_divisor_factor(v), v
+    # 999983^2 sieved every window: the primes kept are those of a plain sieve
+    assert list(arith_mod._trial_primes) == sieve_below(TRIAL_BOUND + 1)
+
+
+def test_a_cofactor_past_the_digit_limit_prints_in_full():
+    cofactor = 10**5000 + 1  # 5001 digits, composite (11 divides it)
+    f = Factorization(((2, 3),), cofactor, CofactorStatus.COMPOSITE_UNRESOLVED)
+    if not hasattr(sys, "set_int_max_str_digits"):
+        assert str(f) == f"2^3 * 1{'0' * 4999}1?"
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert str(f) == f"2^3 * 1{'0' * 4999}1?"
+        assert sys.get_int_max_str_digits() == 640  # the caller's limit is back
+    finally:
+        sys.set_int_max_str_digits(saved)
 
 
 def test_factor_flags_unresolvable_cofactor():

@@ -1,6 +1,7 @@
 """Tests for the exact recursion, the sequence generators, and the cache."""
 
 import functools
+import hashlib
 import importlib
 import inspect
 import math
@@ -456,6 +457,58 @@ def test_generate_triangle_four_rows():
 def test_generate_triangle_published_prefix():
     entries = generate(SequenceSpec(SequenceKind.TRIANGLE_ROWS, 7))
     assert [v for _, v in entries] == TRIANGLE_PREFIX
+
+
+def bar_by_bar(kind, bound, table):
+    """A triangle or table sweep as one chocolate_number per entry, each
+    filling the rectangle of its own bar."""
+    if kind is SequenceKind.TABLE:
+        bars = [(m, n) for m in range(1, bound + 1) for n in range(1, bound + 1)]
+    else:
+        bars = [(i, r + 1 - i) for r in range(1, bound + 1) for i in range(1, r + 1)]
+    return [((m, n), chocolate_number(m, n, table)) for m, n in bars]
+
+
+@pytest.mark.parametrize("kind,bound", [
+    *((SequenceKind.TRIANGLE_ROWS, k) for k in range(1, 46)),
+    (SequenceKind.TABLE, 12), (SequenceKind.TABLE, 36),
+])
+def test_triangle_and_table_sweeps_fill_each_bar_once(kind, bound):
+    # the same entries, memo and computed as bar by bar, on a seeded table
+    # and on an empty one; every bar lies on b <= bound, and on the
+    # triangle a + b <= bound + 1
+    for table in (seeded_table, ChocolateTable):
+        swept, reference = table(), table()
+        assert generate(SequenceSpec(kind, bound), swept) == bar_by_bar(kind, bound, reference)
+        assert swept.memo == reference.memo and swept.computed == reference.computed
+    last = bound + 1 if kind is SequenceKind.TRIANGLE_ROWS else 2 * bound
+    assert set(swept.memo) == {(a, b) for b in range(1, bound + 1) for a in range(1, b + 1)
+                               if a + b <= last}
+
+
+def test_a_fill_reads_only_filled_bars():
+    # 2 x 3 reads 1 x 2, which no column filled: a ValueError, not a value,
+    # and the memo keeps 1 x 3, finished before it
+    table = ChocolateTable()
+    with pytest.raises(ValueError, match=r"2 x 3 reads \(1, 2\)"):
+        chocolate_mod._fill(table, [(3, 3)])
+    assert table.memo == {(1, 3): 2} and table.computed == 1
+    # the same bars out of order
+    with pytest.raises(ValueError, match=r"2 x 3 reads \(1, 2\)"):
+        chocolate_mod._fill(ChocolateTable(), [(1, 1), (3, 3), (2, 2)])
+    table = ChocolateTable()
+    chocolate_mod._fill(table, [(1, 1), (2, 2), (3, 3)])
+    assert table.memo == {(1, 1): 1, (1, 2): 1, (2, 2): 4, (1, 3): 2, (2, 3): 56,
+                          (3, 3): 9408}
+
+
+def test_a_cold_table_sweep_caches_the_bytes_of_the_bar_by_bar_sweep(tmp_path, capsys):
+    # the digest of the cache that one chocolate_number per bar wrote
+    assert cli.main(["gen", "--seq", "table", "--max", "36", "--cache", str(tmp_path)]) == 0
+    data = (tmp_path / cli.CACHE_FILENAME).read_bytes()
+    assert hashlib.sha256(data).hexdigest() == (
+        "24f1e614bf9ae9cebd1ff8303eff50f51309863973d3225e62bbae7c3430dd1a")
+    assert capsys.readouterr().out.count("\n") == 36 * 36
 
 
 def test_generate_two_by_n_prefix():

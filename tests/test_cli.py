@@ -236,6 +236,36 @@ def test_gen_cache_keeps_the_work_of_an_interrupted_fill(capsys, tmp_path, monke
     assert tables[-1].computed == 59 - 20
 
 
+def test_an_interrupted_table_sweep_caches_only_finished_bars(capsys, tmp_path, monkeypatch):
+    # the table is one fill of the 78 bars a <= b <= 12; Ctrl-C cuts it when
+    # it would store bar 21, and a rerun fills only the bars it lacks
+    argv = ("gen", "--seq", "table", "--max", "12", "--cache")
+    code, cold_out, _ = run(capsys, *argv, str(tmp_path / "cold"))
+    cold = load_cache(tmp_path / "cold" / cli.CACHE_FILENAME).memo
+    assert code == EXIT_OK and len(cold) == 78
+
+    def cut_table():
+        table = ChocolateTable()
+        table.memo = CutMemo()
+        return table
+
+    monkeypatch.setattr(cli, "ChocolateTable", cut_table)
+    cache = tmp_path / "cut"
+    assert run(capsys, *argv, str(cache)) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
+    kept = load_cache(cache / cli.CACHE_FILENAME).memo
+    assert len(kept) == 20 and kept.items() <= cold.items()
+
+    tables = []
+
+    def recorded(path):
+        tables.append(load_cache(path))
+        return tables[-1]
+
+    monkeypatch.setattr(cli, "load_cache", recorded)
+    assert run(capsys, *argv, str(cache))[:2] == (EXIT_OK, cold_out)
+    assert tables[-1].computed == 78 - 20
+
+
 def test_ctrl_c_in_a_routed_sweep_leaves_the_cache_as_it_was(capsys, tmp_path, monkeypatch):
     # an empty cache loads an empty memo, so the sweep takes the residue
     # fill, whose values reach the memo only when it ends
@@ -663,6 +693,12 @@ def test_conjecture_csv_round_trips(capsys):
      "ea0dc484409ea48ee4a0cb72edb3983e87e92ebe7d4593bd33894ba40ca43a39"),
     ("gen --seq square --max 34",
      "e438303939798106fc22aa2a79ba729112600a067bcc4710b393899a5ac0552f"),
+    # sweeps that fill each bar once on big integers; recorded on the sweeps
+    # that filled bar by bar
+    ("gen --seq triangle --max 43",
+     "48781bf3e2570e2b3cd7762cd0c28826e37119c2aa644fb38c5c8917635ddeae"),
+    ("gen --seq table --max 36",
+     "f08c17dd4acfef08ec38717ffc8d7d4393f15757573ce913e3b0de8cd7785555"),
 ])
 def test_stdout_matches_the_ci_digest(capsys, argv, digest):
     # the sha256 digests that the CI smoke step checks for these commands
