@@ -14,6 +14,7 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from pathlib import Path
 
 from . import unlimited_int_digits
@@ -27,9 +28,10 @@ CACHE_HEADER = "chocnum cache v1"
 _PRIME_CEILING = 1 << 26
 _DOT_BLOCK = (1 << 11) - 1
 _SUM_BLOCK = (1 << 10) - 1
-_FILL_BYTES = 1 << 20
+_FILL_BYTES = 2 << 20
 _FILL_RESERVE = 32 << 10
 _crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
+_base_primes: list[int] = []  # the primes below 2**13, which sieve _crt_primes
 
 
 class CacheFormatError(ValueError):
@@ -264,15 +266,18 @@ def _product(factors: list[int]) -> int:
 def _primes_below(top: int) -> list[int]:
     """The primes in [max(top - 2**16, 2**13), top), largest first, for
     top <= 2**26: a sieve by the primes below 2**13, whose squares pass
-    2**26."""
+    2**26, sieved once into ``_base_primes``."""
+    if not _base_primes:
+        small = bytearray([0, 0]) + bytearray([1]) * ((1 << 13) - 2)
+        for p in range(2, math.isqrt(1 << 13) + 1):
+            if small[p]:
+                small[p * p::p] = bytes(len(range(p * p, 1 << 13, p)))
+        _base_primes.extend(compress(range(1 << 13), small))
     low = max(top - (1 << 16), 1 << 13)
-    small = bytearray([1]) * (1 << 13)
     window = bytearray([1]) * max(top - low, 0)
-    for p in range(2, 1 << 13):
-        if small[p]:
-            small[p * p::p] = bytes(len(range(p * p, 1 << 13, p)))
-            window[-low % p::p] = bytes(len(range(-low % p, len(window), p)))
-    return [low + i for i in range(len(window) - 1, -1, -1) if window[i]]
+    for p in _base_primes:
+        window[-low % p::p] = bytes(len(range(-low % p, len(window), p)))
+    return list(compress(range(top - 1, low - 1, -1), reversed(window)))
 
 
 def _count_from_residues(m: int, n: int, primes: list[int], per_chunk: int,
@@ -306,8 +311,8 @@ def _count_from_residues(m: int, n: int, primes: list[int], per_chunk: int,
     header, so the a-1 slots before row a belong to the rows above it or
     to the header.  They are saved, hold c(a, 1..a-1) while row a fills,
     and are restored: the row then reads as columns 1..n, and the sum over
-    j is one dot of that view with itself reversed, in blocks of
-    ``_DOT_BLOCK`` products; past b = 64, of its first half, doubled, plus
+    j is one dot of that view with itself reversed; past b = 64, of its
+    first half, in blocks of ``_DOT_BLOCK`` products, doubled, plus
     c(a, b/2)^2 for even b.  The sum over i, 2 c(a-1, b)
     + 2 sum_{1<i<a/2} c(i,b) c(a-i,b) + c(a/2,b)^2 for even a, is built
     first for the whole row in the header, reduced every ``_SUM_BLOCK``
@@ -453,6 +458,12 @@ def _distinct_values(bound: int, table: ChocolateTable) -> list[int]:
     nondecreasing in n, which is asserted at every extension step, plus
     nondecreasing diagonal values across rows; either failing raises
     SequenceFrontierError rather than emitting a possibly incomplete list.
+
+    Row m extends by one ``_fill`` of column n, rows 1..m, not one
+    ``chocolate_number`` per bar, which would walk the rectangle again:
+    the m x m count filled every bar up to m x m, and each row a < m
+    reached past n - 1, as count(a, k) <= count(m, k); a bar that were
+    missing would make ``_fill`` raise ValueError, not drop a value.
     """
     values: set[int] = set()
     m = 1
@@ -467,11 +478,12 @@ def _distinct_values(bound: int, table: ChocolateTable) -> list[int]:
         prev_diag = diag
         if diag > bound:
             break
-        prev = None
-        n = m
+        values.add(diag)
+        prev, n = diag, m + 1
         while True:
-            v = chocolate_number(m, n, table)
-            if prev is not None and v < prev:
+            _fill(table, [(n, m)])  # column n of rows 1..m
+            v = table.memo[(m, n)]
+            if v < prev:
                 raise SequenceFrontierError(
                     f"row m={m} not nondecreasing at n={n}: {v} < {prev}; "
                     "frontier cannot certify completeness"

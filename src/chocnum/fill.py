@@ -8,6 +8,8 @@ ceiling) lives in ``chocolate``.
 
 from __future__ import annotations
 
+from itertools import repeat
+
 import numpy as np
 
 
@@ -61,27 +63,27 @@ def fill_chunk(m: int, n: int, primes: list[int], cells: list[tuple[int, int]],
         if a < m:
             saved[:] = row[:a - 1]
         row[0] = 1
-        if a > 2:  # c(j, a); mode="clip" writes straight to out, every index is valid
-            prefix = [start[j] + a - j for j in range(2, a)]
-            np.take(f, prefix, axis=0, out=row[1:a - 1], mode="clip")
+        if a > 2:  # c(j, a): rows 2..a-1 lie after out, so take writes to it uncopied
+            rows = f[start[a - 1]:]
+            prefix = [start[j] + a - j - start[a - 1] for j in range(2, a)]
+            np.take(rows, prefix, axis=0, out=row[1:a - 1], mode="clip")
         rev = row[::-1]  # rev[n - b + 1 + i] = c(a, b - 1 - i)
-        for b in range(a, n + 1):
-            # past b = 64 the pairs j < b/2 are taken once and doubled; below,
-            # every pair is, which saves calls
-            pairs = b - 1 if b <= 64 else (b - 1) // 2
-            x, y = row[:pairs], rev[n - b + 1:n - b + 1 + pairs]
-            np.vecdot(x[:dot_block], y[:dot_block], axis=0, out=value)
-            for s in range(dot_block, pairs, dot_block):
-                value %= q
-                value += np.vecdot(x[s:s + dot_block], y[s:s + dot_block], axis=0)
-            if pairs < b - 1:
+        for b, cell, total in zip(range(a, n + 1), row[a - 1:], col if a > 2 else repeat(1)):
+            if b <= 64:  # every pair j < b in one dot of at most 63 products
+                np.vecdot(row[:b - 1], rev[n - b + 1:n], axis=0, out=value)
+            else:  # the pairs j < b/2, doubled, in blocks of dot_block
+                pairs = (b - 1) // 2
+                x, y = row[:pairs], rev[n - b + 1:n - b + 1 + pairs]
+                np.vecdot(x[:dot_block], y[:dot_block], axis=0, out=value)
+                for s in range(dot_block, pairs, dot_block):
+                    value %= q
+                    value += np.vecdot(x[s:s + dot_block], y[s:s + dot_block], axis=0)
                 value %= q
                 value <<= 1
                 if b % 2 == 0:
                     value += row[b // 2 - 1] ** 2
-            value += col[b - a] if a > 2 else 1
+            value += total
             value %= q
-            cell = row[b - 1]
             value *= cell
             np.remainder(value, q, out=cell)
         if a < m:

@@ -194,7 +194,7 @@ def test_route_agrees_with_the_big_integer_fill_at_the_crossover(m, n, route):
     assert chocolate_number(m, n) == big_integer_count(m, n)
 
 
-@pytest.mark.parametrize("m,n", [(40, 40), (2, 600), (10, 200)])
+@pytest.mark.parametrize("m,n", [(40, 40), (36, 36), (2, 600), (10, 200)])
 def test_residue_fill_peaks_within_its_ceiling(m, n):
     # the fill's arrays stay under _FILL_BYTES; numpy may add one buffer of
     # up to 64 KiB for a broadcast operand.  numpy is loaded and the plan
@@ -211,11 +211,19 @@ def test_residue_fill_peaks_within_its_ceiling(m, n):
     assert peak <= chocolate_mod._FILL_BYTES + (64 << 10)
 
 
-@pytest.mark.parametrize("m,n", [(30, 1000), (400, 400)])
+PLANS = {  # (chunks, primes per chunk) of a fresh bar under the 2 MiB block
+    (30, 1000): (2214, 7), (400, 400): (48790, 2),
+    (40, 40): (2, 283), (36, 36): (2, 222), (10, 200): (7, 105),
+}
+
+
+@pytest.mark.parametrize("m,n", list(PLANS))
 def test_every_chunk_of_a_plan_fits_the_ceiling(m, n):
-    # the plan alone: neither fill runs.  One chunk fewer would not fit
+    # the plan alone: no fill runs.  One chunk fewer would not fit
+    assert chocolate_mod._FILL_BYTES == 2 << 20
     primes, per_chunk = chocolate_mod._residue_primes(m, n, {})
     chunks = -(-len(primes) // per_chunk)
+    assert (chunks, per_chunk) == PLANS[(m, n)]
     fewer = -(-len(primes) // (chunks - 1))  # primes per chunk in one chunk fewer
     assert chocolate_mod._fill_bytes(m, n, per_chunk) <= chocolate_mod._FILL_BYTES
     assert chocolate_mod._fill_bytes(m, n, fewer) > chocolate_mod._FILL_BYTES
@@ -278,6 +286,20 @@ def test_a_fresh_square_matches_the_big_integer_fill():
     assert chocolate_number(40, 40) == big_integer_count(40, 40)
 
 
+def test_the_block_size_changes_no_count(monkeypatch):
+    # a fresh 40 x 40 in 2 chunks against 4, and a cold square sweep to 34
+    # in 1 against 2, as under the earlier 1 MiB block
+    count = chocolate_number(40, 40)
+    squares = generate(SequenceSpec(SequenceKind.SQUARE, 34))
+    assert chocolate_mod._residue_primes(40, 40, {})[1] == 283
+    assert chocolate_mod._residue_primes(34, 34, {})[1] == 388
+    monkeypatch.setattr(chocolate_mod, "_FILL_BYTES", 1 << 20)
+    assert chocolate_mod._residue_primes(40, 40, {})[1] == 142
+    assert chocolate_mod._residue_primes(34, 34, {})[1] == 194
+    assert chocolate_number(40, 40) == count
+    assert generate(SequenceSpec(SequenceKind.SQUARE, 34)) == squares
+
+
 def test_route_matches_chocolate2_on_a_long_bar():
     # two kinds of arithmetic: residues and a CRT against big integers
     assert chocolate_number(2, 600) == chocolate2(600)
@@ -314,6 +336,16 @@ def test_residue_route_takes_the_primes_of_its_bound(m, n, primes):
     got = chocolate_mod._residue_primes(m, n, {})[0]
     assert len(got) == primes
     assert math.prod(got[:-1]) <= chocolate_mod._count_bound(m, n) < math.prod(got)
+
+
+@pytest.mark.parametrize("top", [2**26, 2**26 - 2**16, 2**13 + 5000, 2**14, 2**13])
+def test_prime_windows_match_a_plain_sieve(top):
+    low = max(top - 2**16, 2**13)
+    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 2)
+    for p in range(2, math.isqrt(top) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = bytes(len(range(p * p, top, p)))
+    assert chocolate_mod._primes_below(top) == [q for q in range(top - 1, low - 1, -1) if sieve[q]]
 
 
 @pytest.mark.parametrize("bound", [1, 2, 2**26, 2**100, 10**1000, 2400**2399],
@@ -354,10 +386,11 @@ def test_column_sums_keep_twice_a_block_of_products_in_int64():
 
 
 def test_blocked_dot_products_are_exact(monkeypatch):
-    # with blocks of 5 terms, rows of 16 and columns of 20 take several
-    expected = big_integer_count(16, 20)
+    # with blocks of 5 terms, the halved dots past b = 64 take several; the
+    # dots up to b = 64, every pair in one call, take none
+    expected = big_integer_count(16, 20), big_integer_count(4, 80)
     monkeypatch.setattr(chocolate_mod, "_DOT_BLOCK", 5)
-    assert residue_count(16, 20) == expected
+    assert (residue_count(16, 20), residue_count(4, 80)) == expected
     assert chocolate_number(2, 150) == chocolate2(150)
 
 
@@ -536,22 +569,43 @@ def test_sequence_spec_rejects_bad_bound():
         SequenceSpec(SequenceKind.SQUARE, 0)
 
 
-def test_distinct_aborts_on_row_monotonicity_violation(monkeypatch):
-    fake = {(1, 1): 1, (1, 2): 5, (1, 3): 2}
-    monkeypatch.setattr(
-        chocolate_mod, "chocolate_number", lambda m, n, table=None: fake[(m, n)]
-    )
+def per_bar_distinct(bound, table):
+    """The distinct values <= bound as ``_distinct_values`` found them
+    before it filled columns: one ``chocolate_number`` per bar."""
+    values, m = set(), 1
+    while chocolate_number(m, m, table) <= bound:
+        n = m
+        while (v := chocolate_number(m, n, table)) <= bound:
+            values.add(v)
+            n += 1
+        m += 1
+    return [(i, v) for i, v in enumerate(sorted(values), start=1)]
+
+
+@pytest.mark.parametrize("bound", [10**10, 10**200, 10**400], ids=["10^10", "10^200", "10^400"])
+def test_distinct_values_fill_the_bars_the_per_bar_path_did(bound):
+    table, per_bar = ChocolateTable(), ChocolateTable()
+    assert generate(SequenceSpec(SequenceKind.DISTINCT_SORTED, bound), table) == \
+        per_bar_distinct(bound, per_bar)
+    assert table.memo == per_bar.memo and table.computed == per_bar.computed
+
+
+def fake_table(memo):
+    table = ChocolateTable()
+    table.memo.update(memo)
+    return table
+
+
+def test_distinct_aborts_on_row_monotonicity_violation():
+    table = fake_table({(1, 1): 1, (1, 2): 5, (1, 3): 2})
     with pytest.raises(SequenceFrontierError, match="not nondecreasing"):
-        generate(SequenceSpec(SequenceKind.DISTINCT_SORTED, 10))
+        generate(SequenceSpec(SequenceKind.DISTINCT_SORTED, 10), table)
 
 
-def test_distinct_aborts_on_diagonal_violation(monkeypatch):
-    fake = {(1, 1): 5, (1, 2): 6, (1, 3): 11, (2, 2): 3}
-    monkeypatch.setattr(
-        chocolate_mod, "chocolate_number", lambda m, n, table=None: fake[(m, n)]
-    )
+def test_distinct_aborts_on_diagonal_violation():
+    table = fake_table({(1, 1): 5, (1, 2): 6, (1, 3): 11, (2, 2): 3})
     with pytest.raises(SequenceFrontierError, match="diagonal"):
-        generate(SequenceSpec(SequenceKind.DISTINCT_SORTED, 10))
+        generate(SequenceSpec(SequenceKind.DISTINCT_SORTED, 10), table)
 
 
 def test_cache_roundtrip_empty(tmp_path):

@@ -693,6 +693,9 @@ def test_conjecture_csv_round_trips(capsys):
      "ea0dc484409ea48ee4a0cb72edb3983e87e92ebe7d4593bd33894ba40ca43a39"),
     ("gen --seq square --max 34",
      "e438303939798106fc22aa2a79ba729112600a067bcc4710b393899a5ac0552f"),
+    # two chunks of the fill; recorded when the same sweep took four
+    ("gen --seq square --max 40",
+     "708627e8532fe5f6bc128c414002d049deea5b2278d299da7710443ad50e7ef3"),
     # sweeps that fill each bar once on big integers; recorded on the sweeps
     # that filled bar by bar
     ("gen --seq triangle --max 43",
