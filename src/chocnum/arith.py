@@ -3,7 +3,8 @@
 Everything here is pure and arbitrary-precision: binomials, p-adic
 valuations, trial-division factoring with a deterministic Miller-Rabin
 cofactor check, and a factorial-divisibility test that never builds the
-factorial.  The only state is the primes trial division has sieved so far.
+factorial.  The only state is the primes sieved so far, which trial
+division and ``primes_between`` share.
 """
 
 from __future__ import annotations
@@ -151,24 +152,36 @@ def factor(value: int) -> Factorization:
 
 
 def _sieve_window() -> bool:
-    """Append the primes of the next window of odd numbers [low, high) to
-    ``_trial_primes``; False once past TRIAL_BOUND.  The first window ends
-    at 2**10 and each next one is at most as long as the span below it, so
-    the odd primes found so far sieve it; it is at most 2**17 long."""
+    """Append the primes of the next window [low, high) to ``_trial_primes``;
+    False once past TRIAL_BOUND.  The first window ends at 2**10 and each
+    next one is at most as long as the span below it, so the odd primes
+    found so far sieve it; it is at most 2**17 long."""
     global _trial_sieved
     low = _trial_sieved
     if low > TRIAL_BOUND:
         return False
     high = min(max(2 * low, 1 << 10) + 1, low + (1 << 17), TRIAL_BOUND + 1)
-    odd = bytearray([1]) * ((high - low) // 2)  # odd[i]: whether low + 2i is prime
+    _trial_primes.extend(primes_between(low, high))
+    _trial_sieved = high
+    return True
+
+
+def primes_between(low: int, high: int) -> list[int]:
+    """The primes in [low, high), ascending, for 3 <= low and high <= 10**12:
+    a sieve of the odd numbers by the odd trial primes whose squares lie
+    below high, which ``_sieve_window`` extends first as far as that needs.
+    Trial division and the residue fill's primes share it."""
+    while _trial_sieved ** 2 < high and _sieve_window():
+        pass
+    odd = range(low | 1, high, 2)
+    sieve = bytearray([1]) * len(odd)  # sieve[i]: whether odd[i] is prime
     for p in islice(_trial_primes, 1, None):
         if p * p >= high:
             break
-        i = ((max(p, -(-low // p)) | 1) * p - low) // 2  # the first odd multiple >= p*p, low
-        odd[i::p] = bytes(len(range(i, len(odd), p)))
-    _trial_primes.extend(compress(range(low, high, 2), odd))
-    _trial_sieved = high
-    return True
+        # the first odd multiple of p that is at least p*p and low
+        i = ((max(p, -(-odd.start // p)) | 1) * p - odd.start) // 2
+        sieve[i::p] = bytes(len(range(i, len(sieve), p)))
+    return list(compress(odd, sieve))
 
 
 _sieve_window()  # the primes below 2**10, which most small values need

@@ -14,25 +14,11 @@ import math
 import os
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
 from pathlib import Path
 
 from . import unlimited_int_digits
 
 CACHE_HEADER = "chocnum cache v1"
-
-# The residue fill works modulo primes below 2**26: a product of two residues
-# is below 2**52, so an int64 dot of at most _DOT_BLOCK products stays below
-# 2**63, and so does twice a reduced residue plus _SUM_BLOCK products, plus
-# one more product.  _residue_primes states the memory ceiling.
-_PRIME_CEILING = 1 << 26
-_DOT_BLOCK = (1 << 11) - 1
-_SUM_BLOCK = (1 << 10) - 1
-_FILL_BYTES = 2 << 20
-_FILL_RESERVE = 32 << 10
-_crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
-_base_primes: list[int] = []  # the primes below 2**13, which sieve _crt_primes
-
 
 class CacheFormatError(ValueError):
     """Raised when a cache file has the wrong header or a malformed line."""
@@ -76,9 +62,7 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     (only 1 x n itself when m = 1), are one ``_fill``.
 
     One fresh count of a large bar is rebuilt from residues instead, when
-    ``_residue_primes`` gives a plan for it; its docstring has the rule and
-    the ceiling, and ``_count_from_residues`` the math.  Only the m x n
-    entry is stored.
+    ``_residue_counts`` takes it; only the m x n entry is stored.
     """
     if m < 1 or n < 1:
         raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
@@ -89,11 +73,11 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     cached = memo.get((m, n))
     if cached is not None:
         return cached
-    plan = _residue_primes(m, n, memo)
-    if plan:
-        memo[(m, n)] = _count_from_residues(m, n, *plan, [(m, n)])[0]
+    counts = _residue_counts(m, n, memo, [(m, n)])
+    if counts:
+        memo[(m, n)] = counts[0]
         table.computed += 1
-        return memo[(m, n)]
+        return counts[0]
 
     _fill(table, ((b, min(b, m)) for b in range(n if m == 1 else 2, n + 1)))
     return memo[(m, n)]
@@ -144,206 +128,29 @@ def _fill(table: ChocolateTable, columns) -> None:
         raise ValueError(f"{a} x {b} reads {exc.args[0]}, which no earlier cell filled") from None
 
 
-def _residue_primes(m: int, n: int, memo: dict) -> tuple[list[int], int] | None:
-    """The plan of the residue fill of the m x n bar (m <= n): its primes
-    and the most primes one chunk takes, or None when the big-integer fill
-    should run instead.
+def _residue_counts(m: int, n: int, memo: dict, cells: list[tuple[int, int]]) -> list[int] | None:
+    """The counts of ``cells`` from one residue fill of the m x n bar
+    (m <= n), ``fill.residue_counts``, or None when the big-integer fill
+    should run instead, as it does for a bar the fill has no plan for.
 
-    The rule.  The residue route pays only for large values.  It needs
-    m >= 2 and an empty memo, so a warm table keeps reusing the big-integer
-    memo; a square or 2 x n sweep asks for the plan of its largest bar and
-    takes all its values from that one fill (``generate``).  Above that,
-    time alone decides: the route takes a long bar once
-    (mn-1) * E.bit_length() >= 900 m, the crossover measured over 2 x n,
-    3 x n, 5 x n, 6 x n, 10 x n, 20 x n and 30 x n, and every bar from
-    28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds the breaks
-    one state offers, since every available break cuts interior unit edges
-    that no other available break cuts.  The primes bound the count by
-    ``_count_bound``.
-
-    The ceiling.  One chunk of the fill holds at most ``_FILL_BYTES``: one
-    block of ``_FILL_BYTES - _FILL_RESERVE`` bytes for all its arrays,
-    whose use ``_fill_bytes`` counts from the plan alone, and the reserve
-    for what it holds besides (the running CRT, the staged inverses,
-    numpy's iterators); a sweep's cells and running values, one of each
-    per cell, come on top.  numpy may add a buffer of up to 64 KiB for a
-    broadcast operand.  ``_chunked`` splits the primes into the fewest
-    chunks that fit; a bar where one prime does not fit gets no plan.
+    The residue route pays only for large values.  It needs m >= 2 and an
+    empty memo, so a warm table keeps reusing the big-integer memo; a
+    square or 2 x n sweep takes all its values from the fill of its
+    largest bar (``generate``).  Above that, time alone decides: the route
+    takes a long bar once (mn-1) * E.bit_length() >= 900 m, the crossover
+    measured over 2 x n, 3 x n, 5 x n, 6 x n, 10 x n, 20 x n and 30 x n,
+    and every bar from 28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds
+    the breaks one state offers, since every available break cuts interior
+    unit edges that no other available break cuts.  The rule is checked
+    before ``fill``, and numpy with it, is imported.
     """
     top = m * n - 1
     breaks = m * (n - 1) + n * (m - 1)
     if m < 2 or memo or (m < 28 and top * breaks.bit_length() < 900 * m):
         return None
-    return _chunked(m, n, _fewest_primes(_count_bound(m, n), top))
+    from .fill import residue_counts
 
-
-def _chunked(m: int, n: int, primes: list[int] | None) -> tuple[list[int], int] | None:
-    """The plan (primes, primes per chunk): the fewest chunks, all of one
-    size but the last, with ``_fill_bytes`` at most ``_FILL_BYTES``.  None
-    if there are no primes or one prime does not fit."""
-    fixed = _fill_bytes(m, n, 0)
-    most = (_FILL_BYTES - fixed) // (_fill_bytes(m, n, 1) - fixed)
-    if not primes or most < 1:
-        return None
-    chunks = -(-len(primes) // most)
-    return primes, -(-len(primes) // chunks)
-
-
-def _fill_bytes(m: int, n: int, k: int) -> int:
-    """Bytes one chunk of k primes of the m x n fill needs: the reserve,
-    and in the block, per prime, the header, the cells, the spare slots
-    (``_fill_layout``) and two lanes (the primes and the running value),
-    and once the values ab-1 as int32, two to a slot."""
-    cells, groups, width, header, spare = _fill_layout(m, n)
-    return _FILL_RESERVE + 8 * (k * (header + cells + spare + 2) + -(-groups * width // 2))
-
-
-def _fill_layout(m: int, n: int) -> tuple[int, int, int, int, int]:
-    """(cells, groups, width, header, spare): int64 slots per prime of the
-    m x n fill (``_count_from_residues``).  The cells a <= b of rows 2..m
-    go in G groups of W slots for the batch inversion, the padding at the
-    end of the header, the G group totals at its start.  Then the header
-    holds the prefix of row m, and from m = 3 the column sums: n slots,
-    which the prefix of no row overlaps.  The spare slots hold a row's
-    column products, from a = 4, then its saved prefix."""
-    cells = (m - 1) * (2 * n - m) // 2
-    groups = math.isqrt(cells)
-    width = -(-cells // groups)
-    header = max(1 if m == 2 else n, groups * width - cells + groups)
-    return cells, groups, width, header, max(m - 2, (n - 3) * (m >= 4))
-
-
-def _count_bound(a: int, b: int) -> int:
-    """(a+b-2) (ab-2)!, an upper bound on count(a, b) for ab >= 2, equal at
-    2 x 2.  The scaled counts c(a, b) = count(a, b) / (ab-1)! have
-    c(1, b) = c(a, 1) = 1, and the scaled recursion (``_count_from_residues``)
-    divides a sum of a+b-2 products of smaller ones by ab-1 >= a+b-2.  So by
-    induction every c <= 1, then c(a, b) <= (a+b-2) / (ab-1), and
-    count(a, b) = (ab-1)! c(a, b) <= (a+b-2) (ab-2)!."""
-    return (a + b - 2) * math.factorial(a * b - 2)
-
-
-def _fewest_primes(bound: int, floor: int) -> list[int] | None:
-    """The fewest primes below 2**26 whose product exceeds ``bound``: the
-    largest ones, sieved in windows and kept for the next call.  None if
-    that takes a prime <= ``floor`` or more primes than lie above 2**13.
-    The first (bits - 1) // 26 of them, for a bound of that bit length,
-    cannot exceed it and multiply at once in a balanced tree, then single
-    primes, so the product costs no quadratic walk."""
-    count = (bound.bit_length() - 1) // 26
-    if not _sieve_crt_primes(count):
-        return None
-    product = _product(_crt_primes[:count])
-    while product <= bound:
-        if not _sieve_crt_primes(count + 1):
-            return None
-        product *= _crt_primes[count]
-        count += 1
-    if _crt_primes[count - 1] <= floor:
-        return None
-    return _crt_primes[:count]
-
-
-def _sieve_crt_primes(count: int) -> bool:
-    """Whether ``_crt_primes`` holds at least ``count`` primes, once the
-    windows below its last one are sieved as far as that needs."""
-    while len(_crt_primes) < count:
-        more = _primes_below(_crt_primes[-1] if _crt_primes else _PRIME_CEILING)
-        if not more:
-            return False
-        _crt_primes.extend(more)
-    return True
-
-
-def _product(factors: list[int]) -> int:
-    """The product of ``factors``, pairwise by levels, so that factors of
-    equal size meet and the big multiplications use Karatsuba."""
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0] if factors else 1
-
-
-def _primes_below(top: int) -> list[int]:
-    """The primes in [max(top - 2**16, 2**13), top), largest first, for
-    top <= 2**26: a sieve by the primes below 2**13, whose squares pass
-    2**26, sieved once into ``_base_primes``."""
-    if not _base_primes:
-        small = bytearray([0, 0]) + bytearray([1]) * ((1 << 13) - 2)
-        for p in range(2, math.isqrt(1 << 13) + 1):
-            if small[p]:
-                small[p * p::p] = bytes(len(range(p * p, 1 << 13, p)))
-        _base_primes.extend(compress(range(1 << 13), small))
-    low = max(top - (1 << 16), 1 << 13)
-    window = bytearray([1]) * max(top - low, 0)
-    for p in _base_primes:
-        window[-low % p::p] = bytes(len(range(-low % p, len(window), p)))
-    return list(compress(range(top - 1, low - 1, -1), reversed(window)))
-
-
-def _count_from_residues(m: int, n: int, primes: list[int], per_chunk: int,
-                         cells: list[tuple[int, int]]) -> list[int]:
-    """count(a, b) of each cell (a, b), 2 <= a <= b, of the m x n bar, from
-    the scaled counts c(a, b) = count(a, b) / (ab-1)!, whose binomial
-    weights cancel:
-
-        (ab-1) c(a,b) = sum_{i<a} c(i,b) c(a-i,b) + sum_{j<b} c(a,j) c(a,b-j),
-
-    with c(1, b) = c(a, 1) = 1.  ``fill.fill_chunk`` fills c modulo
-    ``per_chunk`` of the primes at a time, one int64 lane per prime, all
-    above mn-1; that module, and numpy with it, is imported only here.  Each
-    cell folds in its residues prime by prime (Garner), with one
-    ``pow(modulus, -1, p)`` per prime for all cells, until the product of
-    the primes so far exceeds its ``_count_bound``: the leading run of the
-    primes that ``_fewest_primes`` gives it, when the cells come in order of
-    their bounds (any order is exact).  Its count is then c(a, b) times
-    (ab-1)!, reduced once more.  The fold keeps one running value per cell
-    and reads the residues of one prime at a time from the chunk's block.
-
-    The fill keeps only the cells a <= b of rows 2..m (``_fill_layout``)
-    and reads c(a, j) with j < a as c(j, a).  Each cell's slot first holds
-    1/(ab-1), from one batch inversion: the slots split into W steps of G,
-    one per group; a group's prefix products of ab-1 go into its slots,
-    all groups at once; the group totals take one ``pow(x, -1, p)`` per
-    prime through their own prefix products; and a backward pass turns
-    each prefix into the inverse of its own ab-1.
-
-    Row a holds columns a..n, and the rows lie from m down to 2 after the
-    header, so the a-1 slots before row a belong to the rows above it or
-    to the header.  They are saved, hold c(a, 1..a-1) while row a fills,
-    and are restored: the row then reads as columns 1..n, and the sum over
-    j is one dot of that view with itself reversed; past b = 64, of its
-    first half, in blocks of ``_DOT_BLOCK`` products, doubled, plus
-    c(a, b/2)^2 for even b.  The sum over i, 2 c(a-1, b)
-    + 2 sum_{1<i<a/2} c(i,b) c(a-i,b) + c(a/2,b)^2 for even a, is built
-    first for the whole row in the header, reduced every ``_SUM_BLOCK``
-    products.  All arrays of a chunk lie in one block of the same size for
-    every chunk and bar, so the allocator hands a freed block back instead
-    of growing the heap."""
-    from .fill import fill_chunk
-
-    layout = _fill_layout(m, n)
-    counts, modulus, done, top, moves = [0] * len(cells), 1, 0, 0, 1  # moves = top!
-    for s in range(0, len(primes), per_chunk):
-        chunk = primes[s:s + per_chunk]
-        f, slots = fill_chunk(m, n, chunk, cells, layout, _FILL_BYTES - _FILL_RESERVE,
-                              _DOT_BLOCK, _SUM_BLOCK)
-        for j, p in enumerate(chunk):
-            inverse = pow(modulus, -1, p)
-            for i, r in enumerate(f[slots[done:], j].tolist(), start=done):
-                counts[i] += (r - counts[i] % p) * inverse % p * modulus
-            modulus *= p
-            while done < len(cells):
-                a, b = cells[done]
-                if top != a * b - 2:  # (ab-2)!, stepped up from the last cell's
-                    moves = (moves * math.prod(range(top + 1, a * b - 1)) if 0 < top < a * b - 2
-                             else math.factorial(a * b - 2))
-                    top = a * b - 2
-                if modulus <= (a + b - 2) * moves:  # _count_bound(a, b)
-                    break
-                counts[done] = counts[done] * moves * (a * b - 1) % modulus
-                done += 1
-        del f  # the next chunk's block takes its place
-    return counts
+    return residue_counts(m, n, cells)
 
 
 def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
@@ -413,12 +220,12 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
     on big integers; their entries are then read from the memo.
 
     A square or 2 x n sweep whose memo is empty takes its values from one
-    residue fill of its largest bar, n x n or 2 x n, when ``_residue_primes``
-    gives that bar a plan: the cells (k, k) or (2, k), 2 <= k <= n, go into
-    the memo, ``computed`` counts them, and the loop below reads them (a
-    square sweep fills 1 x 1 itself).  So a cold square sweep leaves the n
-    squares in the memo, not every bar up to n x n, and the memo gets its
-    values only when the fill ends.  A warm memo and the distinct values
+    residue fill of its largest bar, n x n or 2 x n, when ``_residue_counts``
+    takes that bar: the cells (k, k) or (2, k), 2 <= k <= n, go into the
+    memo, ``computed`` counts them, and the loop below reads them (a square
+    sweep fills 1 x 1 itself).  So a cold square sweep leaves the n squares
+    in the memo, not every bar up to n x n, and the memo gets its values
+    only when the fill ends.  A warm memo and the distinct values
     keep the paths of ``chocolate_number`` and ``chocolate2``."""
     if table is None:
         table = ChocolateTable()
@@ -434,10 +241,10 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
         return [((m, n), memo[(m, n) if m <= n else (n, m)]) for m, n in pairs]
     if spec.kind in (SequenceKind.SQUARE, SequenceKind.TWO_BY_N):
         m, n = (spec.bound if spec.kind is SequenceKind.SQUARE else 2), spec.bound
-        plan = _residue_primes(m, n, table.memo)  # None for 2 x 1, as for any small bar
-        if plan:
-            cells = [(min(m, k), k) for k in range(2, n + 1)]
-            table.memo.update(zip(cells, _count_from_residues(m, n, *plan, cells)))
+        cells = [(min(m, k), k) for k in range(2, n + 1)]
+        counts = _residue_counts(m, n, table.memo, cells)  # None for 2 x 1, as for any small bar
+        if counts:
+            table.memo.update(zip(cells, counts))
             table.computed += len(cells)
     if spec.kind is SequenceKind.TWO_BY_N:
         return [(n, chocolate2(n, table)) for n in range(1, spec.bound + 1)]

@@ -20,9 +20,10 @@ residues computed so far, never on the classifier ``zero_tail_prime``,
 which states an open conjecture (conjecture 1, which the scans test) and
 speaks of primes only.
 
-numpy is imported on first use, inside the three kernels and
-``fill.fill_chunk``: it is most of the package's import
-time, and factorizations, series checks and period detection never need it.
+numpy is imported on first use, inside the three kernels here and with
+``chocnum.fill``, the residue route of the exact counts: it is most of the
+package's import time, and factorizations, series checks and period
+detection never need it.
 """
 
 from __future__ import annotations

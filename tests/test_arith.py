@@ -1,8 +1,11 @@
 """Tests for the exact integer utilities."""
 
 import math
+import os
 import random
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -147,6 +150,39 @@ def test_factor_by_primes_matches_every_odd_divisor():
         assert factor(v) == odd_divisor_factor(v), v
     # 999983^2 sieved every window: the primes kept are those of a plain sieve
     assert list(arith_mod._trial_primes) == sieve_below(TRIAL_BOUND + 1)
+
+
+def plain_primes(low, high):
+    """The primes in [low, high), low >= 2, by crossing out the multiples
+    of every d with d*d < high."""
+    window = bytearray([1]) * (high - low)
+    for d in range(2, math.isqrt(high - 1) + 1):
+        first = max(d * d, -(-low // d) * d) - low
+        window[first::d] = bytes(len(range(first, high - low, d)))
+    return [q for q, prime in zip(range(low, high), window) if prime]
+
+
+@pytest.mark.parametrize("low,high", [
+    (2**26 - 2**16, 2**26), (2**26 - 2**17, 2**26 - 2**16), (2**13, 2**13 + 5000),
+    (2**13, 2**14), (2**13, 2**13), (3, 2**14),
+])
+def test_prime_windows_match_a_plain_sieve(low, high):
+    assert arith_mod.primes_between(low, high) == plain_primes(low, high)
+
+
+def test_a_first_window_below_2_26_sieves_the_trial_primes_it_needs():
+    # a fresh interpreter has sieved the trial primes below 2**10 only, and
+    # no factor call has grown them to the 2**13 this window needs
+    probe = ("import chocnum.arith as a; before = a._trial_sieved; "
+             "window = a.primes_between(2**26 - 2**16, 2**26); "
+             "print(before, a._trial_sieved, *window)")
+    env = dict(os.environ, PYTHONPATH=str(Path(arith_mod.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    before, after, *window = map(int, proc.stdout.split())
+    assert before < 2**13 < after
+    assert window == plain_primes(2**26 - 2**16, 2**26)
 
 
 def test_a_cofactor_past_the_digit_limit_prints_in_full():

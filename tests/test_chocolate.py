@@ -171,9 +171,16 @@ def seeded_table():
 
 def residue_count(m, n):
     """The residue fill of any bar, whatever the route rule says."""
-    primes = chocolate_mod._fewest_primes(chocolate_mod._count_bound(m, n), m * n - 1)
-    return chocolate_mod._count_from_residues(m, n, *chocolate_mod._chunked(m, n, primes),
-                                              [(m, n)])[0]
+    return fill_mod.residue_counts(m, n, [(m, n)])[0]
+
+
+def route_plan(m, n, memo=None):
+    """The plan of the fill a fresh count of m x n takes (``fill._plan``),
+    or None when the route rule keeps the big-integer fill; nothing is
+    filled."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(fill_mod, "residue_counts", lambda m, n, cells: fill_mod._plan(m, n))
+        return chocolate_mod._residue_counts(m, n, memo or {}, [])
 
 
 def test_residue_fill_matches_the_big_integer_fill():
@@ -190,25 +197,23 @@ def test_residue_fill_matches_the_big_integer_fill():
     (10, 81, False), (10, 82, True), (10, 200, True), (27, 29, False), (28, 28, True),
 ])
 def test_route_agrees_with_the_big_integer_fill_at_the_crossover(m, n, route):
-    assert (chocolate_mod._residue_primes(m, n, {}) is not None) is route
+    assert (route_plan(m, n) is not None) is route
     assert chocolate_number(m, n) == big_integer_count(m, n)
 
 
 @pytest.mark.parametrize("m,n", [(40, 40), (36, 36), (2, 600), (10, 200)])
 def test_residue_fill_peaks_within_its_ceiling(m, n):
     # the fill's arrays stay under _FILL_BYTES; numpy may add one buffer of
-    # up to 64 KiB for a broadcast operand.  numpy is loaded and the plan
-    # made first, so neither is counted
-    importlib.import_module("numpy")
-
-    plan = chocolate_mod._residue_primes(m, n, {})
+    # up to 64 KiB for a broadcast operand.  numpy is loaded and the primes
+    # sieved first, so neither is counted
+    fill_mod._plan(m, n)
     tracemalloc.start()
     try:
-        chocolate_mod._count_from_residues(m, n, *plan, [(m, n)])
+        fill_mod.residue_counts(m, n, [(m, n)])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= chocolate_mod._FILL_BYTES + (64 << 10)
+    assert peak <= fill_mod._FILL_BYTES + (64 << 10)
 
 
 PLANS = {  # (chunks, primes per chunk) of a fresh bar under the 2 MiB block
@@ -220,13 +225,13 @@ PLANS = {  # (chunks, primes per chunk) of a fresh bar under the 2 MiB block
 @pytest.mark.parametrize("m,n", list(PLANS))
 def test_every_chunk_of_a_plan_fits_the_ceiling(m, n):
     # the plan alone: no fill runs.  One chunk fewer would not fit
-    assert chocolate_mod._FILL_BYTES == 2 << 20
-    primes, per_chunk = chocolate_mod._residue_primes(m, n, {})
+    assert fill_mod._FILL_BYTES == 2 << 20
+    primes, per_chunk = route_plan(m, n)
     chunks = -(-len(primes) // per_chunk)
     assert (chunks, per_chunk) == PLANS[(m, n)]
     fewer = -(-len(primes) // (chunks - 1))  # primes per chunk in one chunk fewer
-    assert chocolate_mod._fill_bytes(m, n, per_chunk) <= chocolate_mod._FILL_BYTES
-    assert chocolate_mod._fill_bytes(m, n, fewer) > chocolate_mod._FILL_BYTES
+    assert fill_mod._fill_bytes(m, n, per_chunk) <= fill_mod._FILL_BYTES
+    assert fill_mod._fill_bytes(m, n, fewer) > fill_mod._FILL_BYTES
     assert per_chunk * (chunks - 1) < len(primes) <= per_chunk * chunks
 
 
@@ -238,17 +243,18 @@ def test_chunks_and_blocks_are_exact(monkeypatch):
     table = seeded_table()
     for m, n in bars:  # the big-integer fill of every cell
         chocolate_number(m, n, table)
-    monkeypatch.setattr(chocolate_mod, "_DOT_BLOCK", 5)
-    monkeypatch.setattr(chocolate_mod, "_SUM_BLOCK", 5)
+    count_bound = fill_mod._count_bound
+    monkeypatch.setattr(fill_mod, "_count_bound", lambda a, b: max(count_bound(a, b), 2**52))
+    monkeypatch.setattr(fill_mod, "_DOT_BLOCK", 5)
+    monkeypatch.setattr(fill_mod, "_SUM_BLOCK", 5)
     for m, n in bars:
-        bound = max(chocolate_mod._count_bound(m, n), 2**52)
-        primes = chocolate_mod._fewest_primes(bound, m * n - 1)
-        fill_bytes = chocolate_mod._fill_bytes(m, n, len(primes) // 3)
-        monkeypatch.setattr(chocolate_mod, "_FILL_BYTES", fill_bytes)
-        primes, per_chunk = chocolate_mod._chunked(m, n, primes)
+        primes = fill_mod._fewest_primes(fill_mod._count_bound(m, n), m * n - 1)
+        fill_bytes = fill_mod._fill_bytes(m, n, len(primes) // 3)
+        monkeypatch.setattr(fill_mod, "_FILL_BYTES", fill_bytes)
+        primes, per_chunk = fill_mod._plan(m, n)
         assert -(-len(primes) // per_chunk) >= 3, (m, n)
         cells = [(a, b) for a in range(m, 1, -1) for b in range(a, n + 1)]
-        counts = chocolate_mod._count_from_residues(m, n, primes, per_chunk, cells)
+        counts = fill_mod.residue_counts(m, n, cells)
         assert counts == [table.memo[cell] for cell in cells], (m, n)
 
 
@@ -257,16 +263,15 @@ def test_each_cell_folds_the_primes_of_its_own_bound(monkeypatch):
     # and one at the next prime does not: each cell folds exactly the
     # leading primes whose product first exceeds its own bound
     m, n = 2, 150
-    primes, per_chunk = chocolate_mod._residue_primes(m, n, {})
+    primes, _ = fill_mod._plan(m, n)
     cells = [(2, b) for b in range(2, n + 1)]
-    runs = [len(chocolate_mod._fewest_primes(chocolate_mod._count_bound(*cell), 0))
-            for cell in cells]
-    expected = chocolate_mod._count_from_residues(m, n, primes, per_chunk, cells)
+    runs = [len(fill_mod._fewest_primes(fill_mod._count_bound(*cell), 0)) for cell in cells]
+    expected = fill_mod.residue_counts(m, n, cells)
     fill = fill_mod.fill_chunk
 
     def poisoned(past):
-        def fill_chunk(m, n, chunk, cells, *rest):
-            f, slots = fill(m, n, chunk, cells, *rest)
+        def fill_chunk(m, n, chunk, cells):
+            f, slots = fill(m, n, chunk, cells)
             for slot, run in zip(slots, runs):
                 j = run - 1 + past - primes.index(chunk[0])
                 if 0 <= j < len(chunk):
@@ -275,14 +280,14 @@ def test_each_cell_folds_the_primes_of_its_own_bound(monkeypatch):
         return fill_chunk
 
     monkeypatch.setattr(fill_mod, "fill_chunk", poisoned(1))
-    assert chocolate_mod._count_from_residues(m, n, primes, per_chunk, cells) == expected
+    assert fill_mod.residue_counts(m, n, cells) == expected
     monkeypatch.setattr(fill_mod, "fill_chunk", poisoned(0))
-    got = chocolate_mod._count_from_residues(m, n, primes, per_chunk, cells)
+    got = fill_mod.residue_counts(m, n, cells)
     assert all(g != e for g, e in zip(got, expected))
 
 
 def test_a_fresh_square_matches_the_big_integer_fill():
-    assert chocolate_mod._residue_primes(40, 40, {}) is not None
+    assert route_plan(40, 40) is not None
     assert chocolate_number(40, 40) == big_integer_count(40, 40)
 
 
@@ -291,11 +296,11 @@ def test_the_block_size_changes_no_count(monkeypatch):
     # in 1 against 2, as under the earlier 1 MiB block
     count = chocolate_number(40, 40)
     squares = generate(SequenceSpec(SequenceKind.SQUARE, 34))
-    assert chocolate_mod._residue_primes(40, 40, {})[1] == 283
-    assert chocolate_mod._residue_primes(34, 34, {})[1] == 388
-    monkeypatch.setattr(chocolate_mod, "_FILL_BYTES", 1 << 20)
-    assert chocolate_mod._residue_primes(40, 40, {})[1] == 142
-    assert chocolate_mod._residue_primes(34, 34, {})[1] == 194
+    assert route_plan(40, 40)[1] == 283
+    assert route_plan(34, 34)[1] == 388
+    monkeypatch.setattr(fill_mod, "_FILL_BYTES", 1 << 20)
+    assert route_plan(40, 40)[1] == 142
+    assert route_plan(34, 34)[1] == 194
     assert chocolate_number(40, 40) == count
     assert generate(SequenceSpec(SequenceKind.SQUARE, 34)) == squares
 
@@ -309,9 +314,9 @@ def test_residue_route_takes_every_bar_from_28_x_28():
     # all three bars fail the 900 m size rule, so the short side alone decides
     for m, n in ((27, 29), (27, 74), (28, 28)):
         assert (m * n - 1) * (m * (n - 1) + n * (m - 1)).bit_length() < 900 * m
-    assert chocolate_mod._residue_primes(27, 29, {}) is None
-    assert chocolate_mod._residue_primes(27, 74, {}) is None
-    assert isinstance(chocolate_mod._residue_primes(28, 28, {}), tuple)
+    assert route_plan(27, 29) is None
+    assert route_plan(27, 74) is None
+    assert isinstance(route_plan(28, 28), tuple)
 
 
 def test_count_bound_holds_on_every_bar_of_area_up_to_400():
@@ -320,38 +325,28 @@ def test_count_bound_holds_on_every_bar_of_area_up_to_400():
     table = ChocolateTable()
     bars = [(a, b) for a in range(1, 21) for b in range(a, 400 // a + 1) if a * b > 1]
     for a, b in bars:
-        assert chocolate_number(a, b, table) <= chocolate_mod._count_bound(a, b), (a, b)
+        assert chocolate_number(a, b, table) <= fill_mod._count_bound(a, b), (a, b)
 
 
 def test_residue_route_bound_holds_and_is_tight_at_2_x_2():
     # the long bars 2 x 201..300, past area 400, and the equality at 2 x 2
     table = ChocolateTable()
     for n in range(201, 301):
-        assert chocolate_number(2, n, table) <= chocolate_mod._count_bound(2, n), n
-    assert chocolate_mod._count_bound(2, 2) == chocolate_number(2, 2) == 4
+        assert chocolate_number(2, n, table) <= fill_mod._count_bound(2, n), n
+    assert fill_mod._count_bound(2, 2) == chocolate_number(2, 2) == 4
 
 
 @pytest.mark.parametrize("m,n,primes", [(2, 182, 99), (2, 1200, 904), (10, 200, 733)])
 def test_residue_route_takes_the_primes_of_its_bound(m, n, primes):
-    got = chocolate_mod._residue_primes(m, n, {})[0]
+    got = route_plan(m, n)[0]
     assert len(got) == primes
-    assert math.prod(got[:-1]) <= chocolate_mod._count_bound(m, n) < math.prod(got)
-
-
-@pytest.mark.parametrize("top", [2**26, 2**26 - 2**16, 2**13 + 5000, 2**14, 2**13])
-def test_prime_windows_match_a_plain_sieve(top):
-    low = max(top - 2**16, 2**13)
-    sieve = bytearray([0, 0]) + bytearray([1]) * (top - 2)
-    for p in range(2, math.isqrt(top) + 1):
-        if sieve[p]:
-            sieve[p * p::p] = bytes(len(range(p * p, top, p)))
-    assert chocolate_mod._primes_below(top) == [q for q in range(top - 1, low - 1, -1) if sieve[q]]
+    assert math.prod(got[:-1]) <= fill_mod._count_bound(m, n) < math.prod(got)
 
 
 @pytest.mark.parametrize("bound", [1, 2, 2**26, 2**100, 10**1000, 2400**2399],
                          ids=["1", "2", "2^26", "2^100", "10^1000", "2400^2399"])
 def test_residue_primes_are_the_fewest_that_pass_the_bound(bound):
-    primes = chocolate_mod._fewest_primes(bound, 1000)
+    primes = fill_mod._fewest_primes(bound, 1000)
     assert math.prod(primes) > bound >= math.prod(primes[:-1])
     # no prime below 2**26 is skipped, so no shorter list of primes below
     # 2**26 has a larger product
@@ -361,15 +356,15 @@ def test_residue_primes_are_the_fewest_that_pass_the_bound(bound):
         if is_prime(q):
             expected.append(q)
     assert primes == expected
-    assert chocolate_mod._fewest_primes(bound, 2**26) is None
+    assert fill_mod._fewest_primes(bound, 2**26) is None
 
 
 def test_dot_block_keeps_a_dot_of_residues_in_int64():
     # the largest residue factor is p_max - 1 for the largest prime p_max
     # below the ceiling; one more term per block could pass 2^63
-    p_max = next(p for p in range(chocolate_mod._PRIME_CEILING - 1, 0, -1) if is_prime(p))
+    p_max = next(p for p in range(fill_mod._PRIME_CEILING - 1, 0, -1) if is_prime(p))
     assert p_max == 67_108_859
-    assert chocolate_mod._DOT_BLOCK * (p_max - 1) ** 2 < 2**63
+    assert fill_mod._DOT_BLOCK * (p_max - 1) ** 2 < 2**63
     assert 2048 * (p_max - 1) ** 2 < 2**63 <= 2049 * (p_max - 1) ** 2
 
 
@@ -377,27 +372,27 @@ def test_column_sums_keep_twice_a_block_of_products_in_int64():
     # a column sum carries one reduced residue, adds _SUM_BLOCK products,
     # doubles and adds the middle square before it is reduced again; one
     # more product per block could pass 2^63
-    p_max = next(p for p in range(chocolate_mod._PRIME_CEILING - 1, 0, -1) if is_prime(p))
+    p_max = next(p for p in range(fill_mod._PRIME_CEILING - 1, 0, -1) if is_prime(p))
 
     def peak(block):
         return 2 * (block * (p_max - 1) ** 2 + p_max - 1) + (p_max - 1) ** 2
 
-    assert peak(chocolate_mod._SUM_BLOCK) < 2**63 <= peak(chocolate_mod._SUM_BLOCK + 1)
+    assert peak(fill_mod._SUM_BLOCK) < 2**63 <= peak(fill_mod._SUM_BLOCK + 1)
 
 
 def test_blocked_dot_products_are_exact(monkeypatch):
     # with blocks of 5 terms, the halved dots past b = 64 take several; the
     # dots up to b = 64, every pair in one call, take none
     expected = big_integer_count(16, 20), big_integer_count(4, 80)
-    monkeypatch.setattr(chocolate_mod, "_DOT_BLOCK", 5)
+    monkeypatch.setattr(fill_mod, "_DOT_BLOCK", 5)
     assert (residue_count(16, 20), residue_count(4, 80)) == expected
     assert chocolate_number(2, 150) == chocolate2(150)
 
 
 def test_single_rows_and_warm_tables_keep_the_big_integer_fill():
-    assert chocolate_mod._residue_primes(1, 3000, {}) is None
-    assert chocolate_mod._residue_primes(2, 300, seeded_table().memo) is None
-    assert chocolate_mod._residue_primes(2, 300, {}) is not None
+    assert route_plan(1, 3000) is None
+    assert route_plan(2, 300, seeded_table().memo) is None
+    assert route_plan(2, 300) is not None
     assert chocolate_number(1, 3000) == chocolate_number(3000, 1) == math.factorial(2999)
     assert chocolate_number(2, 300, seeded_table()) == chocolate2(300)
 
@@ -412,13 +407,13 @@ def test_route_stores_only_the_requested_entry():
 
 def fills(monkeypatch):
     """The (m, n, cells) of each residue fill from here on."""
-    calls, count = [], chocolate_mod._count_from_residues
+    calls, count = [], fill_mod.residue_counts
 
-    def recorded(m, n, primes, per_chunk, cells):
+    def recorded(m, n, cells):
         calls.append((m, n, list(cells)))
-        return count(m, n, primes, per_chunk, cells)
+        return count(m, n, cells)
 
-    monkeypatch.setattr(chocolate_mod, "_count_from_residues", recorded)
+    monkeypatch.setattr(fill_mod, "residue_counts", recorded)
     return calls
 
 
@@ -456,15 +451,14 @@ def test_a_routed_sweep_peaks_within_the_fill_ceiling():
     # the residues of the 599 cells are folded one prime at a time out of
     # each chunk's block: the peak, less the values, stays that of one fill.
     # The fill's module, numpy with it, and the primes are loaded first
-    importlib.import_module("chocnum.fill")
-    chocolate_mod._residue_primes(2, 600, {})
+    fill_mod._plan(2, 600)
     tracemalloc.start()
     try:
         values = generate(SequenceSpec(SequenceKind.TWO_BY_N, 600), ChocolateTable())
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - sum(sys.getsizeof(v) for _, v in values) <= chocolate_mod._FILL_BYTES + (64 << 10)
+    assert peak - sum(sys.getsizeof(v) for _, v in values) <= fill_mod._FILL_BYTES + (64 << 10)
 
 
 def test_chocolate2_prefix():

@@ -293,6 +293,40 @@ def test_out_of_memory_ends_in_one_stderr_line(capsys, monkeypatch):
     assert "4 out of memory" in run(capsys, "--help")[1]
 
 
+RLIMIT_PROBE = """
+import resource, sys
+import numpy, chocnum.cli as cli, chocnum.fill as fill
+fill._plan(40, 40)
+with open("/proc/self/status") as status:
+    size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) << 10
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+resource.setrlimit(resource.RLIMIT_AS, (size + {headroom}, hard))
+{run}
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads VmSize from /proc")
+def test_a_fresh_40_x_40_fills_under_an_address_space_limit():
+    # children whose numpy, fill and plan are loaded, then limited to their
+    # size plus a headroom: 3 MiB holds the fill's 2 MiB block and what the
+    # fold needs besides, but not a second block at once, and 1 MiB not one
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+
+    def child(headroom, run):
+        probe = RLIMIT_PROBE.format(headroom=headroom, run=run)
+        return subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+
+    table = ChocolateTable()
+    chocolate_number(1, 1, table)
+    answered = child(3 << 20, "print(hex(cli.chocolate_number(40, 40)))")
+    assert answered.returncode == 0, answered.stderr
+    assert int(answered.stdout, 16) == chocolate_number(40, 40, table)
+    failed = child(1 << 20, "sys.exit(cli.main('factor --seq table --index 40 40'.split()))")
+    assert (failed.returncode, failed.stdout, failed.stderr) == (
+        cli.EXIT_OUT_OF_MEMORY, "", "error: out of memory\n")
+
+
 def test_gen_cache_env_var_names_default_dir(capsys, tmp_path, monkeypatch):
     monkeypatch.setenv(cli.CACHE_ENV, str(tmp_path))
     code, _, _ = run(capsys, "gen", "--seq", "b", "--max", "3")
@@ -848,8 +882,8 @@ if argv:
         assert chocnum.cli.main(argv) == 0, argv
 print(sorted(name for name in {watched!r} if name in sys.modules))
 """
-WATCHED = ("chocnum.arith", "chocnum.modular", "chocnum.series", "numpy", "fractions",
-           "json", "csv")
+WATCHED = ("chocnum.arith", "chocnum.fill", "chocnum.modular", "chocnum.series", "numpy",
+           "fractions", "json", "csv")
 
 
 IMPORT_CASES = [
@@ -858,6 +892,7 @@ IMPORT_CASES = [
     (("gen", "--seq", "b", "--max", "5"), []),
     (("gen", "--seq", "b", "--max", "5", "--format", "csv"), ["csv"]),
     (("gen", "--seq", "b", "--max", "5", "--format", "jsonl"), ["json"]),
+    (("gen", "--seq", "b", "--max", "101"), ["chocnum.arith", "chocnum.fill", "numpy"]),
     (("oracle", "--m", "2", "--n", "3", "--compare"), []),
     (("factor", "--seq", "b", "--index", "5"), ["chocnum.arith"]),
     (("nu", "--p", "2", "--seq", "b", "--max", "5"), ["chocnum.arith"]),
@@ -900,11 +935,17 @@ def test_closed_stdout_pipe_exits_quietly(argv, first_line):
 
 
 def test_interrupt_exits_130_without_a_traceback():
-    # megabytes of output and a reader that stops reading: the writer is
-    # still in main, blocked on the full pipe, when Ctrl-C's SIGINT arrives
+    # the first line comes from the child's first flush of megabytes of
+    # output, so SIGINT reaches it inside main, still writing.  A shell
+    # starts a background job with SIGINT ignored, and Python keeps that, so
+    # the child restores Ctrl-C's KeyboardInterrupt as a foreground run has
+    # it; a child that inherited SIG_IGN would write everything and exit 0
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     argv = ("mod", "--seq", "p", "--modulus", "7", "--max", "200000")
-    proc = subprocess.Popen([sys.executable, "-m", "chocnum.cli", *argv], env=env,
+    interruptible = ("import signal, sys; "
+                     "signal.signal(signal.SIGINT, signal.default_int_handler); "
+                     "import chocnum.cli; sys.exit(chocnum.cli.main(sys.argv[1:]))")
+    proc = subprocess.Popen([sys.executable, "-c", interruptible, *argv], env=env,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline() == b"p 7 1 3\n"
     proc.send_signal(signal.SIGINT)
