@@ -142,14 +142,18 @@ def _residue_counts(m: int, n: int, memo: dict, cells: list[tuple[int, int]]) ->
     and every bar from 28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds
     the breaks one state offers, since every available break cuts interior
     unit edges that no other available break cuts.  The rule is checked
-    before ``fill``, and numpy with it, is imported.
+    before ``fill``, and numpy with it, is imported.  An import that fails,
+    numpy missing or its import nesting past the recursion limit of a deep
+    caller, leaves the count to the big-integer fill.
     """
     top = m * n - 1
     breaks = m * (n - 1) + n * (m - 1)
     if m < 2 or memo or (m < 28 and top * breaks.bit_length() < 900 * m):
         return None
-    from .fill import residue_counts
-
+    try:
+        from .fill import residue_counts
+    except (ImportError, RecursionError):
+        return None
     return residue_counts(m, n, cells)
 
 
@@ -157,32 +161,46 @@ def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
     """Break count for a 2 x n bar via the dedicated one-dimensional
     recursion B_n = (2n-2)! + sum_{i=1}^{n-1} C(2n-2, 2i-1) B_i B_{n-i},
     filled bottom-up; terms i and n-i are equal, so i < n/2 counts twice
-    and the middle term once.  With r = 2n-2, C(r, k+2) = C(r, k)*(r-k)*
-    (r-k-1) // ((k+1)*(k+2)), an exact division: the quotient is C(r, k+2).
-    Must agree with chocolate_number(2, n); the two routes are kept
-    independent so they can check each other."""
+    and the middle term once.  Must agree with chocolate_number(2, n); the
+    two routes are kept independent so they can check each other.
+
+    The sums run on odd parts: with e_j = v2((2j-2)!) = 2j-2-s2(j-1), s2 the
+    binary digit sum, v2((2i-1)!) = e_i as 2i-1 is odd, so v2(C(2j-2, 2i-1))
+    = e_j-e_i-e_{j-i} and h_j = B_j/2^e_j = odd((2j-2)!) + sum odd(C) h_i h_{j-i}.
+    The odd weights step as C(r, k+2) = C(r, k)(r-k)(r-k-1) // ((k+1)(k+2))
+    does at r = 2j-2, k = 2i-1, with the 2 of r-k-1 and of k+1 cancelled, so
+    the division stays exact.  The memo keeps B_j = h_j << e_j."""
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if table is None:
         table = ChocolateTable()
-    cached = table.memo.get((2, n))  # a warm read costs one lookup, not n
+    memo = table.memo
+    cached = memo.get((2, n))  # a warm read costs one lookup, not n
     if cached is not None:
         return cached
-    values = [0, 1]  # values[j] = B_j
+    odd = [0] + [k // (k & -k) for k in range(1, n)]  # odd[k] = odd(k), k < n
+    h = [0, 1]  # h[j] = B_j >> e_j
+    fact = 1  # odd((2j-2)!) of the last j, or None when the memo gave B_j
     for j in range(2, n + 1):
-        v = table.memo.get((2, j))
-        if v is None:
-            r = 2 * j - 2
-            v = math.factorial(r)
-            weight = r  # C(r, k) with k = 2i - 1, then stepped to C(r, k + 2)
-            for i in range(1, j // 2 + 1):
-                term = weight * values[i] * values[j - i]
-                v += term if 2 * i == j else 2 * term
-                weight = weight * (r - 2 * i + 1) * (r - 2 * i) // (2 * i * (2 * i + 1))
-            table.memo[(2, j)] = v
-            table.computed += 1
-        values.append(v)
-    return values[n]
+        e = 2 * j - 2 - (j - 1).bit_count()
+        v = memo.get((2, j))
+        if v is not None:
+            h.append(v >> e)
+            fact = None
+            continue
+        fact = math.factorial(2 * j - 2) >> e if fact is None else fact * (2 * j - 3) * odd[j - 1]
+        weight = odd[j - 1]  # odd(C(2j-2, 2i-1)) at i = 1, then stepped to i + 1
+        twice = 0
+        for i in range(1, (j + 1) // 2):
+            twice += weight * h[i] * h[j - i]
+            weight = weight * (2 * j - 2 * i - 1) * odd[j - 1 - i] // ((2 * i + 1) * odd[i])
+        v = fact + 2 * twice
+        if j % 2 == 0:
+            v += weight * h[j // 2] ** 2
+        h.append(v)
+        memo[(2, j)] = v << e
+        table.computed += 1
+    return memo[(2, n)] if n > 1 else 1
 
 
 class SequenceKind(Enum):
@@ -247,6 +265,7 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
             table.memo.update(zip(cells, counts))
             table.computed += len(cells)
     if spec.kind is SequenceKind.TWO_BY_N:
+        chocolate2(spec.bound, table)  # fill 1..bound in one pass; each read below is a hit
         return [(n, chocolate2(n, table)) for n in range(1, spec.bound + 1)]
     if spec.kind is SequenceKind.SQUARE:
         return [(n, chocolate_number(n, n, table)) for n in range(1, spec.bound + 1)]

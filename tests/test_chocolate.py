@@ -5,6 +5,8 @@ import hashlib
 import importlib
 import inspect
 import math
+import os
+import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -95,6 +97,7 @@ def test_chocolate2_matches_general_recursion():
         assert chocolate2(n, ChocolateTable()) == chocolate_number(2, n, ChocolateTable())
 
 
+@functools.lru_cache(maxsize=None)
 def every_term_chocolate2(n_max):
     """B_1, ..., B_n_max from B_n = (2n-2)! + sum of C(2n-2, 2i-1) B_i B_{n-i}
     over every i from 1 to n-1, each weight from math.comb: a reference for
@@ -110,6 +113,68 @@ def every_term_chocolate2(n_max):
 def test_chocolate2_matches_the_sum_over_every_term():
     table = ChocolateTable()
     assert [chocolate2(n, table) for n in range(1, 201)] == every_term_chocolate2(200)
+
+
+def test_chocolate2_matches_the_sum_over_every_term_on_a_cold_table_at_300():
+    assert chocolate2(300, ChocolateTable()) == every_term_chocolate2(300)[-1]
+
+
+def test_chocolate2_reads_back_entries_the_split_recursion_counted():
+    # hits among misses: 2 x 2..60 from one big-integer fill, then single
+    # fresh counts, from the residue route from 101 on; every hit is read
+    # back as B_j >> e_j and the next miss restarts odd((2j-2)!) after it
+    table = seeded_table()
+    chocolate_number(2, 60, table)
+    for j in (62, 101, 150, 151, 233):
+        table.memo[(2, j)] = chocolate_number(2, j)
+    before = table.computed
+    assert chocolate2(300, table) == every_term_chocolate2(300)[-1]
+    assert [table.memo[(2, j)] for j in range(2, 301)] == every_term_chocolate2(300)[1:]
+    assert table.computed - before == 299 - 59 - 5
+
+
+def test_every_term_of_b_n_carries_two_to_the_e_n():
+    # e_n = v2((2n-2)!) = 2n-2-s2(n-1), which chocolate2 divides out; the
+    # values come from one residue fill, not from chocolate2
+    def e(n):
+        return 2 * n - 2 - (n - 1).bit_count()
+
+    values = generate(SequenceSpec(SequenceKind.TWO_BY_N, 600), ChocolateTable())
+    for n, b in values:
+        assert b % (1 << e(n)) == 0, n
+    # tight at n = 3, 4, 5: B_3 = 56 = 2^3 * 7, B_4 = 1712 = 2^4 * 107 and
+    # B_5 = 92800 = 2^7 * 725, so e_n + 1 low zero bits would fail there
+    assert [(b, e(n)) for n, b in values[2:5]] == [(56, 3), (1712, 4), (92800, 7)]
+    for n, b in values[2:5]:
+        assert b % (1 << (e(n) + 1)) != 0, n
+
+
+FRESH_COUNT_PROBE = """
+import inspect, sys
+{setup}
+from chocnum import chocolate_number
+sys.setrecursionlimit(len(inspect.stack()) + {headroom})
+print(hex(chocolate_number(2, 300)), "chocnum.fill" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("setup,headroom", [
+    # a caller deep in its stack: the import of numpy nests past the limit
+    # and raises RecursionError at +40, numpy's own ImportError at +60
+    pytest.param("", 40, id="stack+40"),
+    pytest.param("", 60, id="stack+60"),
+    pytest.param('sys.modules["numpy"] = None', 1000, id="numpy-missing"),
+])
+def test_a_fresh_count_falls_back_to_big_integers_when_the_fill_cannot_load(setup, headroom):
+    env = dict(os.environ, PYTHONPATH=str(Path(chocolate_mod.__file__).parents[1]))
+    probe = FRESH_COUNT_PROBE.format(setup=setup, headroom=headroom)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    value, loaded = proc.stdout.split()
+    assert int(value, 16) == every_term_chocolate2(300)[-1]
+    if setup:
+        assert loaded == "False"
 
 
 @functools.lru_cache(maxsize=None)
@@ -142,7 +207,8 @@ def test_half_sums_match_the_sum_over_every_cut():
 def test_exact_counts_need_no_deep_recursion(capsys):
     expected = every_cut_count(40, 3)
     # the residue route imports numpy on first use, and the import machinery
-    # nests more frames than the fills may: load it before the limit drops
+    # nests more frames than the fills may: load it before the limit drops,
+    # so the route answers the first query, not the big-integer fallback
     importlib.import_module("numpy")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
@@ -438,6 +504,17 @@ def test_square_and_2_x_n_sweeps_take_one_fill_from_the_route(monkeypatch, kind,
     # the memo holds exactly the swept entries, and computed counts them
     swept = {(1, 1), *cells} if kind is SequenceKind.SQUARE else set(cells)
     assert set(table.memo) == swept and table.computed == len(swept)
+
+
+@pytest.mark.parametrize("bound", [100, 150])
+@pytest.mark.parametrize("new_table", [ChocolateTable, seeded_table])
+def test_a_2_x_n_sweep_leaves_what_the_per_n_loop_leaves(new_table, bound):
+    # the sweep fills 1..bound in one chocolate2 call (150 on an empty
+    # table takes the residue route) and then reads every entry back
+    swept, looped = new_table(), new_table()
+    entries = generate(SequenceSpec(SequenceKind.TWO_BY_N, bound), swept)
+    assert entries == [(n, chocolate2(n, looped)) for n in range(1, bound + 1)]
+    assert swept.memo == looped.memo and swept.computed == looped.computed
 
 
 def test_warm_tables_keep_the_memo_path_in_sweeps(monkeypatch):

@@ -721,6 +721,10 @@ def test_conjecture_csv_round_trips(capsys):
     # stopped, so the stop changes no residue
     ("mod --seq b --modulus 41,1099511627776,33407005577 --max 3000",
      "48f3906e8296bc8601b6c299de480b9006aa8e9410163d4bafa796cd727432fe"),
+    # the longest 2 x n sweep that stays on chocolate2 (101 takes the residue
+    # route); recorded when chocolate2 summed whole values, not odd parts
+    ("gen --seq b --max 100",
+     "cf9770b554d85b1b00bd3d7e7c1a846f9eac45069db4584b8ad9180fdc3c26fe"),
     # sweeps that take every value from one residue fill of their largest
     # bar; recorded on the big-integer sweeps
     ("gen --seq b --max 300",
