@@ -11,6 +11,7 @@ then an independent subproblem.
 from __future__ import annotations
 
 import math
+import operator
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -58,29 +59,20 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     whose remaining i*n-1 and (m-i)*n-1 moves interleave in C(mn-2, in-1)
     ways; vertical cuts contribute symmetrically.
 
-    The bars the sums reach, a x b with a <= min(b, m) and 2 <= b <= n
-    (only 1 x n itself when m = 1), are one ``_fill``.
-
-    One fresh count of a large bar is rebuilt from residues instead, when
-    ``_residue_counts`` takes it; only the m x n entry is stored.
+    A fresh count of a large bar comes from ``_route``, which stores only
+    the m x n entry; otherwise the bars the sums reach, a x b with
+    a <= min(b, m) and 2 <= b <= n (only 1 x n itself when m = 1), are
+    one ``_fill``.
     """
+    m, n = operator.index(m), operator.index(n)
     if m < 1 or n < 1:
         raise ValueError(f"bar dimensions must be positive, got {m} x {n}")
     if table is None:
         table = ChocolateTable()
     m, n = min(m, n), max(m, n)
-    memo = table.memo
-    cached = memo.get((m, n))
-    if cached is not None:
-        return cached
-    counts = _residue_counts(m, n, memo, [(m, n)])
-    if counts:
-        memo[(m, n)] = counts[0]
-        table.computed += 1
-        return counts[0]
-
-    _fill(table, ((b, min(b, m)) for b in range(n if m == 1 else 2, n + 1)))
-    return memo[(m, n)]
+    if (m, n) not in table.memo and not _route(table, m, n, [(m, n)]):
+        _fill(table, ((b, min(b, m)) for b in range(n if m == 1 else 2, n + 1)))
+    return table.memo[(m, n)]
 
 
 def _fill(table: ChocolateTable, columns) -> None:
@@ -128,33 +120,36 @@ def _fill(table: ChocolateTable, columns) -> None:
         raise ValueError(f"{a} x {b} reads {exc.args[0]}, which no earlier cell filled") from None
 
 
-def _residue_counts(m: int, n: int, memo: dict, cells: list[tuple[int, int]]) -> list[int] | None:
-    """The counts of ``cells`` from one residue fill of the m x n bar
-    (m <= n), ``fill.residue_counts``, or None when the big-integer fill
+def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]]) -> bool:
+    """Store the counts of ``cells`` from one residue fill of the m x n bar
+    (m <= n), ``fill.residue_counts``, in the memo, and count them in
+    ``computed``; False, with nothing stored, when the big-integer fill
     should run instead, as it does for a bar the fill has no plan for.
 
     The residue route pays only for large values.  It needs m >= 2 and an
-    empty memo, so a warm table keeps reusing the big-integer memo; a
-    square or 2 x n sweep takes all its values from the fill of its
-    largest bar (``generate``).  Above that, time alone decides: the route
-    takes a long bar once (mn-1) * E.bit_length() >= 900 m, the crossover
-    measured over 2 x n, 3 x n, 5 x n, 6 x n, 10 x n, 20 x n and 30 x n,
-    and every bar from 28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds
-    the breaks one state offers, since every available break cuts interior
-    unit edges that no other available break cuts.  The rule is checked
-    before ``fill``, and numpy with it, is imported.  An import that fails,
-    numpy missing or its import nesting past the recursion limit of a deep
-    caller, leaves the count to the big-integer fill.
+    empty memo, so a warm table keeps reusing the big-integer memo.  Above
+    that, time alone decides: the route takes a long bar once
+    (mn-1) * E.bit_length() >= 900 m, the crossover measured over 2 x n,
+    3 x n, 5 x n, 6 x n, 10 x n, 20 x n and 30 x n, and every bar from
+    28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds the breaks one state
+    offers, since every available break cuts interior unit edges that no
+    other available break cuts.  The rule is checked before ``fill``, and
+    numpy with it, is imported.  An import that fails, numpy missing or its
+    import nesting past the recursion limit of a deep caller, leaves the
+    count to the big-integer fill.
     """
-    top = m * n - 1
     breaks = m * (n - 1) + n * (m - 1)
-    if m < 2 or memo or (m < 28 and top * breaks.bit_length() < 900 * m):
-        return None
+    if m < 2 or table.memo or (m < 28 and (m * n - 1) * breaks.bit_length() < 900 * m):
+        return False
     try:
         from .fill import residue_counts
     except (ImportError, RecursionError):
-        return None
-    return residue_counts(m, n, cells)
+        return False
+    if not (counts := residue_counts(m, n, cells)):
+        return False
+    table.memo.update(zip(cells, counts))
+    table.computed += len(cells)
+    return True
 
 
 def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
@@ -170,6 +165,7 @@ def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
     The odd weights step as C(r, k+2) = C(r, k)(r-k)(r-k-1) // ((k+1)(k+2))
     does at r = 2j-2, k = 2i-1, with the 2 of r-k-1 and of k+1 cancelled, so
     the division stays exact.  The memo keeps B_j = h_j << e_j."""
+    n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
     if table is None:
@@ -224,6 +220,7 @@ class SequenceSpec:
     bound: int
 
     def __post_init__(self):
+        object.__setattr__(self, "bound", operator.index(self.bound))
         if self.bound < 1:
             raise ValueError(f"bound must be positive, got {self.bound}")
 
@@ -234,41 +231,33 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
     and the triangle by its rows r = m + n - 1 <= bound, m increasing.
 
     The table and the triangle are one ``_fill`` of the bars a x b, a <= b,
-    that they read, b <= bound, and a + b <= bound + 1 for the triangle,
-    on big integers; their entries are then read from the memo.
-
-    A square or 2 x n sweep whose memo is empty takes its values from one
-    residue fill of its largest bar, n x n or 2 x n, when ``_residue_counts``
-    takes that bar: the cells (k, k) or (2, k), 2 <= k <= n, go into the
-    memo, ``computed`` counts them, and the loop below reads them (a square
-    sweep fills 1 x 1 itself).  So a cold square sweep leaves the n squares
-    in the memo, not every bar up to n x n, and the memo gets its values
-    only when the fill ends.  A warm memo and the distinct values
-    keep the paths of ``chocolate_number`` and ``chocolate2``."""
+    that they read, b <= bound, and a + b <= bound + 1 for the triangle.
+    A square or 2 x n sweep first offers ``_route`` its largest bar, with
+    the cells (k, k) or (2, k), 2 <= k <= bound; then one ``_fill`` of the
+    columns (b, b), or one ``chocolate2``, runs up to the last index whose
+    entry the memo lacks, not to the bound, so a warm memo fills nothing it
+    holds.  Every entry is then read from the memo."""
     if table is None:
         table = ChocolateTable()
+    memo, k = table.memo, spec.bound
     if spec.kind in (SequenceKind.TABLE, SequenceKind.TRIANGLE_ROWS):
-        k = spec.bound
         if spec.kind is SequenceKind.TABLE:
             _fill(table, ((b, b) for b in range(1, k + 1)))
             pairs = [(m, n) for m in range(1, k + 1) for n in range(1, k + 1)]
         else:
             _fill(table, ((b, min(b, k + 1 - b)) for b in range(1, k + 1)))
             pairs = [(i, r + 1 - i) for r in range(1, k + 1) for i in range(1, r + 1)]
-        memo = table.memo
         return [((m, n), memo[(m, n) if m <= n else (n, m)]) for m, n in pairs]
     if spec.kind in (SequenceKind.SQUARE, SequenceKind.TWO_BY_N):
-        m, n = (spec.bound if spec.kind is SequenceKind.SQUARE else 2), spec.bound
-        cells = [(min(m, k), k) for k in range(2, n + 1)]
-        counts = _residue_counts(m, n, table.memo, cells)  # None for 2 x 1, as for any small bar
-        if counts:
-            table.memo.update(zip(cells, counts))
-            table.computed += len(cells)
-    if spec.kind is SequenceKind.TWO_BY_N:
-        chocolate2(spec.bound, table)  # fill 1..bound in one pass; each read below is a hit
-        return [(n, chocolate2(n, table)) for n in range(1, spec.bound + 1)]
-    if spec.kind is SequenceKind.SQUARE:
-        return [(n, chocolate_number(n, n, table)) for n in range(1, spec.bound + 1)]
+        square = spec.kind is SequenceKind.SQUARE
+        cells = [(b if square else 2, b) for b in range(2, k + 1)]
+        _route(table, k if square else 2, k, cells)  # False for 2 x 1, as for any small bar
+        last = max((b for a, b in cells if (a, b) not in memo), default=1)
+        if square:
+            _fill(table, ((b, b) for b in range(1, last + 1)))  # and 1 x 1, if missing
+        else:
+            chocolate2(last, table)  # chocolate2(1) stores nothing
+        return [(1, memo[(1, 1)] if square else 1)] + [(b, memo[(a, b)]) for a, b in cells]
     if spec.kind is SequenceKind.DISTINCT_SORTED:
         return [(i, v) for i, v in enumerate(_distinct_values(spec.bound, table), start=1)]
     raise ValueError(f"unknown sequence kind: {spec.kind}")

@@ -299,6 +299,8 @@ def chocolate2_mod_many(n_max: int, moduli) -> list[list[int]]:
     (lcms, member_of), the lcm of each group and the group of each
     modulus."""
     n_max = operator.index(n_max)
+    if n_max < 1:
+        raise ValueError(f"n_max must be >= 1, got {n_max}")
     moduli = [operator.index(m) for m in moduli]
     lcms, member_of = _groups(n_max, moduli)
     residues = [chocolate2_mod(n_max, lcm) for lcm in lcms]

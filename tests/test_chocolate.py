@@ -11,6 +11,7 @@ import sys
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chocnum.chocolate as chocolate_mod
@@ -240,13 +241,16 @@ def residue_count(m, n):
     return fill_mod.residue_counts(m, n, [(m, n)])[0]
 
 
-def route_plan(m, n, memo=None):
+def route_plan(m, n, table=None):
     """The plan of the fill a fresh count of m x n takes (``fill._plan``),
     or None when the route rule keeps the big-integer fill; nothing is
-    filled."""
+    filled or stored."""
+    plans = []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fill_mod, "residue_counts", lambda m, n, cells: fill_mod._plan(m, n))
-        return chocolate_mod._residue_counts(m, n, memo or {}, [])
+        patch.setattr(fill_mod, "residue_counts",
+                      lambda m, n, cells: plans.append(fill_mod._plan(m, n)))
+        assert not chocolate_mod._route(table or ChocolateTable(), m, n, [])
+    return plans[0] if plans else None
 
 
 def test_residue_fill_matches_the_big_integer_fill():
@@ -457,7 +461,7 @@ def test_blocked_dot_products_are_exact(monkeypatch):
 
 def test_single_rows_and_warm_tables_keep_the_big_integer_fill():
     assert route_plan(1, 3000) is None
-    assert route_plan(2, 300, seeded_table().memo) is None
+    assert route_plan(2, 300, seeded_table()) is None
     assert route_plan(2, 300) is not None
     assert chocolate_number(1, 3000) == chocolate_number(3000, 1) == math.factorial(2999)
     assert chocolate_number(2, 300, seeded_table()) == chocolate2(300)
@@ -506,22 +510,79 @@ def test_square_and_2_x_n_sweeps_take_one_fill_from_the_route(monkeypatch, kind,
     assert set(table.memo) == swept and table.computed == len(swept)
 
 
-@pytest.mark.parametrize("bound", [100, 150])
-@pytest.mark.parametrize("new_table", [ChocolateTable, seeded_table])
-def test_a_2_x_n_sweep_leaves_what_the_per_n_loop_leaves(new_table, bound):
-    # the sweep fills 1..bound in one chocolate2 call (150 on an empty
-    # table takes the residue route) and then reads every entry back
-    swept, looped = new_table(), new_table()
-    entries = generate(SequenceSpec(SequenceKind.TWO_BY_N, bound), swept)
-    assert entries == [(n, chocolate2(n, looped)) for n in range(1, bound + 1)]
-    assert swept.memo == looped.memo and swept.computed == looped.computed
-
-
 def test_warm_tables_keep_the_memo_path_in_sweeps(monkeypatch):
     calls = fills(monkeypatch)
     generate(SequenceSpec(SequenceKind.SQUARE, 30), seeded_table())
     generate(SequenceSpec(SequenceKind.TWO_BY_N, 150), seeded_table())
     assert calls == []
+
+
+def per_index(kind, bound, table):
+    """A square or 2 x n sweep as ``generate`` ran it before it filled
+    once: the route's fill of the largest bar, then one
+    ``chocolate_number(n, n)`` or ``chocolate2(n)`` per index."""
+    m = bound if kind is SequenceKind.SQUARE else 2
+    chocolate_mod._route(table, m, bound, [(min(m, k), k) for k in range(2, bound + 1)])
+    if kind is SequenceKind.SQUARE:
+        return [(n, chocolate_number(n, n, table)) for n in range(1, bound + 1)]
+    return [(n, chocolate2(n, table)) for n in range(1, bound + 1)]
+
+
+@functools.lru_cache(maxsize=None)
+def routed_memo(m, n, squares):
+    """The memo that the route leaves after a fresh count of m x n, or
+    after a cold square sweep to n (the squares, 1 x 1 filled after it),
+    from ``fill.residue_counts`` itself: no sweep under test builds it."""
+    cells = [(k, k) for k in range(2, n + 1)] if squares else [(m, n)]
+    memo = dict(zip(cells, fill_mod.residue_counts(m, n, cells)))
+    return {(1, 1): 1, **memo} if squares else memo
+
+
+def routed_table(m, n, squares=False):
+    def new_table():
+        table = ChocolateTable()
+        table.memo = dict(routed_memo(m, n, squares))
+        table.computed = len(table.memo)
+        return table
+    new_table.__name__ = f"routed_squares_to_{n}" if squares else f"routed_{m}_x_{n}"
+    return new_table
+
+
+def only_2_x_2():
+    table = ChocolateTable()
+    chocolate2(2, table)
+    assert table.memo == {(2, 2): 4}
+    return table
+
+
+SQUARE, TWO_BY_N = SequenceKind.SQUARE, SequenceKind.TWO_BY_N
+ROUTED_2_X_300, ROUTED_SQUARES_34 = routed_table(2, 300), routed_table(34, 34, squares=True)
+
+
+@pytest.mark.parametrize("new_table,kind,bound,new", [
+    (ChocolateTable, SQUARE, 12, None), (ChocolateTable, SQUARE, 30, 30),
+    (ChocolateTable, TWO_BY_N, 60, None), (ChocolateTable, TWO_BY_N, 100, 99),
+    (ChocolateTable, TWO_BY_N, 150, 149), (seeded_table, SQUARE, 12, None),
+    (seeded_table, TWO_BY_N, 100, 99), (seeded_table, TWO_BY_N, 150, 149),
+    # a routed 2 x 300 holds no 2 x k below it: a sweep fills every 2 x k
+    # up to its bound but 2 x 300
+    (ROUTED_2_X_300, TWO_BY_N, 300, 298), (ROUTED_2_X_300, TWO_BY_N, 200, 199),
+    (ROUTED_2_X_300, SQUARE, 10, None),
+    # routed squares hold no bar off the diagonal: a sweep that lacks no
+    # square fills nothing, and one past them fills every bar up to 36 x 36
+    (ROUTED_SQUARES_34, SQUARE, 30, 0), (ROUTED_SQUARES_34, SQUARE, 36, 632),
+    (ROUTED_SQUARES_34, TWO_BY_N, 40, None),
+    (only_2_x_2, SQUARE, 12, None), (only_2_x_2, TWO_BY_N, 60, 58),
+], ids=lambda v: getattr(v, "__name__", None))
+def test_square_and_2_x_n_sweeps_leave_what_the_per_index_loop_leaves(new_table, kind, bound, new):
+    # entries, memo and computed, on empty, seeded and warm tables: one fill
+    # up to the last index the memo lacks, not to the bound
+    swept, looped = new_table(), new_table()
+    before = len(swept.memo)
+    assert generate(SequenceSpec(kind, bound), swept) == per_index(kind, bound, looped)
+    assert swept.memo == looped.memo and swept.computed == looped.computed
+    if new is not None:
+        assert len(swept.memo) - before == new
 
 
 def test_a_routed_sweep_peaks_within_the_fill_ceiling():
@@ -633,6 +694,25 @@ def test_generate_distinct_small_bound():
 def test_generate_distinct_published_prefix():
     entries = generate(SequenceSpec(SequenceKind.DISTINCT_SORTED, DISTINCT_PREFIX[-1]))
     assert [v for _, v in entries] == DISTINCT_PREFIX
+
+
+def test_numpy_integer_arguments_act_as_python_ints():
+    # numpy scalars would run the route rule's arithmetic in int64; a 2 x 300
+    # count and a square sweep to 30 take the route
+    got = [chocolate_number(np.int64(2), np.int64(5)), chocolate_number(np.int64(300), np.int64(2)),
+           chocolate2(np.int64(10))]
+    assert got == [chocolate_number(2, 5), chocolate_number(2, 300), chocolate2(10)]
+    for kind, bound in ((SequenceKind.SQUARE, 30), (SequenceKind.TWO_BY_N, 150)):
+        spec = SequenceSpec(kind, np.int64(bound))
+        assert type(spec.bound) is int and spec == SequenceSpec(kind, bound)
+        entries = generate(spec)
+        assert entries == generate(SequenceSpec(kind, bound))
+        got += [v for _, v in entries]
+    assert all(type(v) is int for v in got)
+    for call in (lambda: chocolate_number(2.0, 5), lambda: chocolate_number(2, 5.0),
+                 lambda: chocolate2(3.0), lambda: SequenceSpec(SequenceKind.SQUARE, 3.0)):
+        with pytest.raises(TypeError):
+            call()
 
 
 def test_sequence_spec_rejects_bad_bound():

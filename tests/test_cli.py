@@ -199,6 +199,20 @@ def test_gen_warm_read_leaves_the_cache_file_alone(capsys, tmp_path, monkeypatch
     assert load_cache(cache_file).memo[(5, 5)] == chocolate_number(5, 5)
 
 
+def test_a_shorter_sweep_of_a_routed_square_cache_leaves_the_file_alone(capsys, tmp_path):
+    # the routed sweep to 34 caches the squares alone; a sweep to 30 lacks
+    # none of them, so it fills no bar off the diagonal and writes nothing
+    cache_file = tmp_path / cli.CACHE_FILENAME
+    assert run(capsys, "gen", "--seq", "square", "--max", "34", "--cache", str(tmp_path))[0] == EXIT_OK
+    before = cache_file.stat(), cache_file.read_bytes()
+    assert before[1].count(b"\n") == 1 + 34
+    code, out, _ = run(capsys, "gen", "--seq", "square", "--max", "30", "--cache", str(tmp_path))
+    after = cache_file.stat(), cache_file.read_bytes()
+    assert code == EXIT_OK and out.count("\n") == 30
+    assert (after[0].st_ino, after[0].st_mtime_ns, after[1]) == (
+        before[0].st_ino, before[0].st_mtime_ns, before[1])
+
+
 class CutMemo(dict):
     """A memo whose fill is cut by Ctrl-C when it would store bar 21."""
 
@@ -725,6 +739,10 @@ def test_conjecture_csv_round_trips(capsys):
     # route); recorded when chocolate2 summed whole values, not odd parts
     ("gen --seq b --max 100",
      "cf9770b554d85b1b00bd3d7e7c1a846f9eac45069db4584b8ad9180fdc3c26fe"),
+    # the longest square sweep that stays on big integers (28 takes the
+    # residue route); recorded when the sweep counted one square at a time
+    ("gen --seq square --max 27",
+     "2e52cd87e8ea42c0fb4bf571f0fcd326690575db5a449963612083ba0285f944"),
     # sweeps that take every value from one residue fill of their largest
     # bar; recorded on the big-integer sweeps
     ("gen --seq b --max 300",

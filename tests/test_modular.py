@@ -468,6 +468,13 @@ def test_grouping_keeps_order_and_duplicates():
         chocolate2_mod_many(300, [9, 1, 0])
 
 
+@pytest.mark.parametrize("moduli", [[], [5]])
+def test_grouped_moduli_reject_a_bad_n_max_with_or_without_moduli(moduli):
+    # checked up front, with chocolate2_mod's message, not only by a group's pass
+    with pytest.raises(ValueError, match=r"n_max must be >= 1, got 0"):
+        chocolate2_mod_many(0, moduli)
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 def test_grouped_moduli_fuzz_matches_one_modulus_at_a_time(seed):
     # random lists of smooth, rough and mixed moduli and powers of 2, some
