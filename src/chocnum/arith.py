@@ -10,6 +10,7 @@ division and ``primes_between`` share.
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 from enum import Enum
@@ -71,6 +72,7 @@ def binomial(n: int, k: int) -> int:
 def nu_p(value: int, p: int) -> int:
     """Largest e with p^e dividing value.  value must be >= 1 (the valuation
     of 0 would be infinite) and p must be prime."""
+    value, p = operator.index(value), operator.index(p)
     if value < 1:
         raise ValueError(f"nu_p requires value >= 1, got {value}")
     if not is_prime(p):
@@ -110,6 +112,7 @@ def is_prime(n: int) -> bool:
     Deterministic for n below MR_DETERMINISTIC_BOUND; above that no
     counterexamples are known but the answer is only "probably prime".
     """
+    n = operator.index(n)
     if n < 2:
         return False
     for p in (2, 3, 5, 7, 11, 13):
@@ -125,6 +128,7 @@ def factor(value: int) -> Factorization:
     and flagged composite otherwise.  A remainder left by the p*p > rem exit
     is prime and below the range, so the same test certifies it.  The primes
     come from ``_sieve_window`` as far as the loop reaches."""
+    value = operator.index(value)
     if value < 1:
         raise ValueError(f"factor requires value >= 1, got {value}")
     factors: list[tuple[int, int]] = []
@@ -194,6 +198,7 @@ def divides_factorial(k: int, N: int) -> bool:
 
     Fails if k cannot be fully factored (unresolved cofactor).
     """
+    k, N = operator.index(k), operator.index(N)
     if k < 1:
         raise ValueError("k must be >= 1")
     if N < 0:

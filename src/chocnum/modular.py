@@ -95,7 +95,9 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     up to live; only a power of 2 gets there, such as 8 at n = 3 or 2^40 at
     n = 23.  The running product (2n-1)! mod m also finds r: the odd part
     of m, divided by its gcd with (2n_max-1)! until the two are coprime.
-    An odd part below 2 n_max is all smooth and needs no product.
+    An odd part q below 2 n_max divides (2n_max-1)!, so the product either
+    reaches 0 mod m, which leaves r = 1, or ends at a multiple of q, which
+    the gcd strips whole: the plan is (m, 1, []) either way.
 
     Pascal route, for s:
 
@@ -137,8 +139,6 @@ def _split(n_max: int, m: int) -> tuple[int, int, list[int]]:
     """The plan (s, r, facts) of ``chocolate2_mod(n_max, m)``; its
     docstring defines each part."""
     q = m // (m & -m)  # the odd part
-    if 1 < q < 2 * n_max:
-        return m, 1, []
     facts, f = [], 1
     for k in range(3, 2 * n_max + 2, 2):
         facts.append(f)  # (2n-1)! mod m for n = (k-1)/2
@@ -279,8 +279,7 @@ def _pascal_residues(n_max: int, m: int) -> list[int]:
             s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
         value = (fact + s) % m
         out[n] = rev[top - n] = value
-        if fact:
-            fact = fact * (2 * n - 1) * (2 * n) % m  # the next step's (2n-2)!
+        fact = fact * (2 * n - 1) * (2 * n) % m  # the next step's (2n-2)!
         if value:
             last = n
         elif not fact and n >= 2 * last:  # the lemma needs m | (2n)! beside the zeros
@@ -405,7 +404,7 @@ def detect_eventual_period(seq, candidate_periods=None) -> PeriodReport:
             lo, hi = period, period + k
         tail = k + period
         if tail >= 3 * period and 2 * tail >= L:
-            return PeriodReport(True, L - tail, period, period == 1 and seq[-1] == 0, L)
+            return PeriodReport(True, L - tail, period, bool(period == 1 and seq[-1] == 0), L)
     return PeriodReport(False, None, None, False, L)
 
 
@@ -610,6 +609,7 @@ def conjecture_scan(conjecture: int, moduli, n_max: int) -> list[ScanRecord]:
     certificates only; no record ever claims to settle a conjecture."""
     if conjecture not in (1, 2, 3):
         raise ValueError(f"conjecture must be 1, 2 or 3, got {conjecture}")
+    n_max = operator.index(n_max)
     if n_max < 100:
         raise ValueError(f"n_max must be >= 100 for a meaningful scan, got {n_max}")
     moduli = [operator.index(m) for m in moduli]

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import chocnum.arith as arith_mod
@@ -251,3 +252,30 @@ def test_divides_factorial_rejects_unfactorable_k():
     m89 = 2**89 - 1
     with pytest.raises(ValueError):
         divides_factorial(m89 * m89, 100)
+
+
+def test_numpy_integers_act_as_python_ints():
+    # the three-argument pow of Miller-Rabin and int.bit_length need ints
+    big = 10**12 + 39
+    assert is_prime(np.int64(1_000_003)) is True
+    assert factor(np.int64(big)) == factor(big) == Factorization(((big, 1),))
+    assert type(factor(np.int64(big)).factors[0][0]) is int
+    got = nu_p(np.int64(92800), np.int64(2))
+    assert got == 7 and type(got) is int
+    assert nu_p(96, np.int64(1_000_003)) == 0
+    assert divides_factorial(12, np.int64(5)) is True
+    assert divides_factorial(np.int64(7), 6) is False
+
+
+@pytest.mark.parametrize("call", [
+    lambda: is_prime(7.0),
+    lambda: factor(12.0),
+    lambda: nu_p(12.0, 2),
+    lambda: nu_p(12, 2.0),
+    lambda: divides_factorial(12.0, 5),
+    lambda: divides_factorial(12, 5.0),
+], ids=["is_prime", "factor", "nu_p-value", "nu_p-p", "divides_factorial-k",
+        "divides_factorial-N"])
+def test_floats_are_not_integers(call):
+    with pytest.raises(TypeError):
+        call()

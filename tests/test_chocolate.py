@@ -178,6 +178,43 @@ def test_a_fresh_count_falls_back_to_big_integers_when_the_fill_cannot_load(setu
         assert loaded == "False"
 
 
+DEEP_THEN_SHALLOW_PROBE = """
+import inspect, sys
+from chocnum import ChocolateTable, chocolate_number
+limit = sys.getrecursionlimit()
+sys.setrecursionlimit(len(inspect.stack()) + {headroom})
+first = ChocolateTable()
+chocolate_number(2, 300, first)
+sys.setrecursionlimit(limit)
+second = ChocolateTable()
+chocolate_number(2, 300, second)
+from chocnum.modular import chocolate2_mod
+print(first.computed, second.computed, "chocnum.fill" in sys.modules, *chocolate2_mod(20, 7))
+"""
+
+
+# numpy's first import, cut short by the recursion limit at +60 to +75,
+# left it loaded once and unusable: every later route fell back and
+# chocnum.modular could not import.  Now the first count skips the route
+# below _IMPORT_HEADROOM frames of headroom (two of them are taken by
+# chocolate_number and _route) and takes it above
+@pytest.mark.parametrize("headroom,first_computed", [
+    (60, 598),
+    (70, 598),
+    (chocolate_mod._IMPORT_HEADROOM, 598),
+    (chocolate_mod._IMPORT_HEADROOM + 10, 1),
+])
+def test_a_deep_caller_leaves_the_route_and_the_residue_module_usable(headroom, first_computed):
+    env = dict(os.environ, PYTHONPATH=str(Path(chocolate_mod.__file__).parents[1]))
+    probe = DEEP_THEN_SHALLOW_PROBE.format(headroom=headroom)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    first, second, loaded, *residues = proc.stdout.split()
+    assert (int(first), second, loaded) == (first_computed, "1", "True")
+    assert [int(r) for r in residues] == [b % 7 for b in every_term_chocolate2(20)]
+
+
 @functools.lru_cache(maxsize=None)
 def every_cut_count(m, n):
     """The split recursion summed over every first cut, without using the
@@ -210,6 +247,7 @@ def test_exact_counts_need_no_deep_recursion(capsys):
     # the residue route imports numpy on first use, and the import machinery
     # nests more frames than the fills may: load it before the limit drops,
     # so the route answers the first query, not the big-integer fallback
+    # (with numpy unloaded, the route does not try the import this deep)
     importlib.import_module("numpy")
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 40)
@@ -303,6 +341,14 @@ def test_every_chunk_of_a_plan_fits_the_ceiling(m, n):
     assert fill_mod._fill_bytes(m, n, per_chunk) <= fill_mod._FILL_BYTES
     assert fill_mod._fill_bytes(m, n, fewer) > fill_mod._FILL_BYTES
     assert per_chunk * (chunks - 1) < len(primes) <= per_chunk * chunks
+
+
+def test_a_bar_whose_one_prime_does_not_fit_the_block_has_no_plan(monkeypatch):
+    # 700 x 700: the lanes of a single prime pass the block, so no fill runs
+    assert fill_mod._fill_bytes(700, 700, 1) > fill_mod._FILL_BYTES
+    monkeypatch.setattr(fill_mod, "fill_chunk", lambda *args: pytest.fail("a fill ran"))
+    assert fill_mod._plan(700, 700) is None
+    assert fill_mod.residue_counts(700, 700, [(700, 700)]) is None
 
 
 def test_chunks_and_blocks_are_exact(monkeypatch):

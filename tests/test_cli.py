@@ -452,6 +452,20 @@ def test_nu_with_bound_check(capsys):
     assert all(r["ok"] == "true" for r in rows)
 
 
+def test_nu_bound_check_reports_a_violation(capsys, monkeypatch):
+    import chocnum.arith as arith_mod
+
+    monkeypatch.setattr(arith_mod, "nu_p", lambda value, p: 0)
+    code, out, err = run(
+        capsys, "nu", "--p", "2", "--seq", "b", "--max", "4",
+        "--check-bound", "--format", "csv",
+    )
+    assert code == EXIT_FAILED
+    assert err == "valuation bound violated\n"
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["ok"] for r in rows] == ["true", "false", "false", "false"]
+
+
 def test_nu_table_plain(capsys):
     code, out, _ = run(capsys, "nu", "--p", "2", "--seq", "table", "--max", "2")
     assert code == EXIT_OK
@@ -735,6 +749,12 @@ def test_conjecture_csv_round_trips(capsys):
     # stopped, so the stop changes no residue
     ("mod --seq b --modulus 41,1099511627776,33407005577 --max 3000",
      "48f3906e8296bc8601b6c299de480b9006aa8e9410163d4bafa796cd727432fe"),
+    # odd parts below 2n, with and without 2^30, walk Pascal rows whole: 3
+    # and 12 share one pass mod 12 on the "int64-dot" arm, and 3 * 2^30 runs
+    # alone on the "object" arm; recorded when such odd parts skipped the
+    # running factorial of the plan
+    ("mod --seq b --modulus 3,12,3221225472 --max 1200",
+     "aebe9684e6dc2952f10c4cc0d2dd8dda1fce96b70396c1c422d018583914bc9d"),
     # the longest 2 x n sweep that stays on chocolate2 (101 takes the residue
     # route); recorded when chocolate2 summed whole values, not odd parts
     ("gen --seq b --max 100",

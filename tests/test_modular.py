@@ -1,11 +1,13 @@
 """Tests for the residue engine, period detection, and the scan harness."""
 
+import dataclasses
 import functools
 import itertools
+import json
 import random
 import time
 import warnings
-from math import comb, factorial, isqrt
+from math import comb, factorial, isqrt, prod
 
 import numpy as np
 import pytest
@@ -142,6 +144,22 @@ def test_numpy_integer_arguments_act_as_python_ints():
     assert all(type(r.modulus) is int for r in scan + grouped)
     assert many == [chocolate2_mod(300, m) for m in (4, 6, 8, 10)]
     assert all(type(x) is int for prefix in many for x in prefix)
+
+
+def test_numpy_integers_leave_plain_types_in_scan_results():
+    assert zero_tail_prime(np.int64(1_000_003)) is False
+    assert persistent_divisor_check(np.int64(5), 10, [0] * 20) is True
+    (record,) = conjecture_scan(2, [4], np.int64(100))
+    assert record == conjecture_scan(2, [4], 100)[0] and type(record.n_max) is int
+    report = detect_eventual_period(np.array([1, 2, 3] + [0] * 9))
+    assert report == PeriodReport(True, 3, 1, True, 12)
+    assert report.eventually_zero is True
+    json.dumps(record.as_dict())
+    json.dumps(dataclasses.asdict(report))
+    with pytest.raises(TypeError):
+        conjecture_scan(2, [4], 100.0)
+    with pytest.raises(TypeError):
+        zero_tail_prime(7.0)
 
 
 # EDGE_600 + 1 is left out: at n_max <= 40 it runs the fast kernel
@@ -503,8 +521,57 @@ def test_grouped_lcm_matches_log_derivative_reference():
 
 
 def test_moduli_below_twice_n_max_skip_the_route_rule():
-    # no running factorial: this would take 10^12 steps
+    # the running factorial is 0 mod 9 from 7! on, so the plan stops at n = 3
+    # of the 10^12 it could take
     assert modular_mod._split(10**12, 9) == (9, 1, [])
+
+
+def split_reference(n_max, m):
+    """(s, r) of chocolate2_mod's plan from its definition alone: r is the
+    odd part of m with every odd factor below 2 n_max divided out, and the
+    powers of 2 go to s unless s = 1."""
+    q = m
+    while q % 2 == 0:
+        q //= 2
+    r = q
+    for k in range(3, 2 * n_max, 2):
+        while r % k == 0:
+            r //= k
+    return (1, m) if r == q else (m // r, r)
+
+
+def split_cases(count, seed):
+    """count seeded (n_max, m) pairs: smooth, rough, mixed and power-of-2
+    moduli, odd parts just below and just above 2 n_max, and small odd
+    parts times up to 2^200."""
+    rng = random.Random(seed)
+    odd_primes = primes_below(1400)[1:]
+    for i in range(count):
+        n_max = rng.randint(1, 600)
+        smooth = [p for p in odd_primes if p < 2 * n_max] or [1]
+        rough = [p for p in odd_primes if 2 * n_max <= p < 2 * n_max + 200]
+        kind = i % 6
+        if kind == 0:  # smooth
+            m = prod(rng.choices(smooth, k=rng.randint(1, 4))) << rng.randint(0, 3)
+        elif kind == 1:  # rough
+            m = prod(rng.choices(rough, k=rng.randint(1, 2))) << rng.randint(0, 3)
+        elif kind == 2:  # mixed
+            m = prod(rng.choices(smooth, k=rng.randint(1, 3))) * rng.choice(rough)
+        elif kind == 3:  # a power of 2
+            m = 1 << rng.randint(1, 200)
+        elif kind == 4:  # an odd part just below or just above 2 n_max
+            m = max(1, 2 * n_max + rng.choice((-3, -1, 1, 3))) << rng.randint(0, 40)
+        else:  # a small odd part times up to 2^200
+            m = rng.randrange(1, 60, 2) << rng.randint(0, 200)
+        yield n_max, max(m, 2)
+
+
+def test_the_plan_splits_as_its_definition_says():
+    cases = list(split_cases(2400, seed=36))
+    assert len(set(cases)) > 2000
+    for n_max, m in cases:
+        s, r, facts = modular_mod._split(n_max, m)
+        assert (s, r) == split_reference(n_max, m), (n_max, m)
 
 
 INT64_MAX = 2**63 - 1
@@ -1120,6 +1187,14 @@ def test_conjecture3_unresolved_without_a_period():
     (rec,) = conjecture_scan(3, [43], 100)
     assert (rec.status, rec.preperiod, rec.period) == (UNRESOLVED, None, None)
     assert "no period certified within 100 terms" in rec.notes
+
+
+def test_conjecture3_unresolved_when_the_sequence_dies(monkeypatch):
+    # no classifier-false prime is known to die; a stand-in sequence does
+    monkeypatch.setattr(modular_mod, "chocolate2_mod", lambda n, m: [1, 2] + [0] * (n - 2))
+    (rec,) = conjecture_scan(3, [3], 100)
+    assert (rec.status, rec.preperiod, rec.period) == (UNRESOLVED, 2, 1)
+    assert rec.notes == "sequence died to zeros, which the hypothesis does not anticipate"
 
 
 def test_conjecture3_skips_classifier_true_primes():

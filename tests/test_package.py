@@ -61,3 +61,30 @@ def test_names_are_not_cached_in_the_package(monkeypatch):
 def test_submodules_are_reachable_after_a_bare_import():
     for module in EXPORTED:
         assert chocnum.__getattr__(module) is importlib.import_module(f"chocnum.{module}")
+
+
+def _series(*coeffs):
+    return chocnum.RationalSeries(coeffs)
+
+
+ARGUMENT_CHECKS = [
+    ("factor(0)", lambda: chocnum.factor(0)),
+    ("divides_factorial(0, 3)", lambda: chocnum.divides_factorial(0, 3)),
+    ("divides_factorial(3, -1)", lambda: chocnum.divides_factorial(3, -1)),
+    ("hyper_numerators_mod(0, 7)", lambda: chocnum.hyper_numerators_mod(0, 7)),
+    ("hyper_numerators_mod(5, 1)", lambda: chocnum.hyper_numerators_mod(5, 1)),
+    ("persistent_divisor_check(3, 0, [])", lambda: chocnum.persistent_divisor_check(3, 0, [])),
+    ("hyper_numerators(0)", lambda: chocnum.hyper_numerators(0)),
+    ("riccati_residual_of(order 2)", lambda: chocnum.riccati_residual_of(_series(0, 1, 0))),
+    ("riccati_residual_of(constant 1)",
+     lambda: chocnum.riccati_residual_of(_series(1, 1, 0, 0))),
+    ("linear_ode_residual_of(order 3)",
+     lambda: chocnum.linear_ode_residual_of(_series(1, 1, 0, 0))),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in ARGUMENT_CHECKS],
+                         ids=[name for name, _ in ARGUMENT_CHECKS])
+def test_public_functions_reject_arguments_outside_their_range(call):
+    with pytest.raises(ValueError):
+        call()

@@ -246,3 +246,8 @@ def test_riccati_rejects_a_nonzero_constant_term():
 def test_log_derivative_rejects_mismatched_orders():
     with pytest.raises(ValueError, match="must share a truncation order"):
         log_derivative_residual_of(chocolate2_gf(6), hypergeom_series(7))
+
+
+def test_a_zero_series_has_no_first_nonzero_order():
+    zero = RationalSeries((0, 0, 0))
+    assert zero.is_zero() and zero.first_nonzero() is None
