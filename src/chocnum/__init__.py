@@ -3,7 +3,8 @@ its brute-force oracle, the derived integer sequences, p-adic valuations and
 factorizations, modular residue scans with eventual-period detection, and
 exact rational power-series checks of the generating-function identities.
 Exact values print in full at any size: the modules that turn big
-integers into decimal text do so under ``unlimited_int_digits``.
+integers into decimal text do so under ``unlimited_int_digits``.  numpy
+is loaded only with ``chocnum.fill``, and only through ``load_fill``.
 
 ``import chocnum`` loads no submodule.  Each public name is looked up in
 its submodule on every access (PEP 562), which imports that submodule the
@@ -35,6 +36,12 @@ _HOME = {name: module for module, names in _EXPORTS.items() for name in names}
 __all__ = list(_HOME)
 __version__ = "0.1.0"
 
+# frames of recursion headroom below which numpy's first import is not
+# tried: it nested past the limit with 96 frames left and not with 100
+# (numpy 2.4, Python 3.11), and one that fails part way can leave numpy's
+# C core loaded once and unusable for the rest of the process
+_IMPORT_HEADROOM = 300
+
 
 @contextmanager
 def unlimited_int_digits():
@@ -51,6 +58,23 @@ def unlimited_int_digits():
         yield
     finally:
         sys.set_int_max_str_digits(saved)
+
+
+def load_fill():
+    """Import and return ``chocnum.fill``, the module of every int64 numpy
+    kernel of both residue routes; the package loads it only through here.
+    While numpy is not loaded, a caller with fewer than ``_IMPORT_HEADROOM``
+    frames below the recursion limit gets RecursionError and nothing is
+    imported, so numpy is never left half-loaded; an import that fails
+    raises as it is."""
+    if "numpy" not in sys.modules:
+        depth, frame = 0, sys._getframe()
+        while frame:
+            depth, frame = depth + 1, frame.f_back
+        if sys.getrecursionlimit() - depth < _IMPORT_HEADROOM:
+            raise RecursionError(f"numpy's first import needs {_IMPORT_HEADROOM} frames "
+                                 "below the recursion limit")
+    return import_module(".fill", __name__)
 
 
 def __getattr__(name: str):

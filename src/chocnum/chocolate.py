@@ -13,19 +13,14 @@ from __future__ import annotations
 import math
 import operator
 import os
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
-from . import unlimited_int_digits
+from . import load_fill, unlimited_int_digits
 
 CACHE_HEADER = "chocnum cache v1"
-# frames of recursion headroom below which the route skips numpy's first
-# import: it nested past the limit with 96 frames left and not with 100
-# (numpy 2.4, Python 3.11), and one that fails part way can leave numpy's
-# C core loaded once and unusable for the rest of the process
-_IMPORT_HEADROOM = 300
+
 
 class CacheFormatError(ValueError):
     """Raised when a cache file has the wrong header or a malformed line."""
@@ -140,25 +135,19 @@ def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]]) 
     28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds the breaks one state
     offers, since every available break cuts interior unit edges that no
     other available break cuts.  The rule is checked before ``fill``, and
-    numpy with it, is imported.  A caller with less than
-    ``_IMPORT_HEADROOM`` frames below the recursion limit does not import
-    numpy, and an import that fails, numpy missing or ``fill`` nesting
-    past the limit, leaves the count to the big-integer fill.
+    numpy with it, is loaded by ``chocnum.load_fill``.  When the loader
+    refuses a caller too deep in its stack, or the import fails, numpy
+    missing or ``fill`` nesting past the limit, the count is left to the
+    big-integer fill.
     """
     breaks = m * (n - 1) + n * (m - 1)
     if m < 2 or table.memo or (m < 28 and (m * n - 1) * breaks.bit_length() < 900 * m):
         return False
-    if "numpy" not in sys.modules:
-        depth, frame = 0, sys._getframe()
-        while frame:
-            depth, frame = depth + 1, frame.f_back
-        if sys.getrecursionlimit() - depth < _IMPORT_HEADROOM:
-            return False
     try:
-        from .fill import residue_counts
+        fill = load_fill()
     except (ImportError, RecursionError):
         return False
-    if not (counts := residue_counts(m, n, cells)):
+    if not (counts := fill.residue_counts(m, n, cells)):
         return False
     table.memo.update(zip(cells, counts))
     table.computed += len(cells)

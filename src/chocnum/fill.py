@@ -1,14 +1,26 @@
-"""The residue route of the exact counts: count(a, b) of the cells of an
+"""Every int64 numpy kernel of both residue routes.
+
+The residue route of the exact counts: count(a, b) of the cells of an
 m x n bar rebuilt from the scaled recursion modulo primes below 2**26,
 filled in int64 numpy lanes one chunk of primes at a time, then one CRT
-per cell.  ``chocolate`` decides when the route runs and imports this
-module only then, so small exact counts, the CLI and the scans neither
-compile it nor load numpy for it.
+per cell (``residue_counts``).
+
+The residue scans of the 2 x n counts: the scaled counts mod a rough
+modulus (``scaled_dot``, ``scaled_limbs``) and Pascal rows mod a smooth
+one (``pascal_residues``), which ``modular.chocolate2_mod`` plans, each on
+the arithmetic of the int64 class that ``modular.residue_kernel`` names.
+
+``chocnum.load_fill`` is the one way in, and it checks the recursion
+headroom before numpy's first import.  ``chocolate`` loads this module
+only when its route runs and ``modular`` only when a 2 x n residue scan
+does, so small exact counts, the CLI, factorizations, series checks and
+period detection neither compile it nor load numpy.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from itertools import repeat
 
 import numpy as np
@@ -25,6 +37,7 @@ _SUM_BLOCK = (1 << 10) - 1
 _FILL_BYTES = 2 << 20
 _FILL_RESERVE = 32 << 10
 _crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
+_INT64_MAX = 2**63 - 1  # the caps of pascal_residues
 
 
 def residue_counts(m: int, n: int, cells: list[tuple[int, int]]) -> list[int] | None:
@@ -283,3 +296,135 @@ def _invert(z, values, totals, inverse, q) -> None:
         totals *= values[t]
         totals %= q
     z[0] = totals
+
+
+def scaled_dot(n_max: int, m: int) -> list[int]:
+    """The scaled counts c_1..c_n_max mod m, each step one int64 dot of
+    h < n_max reduced residues, which stays below h (m-1)^2 < 2^63 under
+    the ``"int64-dot"`` precondition n_max (m-1)^2 < 2^63."""
+    c = np.zeros(n_max + 1, dtype=np.int64)  # c[n] = B_n / (2n-1)! mod m
+    c[1] = 1
+    for n in range(2, n_max + 1):
+        h = (n - 1) // 2  # pairs (j, n-j) with j < n/2
+        s = 1 + 2 * int(np.dot(c[1 : h + 1], c[n - 1 : n - h - 1 : -1]))
+        if n % 2 == 0:
+            s += int(c[n // 2]) ** 2
+        c[n] = s % m * pow(2 * n - 1, -1, m) % m
+    return c[1:].tolist()
+
+
+def scaled_limbs(n_max: int, m: int) -> list[int]:
+    """The scaled counts c_1..c_n_max mod any m.  Each c_n is held as L
+    limbs of w = ``_limb_width(n_max)`` bits in one L x (n_max+1) array, and
+    the sum of step n is one int64 inner product of its columns 1..h with
+    its columns n-1..n-h, read reversed as a view.  Each of the L^2 entries
+    is below h 2^(2w) <= 2^62, and one Python sum of the entries, shifted
+    by their limbs' weights, gives the exact sum."""
+    w = _limb_width(n_max)
+    shifts = [w * k for k in range(-(-(m - 1).bit_length() // w))]  # limb weights
+    pairs = [a + b for a in shifts for b in shifts]  # weights of the L^2 limb pairs
+    mask = (1 << w) - 1
+    c = np.zeros((len(shifts), n_max + 1), dtype=np.int64)  # c[k, n]: limb k of c_n
+    values = [0, 1]  # values[n] = c_n mod m
+    c[0, 1] = 1
+    for n in range(2, n_max + 1):
+        h = (n - 1) // 2  # pairs (j, n-j) with j < n/2
+        products = np.inner(c[:, 1 : h + 1], c[:, n - 1 : n - h - 1 : -1]).ravel().tolist()
+        s = 1 + 2 * sum(map(operator.lshift, products, pairs))
+        if n % 2 == 0:
+            s += values[n // 2] ** 2
+        value = s % m * pow(2 * n - 1, -1, m) % m
+        values.append(value)
+        c[:, n] = [value >> k & mask for k in shifts]
+    return values[1:]
+
+
+def _limb_width(n_max: int) -> int:
+    """Bits per limb w at n_max: the widest with h_max 2^(2w) < 2^62, where
+    h_max = (n_max-1)//2 is the most terms of one dot (when h_max >= 1)."""
+    return (62 - ((n_max - 1) // 2).bit_length()) // 2
+
+
+def pascal_residues(n_max: int, m: int, kernel: str) -> list[int]:
+    """B_1..B_n_max mod m on half Pascal rows (see
+    ``modular.chocolate2_mod``), on the arithmetic of ``kernel``, the class
+    ``residue_kernel(n_max, m)``.  The row steps and the products go into
+    buffers allocated once; a reversed copy of the residues makes both
+    factors of the products contiguous.
+
+    Under ``"int64-dot"`` a bound on the row entries starts at m-1 and grows
+    4x per step.  With LIM = 2^63 - 1 and h_max = (n_max-1)//2, the row is
+    reduced once the bound passes min(LIM // 4, LIM // (h_max (m-1))), so
+    the next step and a dot with reduced products stay in int64, and the
+    products only while it exceeds LIM // (h_max (m-1)^2).  Otherwise both
+    caps are 0, so the row is reduced every step.
+
+    Stop: after step n, fact is (2n)! mod m and last the last index with a
+    nonzero residue.  Once B_n = 0, n >= 2 last and m divides (2n)!, the
+    zeros cover floor((n+2)/2)..n and the zero-tail lemma of
+    ``chocnum.modular`` holds at n + 1, so every later residue is the 0
+    already in ``out``.  At odd n the window alone gives m | (2n-2)!, since
+    every product of the recursion for B_n has an index in it and so
+    B_n = (2n-2)! mod m; at even n that is not proved, and the stop checks
+    both."""
+    dtype = object if kernel == "object" else np.int64
+
+    def reduce(x):
+        # x mod m, in place; for int64, floor division by a scalar is much
+        # cheaper than numpy's remainder, and x - (x // m) * m is exact
+        if dtype is object:
+            x %= m
+        else:
+            x -= x // m * m
+        return x
+
+    top = n_max + 1
+    out = np.zeros(top + 1, dtype=dtype)  # out[n] = B_n mod m
+    rev = np.zeros(top + 1, dtype=dtype)  # rev[top - n] = out[n]
+    out[1] = rev[top - 1] = 1 % m
+    # row[k + 2] = C(r, k) mod m for k = 0..r/2 at r = 2n-2; two leading
+    # zeros stand for C(r, -2) and C(r, -1)
+    row = np.zeros(n_max + 3, dtype=dtype)
+    row[2] = 1 % m
+    odd = np.zeros(n_max + 2, dtype=dtype)  # odd[j] = C(r+1, j-1)
+    prods = np.zeros(max(1, (n_max - 1) // 2), dtype=dtype)
+
+    # row entries stay <= bound, reduced past row_cap (see above)
+    bound, row_cap, prod_cap = m - 1, 0, 0
+    if kernel == "int64-dot":
+        hm = max(1, (n_max - 1) // 2) * (m - 1)  # most dot terms, times m-1
+        row_cap = min(_INT64_MAX // 4, _INT64_MAX // hm)
+        prod_cap = _INT64_MAX // (hm * (m - 1))
+    fact = 2 % m  # (2n-2)! mod m at step n, maintained incrementally
+    last = 1  # the last n with B_n not 0 mod m
+    for n in range(2, n_max + 1):
+        # row r = 2n-4 to r + 2 = 2n-2; C(r, n-1) = C(r, n-3) by symmetry
+        row[n + 1] = row[n - 1]
+        # two Pascal steps: odd[j] = C(r+1, j-1), then C(r+2, k) = odd[k+1] + odd[k]
+        np.add(row[1 : n + 2], row[: n + 1], out=odd[: n + 1])
+        np.add(odd[1 : n + 1], odd[:n], out=row[2 : n + 2])
+        bound *= 4
+        if bound > row_cap:
+            reduce(row[2 : n + 2])
+            bound = m - 1
+        h = (n - 1) // 2  # pairs (i, n-i) with i < n/2
+        weights = row[3 : 2 * h + 2 : 2]  # C(2n-2, 2i-1), i = 1..h
+        p = np.multiply(out[1 : h + 1], rev[top - n + 1 : top - n + h + 1], out=prods[:h])
+        if kernel == "int64":
+            s = int(reduce(np.multiply(reduce(p), weights, out=p)).sum())
+        elif kernel == "int64-dot":
+            s = int(np.dot(weights, reduce(p) if bound > prod_cap else p))
+        else:
+            s = int(np.dot(weights, p))
+        s = 2 * s % m
+        if n % 2 == 0:
+            b = int(out[n // 2])
+            s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
+        value = (fact + s) % m
+        out[n] = rev[top - n] = value
+        fact = fact * (2 * n - 1) * (2 * n) % m  # the next step's (2n-2)!
+        if value:
+            last = n
+        elif not fact and n >= 2 * last:  # the lemma needs m | (2n)! beside the zeros
+            break
+    return out[1:top].tolist()

@@ -4,26 +4,22 @@ divisibility-propagation certificates, the forced mod-3 pattern, eventual
 period detection, and the three-conjecture scan harness.
 
 Residues are always normalized to [0, m).  The 2 x n residues cost time
-quadratic in n, so they run in three int64 numpy kernels: ``chocolate2_mod``
-splits m into a rough part for the scaled counts (``_scaled_dot``,
-``_scaled_limbs``) and a smooth part for Pascal rows (``_pascal_residues``),
-``residue_kernel`` names the int64 class that picks the arithmetic of each,
-and several moduli share one pass mod their lcm (``chocolate2_mod_many``).
+quadratic in n, so they run in three int64 numpy kernels of
+``chocnum.fill``: ``chocolate2_mod`` splits m into a rough part for the
+scaled counts (``scaled_dot``, ``scaled_limbs``) and a smooth part for
+Pascal rows (``pascal_residues``), ``residue_kernel`` names the int64
+class that picks the arithmetic of each, and several moduli share one pass
+mod their lcm (``chocolate2_mod_many``).
 
 Zero tails: if m divides B_i for every i in floor((n+1)/2)..n-1 and m
 divides (2n-2)!, then m divides every B_j with j >= n.  By induction on j:
 m divides (2j-2)!, and each product B_i B_{j-i} of the recursion has an
 index max(i, j-i) in floor((n+1)/2)..j-1, inside the window or at or
 beyond n.  ``persistent_divisor_check`` certifies this lemma, and
-``_pascal_residues`` stops on it.  A stop rests on this proof about the
+``fill.pascal_residues`` stops on it.  A stop rests on this proof about the
 residues computed so far, never on the classifier ``zero_tail_prime``,
 which states an open conjecture (conjecture 1, which the scans test) and
 speaks of primes only.
-
-numpy is imported on first use, inside the three kernels here and with
-``chocnum.fill``, the residue route of the exact counts: it is most of the
-package's import time, and factorizations, series checks and period
-detection never need it.
 """
 
 from __future__ import annotations
@@ -32,11 +28,11 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 
+from . import load_fill
 from .arith import divides_factorial, is_prime
 
 # isqrt(2**63 - 1): a product of two residues mod m <= this fits int64
 _INT64_SAFE_MODULUS = 3_037_000_499
-_INT64_MAX = 2**63 - 1
 
 CONSISTENT = "CONSISTENT"
 INCONSISTENT = "INCONSISTENT"
@@ -50,12 +46,12 @@ def residue_kernel(n_max: int, m: int) -> str:
 
     ``"int64-dot"``: every product of two residues fits int64 and so does a
     dot of fewer than n_max of them.  The scaled route takes one int64 dot
-    of reduced residues per step (``_scaled_dot``); the Pascal route one
+    of reduced residues per step (``fill.scaled_dot``); the Pascal route one
     int64 dot of row entries and products that are reduced only when a
     running bound says int64 might not hold the next step.
     ``"int64"``: the products fit (m <= 3 037 000 499) but a dot product
     might not.  The scaled route splits the residues into limbs, whose
-    int64 inner product stays exact (``_scaled_limbs``); the Pascal route
+    int64 inner product stays exact (``fill.scaled_limbs``); the Pascal route
     reduces every product before the sum.
     ``"object"``: not even one product fits.  The scaled route runs on
     limbs as for ``"int64"``; the Pascal route carries Python integers, an
@@ -108,31 +104,36 @@ def chocolate2_mod(n_max: int, m: int) -> list[int]:
     following from C(t, k) = C(t, t-k).  The half row advances two rows per
     n, by two Pascal steps that together give
     C(t+2, k) = C(t, k) + 2 C(t, k-1) + C(t, k-2).  The rows stop at a
-    certified zero tail (``_pascal_residues``).
+    certified zero tail (``fill.pascal_residues``).
 
     Half sum, on both routes: the summand is symmetric under i <-> n-i, so
     only i < n/2 is summed, the sum is doubled, and the middle term is
     added when n is even.  Memory stays O(n_max).
 
-    ``residue_kernel`` names the int64 class of each part, checked at run
-    time, which picks its arithmetic.  A mixed modulus stops each part on
-    its own, and the CRT join is unchanged.
+    ``residue_kernel`` names the int64 class of each part, once, and the
+    kernel of ``chocnum.fill`` that runs the part takes its arithmetic.
+    ``chocnum.load_fill`` loads that module, and numpy with it, and raises
+    RecursionError for a caller too deep in its stack to import numpy
+    whole.  A mixed modulus stops each part on its own, and the CRT join is
+    unchanged.
     """
     n_max, m = operator.index(n_max), operator.index(m)
     if n_max < 1:
         raise ValueError(f"n_max must be >= 1, got {n_max}")
     if m < 2:
         raise ValueError(f"modulus must be >= 2, got {m}")
+    fill = load_fill()
     s, r, facts = _split(n_max, m)
     if r == 1:
-        return _pascal_residues(n_max, m)
+        return fill.pascal_residues(n_max, m, residue_kernel(n_max, m))
     live = len(facts)  # B_n = 0 mod r from n = live + 1 on
-    scaled = _scaled_dot if residue_kernel(live, r) == "int64-dot" else _scaled_limbs
+    scaled = fill.scaled_dot if residue_kernel(live, r) == "int64-dot" else fill.scaled_limbs
     rough = [f * c % r for f, c in zip(facts, scaled(live, r))] + [0] * (n_max - live)
     if s == 1:
         return rough
     inverse = pow(s, -1, r)
-    return [a + s * ((b - a) * inverse % r) for a, b in zip(_pascal_residues(n_max, s), rough)]
+    smooth = fill.pascal_residues(n_max, s, residue_kernel(n_max, s))
+    return [a + s * ((b - a) * inverse % r) for a, b in zip(smooth, rough)]
 
 
 def _split(n_max: int, m: int) -> tuple[int, int, list[int]]:
@@ -149,142 +150,6 @@ def _split(n_max: int, m: int) -> tuple[int, int, list[int]]:
         r //= g
     s, r = (m // r, r) if r < q else (1, m)  # the powers of 2 go to s unless s = 1
     return (m, 1, []) if r == 1 else (s, r, facts)
-
-
-def _scaled_dot(n_max: int, m: int) -> list[int]:
-    """The scaled counts c_1..c_n_max mod m, each step one int64 dot of
-    h < n_max reduced residues, which stays below h (m-1)^2 < 2^63 under
-    the ``"int64-dot"`` precondition n_max (m-1)^2 < 2^63."""
-    import numpy as np
-
-    c = np.zeros(n_max + 1, dtype=np.int64)  # c[n] = B_n / (2n-1)! mod m
-    c[1] = 1
-    for n in range(2, n_max + 1):
-        h = (n - 1) // 2  # pairs (j, n-j) with j < n/2
-        s = 1 + 2 * int(np.dot(c[1 : h + 1], c[n - 1 : n - h - 1 : -1]))
-        if n % 2 == 0:
-            s += int(c[n // 2]) ** 2
-        c[n] = s % m * pow(2 * n - 1, -1, m) % m
-    return c[1:].tolist()
-
-
-def _scaled_limbs(n_max: int, m: int) -> list[int]:
-    """The scaled counts c_1..c_n_max mod any m.  Each c_n is held as L
-    limbs of w = ``_limb_width(n_max)`` bits in one L x (n_max+1) array, and
-    the sum of step n is one int64 inner product of its columns 1..h with
-    its columns n-1..n-h, read reversed as a view.  Each of the L^2 entries
-    is below h 2^(2w) <= 2^62, and one Python sum of the entries, shifted
-    by their limbs' weights, gives the exact sum."""
-    import numpy as np
-
-    w = _limb_width(n_max)
-    shifts = [w * k for k in range(-(-(m - 1).bit_length() // w))]  # limb weights
-    pairs = [a + b for a in shifts for b in shifts]  # weights of the L^2 limb pairs
-    mask = (1 << w) - 1
-    c = np.zeros((len(shifts), n_max + 1), dtype=np.int64)  # c[k, n]: limb k of c_n
-    values = [0, 1]  # values[n] = c_n mod m
-    c[0, 1] = 1
-    for n in range(2, n_max + 1):
-        h = (n - 1) // 2  # pairs (j, n-j) with j < n/2
-        products = np.inner(c[:, 1 : h + 1], c[:, n - 1 : n - h - 1 : -1]).ravel().tolist()
-        s = 1 + 2 * sum(map(operator.lshift, products, pairs))
-        if n % 2 == 0:
-            s += values[n // 2] ** 2
-        value = s % m * pow(2 * n - 1, -1, m) % m
-        values.append(value)
-        c[:, n] = [value >> k & mask for k in shifts]
-    return values[1:]
-
-
-def _limb_width(n_max: int) -> int:
-    """Bits per limb w at n_max: the widest with h_max 2^(2w) < 2^62, where
-    h_max = (n_max-1)//2 is the most terms of one dot (when h_max >= 1)."""
-    return (62 - ((n_max - 1) // 2).bit_length()) // 2
-
-
-def _pascal_residues(n_max: int, m: int) -> list[int]:
-    """B_1..B_n_max mod m on half Pascal rows (see ``chocolate2_mod``).  The
-    row steps and the products go into buffers allocated once; a reversed
-    copy of the residues makes both factors of the products contiguous.
-
-    Under ``"int64-dot"`` a bound on the row entries starts at m-1 and grows
-    4x per step.  With LIM = 2^63 - 1 and h_max = (n_max-1)//2, the row is
-    reduced once the bound passes min(LIM // 4, LIM // (h_max (m-1))), so
-    the next step and a dot with reduced products stay in int64, and the
-    products only while it exceeds LIM // (h_max (m-1)^2).  Otherwise both
-    caps are 0, so the row is reduced every step.
-
-    Stop: after step n, fact is (2n)! mod m and last the last index with a
-    nonzero residue.  Once B_n = 0, n >= 2 last and m divides (2n)!, the
-    zeros cover floor((n+2)/2)..n and the zero-tail lemma of the module
-    docstring holds at n + 1, so every later residue is the 0 already in
-    ``out``.  At odd n the window alone gives m | (2n-2)!, since every
-    product of the recursion for B_n has an index in it and so B_n = (2n-2)!
-    mod m; at even n that is not proved, and the stop checks both."""
-    import numpy as np
-
-    kernel = residue_kernel(n_max, m)
-    dtype = object if kernel == "object" else np.int64
-
-    def reduce(x):
-        # x mod m, in place; for int64, floor division by a scalar is much
-        # cheaper than numpy's remainder, and x - (x // m) * m is exact
-        if dtype is object:
-            x %= m
-        else:
-            x -= x // m * m
-        return x
-
-    top = n_max + 1
-    out = np.zeros(top + 1, dtype=dtype)  # out[n] = B_n mod m
-    rev = np.zeros(top + 1, dtype=dtype)  # rev[top - n] = out[n]
-    out[1] = rev[top - 1] = 1 % m
-    # row[k + 2] = C(r, k) mod m for k = 0..r/2 at r = 2n-2; two leading
-    # zeros stand for C(r, -2) and C(r, -1)
-    row = np.zeros(n_max + 3, dtype=dtype)
-    row[2] = 1 % m
-    odd = np.zeros(n_max + 2, dtype=dtype)  # odd[j] = C(r+1, j-1)
-    prods = np.zeros(max(1, (n_max - 1) // 2), dtype=dtype)
-
-    # row entries stay <= bound, reduced past row_cap (see above)
-    bound, row_cap, prod_cap = m - 1, 0, 0
-    if kernel == "int64-dot":
-        hm = max(1, (n_max - 1) // 2) * (m - 1)  # most dot terms, times m-1
-        row_cap = min(_INT64_MAX // 4, _INT64_MAX // hm)
-        prod_cap = _INT64_MAX // (hm * (m - 1))
-    fact = 2 % m  # (2n-2)! mod m at step n, maintained incrementally
-    last = 1  # the last n with B_n not 0 mod m
-    for n in range(2, n_max + 1):
-        # row r = 2n-4 to r + 2 = 2n-2; C(r, n-1) = C(r, n-3) by symmetry
-        row[n + 1] = row[n - 1]
-        # two Pascal steps: odd[j] = C(r+1, j-1), then C(r+2, k) = odd[k+1] + odd[k]
-        np.add(row[1 : n + 2], row[: n + 1], out=odd[: n + 1])
-        np.add(odd[1 : n + 1], odd[:n], out=row[2 : n + 2])
-        bound *= 4
-        if bound > row_cap:
-            reduce(row[2 : n + 2])
-            bound = m - 1
-        h = (n - 1) // 2  # pairs (i, n-i) with i < n/2
-        weights = row[3 : 2 * h + 2 : 2]  # C(2n-2, 2i-1), i = 1..h
-        p = np.multiply(out[1 : h + 1], rev[top - n + 1 : top - n + h + 1], out=prods[:h])
-        if kernel == "int64":
-            s = int(reduce(np.multiply(reduce(p), weights, out=p)).sum())
-        elif kernel == "int64-dot":
-            s = int(np.dot(weights, reduce(p) if bound > prod_cap else p))
-        else:
-            s = int(np.dot(weights, p))
-        s = 2 * s % m
-        if n % 2 == 0:
-            b = int(out[n // 2])
-            s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
-        value = (fact + s) % m
-        out[n] = rev[top - n] = value
-        fact = fact * (2 * n - 1) * (2 * n) % m  # the next step's (2n-2)!
-        if value:
-            last = n
-        elif not fact and n >= 2 * last:  # the lemma needs m | (2n)! beside the zeros
-            break
-    return out[1:top].tolist()
 
 
 def chocolate2_mod_many(n_max: int, moduli) -> list[list[int]]:

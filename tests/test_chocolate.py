@@ -4,6 +4,7 @@ import functools
 import hashlib
 import importlib
 import inspect
+import json
 import math
 import os
 import subprocess
@@ -14,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import chocnum
 import chocnum.chocolate as chocolate_mod
 import chocnum.cli as cli
 import chocnum.fill as fill_mod
@@ -30,6 +32,7 @@ from chocnum.chocolate import (
     load_cache,
     save_cache,
 )
+from chocnum.modular import conjecture_scan
 
 from reference_values import (
     DISTINCT_PREFIX,
@@ -196,13 +199,13 @@ print(first.computed, second.computed, "chocnum.fill" in sys.modules, *chocolate
 # numpy's first import, cut short by the recursion limit at +60 to +75,
 # left it loaded once and unusable: every later route fell back and
 # chocnum.modular could not import.  Now the first count skips the route
-# below _IMPORT_HEADROOM frames of headroom (two of them are taken by
-# chocolate_number and _route) and takes it above
+# below _IMPORT_HEADROOM frames of headroom (three of them are taken by
+# chocolate_number, _route and load_fill) and takes it above
 @pytest.mark.parametrize("headroom,first_computed", [
     (60, 598),
     (70, 598),
-    (chocolate_mod._IMPORT_HEADROOM, 598),
-    (chocolate_mod._IMPORT_HEADROOM + 10, 1),
+    (chocnum._IMPORT_HEADROOM, 598),
+    (chocnum._IMPORT_HEADROOM + 10, 1),
 ])
 def test_a_deep_caller_leaves_the_route_and_the_residue_module_usable(headroom, first_computed):
     env = dict(os.environ, PYTHONPATH=str(Path(chocolate_mod.__file__).parents[1]))
@@ -213,6 +216,39 @@ def test_a_deep_caller_leaves_the_route_and_the_residue_module_usable(headroom, 
     first, second, loaded, *residues = proc.stdout.split()
     assert (int(first), second, loaded) == (first_computed, "1", "True")
     assert [int(r) for r in residues] == [b % 7 for b in every_term_chocolate2(20)]
+
+
+DEEP_SCAN_PROBE = """
+import inspect, json, sys
+from chocnum.modular import chocolate2_mod, conjecture_scan
+limit = sys.getrecursionlimit()
+sys.setrecursionlimit(len(inspect.stack()) + {headroom})
+try:
+    chocolate2_mod(20, 7)
+    first = "returned"
+except Exception as exc:
+    first = type(exc).__name__
+sys.setrecursionlimit(limit)
+print(first, "numpy" in sys.modules)
+print(json.dumps([chocolate2_mod(20, 7), [r.as_dict() for r in conjecture_scan(2, [9], 100)]]))
+"""
+
+
+# a residue scan goes through the same guard as the route: with the limit
+# at +50 to +70, numpy's import used to fail part way and leave every
+# later scan of the process raising ImportError
+@pytest.mark.parametrize("headroom", [50, 60, 70, 80])
+def test_a_deep_residue_scan_raises_before_numpy_and_leaves_it_loadable(headroom):
+    env = dict(os.environ, PYTHONPATH=str(Path(chocolate_mod.__file__).parents[1]))
+    probe = DEEP_SCAN_PROBE.format(headroom=headroom)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    first, then = proc.stdout.splitlines()
+    assert first == "RecursionError False"
+    residues, scan = json.loads(then)
+    assert residues == [b % 7 for b in every_term_chocolate2(20)]
+    assert scan == [r.as_dict() for r in conjecture_scan(2, [9], 100)]
 
 
 @functools.lru_cache(maxsize=None)
@@ -764,6 +800,28 @@ def test_numpy_integer_arguments_act_as_python_ints():
 def test_sequence_spec_rejects_bad_bound():
     with pytest.raises(ValueError):
         SequenceSpec(SequenceKind.SQUARE, 0)
+
+
+def test_sequence_spec_is_an_immutable_value():
+    # what a SequenceSpec promises its callers, whatever class implements it
+    spec = SequenceSpec(SequenceKind.SQUARE, 3)
+    assert spec == SequenceSpec(SequenceKind.SQUARE, 3)
+    assert spec != SequenceSpec(SequenceKind.SQUARE, 4)
+    assert spec != SequenceSpec(SequenceKind.TWO_BY_N, 3)
+    assert spec != (SequenceKind.SQUARE, 3)
+    assert hash(spec) == hash(SequenceSpec(SequenceKind.SQUARE, 3))
+    assert len({spec, SequenceSpec(SequenceKind.SQUARE, 3), SequenceSpec(SequenceKind.SQUARE, 4)}) == 2
+    assert repr(spec) == f"SequenceSpec(kind={SequenceKind.SQUARE!r}, bound=3)"
+    for field, value in (("kind", SequenceKind.TABLE), ("bound", 4)):
+        with pytest.raises(AttributeError):
+            setattr(spec, field, value)
+    with pytest.raises(AttributeError):
+        spec.extra = 1
+    assert (spec.kind, spec.bound) == (SequenceKind.SQUARE, 3)
+    assert SequenceSpec(SequenceKind.TABLE, 1).bound == 1
+    for bound in (0, -1, -(2**70)):
+        with pytest.raises(ValueError, match="bound must be positive"):
+            SequenceSpec(SequenceKind.TABLE, bound)
 
 
 def per_bar_distinct(bound, table):

@@ -940,6 +940,10 @@ IMPORT_CASES = [
     (("nu", "--p", "2", "--seq", "b", "--max", "5"), ["chocnum.arith"]),
     (("mod", "--seq", "p", "--modulus", "7", "--max", "5"),
      ["chocnum.arith", "chocnum.modular"]),
+    (("period", "--seq", "p", "--modulus", "7", "--max", "60"),
+     ["chocnum.arith", "chocnum.modular"]),
+    (("mod", "--seq", "b", "--modulus", "9", "--max", "5"),
+     ["chocnum.arith", "chocnum.fill", "chocnum.modular", "numpy"]),
     (("series", "--check", "ode", "--order", "10"), ["chocnum.series", "fractions"]),
 ]
 

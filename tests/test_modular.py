@@ -12,6 +12,7 @@ from math import comb, factorial, isqrt, prod
 import numpy as np
 import pytest
 
+import chocnum.fill as fill_mod
 import chocnum.modular as modular_mod
 from chocnum.arith import binomial, divides_factorial, factor, is_prime
 from chocnum.chocolate import ChocolateTable, chocolate2
@@ -226,19 +227,21 @@ def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel)
 
 def test_chocolate2_mod_runs_the_passes_of_its_plan():
     # the one test that hooks the kernels: both scaled kernels are exact on
-    # "int64-dot" moduli, so only a hook sees a dispatch to the slower one
+    # "int64-dot" moduli, so only a hook sees a dispatch to the slower one,
+    # and the Pascal kernel runs the class it is given
     cases = [(600, m) for m, _, _ in ROUTE_CASES] + [(3000, 3 * 1_012_333_503), (3000, 2**40)]
     for n_max, m in cases:
         ran = []
         with pytest.MonkeyPatch.context() as mp:
-            for name in ("_pascal_residues", "_scaled_dot", "_scaled_limbs"):
-                kernel = getattr(modular_mod, name)
-                mp.setattr(modular_mod, name, lambda n, q, name=name, kernel=kernel:
-                           ran.append((name, q, n)) or kernel(n, q))
+            for name in ("pascal_residues", "scaled_dot", "scaled_limbs"):
+                kernel = getattr(fill_mod, name)
+                mp.setattr(fill_mod, name, lambda *args, name=name, kernel=kernel:
+                           ran.append((name, *args)) or kernel(*args))
             chocolate2_mod(n_max, m)
         s, r, facts = modular_mod._split(n_max, m)
-        scaled = "_scaled_dot" if residue_kernel(len(facts), r) == "int64-dot" else "_scaled_limbs"
-        want = [(scaled, r, len(facts))] * (r > 1) + [("_pascal_residues", s, n_max)] * (s > 1)
+        scaled = "scaled_dot" if residue_kernel(len(facts), r) == "int64-dot" else "scaled_limbs"
+        want = ([(scaled, len(facts), r)] * (r > 1)
+                + [("pascal_residues", n_max, s, residue_kernel(n_max, s))] * (s > 1))
         assert ran == want, m
 
 
@@ -256,8 +259,11 @@ def test_chocolate2_mod_route_boundaries(n_max, m, scaled):
     assert [(r, q) for r, q, _ in planned(n_max, m)] == [(route_of(scaled), m)]
     # past n = 601 the full row is slow; Pascal rows share no arithmetic
     # with the scaled route, so they check it as well
-    reference = full_row_chocolate2_mod if n_max <= 601 else modular_mod._pascal_residues
-    assert chocolate2_mod(n_max, m) == reference(n_max, m)
+    if n_max <= 601:
+        assert chocolate2_mod(n_max, m) == full_row_chocolate2_mod(n_max, m)
+    else:
+        pascal = fill_mod.pascal_residues(n_max, m, residue_kernel(n_max, m))
+        assert chocolate2_mod(n_max, m) == pascal
 
 
 def int64_dot_edge(n_max):
@@ -416,14 +422,14 @@ def test_int64_dot_edge_at_3000_matches_its_prime_power_parts():
 
 def test_limb_width_keeps_every_matmul_entry_below_2_62():
     for n_max in itertools.chain(range(1, 70), (2**k + d for k in range(6, 40) for d in (-1, 0, 1, 2))):
-        h, w = (n_max - 1) // 2, modular_mod._limb_width(n_max)
+        h, w = (n_max - 1) // 2, fill_mod._limb_width(n_max)
         assert h * 2 ** (2 * w) <= 2**62 and w >= 11, n_max
 
 
 def test_limb_width_is_the_widest_below_2_62():
     # w + 1 would take a dot of h_max limb products to 2^62 or past it
     for n_max in itertools.chain(range(3, 70), (2**k + d for k in range(6, 40) for d in (-1, 0, 1, 2))):
-        h, w = (n_max - 1) // 2, modular_mod._limb_width(n_max)
+        h, w = (n_max - 1) // 2, fill_mod._limb_width(n_max)
         assert h * 2 ** (2 * w) < 2**62 <= h * 2 ** (2 * (w + 1)), n_max
 
 
@@ -434,7 +440,7 @@ def test_limbs_at_their_width_boundaries(m):
     for n_max in (1, 2, 3, 127, 128, 129, 130, 255, 256, 257, 258):
         assert [(r, q) for r, q, _ in planned(n_max, m)] == [("scaled", m)]
         assert residue_kernel(n_max, m) != "int64-dot" or n_max == 1
-        widths.add(modular_mod._limb_width(n_max))
+        widths.add(fill_mod._limb_width(n_max))
         assert chocolate2_mod(n_max, m) == [v % m for v in exact_b(n_max)], n_max
     assert len(widths) == 4
 
