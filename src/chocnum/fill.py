@@ -38,6 +38,9 @@ _FILL_BYTES = 2 << 20
 _FILL_RESERVE = 32 << 10
 _crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
 _INT64_MAX = 2**63 - 1  # the caps of pascal_residues
+# pascal_residues steps per set of views: 32, 64 and 128 ran alike, 256
+# slower on rows of 2000 to 4000 (README)
+_SPAN = 64
 
 
 def residue_counts(m: int, n: int, cells: list[tuple[int, int]]) -> list[int] | None:
@@ -352,6 +355,23 @@ def pascal_residues(n_max: int, m: int, kernel: str) -> list[int]:
     buffers allocated once; a reversed copy of the residues makes both
     factors of the products contiguous.
 
+    The views of the row steps, the reduction and the dot are built once
+    per span of ``_SPAN`` steps, at the length of its last step, and each
+    step slices only its window of ``rev``.  Three invariants keep every
+    residue exact:
+
+    - Padded row entries never reach the sum.  An entry past index n+1 at
+      step n only feeds higher indices, since each new entry reads its own
+      index and the two below, and the fold row[n+1] = row[n-1] makes the
+      indices up to n+1 exact.  The bound and every reduction cover the
+      whole span, so the padding stays inside int64.
+    - Left factors are written only when they join the sum: out[i] = B_i
+      at odd n = 2i+1, once i <= h.  So ``out`` is zero past h, and the
+      padded products vanish; ``rev`` has ``_SPAN`` zeros past ``top`` for
+      the windows of the span's first steps.
+    - Scalar reads of the residues come from a Python list: B_{n/2}, and
+      each step's value, which is also returned from it.
+
     Under ``"int64-dot"`` a bound on the row entries starts at m-1 and grows
     4x per step.  With LIM = 2^63 - 1 and h_max = (n_max-1)//2, the row is
     reduced once the bound passes min(LIM // 4, LIM // (h_max (m-1))), so
@@ -362,11 +382,10 @@ def pascal_residues(n_max: int, m: int, kernel: str) -> list[int]:
     Stop: after step n, fact is (2n)! mod m and last the last index with a
     nonzero residue.  Once B_n = 0, n >= 2 last and m divides (2n)!, the
     zeros cover floor((n+2)/2)..n and the zero-tail lemma of
-    ``chocnum.modular`` holds at n + 1, so every later residue is the 0
-    already in ``out``.  At odd n the window alone gives m | (2n-2)!, since
-    every product of the recursion for B_n has an index in it and so
-    B_n = (2n-2)! mod m; at even n that is not proved, and the stop checks
-    both."""
+    ``chocnum.modular`` holds at n + 1, so every later residue is 0.  At odd
+    n the window alone gives m | (2n-2)!, since every product of the
+    recursion for B_n has an index in it and so B_n = (2n-2)! mod m; at
+    even n that is not proved, and the stop checks both."""
     dtype = object if kernel == "object" else np.int64
 
     def reduce(x):
@@ -379,9 +398,10 @@ def pascal_residues(n_max: int, m: int, kernel: str) -> list[int]:
         return x
 
     top = n_max + 1
-    out = np.zeros(top + 1, dtype=dtype)  # out[n] = B_n mod m
-    rev = np.zeros(top + 1, dtype=dtype)  # rev[top - n] = out[n]
-    out[1] = rev[top - 1] = 1 % m
+    values = [0, 1 % m]  # values[n] = B_n mod m
+    out = np.zeros(top, dtype=dtype)  # out[i] = B_i mod m once i <= h
+    rev = np.zeros(top + 1 + _SPAN, dtype=dtype)  # rev[top - n] = B_n mod m
+    rev[top - 1] = 1 % m
     # row[k + 2] = C(r, k) mod m for k = 0..r/2 at r = 2n-2; two leading
     # zeros stand for C(r, -2) and C(r, -1)
     row = np.zeros(n_max + 3, dtype=dtype)
@@ -397,34 +417,43 @@ def pascal_residues(n_max: int, m: int, kernel: str) -> list[int]:
         prod_cap = _INT64_MAX // (hm * (m - 1))
     fact = 2 % m  # (2n-2)! mod m at step n, maintained incrementally
     last = 1  # the last n with B_n not 0 mod m
-    for n in range(2, n_max + 1):
-        # row r = 2n-4 to r + 2 = 2n-2; C(r, n-1) = C(r, n-3) by symmetry
-        row[n + 1] = row[n - 1]
+    for start in range(2, n_max + 1, _SPAN):
+        end = min(start + _SPAN - 1, n_max)  # the span's last step
         # two Pascal steps: odd[j] = C(r+1, j-1), then C(r+2, k) = odd[k+1] + odd[k]
-        np.add(row[1 : n + 2], row[: n + 1], out=odd[: n + 1])
-        np.add(odd[1 : n + 1], odd[:n], out=row[2 : n + 2])
-        bound *= 4
-        if bound > row_cap:
-            reduce(row[2 : n + 2])
-            bound = m - 1
-        h = (n - 1) // 2  # pairs (i, n-i) with i < n/2
-        weights = row[3 : 2 * h + 2 : 2]  # C(2n-2, 2i-1), i = 1..h
-        p = np.multiply(out[1 : h + 1], rev[top - n + 1 : top - n + h + 1], out=prods[:h])
-        if kernel == "int64":
-            s = int(reduce(np.multiply(reduce(p), weights, out=p)).sum())
-        elif kernel == "int64-dot":
-            s = int(np.dot(weights, reduce(p) if bound > prod_cap else p))
-        else:
-            s = int(np.dot(weights, p))
-        s = 2 * s % m
-        if n % 2 == 0:
-            b = int(out[n // 2])
-            s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
-        value = (fact + s) % m
-        out[n] = rev[top - n] = value
-        fact = fact * (2 * n - 1) * (2 * n) % m  # the next step's (2n-2)!
-        if value:
-            last = n
-        elif not fact and n >= 2 * last:  # the lemma needs m | (2n)! beside the zeros
-            break
-    return out[1:top].tolist()
+        stepped = row[2 : end + 2]  # the row, with the padding of the span
+        to_odd = row[1 : end + 2], row[: end + 1], odd[: end + 1]
+        to_row = odd[1 : end + 1], odd[:end], stepped
+        hs = (end - 1) // 2  # the span's most pairs
+        weights = row[3 : 2 * hs + 2 : 2]  # C(2n-2, 2i-1), i = 1..hs
+        left, p = out[1 : hs + 1], prods[:hs]
+        for n in range(start, end + 1):
+            # row r = 2n-4 to r + 2 = 2n-2; C(r, n-1) = C(r, n-3) by symmetry
+            row[n + 1] = row[n - 1]
+            np.add(*to_odd)
+            np.add(*to_row)
+            bound *= 4
+            if bound > row_cap:
+                reduce(stepped)
+                bound = m - 1
+            if n % 2:  # B_h joins the pairs (i, n-i), i <= h = (n-1)/2
+                out[n // 2] = values[n // 2]
+            np.multiply(left, rev[top - n + 1 : top - n + hs + 1], out=p)
+            if kernel == "int64":
+                s = int(reduce(np.multiply(reduce(p), weights, out=p)).sum())
+            elif kernel == "int64-dot":
+                s = int(np.dot(weights, reduce(p) if bound > prod_cap else p))
+            else:
+                s = int(np.dot(weights, p))
+            s = 2 * s % m
+            if n % 2 == 0:
+                b = values[n // 2]
+                s += int(row[n + 1]) * (b * b % m)  # C(2n-2, n-1) B_{n/2}^2
+            value = (fact + s) % m
+            values.append(value)
+            rev[top - n] = value
+            fact = fact * (2 * n - 1) * (2 * n) % m  # the next step's (2n-2)!
+            if value:
+                last = n
+            elif not fact and n >= 2 * last:  # the lemma needs m | (2n)! beside the zeros
+                return values[1:] + [0] * (n_max - n)
+    return values[1:]

@@ -182,6 +182,19 @@ def test_chocolate2_mod_kernels_match_full_row_path(m, kernel):
     assert chocolate2_mod(599, m) == want[:599]
 
 
+# the Pascal kernel builds its views once per span of fill._SPAN steps: one
+# modulus of each kernel class at every n_max next to a span edge; 10**9
+# stops at n = 124 (KNOWN_STOPS), 3**19 runs the "int64" arm in full
+@pytest.mark.parametrize("m,kernel", [
+    (9, "int64-dot"), (10**9, "int64"), (3**19, "int64"), (3**21, "object"),
+])
+def test_pascal_rows_match_the_full_row_at_span_edges(m, kernel):
+    span = fill_mod._SPAN
+    for n_max in (span - 1, span, span + 1, span + 2, 2 * span + 1, 2 * span + 2):
+        assert planned(n_max, m) == [("pascal", m, kernel)], n_max
+        assert chocolate2_mod(n_max, m) == full_row_chocolate2_mod(n_max, m), n_max
+
+
 def planned(n_max, m):
     """The kernel passes that chocolate2_mod(n_max, m) plans, in order, each
     as (route, modulus of the pass, its residue_kernel class)."""
@@ -721,6 +734,16 @@ def test_pascal_rows_stop_at_the_certified_zero_tail(n_max, m):
     assert steps == k - 2  # B_2..B_{k-1}, nothing more
     assert got[k - 1 :] == [0] * (n_max - k + 1)
     assert got[:600] == chocolate2_mod(600, m)
+
+
+# 131 stops at n = 130, the first step of a span, and 139 at n = 138, inside one
+@pytest.mark.parametrize("m,stop,first", [(131, 130, True), (139, 138, False)])
+def test_pascal_rows_stop_on_the_first_step_of_a_span_and_inside_one(m, stop, first):
+    assert ((stop - 2) % fill_mod._SPAN == 0) == first
+    got, steps = pascal_steps(lambda: chocolate2_mod(600, m))
+    assert steps == stop - 1
+    assert certified_from(m, got) == stop + 1
+    assert got == full_row_chocolate2_mod(600, m)
 
 
 def test_pascal_stop_keeps_the_values_of_an_independent_recurrence():
