@@ -75,7 +75,7 @@ def residue_counts(m: int, n: int, cells: list[tuple[int, int]]) -> list[int] | 
             while done < len(cells):
                 a, b = cells[done]
                 if top != a * b - 2:  # (ab-2)!, stepped up from the last cell's
-                    moves = (moves * math.prod(range(top + 1, a * b - 1)) if 0 < top < a * b - 2
+                    moves = (moves * math.prod(range(top + 1, a * b - 1)) if top < a * b - 2
                              else math.factorial(a * b - 2))
                     top = a * b - 2
                 if modulus <= (a + b - 2) * moves:  # _count_bound(a, b)
@@ -142,43 +142,22 @@ def _count_bound(a: int, b: int) -> int:
 
 
 def _fewest_primes(bound: int, floor: int) -> list[int] | None:
-    """The fewest primes below 2**26 whose product exceeds ``bound``: the
-    largest ones, sieved in windows and kept for the next call.  None if
-    that takes a prime <= ``floor``, or more odd primes than there are.
-    The first (bits - 1) // 26 of them, for a bound of that bit length,
-    cannot exceed it and multiply at once in a balanced tree, then single
-    primes, so the product costs no quadratic walk."""
-    count = (bound.bit_length() - 1) // 26
-    if not _sieve_crt_primes(count):
-        return None
-    product = _product(_crt_primes[:count])
+    """The fewest primes below 2**26 whose product exceeds ``bound`` >= 1:
+    the largest ones, multiplied in one at a time.  None if that takes a
+    prime <= ``floor``, or more odd primes than there are.  The only code
+    that reads or grows ``_crt_primes``, which it sieves a window of 2**16
+    at a time."""
+    product, count = 1, 0
     while product <= bound:
-        if not _sieve_crt_primes(count + 1):
-            return None
+        if count == len(_crt_primes):  # sieve the window below the last prime
+            top = _crt_primes[-1] if _crt_primes else _PRIME_CEILING
+            if top <= 3:
+                return None
+            _crt_primes.extend(reversed(primes_between(max(top - (1 << 16), 3), top)))
+            continue
         product *= _crt_primes[count]
         count += 1
-    if _crt_primes[count - 1] <= floor:
-        return None
-    return _crt_primes[:count]
-
-
-def _sieve_crt_primes(count: int) -> bool:
-    """Whether ``_crt_primes`` holds at least ``count`` primes, once the
-    windows of 2**16 below its last one are sieved as far as that needs."""
-    while len(_crt_primes) < count:
-        top = _crt_primes[-1] if _crt_primes else _PRIME_CEILING
-        if top <= 3:
-            return False
-        _crt_primes.extend(reversed(primes_between(max(top - (1 << 16), 3), top)))
-    return True
-
-
-def _product(factors: list[int]) -> int:
-    """The product of ``factors``, pairwise by levels, so that factors of
-    equal size meet and the big multiplications use Karatsuba."""
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return factors[0] if factors else 1
+    return _crt_primes[:count] if _crt_primes[count - 1] > floor else None
 
 
 def fill_chunk(m: int, n: int, primes: list[int],

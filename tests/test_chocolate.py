@@ -495,9 +495,15 @@ def test_residue_route_takes_the_primes_of_its_bound(m, n, primes):
     assert math.prod(got[:-1]) <= fill_mod._count_bound(m, n) < math.prod(got)
 
 
-@pytest.mark.parametrize("bound", [1, 2, 2**26, 2**100, 10**1000, 2400**2399],
-                         ids=["1", "2", "2^26", "2^100", "10^1000", "2400^2399"])
-def test_residue_primes_are_the_fewest_that_pass_the_bound(bound):
+@pytest.mark.parametrize("bound", [1, 2, 2**26, 67_108_859 * 67_108_837, 2**100, 10**1000,
+                                   2400**2399, 2**100_000],
+                         ids=["1", "2", "2^26", "p1p2", "2^100", "10^1000", "2400^2399",
+                              "2^100000"])
+def test_residue_primes_are_the_fewest_that_pass_the_bound(monkeypatch, bound):
+    # p1p2, the product of the two largest primes, takes a third; the list
+    # is fresh, so 2**100_000, whose 3847 primes pass the 3650 of the first
+    # window of 2**16 below 2**26, sieves a second window here
+    monkeypatch.setattr(fill_mod, "_crt_primes", [])
     primes = fill_mod._fewest_primes(bound, 1000)
     assert math.prod(primes) > bound >= math.prod(primes[:-1])
     # no prime below 2**26 is skipped, so no shorter list of primes below
@@ -509,6 +515,21 @@ def test_residue_primes_are_the_fewest_that_pass_the_bound(bound):
             expected.append(q)
     assert primes == expected
     assert fill_mod._fewest_primes(bound, 2**26) is None
+
+
+def test_too_few_primes_below_the_ceiling_leave_no_plan(monkeypatch):
+    # the 171 odd primes below 2**10 multiply to 1419 bits: a larger bound,
+    # or a floor above the primes a bound needs, has no primes, and a fresh
+    # 2 x 150, whose bound has 2033 bits, falls back to the big-integer fill
+    monkeypatch.setattr(fill_mod, "_PRIME_CEILING", 2**10)
+    monkeypatch.setattr(fill_mod, "_crt_primes", [])
+    assert fill_mod._fewest_primes(2**2000, 0) is None
+    assert fill_mod._fewest_primes(2**100, 1000) is None
+    assert fill_mod._fewest_primes(2**100, 953) is None  # 2**100 takes 1021..953
+    assert len(fill_mod._fewest_primes(2**100, 952)) == 11
+    table = ChocolateTable()
+    assert chocolate_number(2, 150, table) == chocolate2(150)
+    assert len(table.memo) == 298
 
 
 def test_dot_block_keeps_a_dot_of_residues_in_int64():

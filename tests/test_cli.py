@@ -723,7 +723,11 @@ def test_conjecture_csv_round_trips(capsys):
 # ------------------------------------------------------------------ misc
 
 
-@pytest.mark.parametrize("argv,digest", [
+CI_DIGESTS = [  # (argv, sha256 of stdout) of the CI smoke step, in its order
+    # the longest Pascal-row pass the benchmark runs, 9999 steps; recorded
+    # when every step built its own views
+    ("mod --seq b --modulus 9 --max 10000",
+     "1508d0f84a42decd0f2efdfab177d73219c93c6b3140628e2c033bed428131e8"),
     ("mod --seq b --modulus 2,9,43,999983,55447790 --max 3000",
      "5c6faf190eeb94699e708f497a29bbc2aff235cc627ed16f96dc0e8216f3a609"),
     ("mod --seq b --modulus 8,12,3999932 --max 3000",
@@ -778,12 +782,29 @@ def test_conjecture_csv_round_trips(capsys):
      "48781bf3e2570e2b3cd7762cd0c28826e37119c2aa644fb38c5c8917635ddeae"),
     ("gen --seq table --max 36",
      "f08c17dd4acfef08ec38717ffc8d7d4393f15757573ce913e3b0de8cd7785555"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,digest", CI_DIGESTS)
 def test_stdout_matches_the_ci_digest(capsys, argv, digest):
     # the sha256 digests that the CI smoke step checks for these commands
     code, out, _ = run(capsys, *argv.split())
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_the_ci_digests_are_the_tested_ones():
+    # each `echo '<digest>  -' > expected.txt` of the workflow pairs with the
+    # next `chocnum ... | sha256sum`; a digest added to or dropped from
+    # either side fails here
+    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
+    pairs, digest = [], None
+    for line in workflow.read_text().splitlines():
+        if match := re.search(r"echo '([0-9a-f]{64})  -' > expected.txt", line):
+            digest = match[1]
+        elif match := re.search(r"chocnum (.*?) \| sha256sum", line):
+            pairs.append((match[1], digest))
+    assert pairs == CI_DIGESTS
 
 
 def listed_fields(help_text):
