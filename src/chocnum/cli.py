@@ -11,7 +11,6 @@ series, arith) when it runs, so start-up does not pay for the others.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import os
 import sys
 import textwrap
@@ -44,7 +43,8 @@ CACHE_FILENAME = "chocolate_table.cache"
 # csv/jsonl fields of each record-producing subcommand, keyed by the command
 # and the --seq values it covers; the --help epilog is generated from here.
 # period and conjecture list the fields of modular.PeriodReport and
-# modular.ScanRecord as literals, so that --help need not import modular.
+# modular.ScanRecord as literals, so that --help need not import modular,
+# and their handlers read each record's values by these names.
 FIELDS = {
     "gen --seq table|triangle": ("m", "n", "value"),
     "gen --seq b|square": ("n", "value"),
@@ -252,10 +252,11 @@ def _cmd_mod(args):
 def _cmd_period(args):
     from .modular import detect_eventual_period
 
+    fields = _fields(args)
     [residues] = _residues(args.seq, [args.modulus], args.max)
     report = detect_eventual_period(residues)
-    record = (args.seq, args.modulus, args.max, *dataclasses.astuple(report))
-    return _fields(args), [record], EXIT_OK if report.resolved else EXIT_UNRESOLVED
+    record = (args.seq, args.modulus, args.max, *(getattr(report, f) for f in fields[3:]))
+    return fields, [record], EXIT_OK if report.resolved else EXIT_UNRESOLVED
 
 
 def _cmd_series(args):
@@ -280,7 +281,7 @@ def _cmd_conjecture(args):
 
     fields = _fields(args)
     scan = conjecture_scan(args.id, args.primes, args.max)
-    records = [dataclasses.astuple(r) for r in scan]
+    records = [tuple(getattr(r, f) for f in fields) for r in scan]
     statuses = {r.status for r in scan}
     if INCONSISTENT in statuses:
         return fields, records, EXIT_FAILED

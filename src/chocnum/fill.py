@@ -29,11 +29,11 @@ from .arith import primes_between
 
 # The fill works modulo primes below 2**26: a product of two residues is
 # below 2**52, so an int64 dot of at most _DOT_BLOCK products stays below
-# 2**63, and so does twice a reduced residue plus _SUM_BLOCK products, plus
-# one more product.  _plan states the memory ceiling.
+# 2**63.  So does the column sum of row a, reduced once: twice a residue
+# plus (a+1)//2 - 2 products, plus one more, for every a < 2052.  _plan's
+# memory ceiling admits no bar with a row past 585.
 _PRIME_CEILING = 1 << 26
 _DOT_BLOCK = (1 << 11) - 1
-_SUM_BLOCK = (1 << 10) - 1
 _FILL_BYTES = 2 << 20
 _FILL_RESERVE = 32 << 10
 _crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
@@ -182,8 +182,8 @@ def fill_chunk(m: int, n: int, primes: list[int],
     view with itself reversed; past b = 64, of its first half, in blocks of
     ``_DOT_BLOCK`` products, doubled, plus c(a, b/2)^2 for even b.  The sum
     over i, 2 c(a-1, b) + 2 sum_{1<i<a/2} c(i,b) c(a-i,b) + c(a/2,b)^2 for
-    even a, is built first for the whole row in the header, reduced every
-    ``_SUM_BLOCK`` products."""
+    even a, is built first for the whole row in the header, and reduced
+    once."""
     lanes, groups, width, header = _layout(m, n)
     start, end = {}, header  # start[a]: the slot of c(a, a)
     for a in range(m, 1, -1):
@@ -209,11 +209,9 @@ def fill_chunk(m: int, n: int, primes: list[int],
         if a > 2:
             col, product = f[:n - a + 1], scratch[:n - a + 1]
             np.copyto(col, columns(a - 1, a))
-            for t, i in enumerate(range(2, (a + 1) // 2), start=1):
+            for i in range(2, (a + 1) // 2):
                 np.multiply(columns(i, a), columns(a - i, a), out=product)
                 col += product
-                if t % _SUM_BLOCK == 0:
-                    col %= q
             col <<= 1
             if a % 2 == 0:
                 np.multiply(columns(a // 2, a), columns(a // 2, a), out=product)

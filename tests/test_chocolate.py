@@ -388,8 +388,8 @@ def test_a_bar_whose_one_prime_does_not_fit_the_block_has_no_plan(monkeypatch):
 
 
 def test_chunks_and_blocks_are_exact(monkeypatch):
-    # every bar fills in at least three chunks, with blocks of 5 products on
-    # both sums; a bound of 2**52 or more takes at least three primes.  Each
+    # every bar fills in at least three chunks, with dot blocks of 5
+    # products; a bound of 2**52 or more takes at least three primes.  Each
     # fill counts all its cells, in an order that is not that of their bounds
     bars = [(m, n) for m in range(2, 10) for n in range(m, 10)] + [(16, 20), (2, 150)]
     table = seeded_table()
@@ -398,7 +398,6 @@ def test_chunks_and_blocks_are_exact(monkeypatch):
     count_bound = fill_mod._count_bound
     monkeypatch.setattr(fill_mod, "_count_bound", lambda a, b: max(count_bound(a, b), 2**52))
     monkeypatch.setattr(fill_mod, "_DOT_BLOCK", 5)
-    monkeypatch.setattr(fill_mod, "_SUM_BLOCK", 5)
     for m, n in bars:
         primes = fill_mod._fewest_primes(fill_mod._count_bound(m, n), m * n - 1)
         fill_bytes = fill_mod._fill_bytes(m, n, len(primes) // 3)
@@ -541,16 +540,29 @@ def test_dot_block_keeps_a_dot_of_residues_in_int64():
     assert 2048 * (p_max - 1) ** 2 < 2**63 <= 2049 * (p_max - 1) ** 2
 
 
-def test_column_sums_keep_twice_a_block_of_products_in_int64():
-    # a column sum carries one reduced residue, adds _SUM_BLOCK products,
-    # doubles and adds the middle square before it is reduced again; one
-    # more product per block could pass 2^63
+def test_column_sums_of_every_admitted_row_stay_in_int64(monkeypatch):
+    # fill_chunk reduces a column sum of row a once: a residue plus
+    # (a+1)//2 - 2 products, doubled, plus the middle square for even a.
+    # _plan admits a bar only when one prime's lanes fit _FILL_BYTES, and
+    # the lanes grow with both sides, so the largest square that fits has
+    # the last row any plan can fill.  2052 is the first row past 2**63
     p_max = next(p for p in range(fill_mod._PRIME_CEILING - 1, 0, -1) if is_prime(p))
 
-    def peak(block):
-        return 2 * (block * (p_max - 1) ** 2 + p_max - 1) + (p_max - 1) ** 2
+    def peak(a):
+        products = (a + 1) // 2 - 2
+        return 2 * (products * (p_max - 1) ** 2 + p_max - 1) + (a % 2 == 0) * (p_max - 1) ** 2
 
-    assert peak(fill_mod._SUM_BLOCK) < 2**63 <= peak(fill_mod._SUM_BLOCK + 1)
+    def largest_row():
+        m = 2
+        while fill_mod._fill_bytes(m + 1, m + 1, 1) <= fill_mod._FILL_BYTES:
+            m += 1
+        return m
+
+    assert peak(largest_row()) < 2**63
+    assert largest_row() == 585
+    assert peak(2051) < 2**63 <= peak(2052)
+    monkeypatch.setattr(fill_mod, "_FILL_BYTES", fill_mod._fill_bytes(2052, 2052, 1))
+    assert peak(largest_row()) >= 2**63
 
 
 def test_blocked_dot_products_are_exact(monkeypatch):

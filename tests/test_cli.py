@@ -723,88 +723,100 @@ def test_conjecture_csv_round_trips(capsys):
 # ------------------------------------------------------------------ misc
 
 
-CI_DIGESTS = [  # (argv, sha256 of stdout) of the CI smoke step, in its order
+GOLDEN = [  # (argv, exit code, the whole stdout or, for a long one, its sha256)
     # the longest Pascal-row pass the benchmark runs, 9999 steps; recorded
     # when every step built its own views
-    ("mod --seq b --modulus 9 --max 10000",
+    ("mod --seq b --modulus 9 --max 10000", EXIT_OK,
      "1508d0f84a42decd0f2efdfab177d73219c93c6b3140628e2c033bed428131e8"),
-    ("mod --seq b --modulus 2,9,43,999983,55447790 --max 3000",
+    # long prefixes: 55447790 is the largest modulus the int64-dot kernel
+    # takes at n = 3000 and runs alone, split into its Pascal part 10 and its
+    # scaled part 5544779; 2, 9 and 43 share one Pascal-row pass mod 774,
+    # which defers its reductions; 999983, whose odd part is above 2n, runs
+    # alone on the scaled route
+    ("mod --seq b --modulus 2,9,43,999983,55447790 --max 3000", EXIT_OK,
      "5c6faf190eeb94699e708f497a29bbc2aff235cc627ed16f96dc0e8216f3a609"),
-    ("mod --seq b --modulus 8,12,3999932 --max 3000",
+    # grouped moduli print what separate passes printed: 8, 12 and 3999932 =
+    # 4 * 999983 share one pass mod 23999592, Pascal rows mod 24 and the
+    # scaled route mod 999983; 4,6,8,10 share one pass mod 120
+    ("mod --seq b --modulus 8,12,3999932 --max 3000", EXIT_OK,
      "2fb66a3027028eccae9299cdc9a55c8f162cfe8ee3131d1f807c341fb6ddca56"),
-    ("conjecture --id 2 --primes 4,6,8,10 --max 1500",
+    ("conjecture --id 2 --primes 4,6,8,10 --max 1500", EXIT_OK,
      "ce729ae6620d66ef58930de7e3842b5dba0a15b2b1913e70cf800bbf2317ee15"),
     # above the int64-dot bound: the scaled route's limb inner products,
     # one per step over one array of limbs
-    ("mod --seq b --modulus 3037000493,3037000507,4294967311 --max 3000",
+    ("mod --seq b --modulus 3037000493,3037000507,4294967311 --max 3000", EXIT_OK,
      "d653ab4b4eb8a26ec3c8e4ff7a45453683e5e76c7cc7a4a039a3c39c8593c64b"),
     # mixed moduli: 9 * 337 444 501 and 43 * 999 983 walk Pascal rows mod 9
     # and 43 only; the digest is that of whole moduli on Pascal rows
-    ("mod --seq b --modulus 3037000509,42999269 --max 3000",
+    ("mod --seq b --modulus 3037000509,42999269 --max 3000", EXIT_OK,
      "5bf207ec5ad4e8dc32abe1b8951406416f13424f1fc3c5d5847d133f08aae1d5"),
     # smooth moduli, one Pascal pass each: the "int64" arm mod 10^9 and the
     # "object" arm mod 10^12, which stop at their certified zero tails, at
     # n = 125 and n = 151
-    ("mod --seq b --modulus 1000000000,1000000000000 --max 1200",
+    ("mod --seq b --modulus 1000000000,1000000000000 --max 1200", EXIT_OK,
      "15d5485c84c1bd2165768470bafc6a4406019d2a0d636c011e87ef7050f873b9"),
     # zero tails: Pascal rows mod 41 stop at n = 1681, the scaled limbs mod
     # 2^40 after 22 steps, and 11 * 3 037 000 507 joins Pascal rows mod 11,
     # stopped at n = 11, to a full scaled pass; recorded before the kernels
     # stopped, so the stop changes no residue
-    ("mod --seq b --modulus 41,1099511627776,33407005577 --max 3000",
+    ("mod --seq b --modulus 41,1099511627776,33407005577 --max 3000", EXIT_OK,
      "48f3906e8296bc8601b6c299de480b9006aa8e9410163d4bafa796cd727432fe"),
     # odd parts below 2n, with and without 2^30, walk Pascal rows whole: 3
     # and 12 share one pass mod 12 on the "int64-dot" arm, and 3 * 2^30 runs
     # alone on the "object" arm; recorded when such odd parts skipped the
     # running factorial of the plan
-    ("mod --seq b --modulus 3,12,3221225472 --max 1200",
+    ("mod --seq b --modulus 3,12,3221225472 --max 1200", EXIT_OK,
      "aebe9684e6dc2952f10c4cc0d2dd8dda1fce96b70396c1c422d018583914bc9d"),
     # the longest 2 x n sweep that stays on chocolate2 (101 takes the residue
     # route); recorded when chocolate2 summed whole values, not odd parts
-    ("gen --seq b --max 100",
+    ("gen --seq b --max 100", EXIT_OK,
      "cf9770b554d85b1b00bd3d7e7c1a846f9eac45069db4584b8ad9180fdc3c26fe"),
     # the longest square sweep that stays on big integers (28 takes the
     # residue route); recorded when the sweep counted one square at a time
-    ("gen --seq square --max 27",
+    ("gen --seq square --max 27", EXIT_OK,
      "2e52cd87e8ea42c0fb4bf571f0fcd326690575db5a449963612083ba0285f944"),
     # sweeps that take every value from one residue fill of their largest
     # bar; recorded on the big-integer sweeps
-    ("gen --seq b --max 300",
+    ("gen --seq b --max 300", EXIT_OK,
      "ea0dc484409ea48ee4a0cb72edb3983e87e92ebe7d4593bd33894ba40ca43a39"),
-    ("gen --seq square --max 34",
+    ("gen --seq square --max 34", EXIT_OK,
      "e438303939798106fc22aa2a79ba729112600a067bcc4710b393899a5ac0552f"),
     # two chunks of the fill; recorded when the same sweep took four
-    ("gen --seq square --max 40",
+    ("gen --seq square --max 40", EXIT_OK,
      "708627e8532fe5f6bc128c414002d049deea5b2278d299da7710443ad50e7ef3"),
     # sweeps that fill each bar once on big integers; recorded on the sweeps
     # that filled bar by bar
-    ("gen --seq triangle --max 43",
+    ("gen --seq triangle --max 43", EXIT_OK,
      "48781bf3e2570e2b3cd7762cd0c28826e37119c2aa644fb38c5c8917635ddeae"),
-    ("gen --seq table --max 36",
+    ("gen --seq table --max 36", EXIT_OK,
      "f08c17dd4acfef08ec38717ffc8d7d4393f15757573ce913e3b0de8cd7785555"),
+    # 4 x 6 takes 23 moves, counted one layer at a time
+    ("oracle --m 4 --n 6 --area-limit 24 --compare", EXIT_OK,
+     "237616480594708660224 == 237616480594708660224\n"),
+    # the series checks at the order the benchmark runs them, and the linear
+    # ODE and the hypergeometric product past the orders tested above
+    ("series --check riccati --order 150", EXIT_OK, "residual zero through order 149\n"),
+    ("series --check hypergeom --order 150", EXIT_OK, "residual zero through order 150\n"),
+    ("series --check ode --order 20", EXIT_OK, "identity holds through order 19\n"),
+    ("series --check hypergeom --order 20", EXIT_OK, "residual zero through order 20\n"),
+    # period 903, half of 43 * 42, from the start; --hint-pp1 changes nothing
+    ("period --seq p --modulus 43 --max 18060", EXIT_OK,
+     "p 43 18060 true 0 903 false 18060\n"),
+    ("period --seq p --modulus 43 --max 18060 --hint-pp1", EXIT_OK,
+     "p 43 18060 true 0 903 false 18060\n"),
+    # B_107 has the prime factor 2751857: the zero-tail certificate is
+    # computed, not searched, so this answers at once
+    ("conjecture --id 1 --primes 2751857 --max 107", EXIT_UNRESOLVED,
+     "1 2751857 107 UNRESOLVED 106 1 trailing zeros from index 107 on a "
+     "classifier-false prime; cannot certify either way\n"),
 ]
 
 
-@pytest.mark.parametrize("argv,digest", CI_DIGESTS)
-def test_stdout_matches_the_ci_digest(capsys, argv, digest):
-    # the sha256 digests that the CI smoke step checks for these commands
-    code, out, _ = run(capsys, *argv.split())
-    assert code == EXIT_OK
-    assert hashlib.sha256(out.encode()).hexdigest() == digest
-
-
-def test_the_ci_digests_are_the_tested_ones():
-    # each `echo '<digest>  -' > expected.txt` of the workflow pairs with the
-    # next `chocnum ... | sha256sum`; a digest added to or dropped from
-    # either side fails here
-    workflow = Path(__file__).resolve().parents[1] / ".github" / "workflows" / "tests.yml"
-    pairs, digest = [], None
-    for line in workflow.read_text().splitlines():
-        if match := re.search(r"echo '([0-9a-f]{64})  -' > expected.txt", line):
-            digest = match[1]
-        elif match := re.search(r"chocnum (.*?) \| sha256sum", line):
-            pairs.append((match[1], digest))
-    assert pairs == CI_DIGESTS
+@pytest.mark.parametrize("argv,code,stdout", GOLDEN, ids=[argv for argv, _, _ in GOLDEN])
+def test_stdout_matches_the_golden_output(capsys, argv, code, stdout):
+    got, out, _ = run(capsys, *argv.split())
+    assert got == code
+    assert stdout in (out, hashlib.sha256(out.encode()).hexdigest())
 
 
 def listed_fields(help_text):

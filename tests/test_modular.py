@@ -688,9 +688,11 @@ def test_chocolate2_mod_matches_log_derivative_reference_at_1500(m):
 
 def test_chocolate2_mod_matches_the_big_integer_counts_at_600():
     # every small modulus, stopped or not, on both routes and all three
-    # kernel classes, and through the CRT join of 11 * 3 037 000 507
+    # kernel classes, through the CRT join of 11 * 3 037 000 507, and the
+    # scaled route's limbs mod a prime and a semiprime above the int64-dot bound
     want = exact_b(600)
-    for m in [*range(2, 301), 2**40, 10**12, 41 * 1024, 11 * 3_037_000_507]:
+    for m in [*range(2, 301), 2**40, 10**12, 41 * 1024, 11 * 3_037_000_507,
+              3_037_000_507, 1_000_003 * 1_000_033]:
         assert chocolate2_mod(600, m) == [v % m for v in want], m
 
 
