@@ -127,21 +127,14 @@ def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]]) 
     ``computed``; False, with nothing stored, when the big-integer fill
     should run instead, as it does for a bar the fill has no plan for.
 
-    The residue route pays only for large values.  It needs m >= 2 and an
-    empty memo, so a warm table keeps reusing the big-integer memo.  Above
-    that, time alone decides: the route takes a long bar once
-    (mn-1) * E.bit_length() >= 900 m, the crossover measured over 2 x n,
-    3 x n, 5 x n, 6 x n, 10 x n, 20 x n and 30 x n, and every bar from
-    28 x 28 on (m >= 28).  E = m(n-1) + n(m-1) bounds the breaks one state
-    offers, since every available break cuts interior unit edges that no
-    other available break cuts.  The rule is checked before ``fill``, and
-    numpy with it, is loaded by ``chocnum.load_fill``.  When the loader
-    refuses a caller too deep in its stack, or the import fails, numpy
-    missing or ``fill`` nesting past the limit, the count is left to the
-    big-integer fill.
+    The route needs an empty memo, so a warm table keeps reusing the
+    big-integer memo, and a bar that ``_routes`` takes.  Both are checked
+    before ``fill``, and numpy with it, is loaded by
+    ``chocnum.load_fill``.  When the loader refuses a caller too deep in
+    its stack, or the import fails, numpy missing or ``fill`` nesting past
+    the limit, the count is left to the big-integer fill.
     """
-    breaks = m * (n - 1) + n * (m - 1)
-    if m < 2 or table.memo or (m < 28 and (m * n - 1) * breaks.bit_length() < 900 * m):
+    if table.memo or not _routes(m, n):
         return False
     try:
         fill = load_fill()
@@ -152,6 +145,19 @@ def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]]) 
     table.memo.update(zip(cells, counts))
     table.computed += len(cells)
     return True
+
+
+def _routes(m: int, n: int) -> bool:
+    """Whether a fresh m x n bar (m <= n) is worth the residue route, which
+    pays only for large values: it needs m >= 2, and then time alone
+    decides.  The route takes a long bar once (mn-1) * E.bit_length() >=
+    900 m, the crossover measured over 2 x n, 3 x n, 5 x n, 6 x n, 10 x n,
+    20 x n and 30 x n, and every bar from 28 x 28 on (m >= 28).
+    E = m(n-1) + n(m-1) bounds the breaks one state offers, since every
+    available break cuts interior unit edges that no other available break
+    cuts."""
+    breaks = m * (n - 1) + n * (m - 1)
+    return m >= 2 and (m >= 28 or (m * n - 1) * breaks.bit_length() >= 900 * m)
 
 
 def chocolate2(n: int, table: ChocolateTable | None = None) -> int:

@@ -315,16 +315,11 @@ def residue_count(m, n):
     return fill_mod.residue_counts(m, n, [(m, n)])[0]
 
 
-def route_plan(m, n, table=None):
+def route_plan(m, n):
     """The plan of the fill a fresh count of m x n takes (``fill._plan``),
     or None when the route rule keeps the big-integer fill; nothing is
     filled or stored."""
-    plans = []
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(fill_mod, "residue_counts",
-                      lambda m, n, cells: plans.append(fill_mod._plan(m, n)))
-        assert not chocolate_mod._route(table or ChocolateTable(), m, n, [])
-    return plans[0] if plans else None
+    return fill_mod._plan(m, n) if chocolate_mod._routes(m, n) else None
 
 
 def test_residue_fill_matches_the_big_integer_fill():
@@ -461,13 +456,15 @@ def test_route_matches_chocolate2_on_a_long_bar():
     assert chocolate_number(2, 600) == chocolate2(600)
 
 
-def test_residue_route_takes_every_bar_from_28_x_28():
-    # all three bars fail the 900 m size rule, so the short side alone decides
-    for m, n in ((27, 29), (27, 74), (28, 28)):
-        assert (m * n - 1) * (m * (n - 1) + n * (m - 1)).bit_length() < 900 * m
-    assert route_plan(27, 29) is None
-    assert route_plan(27, 74) is None
-    assert isinstance(route_plan(28, 28), tuple)
+@pytest.mark.parametrize("m,n,routes", [
+    (2, 100, False), (2, 101, True), (10, 81, False), (10, 82, True),  # the 900 m
+    (27, 75, False), (27, 76, True),  # size rule's edges
+    (27, 29, False), (28, 28, True),  # the short side alone decides
+    (1, 10**6, False),  # a single row has no route
+])
+def test_residue_route_takes_every_bar_from_28_x_28(m, n, routes):
+    # no bar m < 28 meets the size rule with equality
+    assert chocolate_mod._routes(m, n) is routes
 
 
 def test_count_bound_holds_on_every_bar_of_area_up_to_400():
@@ -576,8 +573,10 @@ def test_blocked_dot_products_are_exact(monkeypatch):
 
 def test_single_rows_and_warm_tables_keep_the_big_integer_fill():
     assert route_plan(1, 3000) is None
-    assert route_plan(2, 300, seeded_table()) is None
     assert route_plan(2, 300) is not None
+    table = seeded_table()
+    assert not chocolate_mod._route(table, 2, 300, [(2, 300)])
+    assert (table.memo, table.computed) == ({(1, 1): 1}, 1)
     assert chocolate_number(1, 3000) == chocolate_number(3000, 1) == math.factorial(2999)
     assert chocolate_number(2, 300, seeded_table()) == chocolate2(300)
 

@@ -42,26 +42,6 @@ def run(capsys, *argv):
 # ------------------------------------------------------------------- gen
 
 
-def test_gen_two_by_n_plain(capsys):
-    code, out, _ = run(capsys, "gen", "--seq", "b", "--max", "5")
-    assert code == EXIT_OK
-    assert out.splitlines() == ["1 1", "2 4", "3 56", "4 1712", "5 92800"]
-
-
-def test_gen_distinct_plain(capsys):
-    code, out, _ = run(capsys, "gen", "--seq", "distinct", "--limit", "60")
-    assert code == EXIT_OK
-    assert out.splitlines() == ["1", "2", "4", "6", "24", "56"]
-
-
-def test_gen_square_and_triangle(capsys):
-    code, out, _ = run(capsys, "gen", "--seq", "square", "--max", "3")
-    assert code == EXIT_OK and out.splitlines() == ["1 1", "2 4", "3 9408"]
-    code, out, _ = run(capsys, "gen", "--seq", "triangle", "--max", "3")
-    assert code == EXIT_OK
-    assert out.splitlines() == ["1 1 1", "1 2 1", "2 1 1", "1 3 2", "2 2 4", "3 1 2"]
-
-
 def test_gen_table_csv_round_trips(capsys):
     code, out, _ = run(capsys, "gen", "--seq", "table", "--max", "3", "--format", "csv")
     assert code == EXIT_OK
@@ -368,13 +348,6 @@ def test_gen_conflicting_cache_is_a_usage_error(capsys, tmp_path):
 # ---------------------------------------------------------------- oracle
 
 
-def test_oracle_plain_and_compare(capsys):
-    code, out, _ = run(capsys, "oracle", "--m", "2", "--n", "3")
-    assert code == EXIT_OK and out.strip() == "56"
-    code, out, _ = run(capsys, "oracle", "--m", "2", "--n", "2", "--compare")
-    assert code == EXIT_OK and out.strip() == "4 == 4"
-
-
 def test_oracle_compare_fails_loudly_on_mismatch(capsys, monkeypatch):
     monkeypatch.setattr(cli, "count_sequences", lambda m, n, limit: 99)
     code, out, err = run(capsys, "oracle", "--m", "2", "--n", "2", "--compare")
@@ -404,17 +377,6 @@ def test_oracle_area_limit_must_be_positive(capsys, limit):
 
 
 # ---------------------------------------------------------------- factor
-
-
-def test_factor_two_by_n(capsys):
-    code, out, _ = run(capsys, "factor", "--seq", "b", "--index", "4")
-    assert code == EXIT_OK and out.strip() == "4 1712 2^4 * 107"
-
-
-def test_factor_table(capsys):
-    code, out, _ = run(capsys, "factor", "--seq", "table", "--index", "4", "4")
-    assert code == EXIT_OK
-    assert out.strip() == "4 4 63352393728 2^12 * 3 * 13 * 19 * 20873"
 
 
 @pytest.mark.parametrize("n", [4, 150])
@@ -466,12 +428,6 @@ def test_nu_bound_check_reports_a_violation(capsys, monkeypatch):
     assert [r["ok"] for r in rows] == ["true", "false", "false", "false"]
 
 
-def test_nu_table_plain(capsys):
-    code, out, _ = run(capsys, "nu", "--p", "2", "--seq", "table", "--max", "2")
-    assert code == EXIT_OK
-    assert out.splitlines() == ["1 1 0", "1 2 0", "2 1 0", "2 2 2"]
-
-
 def test_nu_bound_check_requires_p2(capsys):
     code, _, err = run(
         capsys, "nu", "--p", "3", "--seq", "b", "--max", "5", "--check-bound"
@@ -485,16 +441,6 @@ def test_nu_rejects_composite_p(capsys):
 
 
 # ------------------------------------------------------------------- mod
-
-
-def test_mod_multiple_moduli_in_input_order(capsys):
-    code, out, _ = run(
-        capsys, "mod", "--seq", "b", "--modulus", "3,5", "--max", "4"
-    )
-    assert code == EXIT_OK
-    lines = out.splitlines()
-    assert lines[:4] == ["b 3 1 1", "b 3 2 1", "b 3 3 2", "b 3 4 2"]
-    assert lines[4:] == ["b 5 1 1", "b 5 2 4", "b 5 3 1", "b 5 4 2"]
 
 
 def test_mod_grouped_moduli_print_like_single_runs(capsys):
@@ -515,11 +461,6 @@ def test_mod_rejects_a_modulus_below_two_in_a_list(capsys):
     code, out, err = run(capsys, "mod", "--seq", "b", "--modulus", "9,1", "--max", "40")
     assert code == EXIT_USAGE and out == ""
     assert "modulus must be >= 2, got 1" in err
-
-
-def test_mod_hyper_numerators(capsys):
-    code, out, _ = run(capsys, "mod", "--seq", "p", "--modulus", "7", "--max", "1")
-    assert code == EXIT_OK and out.strip() == "p 7 1 3"
 
 
 def test_mod_matches_library(capsys):
@@ -605,18 +546,6 @@ def test_period_eventually_zero(capsys):
 
 
 # ---------------------------------------------------------------- series
-
-
-def test_series_riccati(capsys):
-    code, out, _ = run(capsys, "series", "--check", "riccati", "--order", "20")
-    assert code == EXIT_OK and out.strip() == "residual zero through order 19"
-
-
-def test_series_ode_and_hypergeom(capsys):
-    code, out, _ = run(capsys, "series", "--check", "ode", "--order", "12")
-    assert code == EXIT_OK and out.strip() == "identity holds through order 11"
-    code, out, _ = run(capsys, "series", "--check", "hypergeom", "--order", "12")
-    assert code == EXIT_OK and out.strip() == "residual zero through order 12"
 
 
 def test_series_ode_failure(capsys, monkeypatch):
@@ -724,6 +653,22 @@ def test_conjecture_csv_round_trips(capsys):
 
 
 GOLDEN = [  # (argv, exit code, the whole stdout or, for a long one, its sha256)
+    ("gen --seq b --max 5", EXIT_OK, "1 1\n2 4\n3 56\n4 1712\n5 92800\n"),
+    ("gen --seq distinct --limit 60", EXIT_OK, "1\n2\n4\n6\n24\n56\n"),
+    ("gen --seq square --max 3", EXIT_OK, "1 1\n2 4\n3 9408\n"),
+    ("gen --seq triangle --max 3", EXIT_OK, "1 1 1\n1 2 1\n2 1 1\n1 3 2\n2 2 4\n3 1 2\n"),
+    ("oracle --m 2 --n 3", EXIT_OK, "56\n"),
+    ("oracle --m 2 --n 2 --compare", EXIT_OK, "4 == 4\n"),
+    ("factor --seq b --index 4", EXIT_OK, "4 1712 2^4 * 107\n"),
+    ("factor --seq table --index 4 4", EXIT_OK, "4 4 63352393728 2^12 * 3 * 13 * 19 * 20873\n"),
+    ("nu --p 2 --seq table --max 2", EXIT_OK, "1 1 0\n1 2 0\n2 1 0\n2 2 2\n"),
+    # several moduli print in the order given
+    ("mod --seq b --modulus 3,5 --max 4", EXIT_OK,
+     "b 3 1 1\nb 3 2 1\nb 3 3 2\nb 3 4 2\nb 5 1 1\nb 5 2 4\nb 5 3 1\nb 5 4 2\n"),
+    ("mod --seq p --modulus 7 --max 1", EXIT_OK, "p 7 1 3\n"),
+    ("series --check riccati --order 20", EXIT_OK, "residual zero through order 19\n"),
+    ("series --check ode --order 12", EXIT_OK, "identity holds through order 11\n"),
+    ("series --check hypergeom --order 12", EXIT_OK, "residual zero through order 12\n"),
     # the longest Pascal-row pass the benchmark runs, 9999 steps; recorded
     # when every step built its own views
     ("mod --seq b --modulus 9 --max 10000", EXIT_OK,
@@ -894,102 +839,71 @@ def test_data_on_stdout_errors_on_stderr(capsys):
     assert out == "" and err != ""
 
 
-NUMPY_PROBE = """
-import contextlib, io, sys
-from chocnum import chocolate2, chocolate_number
-from chocnum.cli import main
-
-def run(*argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        assert main(list(argv)) == 0, argv
-    return out.getvalue()
-
-run("--help")
-run("gen", "--seq", "b", "--max", "5")
-run("gen", "--seq", "table", "--max", "10")
-run("gen", "--seq", "square", "--max", "27")  # below the sweep route
-run("gen", "--seq", "b", "--max", "100")
-run("factor", "--seq", "b", "--index", "5")
-run("factor", "--seq", "table", "--index", "4", "5")
-run("oracle", "--m", "2", "--n", "3", "--compare")
-run("nu", "--p", "2", "--seq", "b", "--max", "5")
-run("series", "--check", "riccati", "--order", "10")
-run("mod", "--seq", "p", "--modulus", "7", "--max", "5")
-run("period", "--seq", "p", "--modulus", "7", "--max", "60")
-chocolate_number(2, 100)  # below the residue route's crossover
-assert "numpy" not in sys.modules, "numpy loaded without a residue scan or a long bar"
-"""
-
-# each loads numpy; the probe above must not
-NUMPY_LOADERS = {
-    "the residue scan": """
-residues = run("mod", "--seq", "b", "--modulus", "9", "--max", "5")
-assert residues == "b 9 1 1\\nb 9 2 4\\nb 9 3 2\\nb 9 4 2\\nb 9 5 1\\n", residues
-""",
-    "the residue route": """
-assert chocolate_number(2, 300) == chocolate2(300)
-""",
-    "the sweep route": """
-run("gen", "--seq", "square", "--max", "28")
-""",
-}
-
-
-def test_only_residue_scans_load_numpy():
-    # fresh interpreters, since this one has long since imported numpy
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    env.pop(cli.CACHE_ENV, None)
-    for name, loader in NUMPY_LOADERS.items():
-        probe = f"{NUMPY_PROBE}{loader}assert 'numpy' in sys.modules, '{name} ran without numpy'\n"
-        proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=60)
-        assert proc.returncode == 0, proc.stderr
-
-
 IMPORT_PROBE = """
 import contextlib, io, sys
 import chocnum.cli
 
-argv = {argv!r}
-if argv:
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert chocnum.cli.main(argv) == 0, argv
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert chocnum.cli.main(argv.split()) == 0, argv
+    return out.getvalue()
+
+{snippet}
 print(sorted(name for name in {watched!r} if name in sys.modules))
 """
 WATCHED = ("chocnum.arith", "chocnum.fill", "chocnum.modular", "chocnum.series", "numpy",
            "fractions", "json", "csv")
+LIGHT_SESSION = """# every light command in one process, then a bar below the route
+run("--help")
+run("gen --seq b --max 5")
+run("gen --seq table --max 10")
+run("gen --seq square --max 27")  # below the sweep route
+run("gen --seq b --max 100")
+run("factor --seq b --index 5")
+run("factor --seq table --index 4 5")
+run("oracle --m 2 --n 3 --compare")
+run("nu --p 2 --seq b --max 5")
+run("series --check riccati --order 10")
+run("mod --seq p --modulus 7 --max 5")
+run("period --seq p --modulus 7 --max 60")
+chocnum.chocolate_number(2, 100)  # below the residue route's crossover
+"""
+FILL = ["chocnum.arith", "chocnum.fill", "numpy"]
 
-
-IMPORT_CASES = [
-    ((), []),
-    (("--help",), []),
-    (("gen", "--seq", "b", "--max", "5"), []),
-    (("gen", "--seq", "b", "--max", "5", "--format", "csv"), ["csv"]),
-    (("gen", "--seq", "b", "--max", "5", "--format", "jsonl"), ["json"]),
-    (("gen", "--seq", "b", "--max", "101"), ["chocnum.arith", "chocnum.fill", "numpy"]),
-    (("oracle", "--m", "2", "--n", "3", "--compare"), []),
-    (("factor", "--seq", "b", "--index", "5"), ["chocnum.arith"]),
-    (("nu", "--p", "2", "--seq", "b", "--max", "5"), ["chocnum.arith"]),
-    (("mod", "--seq", "p", "--modulus", "7", "--max", "5"),
-     ["chocnum.arith", "chocnum.modular"]),
-    (("period", "--seq", "p", "--modulus", "7", "--max", "60"),
-     ["chocnum.arith", "chocnum.modular"]),
-    (("mod", "--seq", "b", "--modulus", "9", "--max", "5"),
+IMPORT_CASES = [  # (snippet, the watched modules it leaves loaded)
+    ("", []),
+    ('run("--help")', []),
+    ('run("gen --seq b --max 5")', []),
+    ('run("gen --seq b --max 5 --format csv")', ["csv"]),
+    ('run("gen --seq b --max 5 --format jsonl")', ["json"]),
+    ('run("gen --seq b --max 101")', FILL),
+    ('run("oracle --m 2 --n 3 --compare")', []),
+    ('run("factor --seq b --index 5")', ["chocnum.arith"]),
+    ('run("nu --p 2 --seq b --max 5")', ["chocnum.arith"]),
+    ('run("mod --seq p --modulus 7 --max 5")', ["chocnum.arith", "chocnum.modular"]),
+    ('run("period --seq p --modulus 7 --max 60")', ["chocnum.arith", "chocnum.modular"]),
+    ('run("series --check ode --order 10")', ["chocnum.series", "fractions"]),
+    (LIGHT_SESSION, ["chocnum.arith", "chocnum.modular", "chocnum.series", "fractions"]),
+    # each residue scan, route and sweep route loads numpy
+    ('residues = run("mod --seq b --modulus 9 --max 5")\n'
+     'assert residues == "b 9 1 1\\nb 9 2 4\\nb 9 3 2\\nb 9 4 2\\nb 9 5 1\\n", residues',
      ["chocnum.arith", "chocnum.fill", "chocnum.modular", "numpy"]),
-    (("series", "--check", "ode", "--order", "10"), ["chocnum.series", "fractions"]),
+    ("assert chocnum.chocolate_number(2, 300) == chocnum.chocolate2(300)", FILL),
+    ('run("gen --seq square --max 28")', FILL),
 ]
 
 
-@pytest.mark.parametrize("argv, loaded", IMPORT_CASES,
-                         ids=[" ".join(argv) or "import" for argv, _ in IMPORT_CASES])
-def test_each_subcommand_imports_only_what_it_runs(argv, loaded):
-    # fresh interpreters compiling from source, as a process without cached
-    # bytecode starts
+@pytest.mark.parametrize("snippet, loaded", IMPORT_CASES,
+                         ids=[snippet.splitlines()[0] if snippet else "import"
+                              for snippet, _ in IMPORT_CASES])
+def test_each_subcommand_imports_only_what_it_runs(snippet, loaded):
+    # fresh interpreters, since this one has long since imported numpy,
+    # compiling from source, as a process without cached bytecode starts
     env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
                PYTHONDONTWRITEBYTECODE="1")
     env.pop(cli.CACHE_ENV, None)
-    probe = IMPORT_PROBE.format(argv=list(argv), watched=WATCHED)
+    probe = IMPORT_PROBE.format(snippet=snippet, watched=WATCHED)
     proc = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr

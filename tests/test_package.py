@@ -1,6 +1,9 @@
-"""The package namespace: public names resolved in their submodules."""
+"""The package namespace: public names resolved in their submodules, and
+the one module that imports numpy."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +64,23 @@ def test_names_are_not_cached_in_the_package(monkeypatch):
 def test_submodules_are_reachable_after_a_bare_import():
     for module in EXPORTED:
         assert chocnum.__getattr__(module) is importlib.import_module(f"chocnum.{module}")
+
+
+def test_only_fill_imports_numpy():
+    # every import statement, function-local ones too, of every module of
+    # the package this run imports: the installed copy, where there is one
+    importers = set()
+    for path in Path(chocnum.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(path.name)
+    assert importers == {"fill.py"}
 
 
 def _series(*coeffs):
