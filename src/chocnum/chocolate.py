@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 import operator
 import os
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -41,12 +42,15 @@ class ChocolateTable:
     Normalizing keys halves the table: an m x n bar and its transpose break
     in equally many ways.  ``computed`` counts the bars actually filled (memo
     misses), which lets tests prove that a reloaded cache short-circuits the
-    computation.
+    computation.  ``chocolate2`` keeps its odd parts and odd(k) here, so a
+    table grown one n at a time extends them instead of rebuilding them.
     """
 
     def __init__(self) -> None:
         self.memo: dict[tuple[int, int], int] = {}
         self.computed = 0
+        self._odd_parts = [0, 1]  # h_j = B_j >> e_j of chocolate2, j < len
+        self._odd = [0]  # odd(k) = k >> v2(k), k < len
 
     def __len__(self) -> int:
         return len(self.memo)
@@ -71,7 +75,8 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     if table is None:
         table = ChocolateTable()
     m, n = min(m, n), max(m, n)
-    if (m, n) not in table.memo and not _route(table, m, n, [(m, n)]):
+    if (m, n) not in table.memo and not _route(table, m, n, [(m, n)],
+                                               "chocnum.fill" in sys.modules):
         _fill(table, ((b, min(b, m)) for b in range(n if m == 1 else 2, n + 1)))
     return table.memo[(m, n)]
 
@@ -121,20 +126,21 @@ def _fill(table: ChocolateTable, columns) -> None:
         raise ValueError(f"{a} x {b} reads {exc.args[0]}, which no earlier cell filled") from None
 
 
-def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]]) -> bool:
+def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]],
+           warm: bool) -> bool:
     """Store the counts of ``cells`` from one residue fill of the m x n bar
     (m <= n), ``fill.residue_counts``, in the memo, and count them in
     ``computed``; False, with nothing stored, when the big-integer fill
     should run instead, as it does for a bar the fill has no plan for.
 
     The route needs an empty memo, so a warm table keeps reusing the
-    big-integer memo, and a bar that ``_routes`` takes.  Both are checked
-    before ``fill``, and numpy with it, is loaded by
+    big-integer memo, and a bar that ``_routes(m, n, warm)`` takes.  Both
+    are checked before ``fill``, and numpy with it, is loaded by
     ``chocnum.load_fill``.  When the loader refuses a caller too deep in
     its stack, or the import fails, numpy missing or ``fill`` nesting past
     the limit, the count is left to the big-integer fill.
     """
-    if table.memo or not _routes(m, n):
+    if table.memo or not _routes(m, n, warm):
         return False
     try:
         fill = load_fill()
@@ -147,17 +153,23 @@ def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]]) 
     return True
 
 
-def _routes(m: int, n: int) -> bool:
+def _routes(m: int, n: int, warm: bool) -> bool:
     """Whether a fresh m x n bar (m <= n) is worth the residue route, which
     pays only for large values: it needs m >= 2, and then time alone
-    decides.  The route takes a long bar once (mn-1) * E.bit_length() >=
-    900 m, the crossover measured over 2 x n, 3 x n, 5 x n, 6 x n, 10 x n,
-    20 x n and 30 x n, and every bar from 28 x 28 on (m >= 28).
-    E = m(n-1) + n(m-1) bounds the breaks one state offers, since every
-    available break cuts interior unit edges that no other available break
-    cuts."""
+    decides.  The route takes every bar from 28 x 28 on (m >= 28), and a
+    long bar once (mn-1) * E.bit_length() >= C m.  E = m(n-1) + n(m-1)
+    bounds the breaks one state offers, since every available break cuts
+    interior unit edges that no other available break cuts.
+
+    C is 900 in a cold process, the crossover measured over 2 x n to
+    30 x n with an earlier fill, which keeps numpy's import out of every
+    small count.  ``warm`` means ``fill`` is loaded, and numpy, its
+    compile and its primes are paid for: then C is 180, from the table of
+    ``tools/crossover.py``.  From that score on squares and square sweeps
+    break even or gain, and the narrow bars that lose up to a score of
+    about 230 lose under 0.1 ms each."""
     breaks = m * (n - 1) + n * (m - 1)
-    return m >= 2 and (m >= 28 or (m * n - 1) * breaks.bit_length() >= 900 * m)
+    return m >= 2 and (m >= 28 or (m * n - 1) * breaks.bit_length() >= (180 if warm else 900) * m)
 
 
 def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
@@ -172,7 +184,10 @@ def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
     = e_j-e_i-e_{j-i} and h_j = B_j/2^e_j = odd((2j-2)!) + sum odd(C) h_i h_{j-i}.
     The odd weights step as C(r, k+2) = C(r, k)(r-k)(r-k-1) // ((k+1)(k+2))
     does at r = 2j-2, k = 2i-1, with the 2 of r-k-1 and of k+1 cancelled, so
-    the division stays exact.  The memo keeps B_j = h_j << e_j."""
+    the division stays exact.  The memo keeps B_j = h_j << e_j, and the
+    table keeps the h_j and odd(k) built so far: a call reads the memo only
+    from the first j it has no h_j for, so a table grown one n at a time
+    does work in proportion to its new indices."""
     n = operator.index(n)
     if n < 1:
         raise ValueError(f"n must be positive, got {n}")
@@ -182,10 +197,10 @@ def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
     cached = memo.get((2, n))  # a warm read costs one lookup, not n
     if cached is not None:
         return cached
-    odd = [0] + [k // (k & -k) for k in range(1, n)]  # odd[k] = odd(k), k < n
-    h = [0, 1]  # h[j] = B_j >> e_j
-    fact = 1  # odd((2j-2)!) of the last j, or None when the memo gave B_j
-    for j in range(2, n + 1):
+    h, odd = table._odd_parts, table._odd  # h[j] = B_j >> e_j, odd[k] = odd(k)
+    odd.extend(k // (k & -k) for k in range(len(odd), n))
+    fact = None  # odd((2j-2)!) of the last j; None at the first j and after a memo hit
+    for j in range(len(h), n + 1):
         e = 2 * j - 2 - (j - 1).bit_count()
         v = memo.get((2, j))
         if v is not None:
@@ -201,10 +216,10 @@ def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
         v = fact + 2 * twice
         if j % 2 == 0:
             v += weight * h[j // 2] ** 2
-        h.append(v)
         memo[(2, j)] = v << e
+        h.append(v)
         table.computed += 1
-    return memo[(2, n)] if n > 1 else 1
+    return h[n] << 2 * n - 2 - (n - 1).bit_count()
 
 
 class SequenceKind(Enum):
@@ -259,7 +274,10 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
     if spec.kind in (SequenceKind.SQUARE, SequenceKind.TWO_BY_N):
         square = spec.kind is SequenceKind.SQUARE
         cells = [(b if square else 2, b) for b in range(2, k + 1)]
-        _route(table, k if square else 2, k, cells)  # False for 2 x 1, as for any small bar
+        # False for 2 x 1, as for any small bar.  A 2 x n sweep's big-integer
+        # side is chocolate2, which beats the route to about 2 x 190 even with
+        # fill loaded (tools/crossover.py): it keeps the cold rule
+        _route(table, k if square else 2, k, cells, square and "chocnum.fill" in sys.modules)
         last = max((b for a, b in cells if (a, b) not in memo), default=1)
         if square:
             _fill(table, ((b, b) for b in range(1, last + 1)))  # and 1 x 1, if missing

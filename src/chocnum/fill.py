@@ -36,6 +36,7 @@ _PRIME_CEILING = 1 << 26
 _DOT_BLOCK = (1 << 11) - 1
 _FILL_BYTES = 2 << 20
 _FILL_RESERVE = 32 << 10
+_READ = 1 << 10  # residues per read of residue_counts' fold, 36 KiB as Python ints
 _crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
 _INT64_MAX = 2**63 - 1  # the caps of pascal_residues
 # pascal_residues steps per set of views: 32, 64 and 128 ran alike, 256
@@ -58,30 +59,38 @@ def residue_counts(m: int, n: int, cells: list[tuple[int, int]]) -> list[int] | 
     the primes that ``_fewest_primes`` gives it, when the cells come in
     order of their bounds (any order is exact).  Its count is then c(a, b)
     times (ab-1)!, reduced once more.  The fold keeps one running value per
-    cell and reads the residues of one prime at a time from the chunk's
-    block."""
+    cell and the bound of the first cell still folding.  It reads the
+    residues of the cells still folding for as many primes at once as keep
+    a read within ``_READ`` values, so a single cell takes one read per
+    chunk, and a sweep holds nothing per prime beyond one read."""
     if not (plan := _plan(m, n)):
         return None
     primes, per_chunk = plan
     counts, modulus, done, top, moves = [0] * len(cells), 1, 0, 0, 1  # moves = top!
+    bound = None  # _count_bound of cells[done], once computed
     for s in range(0, len(primes), per_chunk):
         chunk = primes[s:s + per_chunk]
         f, slots = fill_chunk(m, n, chunk, cells)
-        for j, p in enumerate(chunk):
-            inverse = pow(modulus, -1, p)
-            for i, r in enumerate(f[slots[done:], j].tolist(), start=done):
-                counts[i] += (r - counts[i] % p) * inverse % p * modulus
-            modulus *= p
-            while done < len(cells):
-                a, b = cells[done]
-                if top != a * b - 2:  # (ab-2)!, stepped up from the last cell's
-                    moves = (moves * math.prod(range(top + 1, a * b - 1)) if top < a * b - 2
-                             else math.factorial(a * b - 2))
-                    top = a * b - 2
-                if modulus <= (a + b - 2) * moves:  # _count_bound(a, b)
-                    break
-                counts[done] = counts[done] * moves * (a * b - 1) % modulus
-                done += 1
+        k = max(1, _READ // max(1, len(cells) - done))  # primes per read
+        for j in range(0, len(chunk), k):
+            first = done
+            for p, column in zip(chunk[j:j + k], f[slots[first:], j:j + k].T.tolist()):
+                inverse = pow(modulus, -1, p)
+                for i, r in enumerate(column[done - first:], start=done):
+                    counts[i] += (r - counts[i] % p) * inverse % p * modulus
+                modulus *= p
+                while done < len(cells):
+                    a, b = cells[done]
+                    if bound is None:
+                        if top != a * b - 2:  # (ab-2)!, stepped up from the last cell's
+                            moves = (moves * math.prod(range(top + 1, a * b - 1))
+                                     if top < a * b - 2 else math.factorial(a * b - 2))
+                            top = a * b - 2
+                        bound = (a + b - 2) * moves  # _count_bound(a, b)
+                    if modulus <= bound:
+                        break
+                    counts[done] = counts[done] * moves * (a * b - 1) % modulus
+                    done, bound = done + 1, None
         del f  # the next chunk's block takes its place
     return counts
 
@@ -95,7 +104,8 @@ def _plan(m: int, n: int) -> tuple[list[int], int] | None:
     One chunk holds at most ``_FILL_BYTES``: one block of ``_FILL_BYTES -
     _FILL_RESERVE`` bytes for all its arrays, whose use ``_fill_bytes``
     counts from the plan alone, and the reserve for what it holds besides
-    (the running CRT, the staged inverses, numpy's iterators); a sweep's
+    (the running CRT, one read of the fold, the staged inverses, numpy's
+    iterators); a sweep's
     cells and running values, one of each per cell, come on top.  numpy
     may add a buffer of up to 64 KiB for a broadcast operand."""
     fixed = _fill_bytes(m, n, 0)

@@ -137,6 +137,35 @@ def test_chocolate2_reads_back_entries_the_split_recursion_counted():
     assert table.computed - before == 299 - 59 - 5
 
 
+class CountingMemo(dict):
+    """A memo that counts the reads of its entries."""
+
+    reads = 0
+
+    def get(self, key, default=None):
+        self.reads += 1
+        return super().get(key, default)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+
+def test_a_table_grown_one_n_at_a_time_extends_its_odd_parts():
+    # the values of one cold call; computed rises by 1 per new index, and a
+    # call reads only its own entry, not every earlier one back again
+    cold = ChocolateTable()
+    chocolate2(200, cold)
+    table = ChocolateTable()
+    table.memo = CountingMemo()
+    for n in range(1, 201):
+        computed, reads = table.computed, table.memo.reads
+        assert chocolate2(n, table) == (cold.memo[(2, n)] if n > 1 else 1)
+        assert table.computed - computed == (n > 1)
+        assert table.memo.reads - reads <= 2, n
+    assert table.memo == cold.memo and table.computed == cold.computed == 199
+
+
 def test_every_term_of_b_n_carries_two_to_the_e_n():
     # e_n = v2((2n-2)!) = 2n-2-s2(n-1), which chocolate2 divides out; the
     # values come from one residue fill, not from chocolate2
@@ -316,10 +345,10 @@ def residue_count(m, n):
 
 
 def route_plan(m, n):
-    """The plan of the fill a fresh count of m x n takes (``fill._plan``),
-    or None when the route rule keeps the big-integer fill; nothing is
-    filled or stored."""
-    return fill_mod._plan(m, n) if chocolate_mod._routes(m, n) else None
+    """The plan of the fill a fresh count of m x n takes (``fill._plan``)
+    in a process that has loaded ``fill``, as this one has, or None when the
+    route rule keeps the big-integer fill; nothing is filled or stored."""
+    return fill_mod._plan(m, n) if chocolate_mod._routes(m, n, True) else None
 
 
 def test_residue_fill_matches_the_big_integer_fill():
@@ -331,12 +360,14 @@ def test_residue_fill_matches_the_big_integer_fill():
         assert residue_count(m, n) == big_integer_count(m, n), (m, n)
 
 
-@pytest.mark.parametrize("m,n,route", [
-    (2, 100, False), (2, 101, True), (3, 100, False), (3, 101, True),
-    (10, 81, False), (10, 82, True), (10, 200, True), (27, 29, False), (28, 28, True),
+@pytest.mark.parametrize("m,n", [
+    (9, 20), (4, 23), (2, 26), (2, 27), (3, 26), (3, 27), (10, 20), (10, 21), (18, 18),
+    (19, 19),  # warm
+    (2, 100), (2, 101), (3, 100), (3, 101), (10, 81), (10, 82), (10, 200), (27, 29), (28, 28),
 ])
-def test_route_agrees_with_the_big_integer_fill_at_the_crossover(m, n, route):
-    assert (route_plan(m, n) is not None) is route
+def test_route_agrees_with_the_big_integer_fill_at_the_crossover(m, n):
+    # both sides of each edge of ROUTE_PINS; this process has loaded fill,
+    # so the warm edges are where its counts start taking the route
     assert chocolate_number(m, n) == big_integer_count(m, n)
 
 
@@ -456,15 +487,38 @@ def test_route_matches_chocolate2_on_a_long_bar():
     assert chocolate_number(2, 600) == chocolate2(600)
 
 
-@pytest.mark.parametrize("m,n,routes", [
-    (2, 100, False), (2, 101, True), (10, 81, False), (10, 82, True),  # the 900 m
-    (27, 75, False), (27, 76, True),  # size rule's edges
-    (27, 29, False), (28, 28, True),  # the short side alone decides
-    (1, 10**6, False),  # a single row has no route
-])
-def test_residue_route_takes_every_bar_from_28_x_28(m, n, routes):
+ROUTE_PINS = [  # (m, n, warm, routes): both sides of every edge of _routes
+    # cold, 900 m
+    (2, 100, False, False), (2, 101, False, True), (3, 100, False, False),
+    (3, 101, False, True), (10, 81, False, False), (10, 82, False, True),
+    (10, 200, False, True), (27, 75, False, False), (27, 76, False, True),
+    (27, 29, False, False), (28, 28, False, True),  # the short side alone decides
+    # warm, 180 m: (mn-1) E.bit_length() is 179 m at 9 x 20 and 182 m at
+    # 4 x 23, and no bar m < 28 lies in between
+    (9, 20, True, False), (4, 23, True, True),
+    (2, 26, True, False), (2, 27, True, True), (3, 26, True, False), (3, 27, True, True),
+    (10, 20, True, False), (10, 21, True, True), (18, 18, True, False), (19, 19, True, True),
+    (27, 29, True, True),
+    # a single row has no route
+    (1, 10**6, False, False), (1, 10**6, True, False),
+]
+
+
+@pytest.mark.parametrize("m,n,warm,routes", ROUTE_PINS)
+def test_route_rule_pins_both_sides_of_each_edge(m, n, warm, routes):
     # no bar m < 28 meets the size rule with equality
-    assert chocolate_mod._routes(m, n) is routes
+    assert chocolate_mod._routes(m, n, warm) is routes
+
+
+def test_the_crossover_script_times_every_pinned_bar():
+    # the route pins and the table their constants come from cannot drift
+    # apart; a single row has no route fill to time
+    script = Path(__file__).resolve().parents[1] / "tools" / "crossover.py"
+    proc = subprocess.run([sys.executable, str(script), "--bars"],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    timed = {tuple(map(int, line.split()[1:])) for line in proc.stdout.splitlines()}
+    assert {(m, n) for m, n, _, _ in ROUTE_PINS if m >= 2} <= timed
 
 
 def test_count_bound_holds_on_every_bar_of_area_up_to_400():
@@ -572,10 +626,9 @@ def test_blocked_dot_products_are_exact(monkeypatch):
 
 
 def test_single_rows_and_warm_tables_keep_the_big_integer_fill():
-    assert route_plan(1, 3000) is None
     assert route_plan(2, 300) is not None
     table = seeded_table()
-    assert not chocolate_mod._route(table, 2, 300, [(2, 300)])
+    assert not chocolate_mod._route(table, 2, 300, [(2, 300)], True)
     assert (table.memo, table.computed) == ({(1, 1): 1}, 1)
     assert chocolate_number(1, 3000) == chocolate_number(3000, 1) == math.factorial(2999)
     assert chocolate_number(2, 300, seeded_table()) == chocolate2(300)
@@ -602,13 +655,14 @@ def fills(monkeypatch):
 
 
 @pytest.mark.parametrize("kind,bound,routed", [
-    (SequenceKind.SQUARE, 27, False), (SequenceKind.SQUARE, 28, True),
+    (SequenceKind.SQUARE, 18, False), (SequenceKind.SQUARE, 19, True),
     (SequenceKind.SQUARE, 33, True), (SequenceKind.TWO_BY_N, 100, False),
     (SequenceKind.TWO_BY_N, 101, True), (SequenceKind.TWO_BY_N, 600, True),
 ])
 def test_square_and_2_x_n_sweeps_take_one_fill_from_the_route(monkeypatch, kind, bound, routed):
     # against the big-integer sweep of a seeded table: every bar up to n x n,
-    # or chocolate2 at every index
+    # or chocolate2 at every index.  With fill loaded, squares take the warm
+    # rule and 2 x n sweeps keep the cold one
     calls = fills(monkeypatch)
     table = ChocolateTable()
     got = generate(SequenceSpec(kind, bound), table)
@@ -631,12 +685,23 @@ def test_warm_tables_keep_the_memo_path_in_sweeps(monkeypatch):
     assert calls == []
 
 
+def test_a_routed_2_x_n_sweep_seeds_a_table_that_grows_one_n_at_a_time(monkeypatch):
+    # the odd parts are read back once from the routed entries, then extended
+    calls = fills(monkeypatch)
+    table = ChocolateTable()
+    generate(SequenceSpec(SequenceKind.TWO_BY_N, 150), table)
+    assert len(calls) == 1 and table.computed == 149
+    assert [chocolate2(n, table) for n in range(151, 161)] == every_term_chocolate2(160)[150:]
+    assert table.computed == 149 + 10
+
+
 def per_index(kind, bound, table):
     """A square or 2 x n sweep as ``generate`` ran it before it filled
     once: the route's fill of the largest bar, then one
     ``chocolate_number(n, n)`` or ``chocolate2(n)`` per index."""
     m = bound if kind is SequenceKind.SQUARE else 2
-    chocolate_mod._route(table, m, bound, [(min(m, k), k) for k in range(2, bound + 1)])
+    cells = [(min(m, k), k) for k in range(2, bound + 1)]
+    chocolate_mod._route(table, m, bound, cells, kind is SequenceKind.SQUARE)
     if kind is SequenceKind.SQUARE:
         return [(n, chocolate_number(n, n, table)) for n in range(1, bound + 1)]
     return [(n, chocolate2(n, table)) for n in range(1, bound + 1)]

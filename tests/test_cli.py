@@ -24,7 +24,10 @@ import chocnum.series as series_mod
 from chocnum.chocolate import (
     ChocolateTable,
     chocolate2,
+    SequenceKind,
+    SequenceSpec,
     chocolate_number,
+    generate,
     load_cache,
     save_cache,
 )
@@ -123,9 +126,10 @@ def lowest_digit_limit():
 
 
 def test_integers_past_the_digit_limit_print_in_full(capsys, tmp_path):
-    table = ChocolateTable()
+    table, swept = ChocolateTable(), ChocolateTable()
     values = [chocolate_number(n, n, table) for n in range(1, 21)]
     assert len(str(values[-1])) > 640
+    generate(SequenceSpec(SequenceKind.SQUARE, 20), swept)  # the memo gen leaves
     argv = ("gen", "--seq", "square", "--max", "20", "--cache", str(tmp_path))
     with lowest_digit_limit():
         # the first run writes the cache, the others read it back
@@ -137,7 +141,7 @@ def test_integers_past_the_digit_limit_print_in_full(capsys, tmp_path):
     assert rows == [["n", "value"]] + [[str(n), str(v)] for n, v in enumerate(values, 1)]
     records = [json.loads(line) for line in runs["jsonl"][1].splitlines()]
     assert records == [{"n": n, "value": v} for n, v in enumerate(values, 1)]
-    assert reloaded.memo == table.memo
+    assert reloaded.memo == swept.memo
 
 
 def test_gen_cache_round_trip(capsys, tmp_path):
@@ -891,6 +895,11 @@ IMPORT_CASES = [  # (snippet, the watched modules it leaves loaded)
      ["chocnum.arith", "chocnum.fill", "chocnum.modular", "numpy"]),
     ("assert chocnum.chocolate_number(2, 300) == chocnum.chocolate2(300)", FILL),
     ('run("gen --seq square --max 28")', FILL),
+    # once a scan has loaded fill, the warm route rule prints what a cold one does
+    ('cold = run("gen --seq square --max 24") + run("nu --p 2 --seq b --max 60")\n'
+     'run("mod --seq b --modulus 9 --max 5")\n'
+     'assert run("gen --seq square --max 24") + run("nu --p 2 --seq b --max 60") == cold',
+     ["chocnum.arith", "chocnum.fill", "chocnum.modular", "numpy"]),
 ]
 
 

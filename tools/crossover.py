@@ -1,0 +1,108 @@
+"""Time the big-integer counts against the residue route, bar by bar.
+
+    python tools/crossover.py [--bars]
+
+For each bar of each family it prints the big-integer time, the route
+time, their ratio and the bar's score (mn-1) * E.bit_length() / m,
+E = m(n-1) + n(m-1).  ``chocolate._routes`` routes a bar once its score
+reaches its constant C, so C belongs where the ratio crosses 1.  Times are
+medians of 7 interleaved calls, the big-integer ones each on a fresh table,
+after numpy is imported, ``chocnum.fill`` loaded and every bar's primes
+sieved, as in a process that has already run a route.  Pin it to one core
+(``taskset -c 0``) for steady numbers.
+
+The families are what ``_routes`` decides:
+
+- ``square`` and ``long``: one fresh count, ``chocolate_number``, which
+  fills every bar a x b, a <= m, b <= n, on big integers against one
+  ``fill.residue_counts`` of the m x n cell;
+- ``square-sweep``: ``generate`` with ``SQUARE``, the big-integer fill of
+  the columns (b, b) against one route fill of the cells (k, k);
+- ``2xn-sweep``: ``generate`` with ``TWO_BY_N``, ``chocolate2`` against
+  one route fill of the cells (2, k).
+
+``--bars`` prints the family, m and n of every bar, one a line, and times
+nothing.
+"""
+
+from __future__ import annotations
+
+import statistics
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from chocnum import chocolate, load_fill  # noqa: E402
+
+FAMILIES = {
+    "square": [(k, k) for k in (14, 16, 17, 18, 19, 20, 22, 24, 27, 28)],
+    "long": [(2, n) for n in (20, 26, 27, 30, 34, 40, 60, 100, 101)]
+            + [(3, n) for n in (20, 23, 26, 27, 29, 34, 40, 60, 100, 101)]
+            + [(4, 20), (4, 23), (4, 25), (5, 60), (6, 50), (8, 40), (9, 20), (12, 30)]
+            + [(10, n) for n in (16, 18, 20, 21, 33, 81, 82, 200)]
+            + [(27, n) for n in (29, 75, 76)],
+    "square-sweep": [(k, k) for k in (16, 18, 19, 20, 22, 24, 27, 28, 34)],
+    "2xn-sweep": [(2, n) for n in (27, 40, 60, 100, 101, 150, 200, 250, 300)],
+}
+
+
+def score(m: int, n: int) -> float:
+    """(mn-1) * E.bit_length() / m, the left side of the rule per unit m."""
+    breaks = m * (n - 1) + n * (m - 1)
+    return (m * n - 1) * breaks.bit_length() / m
+
+
+def seeded() -> chocolate.ChocolateTable:
+    """A table that holds 1 x 1, so no route runs on it."""
+    table = chocolate.ChocolateTable()
+    chocolate.chocolate_number(1, 1, table)
+    return table
+
+
+def paths(family: str, m: int, n: int, fill):
+    """(big-integer call, route call) of one bar of a family."""
+    if family in ("square", "long"):
+        return (lambda: chocolate.chocolate_number(m, n, seeded()),
+                lambda: fill.residue_counts(m, n, [(m, n)]))
+    if family == "square-sweep":
+        spec = chocolate.SequenceSpec(chocolate.SequenceKind.SQUARE, n)
+        return (lambda: chocolate.generate(spec, seeded()),
+                lambda: fill.residue_counts(n, n, [(k, k) for k in range(2, n + 1)]))
+    return (lambda: chocolate.chocolate2(n, chocolate.ChocolateTable()),
+            lambda: fill.residue_counts(2, n, [(2, k) for k in range(2, n + 1)]))
+
+
+def seconds(call) -> float:
+    start = time.perf_counter()
+    call()
+    return time.perf_counter() - start
+
+
+def main(argv: list[str]) -> int:
+    if argv == ["--bars"]:
+        for family, bars in FAMILIES.items():
+            for m, n in bars:
+                print(family, m, n)
+        return 0
+    if argv:
+        print("usage:", __doc__.splitlines()[2].strip(), file=sys.stderr)
+        return 2
+    fill = load_fill()
+    for bars in FAMILIES.values():  # sieve every plan's primes before timing
+        for m, n in bars:
+            fill._plan(m, n)
+    print(f"{'family':<14}{'bar':>10}{'big ms':>10}{'route ms':>10}{'ratio':>8}{'score':>9}")
+    for family, bars in FAMILIES.items():
+        for m, n in bars:
+            big, route = paths(family, m, n, fill)
+            times = [(seconds(big), seconds(route)) for _ in range(7)]  # interleaved
+            b, r = (statistics.median(side) for side in zip(*times))
+            print(f"{family:<14}{f'{m} x {n}':>10}{1e3 * b:>10.2f}{1e3 * r:>10.2f}"
+                  f"{b / r:>8.2f}{score(m, n):>9.1f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
