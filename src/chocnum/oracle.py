@@ -42,7 +42,8 @@ def count_sequences(m: int, n: int, area_limit: int = DEFAULT_AREA_LIMIT) -> int
     if m * n > area_limit:
         raise ValueError(
             f"area {m * n} exceeds the enumeration limit {area_limit}; "
-            "raise area_limit explicitly if you really want this"
+            "raise area_limit (--area-limit on the command line) explicitly "
+            "if you really want this"
         )
     area = m * n
     layer = {() if area == 1 else (_canon(m, n),): 1}

@@ -362,7 +362,7 @@ def test_oracle_compare_fails_loudly_on_mismatch(capsys, monkeypatch):
 
 def test_oracle_rejects_oversized_area(capsys):
     code, _, err = run(capsys, "oracle", "--m", "4", "--n", "4")
-    assert code == EXIT_USAGE and "area" in err
+    assert code == EXIT_USAGE and "area 16" in err and "--area-limit" in err
 
 
 def test_oracle_area_limit_flag_admits_a_bigger_bar(capsys):

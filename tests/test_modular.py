@@ -34,40 +34,12 @@ from chocnum.modular import (
     zero_tail_prime,
 )
 
-from reference_values import ZERO_TAIL_PRIMES_BELOW_100
-
 
 def primes_below(limit):
     return [p for p in range(2, limit) if all(p % q for q in range(2, int(p**0.5) + 1))]
 
 
 # ------------------------------------------------------------ residue series
-
-
-@pytest.mark.parametrize(
-    "n_max,m,expected",
-    [(4, 3, [1, 1, 2, 2]), (3, 5, [1, 4, 1])],
-)
-def test_chocolate2_mod_examples(n_max, m, expected):
-    assert chocolate2_mod(n_max, m) == expected
-
-
-def test_chocolate2_mod_eleven_kills_the_tail():
-    assert chocolate2_mod(8, 11)[-3:] == [0, 0, 0]
-
-
-def test_chocolate2_mod_matches_exact_values():
-    table = ChocolateTable()
-    exact = [chocolate2(n, table) for n in range(1, 401)]
-    for m in (2, 3, 4, 5, 7, 9, 11, 12, 13, 43, 999_983):
-        assert chocolate2_mod(400, m) == [v % m for v in exact], m
-
-
-def test_chocolate2_mod_big_modulus_matches_exact():
-    m = 2**80 + 1
-    table = ChocolateTable()
-    exact = [chocolate2(n, table) for n in range(1, 16)]
-    assert chocolate2_mod(15, m) == [v % m for v in exact]
 
 
 def test_chocolate2_mod_validation():
@@ -95,18 +67,11 @@ def full_row_chocolate2_mod(n_max, m):
     return out[1:]
 
 
-_table = ChocolateTable()
-EXACT_B = [chocolate2(n, _table) for n in range(1, 41)]
 INT64_SAFE = 3_037_000_499
 # largest modulus with 600 (m-1)^2 < 2^63, the fast kernel's bound at n_max = 600
 EDGE_600 = isqrt((2**63 - 1) // 600) + 1
 FALLBACK_INT64 = 3_037_000_493  # int64 products, but no int64 dot even at n_max = 2
 OBJECT = 3_037_000_507
-
-# (modulus, kernel at n_max = 600)
-KERNEL_CASES = [
-    (m, "int64-dot") for m in (2, 4, 9, 13, 999_983, EDGE_600)
-] + [(EDGE_600 + 1, "int64"), (FALLBACK_INT64, "int64"), (OBJECT, "object")]
 
 
 def test_residue_kernel_bound_is_exact():
@@ -163,25 +128,6 @@ def test_numpy_integers_leave_plain_types_in_scan_results():
         zero_tail_prime(7.0)
 
 
-# EDGE_600 + 1 is left out: at n_max <= 40 it runs the fast kernel
-@pytest.mark.parametrize("m,kernel", [(m, k) for m, k in KERNEL_CASES if m != EDGE_600 + 1])
-def test_chocolate2_mod_kernels_match_exact_values(m, kernel):
-    assert residue_kernel(40, m) == kernel
-    want = [v % m for v in EXACT_B]
-    assert chocolate2_mod(40, m) == want
-    # short prefixes, odd and even n_max
-    for n_max in (1, 2, 3, 4, 7, 10):
-        assert chocolate2_mod(n_max, m) == want[:n_max], n_max
-
-
-@pytest.mark.parametrize("m,kernel", KERNEL_CASES)
-def test_chocolate2_mod_kernels_match_full_row_path(m, kernel):
-    assert residue_kernel(600, m) == kernel
-    want = full_row_chocolate2_mod(600, m)
-    assert chocolate2_mod(600, m) == want
-    assert chocolate2_mod(599, m) == want[:599]
-
-
 # the Pascal kernel builds its views once per span of fill._SPAN steps: one
 # modulus of each kernel class at every n_max next to a span edge; 10**9
 # stops at n = 124 (KNOWN_STOPS), 3**19 runs the "int64" arm in full
@@ -209,40 +155,45 @@ def scaled_lengths(n_max, m):
     return [len(facts)] * (r > 1)
 
 
+_table = ChocolateTable()
+
+
 @functools.cache
 def exact_b(n_max):
     return [chocolate2(n, _table) for n in range(1, n_max + 1)]
 
 
-# (modulus, scaled route, kernel) at n_max = 600: every route with every
-# kernel, each on the whole modulus
-ROUTE_CASES = [
-    (9, False, "int64-dot"),
-    (EDGE_600 + 1, False, "int64"),  # 2^2 * 71 * 461 * 947
-    (3**21, False, "object"),
-    (999_983, True, "int64-dot"),
-    (FALLBACK_INT64, True, "int64"),
-    (OBJECT, True, "object"),
+# (modulus, plan at n_max = 600): both routes with every kernel, on the
+# whole modulus or split between them
+PLAN_CASES = [
+    (2, [("scaled", 2, "int64-dot")]),
+    (4, [("scaled", 4, "int64-dot")]),
+    (9, [("pascal", 9, "int64-dot")]),
+    (13, [("pascal", 13, "int64-dot")]),
+    (999_983, [("scaled", 999_983, "int64-dot")]),
+    (EDGE_600, [("scaled", 3_999_517, "int64-dot"), ("pascal", 31, "int64-dot")]),
+    (EDGE_600 + 1, [("pascal", EDGE_600 + 1, "int64")]),  # 2^2 * 71 * 461 * 947
+    (FALLBACK_INT64, [("scaled", FALLBACK_INT64, "int64")]),
+    (3**21, [("pascal", 3**21, "object")]),
+    (OBJECT, [("scaled", OBJECT, "object")]),
 ]
 
 
-def route_of(scaled):
-    return "scaled" if scaled else "pascal"
-
-
-@pytest.mark.parametrize("m,scaled,kernel", ROUTE_CASES)
-def test_chocolate2_mod_routes_and_kernels_match_exact_values(m, scaled, kernel):
-    assert planned(600, m) == [(route_of(scaled), m, kernel)]
-    got = chocolate2_mod(600, m)
-    assert got == full_row_chocolate2_mod(600, m)
-    assert got[:200] == [v % m for v in exact_b(200)]
+@pytest.mark.parametrize("m,plan", PLAN_CASES)
+def test_each_plan_at_600_gives_the_exact_values(m, plan):
+    assert planned(600, m) == plan
+    want = [v % m for v in exact_b(600)]
+    assert chocolate2_mod(600, m) == want
+    # odd and even n_max, and short prefixes
+    for n_max in (599, 1, 2, 3, 4, 7, 10):
+        assert chocolate2_mod(n_max, m) == want[:n_max], n_max
 
 
 def test_chocolate2_mod_runs_the_passes_of_its_plan():
     # the one test that hooks the kernels: both scaled kernels are exact on
     # "int64-dot" moduli, so only a hook sees a dispatch to the slower one,
     # and the Pascal kernel runs the class it is given
-    cases = [(600, m) for m, _, _ in ROUTE_CASES] + [(3000, 3 * 1_012_333_503), (3000, 2**40)]
+    cases = [(600, m) for m, _ in PLAN_CASES] + [(3000, 3 * 1_012_333_503), (3000, 2**40)]
     for n_max, m in cases:
         ran = []
         with pytest.MonkeyPatch.context() as mp:
@@ -269,7 +220,7 @@ def test_chocolate2_mod_runs_the_passes_of_its_plan():
     (600, EDGE_600 + 1, False),  # 2^2 * 71 * 461 * 947
 ])
 def test_chocolate2_mod_route_boundaries(n_max, m, scaled):
-    assert [(r, q) for r, q, _ in planned(n_max, m)] == [(route_of(scaled), m)]
+    assert [(r, q) for r, q, _ in planned(n_max, m)] == [("scaled" if scaled else "pascal", m)]
     # past n = 601 the full row is slow; Pascal rows share no arithmetic
     # with the scaled route, so they check it as well
     if n_max <= 601:
@@ -530,15 +481,6 @@ def test_grouped_moduli_fuzz_matches_one_modulus_at_a_time(seed):
         assert chocolate2_mod_many(n_max, moduli) == want, moduli
 
 
-def test_grouped_lcm_matches_log_derivative_reference():
-    # 11 739 = lcm(3, 7, 13, 43), the conjecture-3 set's group, is odd
-    lcm = 3 * 7 * 13 * 43
-    got = chocolate2_mod(1500, lcm)
-    assert got == log_derivative_chocolate2_mod(1500, lcm)
-    for p in (3, 7, 13, 43):
-        assert [r % p for r in got] == chocolate2_mod(1500, p), p
-
-
 def test_moduli_below_twice_n_max_skip_the_route_rule():
     # the running factorial is 0 mod 9 from 7! on, so the plan stops at n = 3
     # of the 10^12 it could take
@@ -675,12 +617,21 @@ def log_derivative_chocolate2_mod(n_max, m):
 
 def test_log_derivative_reference_matches_exact_values():
     for m in (3, 9, 43, 999_983):
-        assert log_derivative_chocolate2_mod(40, m) == [v % m for v in EXACT_B], m
+        assert log_derivative_chocolate2_mod(40, m) == [v % m for v in exact_b(40)], m
 
 
-@pytest.mark.parametrize("m", [9, 43, 999_983])
-def test_chocolate2_mod_matches_log_derivative_reference_at_1500(m):
-    assert chocolate2_mod(1500, m) == log_derivative_chocolate2_mod(1500, m)
+@pytest.mark.parametrize("n_max,m,parts", [
+    (1500, 9, ()), (1500, 43, ()), (1500, 999_983, ()),
+    # 11 739 = lcm(3, 7, 13, 43), the conjecture-3 set's group, is odd
+    (1500, 3 * 7 * 13 * 43, (3, 7, 13, 43)),
+    # 41 stops at n = 1681, past the big-integer check at n = 600
+    (3000, 41, ()),
+])
+def test_chocolate2_mod_matches_the_log_derivative_reference(n_max, m, parts):
+    got = chocolate2_mod(n_max, m)
+    assert got == log_derivative_chocolate2_mod(n_max, m)
+    for p in parts:
+        assert [r % p for r in got] == chocolate2_mod(n_max, p), p
 
 
 # ------------------------------------------------------------- zero tails
@@ -746,11 +697,6 @@ def test_pascal_rows_stop_on_the_first_step_of_a_span_and_inside_one(m, stop, fi
     assert steps == stop - 1
     assert certified_from(m, got) == stop + 1
     assert got == full_row_chocolate2_mod(600, m)
-
-
-def test_pascal_stop_keeps_the_values_of_an_independent_recurrence():
-    # 41 stops at n = 1681, past the big-integer check at n = 600
-    assert chocolate2_mod(3000, 41) == log_derivative_chocolate2_mod(3000, 41)
 
 
 @pytest.mark.parametrize("m,live", [(2, 1), (4, 2), (8, 2), (2**40, 22)])
@@ -990,9 +936,7 @@ def test_zero_tail_prime_examples():
         zero_tail_prime(9)
 
 
-def test_zero_tail_prime_matches_legendre_and_published_list():
-    below_100 = [p for p in primes_below(100) if zero_tail_prime(p)]
-    assert below_100 == ZERO_TAIL_PRIMES_BELOW_100
+def test_zero_tail_prime_matches_legendre():
     for p in primes_below(100):
         if p in (2, 5):
             continue
@@ -1019,25 +963,9 @@ def test_persistent_divisor_check_validation():
         persistent_divisor_check(0, 5, b11)
 
 
-def test_mod3_pattern_holds():
-    assert mod3_pattern_check(500) is True
+def test_mod3_pattern_check_validation():
     with pytest.raises(ValueError):
         mod3_pattern_check(1)
-
-
-@pytest.mark.parametrize("n,expected", [(8, 1), (14, 1), (20, 1)])
-def test_binom_sum_1_mod6(n, expected):
-    assert binom_sum_1_mod6(n) == expected
-
-
-@pytest.mark.parametrize("n,expected", [(10, 0), (16, 0), (22, 0)])
-def test_binom_sum_5_mod6(n, expected):
-    assert binom_sum_5_mod6(n) == expected
-
-
-def test_binom_sums_over_valid_range():
-    assert all(binom_sum_1_mod6(n) == 1 for n in range(8, 500, 6))
-    assert all(binom_sum_5_mod6(n) == 0 for n in range(10, 500, 6))
 
 
 def test_binom_sums_reject_out_of_class_n():
@@ -1047,11 +975,6 @@ def test_binom_sums_reject_out_of_class_n():
     for bad in (4, 9, 11):
         with pytest.raises(ValueError):
             binom_sum_5_mod6(bad)
-
-
-def test_binomial_sums_match_direct_definition():
-    assert binom_sum_1_mod6(8) == (binomial(8, 1) + binomial(8, 7)) % 3
-    assert binom_sum_5_mod6(10) == binomial(10, 5) % 3
 
 
 def binomial_mod_prime(n, k, p):
