@@ -14,7 +14,6 @@ import math
 import operator
 import os
 import sys
-from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -127,20 +126,20 @@ def _fill(table: ChocolateTable, columns) -> None:
 
 
 def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]],
-           warm: bool) -> bool:
+           warm: bool, sweep: bool = False) -> bool:
     """Store the counts of ``cells`` from one residue fill of the m x n bar
     (m <= n), ``fill.residue_counts``, in the memo, and count them in
     ``computed``; False, with nothing stored, when the big-integer fill
     should run instead, as it does for a bar the fill has no plan for.
 
     The route needs an empty memo, so a warm table keeps reusing the
-    big-integer memo, and a bar that ``_routes(m, n, warm)`` takes.  Both
-    are checked before ``fill``, and numpy with it, is loaded by
+    big-integer memo, and a bar that ``_routes(m, n, warm, sweep)`` takes.
+    Both are checked before ``fill``, and numpy with it, is loaded by
     ``chocnum.load_fill``.  When the loader refuses a caller too deep in
     its stack, or the import fails, numpy missing or ``fill`` nesting past
     the limit, the count is left to the big-integer fill.
     """
-    if table.memo or not _routes(m, n, warm):
+    if table.memo or not _routes(m, n, warm, sweep):
         return False
     try:
         fill = load_fill()
@@ -153,7 +152,7 @@ def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]],
     return True
 
 
-def _routes(m: int, n: int, warm: bool) -> bool:
+def _routes(m: int, n: int, warm: bool, sweep: bool = False) -> bool:
     """Whether a fresh m x n bar (m <= n) is worth the residue route, which
     pays only for large values: it needs m >= 2, and then time alone
     decides.  The route takes every bar from 28 x 28 on (m >= 28), and a
@@ -167,7 +166,15 @@ def _routes(m: int, n: int, warm: bool) -> bool:
     compile and its primes are paid for: then C is 180, from the table of
     ``tools/crossover.py``.  From that score on squares and square sweeps
     break even or gain, and the narrow bars that lose up to a score of
-    about 230 lose under 0.1 ms each."""
+    about 230 lose under 0.1 ms each.
+
+    ``sweep`` marks a 2 x n sweep, whose big-integer side is ``chocolate2``,
+    not the fill: the route beats it from 2 x 400 in a cold process, which
+    then pays numpy's import, and from 2 x 170 in a warm one (``python
+    tools/crossover.py --cold`` and its ``2xn-sweep`` rows).  A square
+    sweep crosses where a fresh square does, so it takes the rule above."""
+    if sweep and m == 2:
+        return n >= (170 if warm else 400)
     breaks = m * (n - 1) + n * (m - 1)
     return m >= 2 and (m >= 28 or (m * n - 1) * breaks.bit_length() >= (180 if warm else 900) * m)
 
@@ -230,22 +237,47 @@ class SequenceKind(Enum):
     TABLE = "table"
 
 
-@dataclass(frozen=True)
 class SequenceSpec:
     """Which derived sequence to generate and how far.
 
     ``bound`` is an index bound (row count / max index / side) for
     triangle_rows, two_by_n, square and table, and an inclusive value bound
     for distinct_sorted.
+
+    An immutable value: equal, hashed and printed by its two fields.  A
+    ``__slots__`` class, not a dataclass, so that importing this module does
+    not load ``dataclasses`` and ``inspect`` into every ``gen`` process.
     """
 
-    kind: SequenceKind
-    bound: int
+    __slots__ = ("kind", "bound")
 
-    def __post_init__(self):
-        object.__setattr__(self, "bound", operator.index(self.bound))
-        if self.bound < 1:
-            raise ValueError(f"bound must be positive, got {self.bound}")
+    def __init__(self, kind: SequenceKind, bound: int) -> None:
+        bound = operator.index(bound)
+        if bound < 1:
+            raise ValueError(f"bound must be positive, got {bound}")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "bound", bound)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # unpickling and copying call the constructor, not __setattr__
+        return type(self), (self.kind, self.bound)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.kind, self.bound) == (other.kind, other.bound)
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.bound))
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}(kind={self.kind!r}, bound={self.bound!r})"
 
 
 def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tuple]:
@@ -256,10 +288,11 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
     The table and the triangle are one ``_fill`` of the bars a x b, a <= b,
     that they read, b <= bound, and a + b <= bound + 1 for the triangle.
     A square or 2 x n sweep first offers ``_route`` its largest bar, with
-    the cells (k, k) or (2, k), 2 <= k <= bound; then one ``_fill`` of the
-    columns (b, b), or one ``chocolate2``, runs up to the last index whose
-    entry the memo lacks, not to the bound, so a warm memo fills nothing it
-    holds.  Every entry is then read from the memo."""
+    the cells (k, k) or (2, k), 2 <= k <= bound, the 2 x n sweep under its
+    own edges; then one ``_fill`` of the columns (b, b), or one
+    ``chocolate2``, runs up to the last index whose entry the memo lacks,
+    not to the bound, so a warm memo fills nothing it holds.  Every entry
+    is then read from the memo."""
     if table is None:
         table = ChocolateTable()
     memo, k = table.memo, spec.bound
@@ -274,10 +307,8 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
     if spec.kind in (SequenceKind.SQUARE, SequenceKind.TWO_BY_N):
         square = spec.kind is SequenceKind.SQUARE
         cells = [(b if square else 2, b) for b in range(2, k + 1)]
-        # False for 2 x 1, as for any small bar.  A 2 x n sweep's big-integer
-        # side is chocolate2, which beats the route to about 2 x 190 even with
-        # fill loaded (tools/crossover.py): it keeps the cold rule
-        _route(table, k if square else 2, k, cells, square and "chocnum.fill" in sys.modules)
+        # False for 2 x 1, as for any small bar
+        _route(table, k if square else 2, k, cells, "chocnum.fill" in sys.modules, not square)
         last = max((b for a, b in cells if (a, b) not in memo), default=1)
         if square:
             _fill(table, ((b, b) for b in range(1, last + 1)))  # and 1 x 1, if missing

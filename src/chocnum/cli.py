@@ -4,8 +4,12 @@ Data goes to stdout, diagnostics to stderr.  Exit codes: 0 all checks
 pass/consistent, 1 a verifiable claim failed, 2 usage error, 3 unresolved
 (insufficient evidence), 4 out of memory, 130 interrupted (Ctrl-C), 141
 stdout closed early by its reader.  Big integers are always printed as
-exact decimal strings.  Each subcommand imports the modules it runs (modular,
-series, arith) when it runs, so start-up does not pay for the others.
+exact decimal strings.  Each subcommand imports the modules it runs when
+it runs, so start-up does not pay for the others: ``chocolate`` (gen,
+factor, nu, oracle --compare), ``oracle`` (oracle), ``arith`` (factor,
+nu), ``modular`` (mod, period, conjecture), ``series`` (series), ``csv``
+and ``json`` (--format), and ``textwrap`` (--help).  ``chocolate`` and
+``modular`` load ``fill``, and numpy with it, only for residue work.
 """
 
 from __future__ import annotations
@@ -13,21 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import textwrap
 from pathlib import Path
 
 from . import unlimited_int_digits
-from .chocolate import (
-    ChocolateTable,
-    SequenceFrontierError,
-    SequenceKind,
-    SequenceSpec,
-    chocolate_number,
-    generate,
-    load_cache,
-    save_cache,
-)
-from .oracle import DEFAULT_AREA_LIMIT, count_sequences
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -61,16 +53,31 @@ FIELDS = {
 }
 BOUND_FIELDS = ("bound", "ok")  # appended by nu --check-bound
 
-_GEN_KINDS = {
-    "table": SequenceKind.TABLE,
-    "triangle": SequenceKind.TRIANGLE_ROWS,
-    "b": SequenceKind.TWO_BY_N,
-    "square": SequenceKind.SQUARE,
-    "distinct": SequenceKind.DISTINCT_SORTED,
+_GEN_KINDS = {  # gen --seq value: name of its chocolate.SequenceKind
+    "table": "TABLE",
+    "triangle": "TRIANGLE_ROWS",
+    "b": "TWO_BY_N",
+    "square": "SQUARE",
+    "distinct": "DISTINCT_SORTED",
 }
 
 
+class _Failed(Exception):
+    """A verifiable claim failed before any record: ``main`` prints the
+    message on stderr and exits with EXIT_FAILED."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """The top-level parser, whose epilog is built only when its help is."""
+
+    def format_help(self) -> str:
+        self.epilog = _epilog()
+        return super().format_help()
+
+
 def _epilog() -> str:
+    import textwrap
+
     rows = []
     for variant, fields in FIELDS.items():
         # wrap between fields at 79 columns: break after ", ", then drop the spaces
@@ -152,9 +159,11 @@ def _emit(records, fields, fmt: str) -> None:
             print(json.dumps(dict(zip(fields, rec))))
 
 
-def _records(seq: str, bound: int, table: ChocolateTable) -> list[tuple]:
+def _records(seq: str, bound: int, table) -> list[tuple]:
     """(index..., value) records of ``gen --seq SEQ``; ``nu`` reads them too."""
-    entries = generate(SequenceSpec(_GEN_KINDS[seq], bound), table)
+    from .chocolate import SequenceKind, SequenceSpec, generate
+
+    entries = generate(SequenceSpec(SequenceKind[_GEN_KINDS[seq]], bound), table)
     if seq in ("table", "triangle"):
         return [(m, n, v) for (m, n), v in entries]
     if seq == "distinct":
@@ -163,6 +172,8 @@ def _records(seq: str, bound: int, table: ChocolateTable) -> list[tuple]:
 
 
 def _cmd_gen(args):
+    from .chocolate import ChocolateTable, SequenceFrontierError, load_cache, save_cache
+
     if args.seq == "distinct":
         bound, other, wanted = args.limit, args.max, "--limit (a value bound)"
     else:
@@ -174,6 +185,8 @@ def _cmd_gen(args):
     table = load_cache(path) if path and path.exists() else ChocolateTable()
     try:
         records = _records(args.seq, bound, table)
+    except SequenceFrontierError as exc:
+        raise _Failed(exc) from None
     finally:
         # the memo holds finished values only, so a fill cut short by Ctrl-C
         # is saved too, and a rerun resumes it; a warm read leaves the file alone
@@ -184,9 +197,13 @@ def _cmd_gen(args):
 
 
 def _cmd_oracle(args):
-    brute = count_sequences(args.m, args.n, args.area_limit)
+    from .oracle import DEFAULT_AREA_LIMIT, count_sequences
+
+    brute = count_sequences(args.m, args.n, args.area_limit or DEFAULT_AREA_LIMIT)
     if not args.compare:
         return (), [(brute,)], EXIT_OK
+    from .chocolate import chocolate_number
+
     recursed = chocolate_number(args.m, args.n)
     if brute == recursed:
         return (), [(brute, "==", recursed)], EXIT_OK
@@ -200,6 +217,7 @@ def _cmd_oracle(args):
 
 def _cmd_factor(args):
     from .arith import factor
+    from .chocolate import chocolate_number
 
     fields = _fields(args)
     index = fields[:-2]  # ("n",) or ("m", "n")
@@ -212,6 +230,7 @@ def _cmd_factor(args):
 
 def _cmd_nu(args):
     from .arith import nu_p
+    from .chocolate import ChocolateTable
 
     if args.check_bound and args.p != 2:
         raise ValueError("--check-bound states bounds for p=2 only")
@@ -289,14 +308,15 @@ def _cmd_conjecture(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chocnum",
         description="Exact chocolate-bar break counts, their sequences, and "
         "divisibility/periodicity scans.",
-        epilog=_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    # subcommands get plain parsers, and no epilog
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=argparse.ArgumentParser)
 
     def add_format(p):
         p.add_argument("--format", choices=("plain", "csv", "jsonl"), default="plain")
@@ -314,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--compare", action="store_true")
-    p.add_argument("--area-limit", type=_positive_int, default=DEFAULT_AREA_LIMIT)
+    p.add_argument("--area-limit", type=_positive_int)  # default: oracle.DEFAULT_AREA_LIMIT
     p.set_defaults(func=_cmd_oracle, format="plain")
 
     p = sub.add_parser("factor", help="factor one sequence value")
@@ -392,9 +412,9 @@ def main(argv=None) -> int:
         print("error: out of memory", file=sys.stderr)
         return EXIT_OUT_OF_MEMORY
     # CacheFormatError is a ValueError
-    except (OSError, ValueError, SequenceFrontierError) as exc:
+    except (OSError, ValueError, _Failed) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILED if isinstance(exc, SequenceFrontierError) else EXIT_USAGE
+        return EXIT_FAILED if isinstance(exc, _Failed) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
 """Tests for the exact recursion, the sequence generators, and the cache."""
 
+import copy
 import functools
 import hashlib
 import importlib
@@ -7,6 +8,7 @@ import inspect
 import json
 import math
 import os
+import pickle
 import subprocess
 import sys
 import tracemalloc
@@ -438,38 +440,50 @@ def test_the_block_size_changes_no_count(monkeypatch):
     assert generate(SequenceSpec(SequenceKind.SQUARE, 34)) == squares
 
 
-ROUTE_PINS = [  # (m, n, warm, routes): both sides of every edge of _routes
+ROUTE_PINS = [  # (m, n, warm, sweep, routes): both sides of every edge of _routes
     # cold, 900 m
-    (2, 100, False, False), (2, 101, False, True), (3, 100, False, False),
-    (3, 101, False, True), (10, 81, False, False), (10, 82, False, True),
-    (10, 200, False, True), (27, 75, False, False), (27, 76, False, True),
-    (27, 29, False, False), (28, 28, False, True),  # the short side alone decides
+    (2, 100, False, False, False), (2, 101, False, False, True),
+    (3, 100, False, False, False), (3, 101, False, False, True),
+    (10, 81, False, False, False), (10, 82, False, False, True),
+    (10, 200, False, False, True), (27, 75, False, False, False), (27, 76, False, False, True),
+    (27, 29, False, False, False), (28, 28, False, False, True),  # the short side alone decides
     # warm, 180 m: (mn-1) E.bit_length() is 179 m at 9 x 20 and 182 m at
     # 4 x 23, and no bar m < 28 lies in between
-    (9, 20, True, False), (4, 23, True, True),
-    (2, 26, True, False), (2, 27, True, True), (3, 26, True, False), (3, 27, True, True),
-    (10, 20, True, False), (10, 21, True, True), (18, 18, True, False), (19, 19, True, True),
-    (27, 29, True, True),
+    (9, 20, True, False, False), (4, 23, True, False, True),
+    (2, 26, True, False, False), (2, 27, True, False, True),
+    (3, 26, True, False, False), (3, 27, True, False, True),
+    (10, 20, True, False, False), (10, 21, True, False, True),
+    (18, 18, True, False, False), (19, 19, True, False, True),
+    (27, 29, True, False, True),
+    # a 2 x n sweep against chocolate2: from 2 x 400 cold and 2 x 170 warm
+    (2, 399, False, True, False), (2, 400, False, True, True),
+    (2, 169, True, True, False), (2, 170, True, True, True),
     # a single row has no route
-    (1, 10**6, False, False), (1, 10**6, True, False),
+    (1, 10**6, False, False, False), (1, 10**6, True, False, False),
 ]
 
 
-@pytest.mark.parametrize("m,n,warm,routes", ROUTE_PINS)
-def test_route_rule_pins_both_sides_of_each_edge(m, n, warm, routes):
+@pytest.mark.parametrize("m,n,warm,sweep,routes", ROUTE_PINS)
+def test_route_rule_pins_both_sides_of_each_edge(m, n, warm, sweep, routes):
     # no bar m < 28 meets the size rule with equality
-    assert chocolate_mod._routes(m, n, warm) is routes
+    assert chocolate_mod._routes(m, n, warm, sweep) is routes
 
 
 def test_the_crossover_script_times_every_pinned_bar():
     # the route pins and the table their constants come from cannot drift
-    # apart; a single row has no route fill to time
+    # apart: a pinned sweep edge in the family that times it, cold or warm.
+    # A single row has no route fill to time
     script = Path(__file__).resolve().parents[1] / "tools" / "crossover.py"
     proc = subprocess.run([sys.executable, str(script), "--bars"],
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    timed = {tuple(map(int, line.split()[1:])) for line in proc.stdout.splitlines()}
-    assert {(m, n) for m, n, _, _ in ROUTE_PINS if m >= 2} <= timed
+    timed = {(family, int(m), int(n))
+             for family, m, n in map(str.split, proc.stdout.splitlines())}
+    for m, n, warm, sweep, _ in ROUTE_PINS:
+        if sweep:
+            assert ("2xn-sweep" if warm else "2xn-sweep-cold", m, n) in timed
+        elif m >= 2:
+            assert any(bar[1:] == (m, n) for bar in timed), (m, n)
 
 
 def test_count_bound_holds_on_every_bar_of_area_up_to_400():
@@ -607,13 +621,13 @@ def fills(monkeypatch):
 
 @pytest.mark.parametrize("kind,bound,routed", [
     (SequenceKind.SQUARE, 18, False), (SequenceKind.SQUARE, 19, True),
-    (SequenceKind.SQUARE, 33, True), (SequenceKind.TWO_BY_N, 100, False),
-    (SequenceKind.TWO_BY_N, 101, True), (SequenceKind.TWO_BY_N, 600, True),
+    (SequenceKind.SQUARE, 33, True), (SequenceKind.TWO_BY_N, 169, False),
+    (SequenceKind.TWO_BY_N, 170, True), (SequenceKind.TWO_BY_N, 600, True),
 ])
 def test_square_and_2_x_n_sweeps_take_one_fill_from_the_route(monkeypatch, kind, bound, routed):
     # against the big-integer sweep of a seeded table: every bar up to n x n,
     # or chocolate2 at every index.  With fill loaded, squares take the warm
-    # rule and 2 x n sweeps keep the cold one
+    # rule and 2 x n sweeps their warm edge
     calls = fills(monkeypatch)
     table = ChocolateTable()
     got = generate(SequenceSpec(kind, bound), table)
@@ -632,7 +646,7 @@ def test_square_and_2_x_n_sweeps_take_one_fill_from_the_route(monkeypatch, kind,
 def test_warm_tables_keep_the_memo_path_in_sweeps(monkeypatch):
     calls = fills(monkeypatch)
     generate(SequenceSpec(SequenceKind.SQUARE, 30), seeded_table())
-    generate(SequenceSpec(SequenceKind.TWO_BY_N, 150), seeded_table())
+    generate(SequenceSpec(SequenceKind.TWO_BY_N, 200), seeded_table())
     assert calls == []
 
 
@@ -640,10 +654,10 @@ def test_a_routed_2_x_n_sweep_seeds_a_table_that_grows_one_n_at_a_time(monkeypat
     # the odd parts are read back once from the routed entries, then extended
     calls = fills(monkeypatch)
     table = ChocolateTable()
-    generate(SequenceSpec(SequenceKind.TWO_BY_N, 150), table)
-    assert len(calls) == 1 and table.computed == 149
-    assert [chocolate2(n, table) for n in range(151, 161)] == every_term_chocolate2(160)[150:]
-    assert table.computed == 149 + 10
+    generate(SequenceSpec(SequenceKind.TWO_BY_N, 200), table)
+    assert len(calls) == 1 and table.computed == 199
+    assert [chocolate2(n, table) for n in range(201, 211)] == every_term_chocolate2(210)[200:]
+    assert table.computed == 199 + 10
 
 
 def per_index(kind, bound, table):
@@ -652,7 +666,7 @@ def per_index(kind, bound, table):
     ``chocolate_number(n, n)`` or ``chocolate2(n)`` per index."""
     m = bound if kind is SequenceKind.SQUARE else 2
     cells = [(min(m, k), k) for k in range(2, bound + 1)]
-    chocolate_mod._route(table, m, bound, cells, kind is SequenceKind.SQUARE)
+    chocolate_mod._route(table, m, bound, cells, True, kind is SequenceKind.TWO_BY_N)
     if kind is SequenceKind.SQUARE:
         return [(n, chocolate_number(n, n, table)) for n in range(1, bound + 1)]
     return [(n, chocolate2(n, table)) for n in range(1, bound + 1)]
@@ -692,7 +706,7 @@ ROUTED_2_X_300, ROUTED_SQUARES_34 = routed_table(2, 300), routed_table(34, 34, s
 @pytest.mark.parametrize("new_table,kind,bound,new", [
     (ChocolateTable, SQUARE, 12, None), (ChocolateTable, SQUARE, 30, 30),
     (ChocolateTable, TWO_BY_N, 60, None), (ChocolateTable, TWO_BY_N, 100, 99),
-    (ChocolateTable, TWO_BY_N, 150, 149), (seeded_table, SQUARE, 12, None),
+    (ChocolateTable, TWO_BY_N, 200, 199), (seeded_table, SQUARE, 12, None),
     (seeded_table, TWO_BY_N, 100, 99), (seeded_table, TWO_BY_N, 150, 149),
     # a routed 2 x 300 holds no 2 x k below it: a sweep fills every 2 x k
     # up to its bound but 2 x 300
@@ -803,11 +817,11 @@ def test_generate_distinct_small_bound():
 
 def test_numpy_integer_arguments_act_as_python_ints():
     # numpy scalars would run the route rule's arithmetic in int64; a 2 x 300
-    # count and a square sweep to 30 take the route
+    # count, a square sweep to 30 and a 2 x n sweep to 200 take the route
     got = [chocolate_number(np.int64(2), np.int64(5)), chocolate_number(np.int64(300), np.int64(2)),
            chocolate2(np.int64(10))]
     assert got == [chocolate_number(2, 5), chocolate_number(2, 300), chocolate2(10)]
-    for kind, bound in ((SequenceKind.SQUARE, 30), (SequenceKind.TWO_BY_N, 150)):
+    for kind, bound in ((SequenceKind.SQUARE, 30), (SequenceKind.TWO_BY_N, 200)):
         spec = SequenceSpec(kind, np.int64(bound))
         assert type(spec.bound) is int and spec == SequenceSpec(kind, bound)
         entries = generate(spec)
@@ -845,6 +859,20 @@ def test_sequence_spec_is_an_immutable_value():
     for bound in (0, -1, -(2**70)):
         with pytest.raises(ValueError, match="bound must be positive"):
             SequenceSpec(SequenceKind.TABLE, bound)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda spec: pickle.loads(pickle.dumps(spec)), copy.copy, copy.deepcopy,
+    lambda spec: SequenceSpec(kind=spec.kind, bound=spec.bound),
+], ids=["pickle", "copy", "deepcopy", "keywords"])
+def test_a_sequence_spec_copies_pickles_and_builds_by_keyword(clone):
+    # what a frozen dataclass gave it: the copy is an equal, still frozen spec
+    spec = SequenceSpec(SequenceKind.TWO_BY_N, 2**70)
+    got = clone(spec)
+    assert type(got) is SequenceSpec and got == spec and hash(got) == hash(spec)
+    assert (got.kind, got.bound) == (SequenceKind.TWO_BY_N, 2**70)
+    with pytest.raises(AttributeError):
+        got.bound = 1
 
 
 def per_bar_distinct(bound, table):

@@ -17,9 +17,11 @@ from pathlib import Path
 
 import pytest
 
+import chocnum.chocolate as chocolate_mod
 import chocnum.cli as cli
 import chocnum.fill as fill_mod
 import chocnum.modular as modular_mod
+import chocnum.oracle as oracle_mod
 import chocnum.series as series_mod
 from chocnum.chocolate import (
     ChocolateTable,
@@ -175,7 +177,7 @@ def test_gen_warm_read_leaves_the_cache_file_alone(capsys, tmp_path, monkeypatch
 
     # so a warm read works where the cache cannot be written
     with monkeypatch.context() as m:
-        m.setattr(cli, "save_cache", no_write)
+        m.setattr(chocolate_mod, "save_cache", no_write)
         assert run(capsys, *argv)[:2] == (EXIT_OK, first)
     # a run that adds bars still rewrites the file
     code, _, _ = run(capsys, "gen", "--seq", "square", "--max", "5", "--cache", str(tmp_path))
@@ -214,8 +216,10 @@ def test_gen_cache_keeps_the_work_of_an_interrupted_fill(capsys, tmp_path, monke
         tables.append(table)
         return table
 
-    monkeypatch.setattr(cli, "ChocolateTable", lambda: recorded(ChocolateTable()))
-    code, cold_out, _ = run(capsys, *argv, str(tmp_path / "cold"))
+    # the gen handler takes its tables from chocolate's names when it runs
+    with monkeypatch.context() as m:
+        m.setattr(chocolate_mod, "ChocolateTable", lambda: recorded(ChocolateTable()))
+        code, cold_out, _ = run(capsys, *argv, str(tmp_path / "cold"))
     assert code == EXIT_OK and tables[-1].computed == 59
 
     def cut_table():
@@ -223,13 +227,14 @@ def test_gen_cache_keeps_the_work_of_an_interrupted_fill(capsys, tmp_path, monke
         table.memo = CutMemo()
         return table
 
-    monkeypatch.setattr(cli, "ChocolateTable", cut_table)
     cache = tmp_path / "cut"
-    assert run(capsys, *argv, str(cache)) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
+    with monkeypatch.context() as m:
+        m.setattr(chocolate_mod, "ChocolateTable", cut_table)
+        assert run(capsys, *argv, str(cache)) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
     kept = load_cache(cache / cli.CACHE_FILENAME).memo
     assert len(kept) == 20 and kept.items() <= tables[-1].memo.items()
 
-    monkeypatch.setattr(cli, "load_cache", lambda path: recorded(load_cache(path)))
+    monkeypatch.setattr(chocolate_mod, "load_cache", lambda path: recorded(load_cache(path)))
     assert run(capsys, *argv, str(cache))[:2] == (EXIT_OK, cold_out)
     assert tables[-1].computed == 59 - 20
 
@@ -247,9 +252,11 @@ def test_an_interrupted_table_sweep_caches_only_finished_bars(capsys, tmp_path, 
         table.memo = CutMemo()
         return table
 
-    monkeypatch.setattr(cli, "ChocolateTable", cut_table)
     cache = tmp_path / "cut"
-    assert run(capsys, *argv, str(cache)) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
+    # load_cache makes its table from the same name, so the cut ends here
+    with monkeypatch.context() as m:
+        m.setattr(chocolate_mod, "ChocolateTable", cut_table)
+        assert run(capsys, *argv, str(cache)) == (cli.EXIT_INTERRUPTED, "", "interrupted\n")
     kept = load_cache(cache / cli.CACHE_FILENAME).memo
     assert len(kept) == 20 and kept.items() <= cold.items()
 
@@ -259,7 +266,7 @@ def test_an_interrupted_table_sweep_caches_only_finished_bars(capsys, tmp_path, 
         tables.append(load_cache(path))
         return tables[-1]
 
-    monkeypatch.setattr(cli, "load_cache", recorded)
+    monkeypatch.setattr(chocolate_mod, "load_cache", recorded)
     assert run(capsys, *argv, str(cache))[:2] == (EXIT_OK, cold_out)
     assert tables[-1].computed == 78 - 20
 
@@ -293,7 +300,7 @@ def test_out_of_memory_ends_in_one_stderr_line(capsys, monkeypatch):
 
 RLIMIT_PROBE = """
 import resource, sys
-import numpy, chocnum.cli as cli, chocnum.fill as fill
+import numpy, chocnum.chocolate as chocolate, chocnum.cli as cli, chocnum.fill as fill
 fill._plan(40, 40)
 with open("/proc/self/status") as status:
     size = next(int(line.split()[1]) for line in status if line.startswith("VmSize:")) << 10
@@ -317,7 +324,7 @@ def test_a_fresh_40_x_40_fills_under_an_address_space_limit():
 
     table = ChocolateTable()
     chocolate_number(1, 1, table)
-    answered = child(3 << 20, "print(hex(cli.chocolate_number(40, 40)))")
+    answered = child(3 << 20, "print(hex(chocolate.chocolate_number(40, 40)))")
     assert answered.returncode == 0, answered.stderr
     assert int(answered.stdout, 16) == chocolate_number(40, 40, table)
     failed = child(1 << 20, "sys.exit(cli.main('factor --seq table --index 40 40'.split()))")
@@ -349,11 +356,33 @@ def test_gen_conflicting_cache_is_a_usage_error(capsys, tmp_path):
     assert err.startswith("error:") and "line 3" in err
 
 
+def test_an_uncertified_frontier_exits_1_and_caches_the_bars_it_finished(capsys, tmp_path,
+                                                                          monkeypatch):
+    # the 3 x 3 count reads as 3, below the 2 x 2 diagonal's 4, so the
+    # distinct scan cannot certify its frontier: no record, not even the
+    # csv header, and the cache holds every bar filled up to 3 x 3
+    finished = ChocolateTable()
+    generate(SequenceSpec(SequenceKind.DISTINCT_SORTED, 60), finished)
+    count = chocolate_mod.chocolate_number
+
+    def lowered(m, n, table=None):
+        value = count(m, n, table)
+        return 3 if (m, n) == (3, 3) else value
+
+    monkeypatch.setattr(chocolate_mod, "chocolate_number", lowered)
+    code, out, err = run(capsys, "gen", "--seq", "distinct", "--limit", "60",
+                         "--format", "csv", "--cache", str(tmp_path))
+    assert (code, out) == (EXIT_FAILED, "")
+    assert err == ("error: diagonal decreased at m=3: 3 < 4; "
+                   "frontier cannot certify completeness\n")
+    assert load_cache(tmp_path / cli.CACHE_FILENAME).memo == finished.memo
+
+
 # ---------------------------------------------------------------- oracle
 
 
 def test_oracle_compare_fails_loudly_on_mismatch(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "count_sequences", lambda m, n, limit: 99)
+    monkeypatch.setattr(oracle_mod, "count_sequences", lambda m, n, limit: 99)
     code, out, err = run(capsys, "oracle", "--m", "2", "--n", "2", "--compare")
     assert code == EXIT_FAILED
     assert out.strip() == "99 != 4"
@@ -716,8 +745,9 @@ GOLDEN = [  # (argv, exit code, the whole stdout or, for a long one, its sha256)
     # running factorial of the plan
     ("mod --seq b --modulus 3,12,3221225472 --max 1200", EXIT_OK,
      "aebe9684e6dc2952f10c4cc0d2dd8dda1fce96b70396c1c422d018583914bc9d"),
-    # the longest 2 x n sweep that stays on chocolate2 (101 takes the residue
-    # route); recorded when chocolate2 summed whole values, not odd parts
+    # a 2 x n sweep on chocolate2, cold or warm (the route takes it from 170
+    # warm and 400 cold); recorded when chocolate2 summed whole values, not
+    # odd parts
     ("gen --seq b --max 100", EXIT_OK,
      "cf9770b554d85b1b00bd3d7e7c1a846f9eac45069db4584b8ad9180fdc3c26fe"),
     # the longest square sweep that stays on big integers (28 takes the
@@ -725,7 +755,8 @@ GOLDEN = [  # (argv, exit code, the whole stdout or, for a long one, its sha256)
     ("gen --seq square --max 27", EXIT_OK,
      "2e52cd87e8ea42c0fb4bf571f0fcd326690575db5a449963612083ba0285f944"),
     # sweeps that take every value from one residue fill of their largest
-    # bar; recorded on the big-integer sweeps
+    # bar, the 2 x n one since this process has loaded fill; recorded on the
+    # big-integer sweeps
     ("gen --seq b --max 300", EXIT_OK,
      "ea0dc484409ea48ee4a0cb72edb3983e87e92ebe7d4593bd33894ba40ca43a39"),
     ("gen --seq square --max 34", EXIT_OK,
@@ -856,7 +887,8 @@ def run(argv):
 {snippet}
 print(sorted(name for name in {watched!r} if name in sys.modules))
 """
-WATCHED = ("chocnum.arith", "chocnum.fill", "chocnum.modular", "chocnum.series", "numpy",
+WATCHED = ("chocnum.arith", "chocnum.chocolate", "chocnum.fill", "chocnum.modular",
+           "chocnum.oracle", "chocnum.series", "numpy", "dataclasses", "textwrap",
            "fractions", "json", "csv")
 LIGHT_SESSION = """# every light command in one process, then a bar below the route
 run("--help")
@@ -873,33 +905,43 @@ run("mod --seq p --modulus 7 --max 5")
 run("period --seq p --modulus 7 --max 60")
 chocnum.chocolate_number(2, 100)  # below the residue route's crossover
 """
-FILL = ["chocnum.arith", "chocnum.fill", "numpy"]
+CHOCOLATE = ["chocnum.chocolate"]
+# fill sieves its primes with arith, which loads dataclasses; numpy loads
+# textwrap, which no light command but --help does
+FILL = ["chocnum.arith", "chocnum.chocolate", "chocnum.fill", "dataclasses", "numpy", "textwrap"]
 
 IMPORT_CASES = [  # (snippet, the watched modules it leaves loaded)
     ("", []),
-    ('run("--help")', []),
-    ('run("gen --seq b --max 5")', []),
-    ('run("gen --seq b --max 5 --format csv")', ["csv"]),
-    ('run("gen --seq b --max 5 --format jsonl")', ["json"]),
-    ('run("gen --seq b --max 101")', FILL),
-    ('run("oracle --m 2 --n 3 --compare")', []),
-    ('run("factor --seq b --index 5")', ["chocnum.arith"]),
-    ('run("nu --p 2 --seq b --max 5")', ["chocnum.arith"]),
-    ('run("mod --seq p --modulus 7 --max 5")', ["chocnum.arith", "chocnum.modular"]),
-    ('run("period --seq p --modulus 7 --max 60")', ["chocnum.arith", "chocnum.modular"]),
-    ('run("series --check ode --order 10")', ["chocnum.series", "fractions"]),
-    (LIGHT_SESSION, ["chocnum.arith", "chocnum.modular", "chocnum.series", "fractions"]),
+    ('run("--help")', ["textwrap"]),
+    ('run("gen --seq b --max 5")', CHOCOLATE),
+    ('run("gen --seq b --max 5 --format csv")', CHOCOLATE + ["csv"]),
+    ('run("gen --seq b --max 5 --format jsonl")', CHOCOLATE + ["json"]),
+    # a cold 2 x n sweep stays on chocolate2 to 2 x 399, clear of numpy
+    ('run("gen --seq b --max 399")', CHOCOLATE),
+    ('run("gen --seq b --max 400")', FILL),
+    ('run("oracle --m 2 --n 3")', ["chocnum.oracle"]),
+    ('run("oracle --m 2 --n 3 --compare")', CHOCOLATE + ["chocnum.oracle"]),
+    ('run("factor --seq b --index 5")', ["chocnum.arith", "chocnum.chocolate", "dataclasses"]),
+    ('run("nu --p 2 --seq b --max 5")', ["chocnum.arith", "chocnum.chocolate", "dataclasses"]),
+    ('run("mod --seq p --modulus 7 --max 5")', ["chocnum.arith", "chocnum.modular", "dataclasses"]),
+    ('run("period --seq p --modulus 7 --max 60")',
+     ["chocnum.arith", "chocnum.modular", "dataclasses"]),
+    ('run("series --check ode --order 10")',
+     ["chocnum.chocolate", "chocnum.series", "dataclasses", "fractions"]),
+    (LIGHT_SESSION, ["chocnum.arith", "chocnum.chocolate", "chocnum.modular", "chocnum.oracle",
+                     "chocnum.series", "dataclasses", "fractions", "textwrap"]),
     # each residue scan, route and sweep route loads numpy
     ('residues = run("mod --seq b --modulus 9 --max 5")\n'
      'assert residues == "b 9 1 1\\nb 9 2 4\\nb 9 3 2\\nb 9 4 2\\nb 9 5 1\\n", residues',
-     ["chocnum.arith", "chocnum.fill", "chocnum.modular", "numpy"]),
+     ["chocnum.arith", "chocnum.fill", "chocnum.modular", "dataclasses", "numpy", "textwrap"]),
     ("assert chocnum.chocolate_number(2, 300) == chocnum.chocolate2(300)", FILL),
     ('run("gen --seq square --max 28")', FILL),
     # once a scan has loaded fill, the warm route rule prints what a cold one does
     ('cold = run("gen --seq square --max 24") + run("nu --p 2 --seq b --max 60")\n'
      'run("mod --seq b --modulus 9 --max 5")\n'
      'assert run("gen --seq square --max 24") + run("nu --p 2 --seq b --max 60") == cold',
-     ["chocnum.arith", "chocnum.fill", "chocnum.modular", "numpy"]),
+     ["chocnum.arith", "chocnum.chocolate", "chocnum.fill", "chocnum.modular", "dataclasses",
+      "numpy", "textwrap"]),
 ]
 
 

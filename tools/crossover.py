@@ -1,6 +1,6 @@
 """Time the big-integer counts against the residue route, bar by bar.
 
-    python tools/crossover.py [--bars]
+    python tools/crossover.py [--bars | --cold]
 
 For each bar of each family it prints the big-integer time, the route
 time, their ratio and the bar's score (mn-1) * E.bit_length() / m,
@@ -19,7 +19,16 @@ The families are what ``_routes`` decides:
 - ``square-sweep``: ``generate`` with ``SQUARE``, the big-integer fill of
   the columns (b, b) against one route fill of the cells (k, k);
 - ``2xn-sweep``: ``generate`` with ``TWO_BY_N``, ``chocolate2`` against
-  one route fill of the cells (2, k).
+  one route fill of the cells (2, k);
+- ``2xn-sweep-cold``: the same sweep in a process that has not loaded
+  ``fill``, timed only by ``--cold``.
+
+``--cold`` times the ``2xn-sweep-cold`` bars in fresh processes, each
+after ``import chocnum.chocolate``: ``chocolate2`` in one, and in the
+other ``chocnum.load_fill``, which imports numpy and compiles ``fill.py``,
+then the sieve and the route fill.  Medians of 5 interleaved process pairs.
+The children run with PYTHONDONTWRITEBYTECODE=1; from a checkout with no
+``src/chocnum/__pycache__`` they compile ``fill.py`` as a fresh one does.
 
 ``--bars`` prints the family, m and n of every bar, one a line, and times
 nothing.
@@ -27,12 +36,15 @@ nothing.
 
 from __future__ import annotations
 
+import os
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+sys.path.insert(0, SRC)
 
 from chocnum import chocolate, load_fill  # noqa: E402
 
@@ -44,8 +56,25 @@ FAMILIES = {
             + [(10, n) for n in (16, 18, 20, 21, 33, 81, 82, 200)]
             + [(27, n) for n in (29, 75, 76)],
     "square-sweep": [(k, k) for k in (16, 18, 19, 20, 22, 24, 27, 28, 34)],
-    "2xn-sweep": [(2, n) for n in (27, 40, 60, 100, 101, 150, 200, 250, 300)],
+    "2xn-sweep": [(2, n) for n in (27, 40, 60, 100, 101, 150, 160, 169, 170, 180, 190, 200,
+                                   250, 300)],
+    "2xn-sweep-cold": [(2, n) for n in (200, 300, 350, 380, 390, 399, 400, 450, 500, 600)],
 }
+COLD = "2xn-sweep-cold"
+
+# one side of a cold 2 x n sweep, timed in a fresh process
+CHILD = """
+import sys, time
+sys.path.insert(0, {src!r})
+from chocnum import chocolate, load_fill
+n = {n}
+start = time.perf_counter()
+if {route}:
+    load_fill().residue_counts(2, n, [(2, k) for k in range(2, n + 1)])
+else:
+    chocolate.chocolate2(n, chocolate.ChocolateTable())
+print(time.perf_counter() - start)
+"""
 
 
 def score(m: int, n: int) -> float:
@@ -74,6 +103,13 @@ def paths(family: str, m: int, n: int, fill):
             lambda: fill.residue_counts(2, n, [(2, k) for k in range(2, n + 1)]))
 
 
+def child_seconds(n: int, route: bool) -> float:
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    code = CHILD.format(src=SRC, n=n, route=route)
+    return float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                                capture_output=True, text=True).stdout)
+
+
 def seconds(call) -> float:
     start = time.perf_counter()
     call()
@@ -86,20 +122,28 @@ def main(argv: list[str]) -> int:
             for m, n in bars:
                 print(family, m, n)
         return 0
-    if argv:
+    cold = argv == ["--cold"]
+    if argv and not cold:
         print("usage:", __doc__.splitlines()[2].strip(), file=sys.stderr)
         return 2
-    fill = load_fill()
-    for bars in FAMILIES.values():  # sieve every plan's primes before timing
+    if cold:
+        families = {COLD: FAMILIES[COLD]}
+    else:
+        families = {family: bars for family, bars in FAMILIES.items() if family != COLD}
+        fill = load_fill()
+        for bars in families.values():  # sieve every plan's primes before timing
+            for m, n in bars:
+                fill._plan(m, n)
+    print(f"{'family':<16}{'bar':>10}{'big ms':>10}{'route ms':>10}{'ratio':>8}{'score':>9}")
+    for family, bars in families.items():
         for m, n in bars:
-            fill._plan(m, n)
-    print(f"{'family':<14}{'bar':>10}{'big ms':>10}{'route ms':>10}{'ratio':>8}{'score':>9}")
-    for family, bars in FAMILIES.items():
-        for m, n in bars:
-            big, route = paths(family, m, n, fill)
-            times = [(seconds(big), seconds(route)) for _ in range(7)]  # interleaved
+            if cold:  # interleaved process pairs
+                times = [(child_seconds(n, False), child_seconds(n, True)) for _ in range(5)]
+            else:
+                big, route = paths(family, m, n, fill)
+                times = [(seconds(big), seconds(route)) for _ in range(7)]  # interleaved
             b, r = (statistics.median(side) for side in zip(*times))
-            print(f"{family:<14}{f'{m} x {n}':>10}{1e3 * b:>10.2f}{1e3 * r:>10.2f}"
+            print(f"{family:<16}{f'{m} x {n}':>10}{1e3 * b:>10.2f}{1e3 * r:>10.2f}"
                   f"{b / r:>8.2f}{score(m, n):>9.1f}")
     return 0
 
