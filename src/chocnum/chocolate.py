@@ -63,8 +63,9 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     whose remaining i*n-1 and (m-i)*n-1 moves interleave in C(mn-2, in-1)
     ways; vertical cuts contribute symmetrically.
 
-    A fresh count of a large bar comes from ``_route``, which stores only
-    the m x n entry; otherwise the bars the sums reach, a x b with
+    A fresh count of a large bar comes from ``_route``, offered the one
+    cell m x n, which stores only that entry and reads the rule's process
+    state itself; otherwise the bars the sums reach, a x b with
     a <= min(b, m) and 2 <= b <= n (only 1 x n itself when m = 1), are
     one ``_fill``.
     """
@@ -74,8 +75,7 @@ def chocolate_number(m: int, n: int, table: ChocolateTable | None = None) -> int
     if table is None:
         table = ChocolateTable()
     m, n = min(m, n), max(m, n)
-    if (m, n) not in table.memo and not _route(table, m, n, [(m, n)],
-                                               "chocnum.fill" in sys.modules):
+    if (m, n) not in table.memo and not _route(table, m, n, [(m, n)]):
         _fill(table, ((b, min(b, m)) for b in range(n if m == 1 else 2, n + 1)))
     return table.memo[(m, n)]
 
@@ -125,21 +125,22 @@ def _fill(table: ChocolateTable, columns) -> None:
         raise ValueError(f"{a} x {b} reads {exc.args[0]}, which no earlier cell filled") from None
 
 
-def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]],
-           warm: bool, sweep: bool = False) -> bool:
+def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]]) -> bool:
     """Store the counts of ``cells`` from one residue fill of the m x n bar
     (m <= n), ``fill.residue_counts``, in the memo, and count them in
     ``computed``; False, with nothing stored, when the big-integer fill
     should run instead, as it does for a bar the fill has no plan for.
 
     The route needs an empty memo, so a warm table keeps reusing the
-    big-integer memo, and a bar that ``_routes(m, n, warm, sweep)`` takes.
-    Both are checked before ``fill``, and numpy with it, is loaded by
-    ``chocnum.load_fill``.  When the loader refuses a caller too deep in
-    its stack, or the import fails, numpy missing or ``fill`` nesting past
-    the limit, the count is left to the big-integer fill.
+    big-integer memo, and a bar that ``_routes`` takes in the state of the
+    process: warm once numpy is imported, whose import is the cost the cold
+    side prices, and a sweep when ``cells`` holds more than the one cell of
+    a fresh count.  Both are checked before ``fill``, and numpy with it, is
+    loaded by ``chocnum.load_fill``.  When the loader refuses a caller too
+    deep in its stack, or the import fails, numpy missing or ``fill``
+    nesting past the limit, the count is left to the big-integer fill.
     """
-    if table.memo or not _routes(m, n, warm, sweep):
+    if table.memo or not _routes(m, n, "numpy" in sys.modules, len(cells) > 1):
         return False
     try:
         fill = load_fill()
@@ -155,28 +156,31 @@ def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]],
 def _routes(m: int, n: int, warm: bool, sweep: bool = False) -> bool:
     """Whether a fresh m x n bar (m <= n) is worth the residue route, which
     pays only for large values: it needs m >= 2, and then time alone
-    decides.  The route takes every bar from 28 x 28 on (m >= 28), and a
-    long bar once (mn-1) * E.bit_length() >= C m.  E = m(n-1) + n(m-1)
-    bounds the breaks one state offers, since every available break cuts
-    interior unit edges that no other available break cuts.
+    decides.
 
-    C is 900 in a cold process, the crossover measured over 2 x n to
-    30 x n with an earlier fill, which keeps numpy's import out of every
-    small count.  ``warm`` means ``fill`` is loaded, and numpy, its
-    compile and its primes are paid for: then C is 180, from the table of
-    ``tools/crossover.py``.  From that score on squares and square sweeps
-    break even or gain, and the narrow bars that lose up to a score of
-    about 230 lose under 0.1 ms each.
+    ``warm`` means numpy is imported.  Then the route takes a bar once
+    (mn-1) * E.bit_length() >= 180 m, from the table of
+    ``tools/crossover.py``; E = m(n-1) + n(m-1) bounds the breaks one state
+    offers, since every available break cuts interior unit edges that no
+    other available break cuts.  From that score on squares and square
+    sweeps break even or gain, and the narrow bars that lose up to a score
+    of about 230 m lose under 0.1 ms each.  Every bar with m >= 19 meets it.
 
-    ``sweep`` marks a 2 x n sweep, whose big-integer side is ``chocolate2``,
-    not the fill: the route beats it from 2 x 400 in a cold process, which
-    then pays numpy's import, and from 2 x 170 in a warm one (``python
-    tools/crossover.py --cold`` and its ``2xn-sweep`` rows).  A square
-    sweep crosses where a fresh square does, so it takes the rule above."""
+    In a cold process the route pays numpy's import first, about 65-95 ms,
+    and takes a bar once n m**0.7 >= 490, in integers n**10 m**7 >= 490**10,
+    fitted on the fresh processes of ``python tools/crossover.py --cold``:
+    from 2 x 302, 3 x 228, 5 x 159, 10 x 98, 20 x 61 and 39 x 39 on.
+
+    ``sweep`` marks a sweep; a 2 x n one has its own edges, as its
+    big-integer side is ``chocolate2``, not the fill: the route beats it
+    from 2 x 400 in a cold process and from 2 x 170 in a warm one (the
+    ``2xn-sweep`` rows).  A square sweep crosses where a fresh square does,
+    so it takes the rule above."""
     if sweep and m == 2:
         return n >= (170 if warm else 400)
     breaks = m * (n - 1) + n * (m - 1)
-    return m >= 2 and (m >= 28 or (m * n - 1) * breaks.bit_length() >= (180 if warm else 900) * m)
+    score = (m * n - 1) * breaks.bit_length()
+    return m >= 2 and (score >= 180 * m if warm else n**10 * m**7 >= 490**10)
 
 
 def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
@@ -288,11 +292,11 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
     The table and the triangle are one ``_fill`` of the bars a x b, a <= b,
     that they read, b <= bound, and a + b <= bound + 1 for the triangle.
     A square or 2 x n sweep first offers ``_route`` its largest bar, with
-    the cells (k, k) or (2, k), 2 <= k <= bound, the 2 x n sweep under its
-    own edges; then one ``_fill`` of the columns (b, b), or one
-    ``chocolate2``, runs up to the last index whose entry the memo lacks,
-    not to the bound, so a warm memo fills nothing it holds.  Every entry
-    is then read from the memo."""
+    the cells (k, k) or (2, k), 2 <= k <= bound, which make it a sweep to
+    the rule, so the 2 x n one takes its own edges; then one ``_fill`` of
+    the columns (b, b), or one ``chocolate2``, runs up to the last index
+    whose entry the memo lacks, not to the bound, so a warm memo fills
+    nothing it holds.  Every entry is then read from the memo."""
     if table is None:
         table = ChocolateTable()
     memo, k = table.memo, spec.bound
@@ -307,8 +311,7 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
     if spec.kind in (SequenceKind.SQUARE, SequenceKind.TWO_BY_N):
         square = spec.kind is SequenceKind.SQUARE
         cells = [(b if square else 2, b) for b in range(2, k + 1)]
-        # False for 2 x 1, as for any small bar
-        _route(table, k if square else 2, k, cells, "chocnum.fill" in sys.modules, not square)
+        _route(table, k if square else 2, k, cells)  # False for 2 x 1, as for any small bar
         last = max((b for a, b in cells if (a, b) not in memo), default=1)
         if square:
             _fill(table, ((b, b) for b in range(1, last + 1)))  # and 1 x 1, if missing

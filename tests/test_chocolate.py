@@ -179,10 +179,10 @@ from chocnum import ChocolateTable, chocolate_number
 limit = sys.getrecursionlimit()
 sys.setrecursionlimit(len(inspect.stack()) + {headroom})
 first = ChocolateTable()
-deep = chocolate_number(2, 300, first)
+deep = chocolate_number(2, 350, first)
 sys.setrecursionlimit(limit)
 second = ChocolateTable()
-chocolate_number(2, 300, second)
+chocolate_number(2, 350, second)
 from chocnum.modular import chocolate2_mod
 print(hex(deep), first.computed, second.computed, "chocnum.fill" in sys.modules,
       *chocolate2_mod(20, 7))
@@ -196,9 +196,9 @@ print(hex(deep), first.computed, second.computed, "chocnum.fill" in sys.modules,
 # chocolate_number, _route and load_fill), counts on big integers, and
 # takes the route above
 @pytest.mark.parametrize("headroom,first_computed", [
-    (60, 598),
-    (70, 598),
-    (chocnum._IMPORT_HEADROOM, 598),
+    (60, 698),
+    (70, 698),
+    (chocnum._IMPORT_HEADROOM, 698),
     (chocnum._IMPORT_HEADROOM + 10, 1),
 ])
 def test_a_deep_caller_leaves_the_route_and_the_residue_module_usable(headroom, first_computed):
@@ -208,7 +208,7 @@ def test_a_deep_caller_leaves_the_route_and_the_residue_module_usable(headroom, 
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     deep, first, second, loaded, *residues = proc.stdout.split()
-    assert int(deep, 16) == every_term_chocolate2(300)[-1]
+    assert int(deep, 16) == every_term_chocolate2(350)[-1]
     assert (int(first), second, loaded) == (first_computed, "1", "True")
     assert [int(r) for r in residues] == [b % 7 for b in every_term_chocolate2(20)]
 
@@ -312,14 +312,14 @@ def residue_count(m, n):
 
 def route_plan(m, n):
     """The plan of the fill a fresh count of m x n takes (``fill._plan``)
-    in a process that has loaded ``fill``, as this one has, or None when the
+    in a process that has imported numpy, as this one has, or None when the
     route rule keeps the big-integer fill; nothing is filled or stored."""
     return fill_mod._plan(m, n) if chocolate_mod._routes(m, n, True) else None
 
 
 # every bar from 2 x 2 to 9 x 9, squares and bars of the shapes the route
-# rule was measured on, and both sides of each edge of ROUTE_PINS, where
-# this process, which has loaded fill, starts taking the route
+# rule was measured on, and both sides of each warm edge of ROUTE_PINS,
+# where this process, which has imported numpy, starts taking the route
 BARS = [(m, n) for m in range(2, 10) for n in range(m, 10)] + [
     (12, 12), (20, 20), (40, 40), (2, 60), (3, 50), (10, 30),
     (9, 20), (4, 23), (2, 26), (2, 27), (3, 26), (3, 27), (10, 20), (10, 21), (18, 18), (19, 19),
@@ -441,14 +441,17 @@ def test_the_block_size_changes_no_count(monkeypatch):
 
 
 ROUTE_PINS = [  # (m, n, warm, sweep, routes): both sides of every edge of _routes
-    # cold, 900 m
-    (2, 100, False, False, False), (2, 101, False, False, True),
-    (3, 100, False, False, False), (3, 101, False, False, True),
-    (10, 81, False, False, False), (10, 82, False, False, True),
-    (10, 200, False, False, True), (27, 75, False, False, False), (27, 76, False, False, True),
-    (27, 29, False, False, False), (28, 28, False, False, True),  # the short side alone decides
+    # cold, n**10 m**7 >= 490**10: on each family that ``tools/crossover.py
+    # --cold`` times, a square sweep as a square
+    (2, 301, False, False, False), (2, 302, False, False, True),
+    (3, 227, False, False, False), (3, 228, False, False, True),
+    (5, 158, False, False, False), (5, 159, False, False, True),
+    (10, 97, False, False, False), (10, 98, False, False, True),
+    (20, 60, False, False, False), (20, 61, False, False, True),
+    (38, 38, False, False, False), (39, 39, False, False, True),
+    (38, 38, False, True, False), (39, 39, False, True, True),
     # warm, 180 m: (mn-1) E.bit_length() is 179 m at 9 x 20 and 182 m at
-    # 4 x 23, and no bar m < 28 lies in between
+    # 4 x 23, and no bar lies from 180 m to 182 m
     (9, 20, True, False, False), (4, 23, True, False, True),
     (2, 26, True, False, False), (2, 27, True, False, True),
     (3, 26, True, False, False), (3, 27, True, False, True),
@@ -465,14 +468,23 @@ ROUTE_PINS = [  # (m, n, warm, sweep, routes): both sides of every edge of _rout
 
 @pytest.mark.parametrize("m,n,warm,sweep,routes", ROUTE_PINS)
 def test_route_rule_pins_both_sides_of_each_edge(m, n, warm, sweep, routes):
-    # no bar m < 28 meets the size rule with equality
+    # no bar meets either size rule with equality
     assert chocolate_mod._routes(m, n, warm, sweep) is routes
+
+
+def test_every_bar_from_19_x_19_on_meets_the_warm_rule():
+    # so a warm process needs no rule on the short side alone, as m >= 28
+    # once was: S grows with n, and from m = 19 on E >= 2m(m-1) has 10 bits
+    # or more, so S >= 10(m^2-1) >= 180 m.  Checked for m < 200, n < m + 400
+    assert all(chocolate_mod._routes(m, n, True, sweep)
+               for m in range(19, 200) for n in range(m, m + 400) for sweep in (False, True))
 
 
 def test_the_crossover_script_times_every_pinned_bar():
     # the route pins and the table their constants come from cannot drift
-    # apart: a pinned sweep edge in the family that times it, cold or warm.
-    # A single row has no route fill to time
+    # apart: a pinned bar in a family of its state, cold or warm, and a
+    # pinned sweep in the family that times that sweep.  A single row has
+    # no route fill to time
     script = Path(__file__).resolve().parents[1] / "tools" / "crossover.py"
     proc = subprocess.run([sys.executable, str(script), "--bars"],
                           capture_output=True, text=True, timeout=60)
@@ -481,9 +493,11 @@ def test_the_crossover_script_times_every_pinned_bar():
              for family, m, n in map(str.split, proc.stdout.splitlines())}
     for m, n, warm, sweep, _ in ROUTE_PINS:
         if sweep:
-            assert ("2xn-sweep" if warm else "2xn-sweep-cold", m, n) in timed
+            family = "2xn-sweep" if m == 2 else "square-sweep"
+            assert (family if warm else f"{family}-cold", m, n) in timed
         elif m >= 2:
-            assert any(bar[1:] == (m, n) for bar in timed), (m, n)
+            assert any(family.endswith("-cold") != warm and (a, b) == (m, n)
+                       for family, a, b in timed), (m, n, warm)
 
 
 def test_count_bound_holds_on_every_bar_of_area_up_to_400():
@@ -593,7 +607,7 @@ def test_blocked_dot_products_are_exact(monkeypatch):
 def test_single_rows_and_warm_tables_keep_the_big_integer_fill():
     assert route_plan(2, 300) is not None
     table = seeded_table()
-    assert not chocolate_mod._route(table, 2, 300, [(2, 300)], True)
+    assert not chocolate_mod._route(table, 2, 300, [(2, 300)])
     assert (table.memo, table.computed) == ({(1, 1): 1}, 1)
     assert chocolate_number(1, 3000) == chocolate_number(3000, 1) == math.factorial(2999)
     assert chocolate_number(2, 300, seeded_table()) == chocolate2(300)
@@ -626,7 +640,7 @@ def fills(monkeypatch):
 ])
 def test_square_and_2_x_n_sweeps_take_one_fill_from_the_route(monkeypatch, kind, bound, routed):
     # against the big-integer sweep of a seeded table: every bar up to n x n,
-    # or chocolate2 at every index.  With fill loaded, squares take the warm
+    # or chocolate2 at every index.  With numpy loaded, squares take the warm
     # rule and 2 x n sweeps their warm edge
     calls = fills(monkeypatch)
     table = ChocolateTable()
@@ -666,7 +680,7 @@ def per_index(kind, bound, table):
     ``chocolate_number(n, n)`` or ``chocolate2(n)`` per index."""
     m = bound if kind is SequenceKind.SQUARE else 2
     cells = [(min(m, k), k) for k in range(2, bound + 1)]
-    chocolate_mod._route(table, m, bound, cells, True, kind is SequenceKind.TWO_BY_N)
+    chocolate_mod._route(table, m, bound, cells)
     if kind is SequenceKind.SQUARE:
         return [(n, chocolate_number(n, n, table)) for n in range(1, bound + 1)]
     return [(n, chocolate2(n, table)) for n in range(1, bound + 1)]
@@ -854,7 +868,11 @@ def test_sequence_spec_is_an_immutable_value():
             setattr(spec, field, value)
     with pytest.raises(AttributeError):
         spec.extra = 1
+    for field in ("kind", "bound"):
+        with pytest.raises(AttributeError):
+            delattr(spec, field)
     assert (spec.kind, spec.bound) == (SequenceKind.SQUARE, 3)
+    assert hash(spec) == hash(SequenceSpec(SequenceKind.SQUARE, 3))
     assert SequenceSpec(SequenceKind.TABLE, 1).bound == 1
     for bound in (0, -1, -(2**70)):
         with pytest.raises(ValueError, match="bound must be positive"):

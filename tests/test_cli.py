@@ -750,12 +750,13 @@ GOLDEN = [  # (argv, exit code, the whole stdout or, for a long one, its sha256)
     # odd parts
     ("gen --seq b --max 100", EXIT_OK,
      "cf9770b554d85b1b00bd3d7e7c1a846f9eac45069db4584b8ad9180fdc3c26fe"),
-    # the longest square sweep that stays on big integers (28 takes the
-    # residue route); recorded when the sweep counted one square at a time
+    # a digest recorded when the sweep counted one square at a time on big
+    # integers, matched here by the route, since this process has loaded
+    # numpy and 27 x 27 meets the warm rule
     ("gen --seq square --max 27", EXIT_OK,
      "2e52cd87e8ea42c0fb4bf571f0fcd326690575db5a449963612083ba0285f944"),
     # sweeps that take every value from one residue fill of their largest
-    # bar, the 2 x n one since this process has loaded fill; recorded on the
+    # bar, the 2 x n one since this process has loaded numpy; recorded on the
     # big-integer sweeps
     ("gen --seq b --max 300", EXIT_OK,
      "ea0dc484409ea48ee4a0cb72edb3983e87e92ebe7d4593bd33894ba40ca43a39"),
@@ -934,8 +935,12 @@ IMPORT_CASES = [  # (snippet, the watched modules it leaves loaded)
     ('residues = run("mod --seq b --modulus 9 --max 5")\n'
      'assert residues == "b 9 1 1\\nb 9 2 4\\nb 9 3 2\\nb 9 4 2\\nb 9 5 1\\n", residues',
      ["chocnum.arith", "chocnum.fill", "chocnum.modular", "dataclasses", "numpy", "textwrap"]),
-    ("assert chocnum.chocolate_number(2, 300) == chocnum.chocolate2(300)", FILL),
-    ('run("gen --seq square --max 28")', FILL),
+    ("assert chocnum.chocolate_number(2, 350) == chocnum.chocolate2(350)", FILL),
+    # a cold square sweep stays on big integers to 38, clear of numpy
+    ('run("gen --seq square --max 38")', CHOCOLATE),
+    ('run("gen --seq square --max 39")', FILL),
+    # a process that has imported numpy routes from the warm edge on
+    ("import numpy\nassert chocnum.chocolate_number(2, 100) == chocnum.chocolate2(100)", FILL),
     # once a scan has loaded fill, the warm route rule prints what a cold one does
     ('cold = run("gen --seq square --max 24") + run("nu --p 2 --seq b --max 60")\n'
      'run("mod --seq b --modulus 9 --max 5")\n'

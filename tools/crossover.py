@@ -3,13 +3,10 @@
     python tools/crossover.py [--bars | --cold]
 
 For each bar of each family it prints the big-integer time, the route
-time, their ratio and the bar's score (mn-1) * E.bit_length() / m,
-E = m(n-1) + n(m-1).  ``chocolate._routes`` routes a bar once its score
-reaches its constant C, so C belongs where the ratio crosses 1.  Times are
-medians of 7 interleaved calls, the big-integer ones each on a fresh table,
-after numpy is imported, ``chocnum.fill`` loaded and every bar's primes
-sieved, as in a process that has already run a route.  Pin it to one core
-(``taskset -c 0``) for steady numbers.
+time, their ratio and the bar's score.  ``chocolate._routes`` routes a bar
+once its score reaches its constant, so the constant belongs where the
+ratio crosses 1.  The score is (mn-1) * E.bit_length() / m,
+E = m(n-1) + n(m-1), in a warm process and n m**0.7 in a cold one.
 
 The families are what ``_routes`` decides:
 
@@ -20,30 +17,42 @@ The families are what ``_routes`` decides:
   the columns (b, b) against one route fill of the cells (k, k);
 - ``2xn-sweep``: ``generate`` with ``TWO_BY_N``, ``chocolate2`` against
   one route fill of the cells (2, k);
-- ``2xn-sweep-cold``: the same sweep in a process that has not loaded
-  ``fill``, timed only by ``--cold``.
+- ``long-cold`` (2, 3, 5, 10 and 20 x n), ``square-cold``,
+  ``square-sweep-cold`` and ``2xn-sweep-cold``: the same calls in a process
+  that has not imported numpy, timed only by ``--cold``.
 
-``--cold`` times the ``2xn-sweep-cold`` bars in fresh processes, each
-after ``import chocnum.chocolate``: ``chocolate2`` in one, and in the
-other ``chocnum.load_fill``, which imports numpy and compiles ``fill.py``,
-then the sieve and the route fill.  Medians of 5 interleaved process pairs.
-The children run with PYTHONDONTWRITEBYTECODE=1; from a checkout with no
-``src/chocnum/__pycache__`` they compile ``fill.py`` as a fresh one does.
+Without an option it times the warm families in this process, as medians
+of 7 interleaved calls, the big-integer ones each on a fresh table, after
+numpy is imported, ``chocnum.fill`` loaded and every bar's primes sieved,
+as in a process that has already run a route.
 
-``--bars`` prints the family, m and n of every bar, one a line, and times
-nothing.
+``--cold`` times the cold families in fresh processes, each after
+``import chocnum.chocolate``: the big-integer call in one, and in the other
+``chocnum.load_fill``, which imports numpy and compiles ``fill.py``, then
+the route call, which sieves the primes and fills.  Medians of 9
+interleaved process pairs.  The children run with
+PYTHONDONTWRITEBYTECODE=1 and this script writes no bytecode, so each child
+compiles the package as a fresh process does; ``--cold`` exits 2 if
+``src/chocnum/__pycache__`` exists, whose stale bytecode would skip that
+compile.
+
+Pin it to one core (``taskset -c 0``) for steady numbers.  ``--bars``
+prints the family, m and n of every bar, one a line, and times nothing.
 """
 
 from __future__ import annotations
 
 import os
-import statistics
-import subprocess
 import sys
 import time
 from pathlib import Path
 
-SRC = str(Path(__file__).resolve().parent.parent / "src")
+# a cold child imports this module for ``paths``: it loads no more than a
+# fresh chocnum process, so ``statistics`` and ``subprocess`` are imported
+# where they run, and it writes no bytecode
+sys.dont_write_bytecode = True
+TOOLS = str(Path(__file__).resolve().parent)
+SRC = str(Path(TOOLS).parent / "src")
 sys.path.insert(0, SRC)
 
 from chocnum import chocolate, load_fill  # noqa: E402
@@ -58,29 +67,32 @@ FAMILIES = {
     "square-sweep": [(k, k) for k in (16, 18, 19, 20, 22, 24, 27, 28, 34)],
     "2xn-sweep": [(2, n) for n in (27, 40, 60, 100, 101, 150, 160, 169, 170, 180, 190, 200,
                                    250, 300)],
+    "long-cold": [(2, n) for n in (101, 250, 280, 300, 301, 302, 310, 320, 350)]
+                 + [(3, n) for n in (150, 206, 215, 222, 227, 228, 235, 250)]
+                 + [(5, n) for n in (120, 140, 150, 158, 159, 165, 180)]
+                 + [(10, n) for n in (80, 90, 95, 97, 98, 105, 120)]
+                 + [(20, n) for n in (50, 55, 60, 61, 65, 70)],
+    "square-cold": [(k, k) for k in (28, 32, 36, 37, 38, 39, 40, 42, 44)],
+    "square-sweep-cold": [(k, k) for k in (28, 32, 36, 37, 38, 39, 40, 42, 44)],
     "2xn-sweep-cold": [(2, n) for n in (200, 300, 350, 380, 390, 399, 400, 450, 500, 600)],
 }
-COLD = "2xn-sweep-cold"
+COLD = "-cold"
 
-# one side of a cold 2 x n sweep, timed in a fresh process
+# one side of one cold bar, timed in a fresh process
 CHILD = """
-import sys, time
-sys.path.insert(0, {src!r})
-from chocnum import chocolate, load_fill
-n = {n}
-start = time.perf_counter()
-if {route}:
-    load_fill().residue_counts(2, n, [(2, k) for k in range(2, n + 1)])
-else:
-    chocolate.chocolate2(n, chocolate.ChocolateTable())
-print(time.perf_counter() - start)
+import sys
+sys.path.insert(0, {tools!r})
+import crossover
+big, route = crossover.paths({family!r}, {m}, {n})
+print(crossover.seconds(route if {route} else big))
 """
 
 
-def score(m: int, n: int) -> float:
-    """(mn-1) * E.bit_length() / m, the left side of the rule per unit m."""
+def score(m: int, n: int, cold: bool) -> float:
+    """The left side of the rule per its constant: (mn-1) * E.bit_length() / m
+    warm, n m**0.7 cold."""
     breaks = m * (n - 1) + n * (m - 1)
-    return (m * n - 1) * breaks.bit_length() / m
+    return n * m**0.7 if cold else (m * n - 1) * breaks.bit_length() / m
 
 
 def seeded() -> chocolate.ChocolateTable:
@@ -90,22 +102,26 @@ def seeded() -> chocolate.ChocolateTable:
     return table
 
 
-def paths(family: str, m: int, n: int, fill):
-    """(big-integer call, route call) of one bar of a family."""
+def paths(family: str, m: int, n: int):
+    """(big-integer call, route call) of one bar of a family; the route
+    call loads ``fill`` first, which in a warm process is one lookup."""
+    family = family.removesuffix(COLD)
     if family in ("square", "long"):
         return (lambda: chocolate.chocolate_number(m, n, seeded()),
-                lambda: fill.residue_counts(m, n, [(m, n)]))
+                lambda: load_fill().residue_counts(m, n, [(m, n)]))
     if family == "square-sweep":
         spec = chocolate.SequenceSpec(chocolate.SequenceKind.SQUARE, n)
         return (lambda: chocolate.generate(spec, seeded()),
-                lambda: fill.residue_counts(n, n, [(k, k) for k in range(2, n + 1)]))
+                lambda: load_fill().residue_counts(n, n, [(k, k) for k in range(2, n + 1)]))
     return (lambda: chocolate.chocolate2(n, chocolate.ChocolateTable()),
-            lambda: fill.residue_counts(2, n, [(2, k) for k in range(2, n + 1)]))
+            lambda: load_fill().residue_counts(2, n, [(2, k) for k in range(2, n + 1)]))
 
 
-def child_seconds(n: int, route: bool) -> float:
+def child_seconds(family: str, m: int, n: int, route: bool) -> float:
+    import subprocess
+
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    code = CHILD.format(src=SRC, n=n, route=route)
+    code = CHILD.format(tools=TOOLS, family=family, m=m, n=n, route=route)
     return float(subprocess.run([sys.executable, "-c", code], env=env, check=True,
                                 capture_output=True, text=True).stdout)
 
@@ -117,6 +133,8 @@ def seconds(call) -> float:
 
 
 def main(argv: list[str]) -> int:
+    import statistics
+
     if argv == ["--bars"]:
         for family, bars in FAMILIES.items():
             for m, n in bars:
@@ -126,25 +144,29 @@ def main(argv: list[str]) -> int:
     if argv and not cold:
         print("usage:", __doc__.splitlines()[2].strip(), file=sys.stderr)
         return 2
-    if cold:
-        families = {COLD: FAMILIES[COLD]}
-    else:
-        families = {family: bars for family, bars in FAMILIES.items() if family != COLD}
+    families = {family: bars for family, bars in FAMILIES.items()
+                if family.endswith(COLD) == cold}
+    if cold and (stale := Path(SRC) / "chocnum" / "__pycache__").exists():
+        print(f"remove {stale} first: its bytecode skips the compile a fresh process pays",
+              file=sys.stderr)
+        return 2
+    if not cold:
         fill = load_fill()
         for bars in families.values():  # sieve every plan's primes before timing
             for m, n in bars:
                 fill._plan(m, n)
-    print(f"{'family':<16}{'bar':>10}{'big ms':>10}{'route ms':>10}{'ratio':>8}{'score':>9}")
+    print(f"{'family':<19}{'bar':>10}{'big ms':>10}{'route ms':>10}{'ratio':>8}{'score':>9}")
     for family, bars in families.items():
         for m, n in bars:
             if cold:  # interleaved process pairs
-                times = [(child_seconds(n, False), child_seconds(n, True)) for _ in range(5)]
+                times = [(child_seconds(family, m, n, False), child_seconds(family, m, n, True))
+                         for _ in range(9)]
             else:
-                big, route = paths(family, m, n, fill)
+                big, route = paths(family, m, n)
                 times = [(seconds(big), seconds(route)) for _ in range(7)]  # interleaved
             b, r = (statistics.median(side) for side in zip(*times))
-            print(f"{family:<16}{f'{m} x {n}':>10}{1e3 * b:>10.2f}{1e3 * r:>10.2f}"
-                  f"{b / r:>8.2f}{score(m, n):>9.1f}")
+            print(f"{family:<19}{f'{m} x {n}':>10}{1e3 * b:>10.2f}{1e3 * r:>10.2f}"
+                  f"{b / r:>8.2f}{score(m, n, cold):>9.1f}", flush=True)
     return 0
 
 
