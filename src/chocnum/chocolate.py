@@ -14,6 +14,7 @@ import math
 import operator
 import os
 import sys
+from collections import namedtuple
 from enum import Enum
 from pathlib import Path
 
@@ -156,26 +157,20 @@ def _route(table: ChocolateTable, m: int, n: int, cells: list[tuple[int, int]]) 
 def _routes(m: int, n: int, warm: bool, sweep: bool = False) -> bool:
     """Whether a fresh m x n bar (m <= n) is worth the residue route, which
     pays only for large values: it needs m >= 2, and then time alone
-    decides.
+    decides, by one clause per process state (README "The route rule").
 
     ``warm`` means numpy is imported.  Then the route takes a bar once
-    (mn-1) * E.bit_length() >= 180 m, from the table of
-    ``tools/crossover.py``; E = m(n-1) + n(m-1) bounds the breaks one state
-    offers, since every available break cuts interior unit edges that no
-    other available break cuts.  From that score on squares and square
-    sweeps break even or gain, and the narrow bars that lose up to a score
-    of about 230 m lose under 0.1 ms each.  Every bar with m >= 19 meets it.
+    (mn-1) * E.bit_length() >= 180 m.  E = m(n-1) + n(m-1) bounds the
+    breaks one state offers, since every available break cuts interior
+    unit edges that no other available break cuts.  A cold process pays
+    numpy's import first, so there the route takes a bar once
+    n m**0.7 >= 490, in integers n**10 m**7 >= 490**10.  Both constants
+    are fitted by ``tools/crossover.py`` (``--cold`` for the cold side).
 
-    In a cold process the route pays numpy's import first, about 65-95 ms,
-    and takes a bar once n m**0.7 >= 490, in integers n**10 m**7 >= 490**10,
-    fitted on the fresh processes of ``python tools/crossover.py --cold``:
-    from 2 x 302, 3 x 228, 5 x 159, 10 x 98, 20 x 61 and 39 x 39 on.
-
-    ``sweep`` marks a sweep; a 2 x n one has its own edges, as its
-    big-integer side is ``chocolate2``, not the fill: the route beats it
-    from 2 x 400 in a cold process and from 2 x 170 in a warm one (the
-    ``2xn-sweep`` rows).  A square sweep crosses where a fresh square does,
-    so it takes the rule above."""
+    ``sweep`` marks a sweep; a 2 x n one has its own edges, 2 x 400 cold
+    and 2 x 170 warm, as its big-integer side is ``chocolate2``, not the
+    fill.  A square sweep crosses where a fresh square does, so it takes
+    the rule above."""
     if sweep and m == 2:
         return n >= (170 if warm else 400)
     breaks = m * (n - 1) + n * (m - 1)
@@ -234,54 +229,44 @@ def chocolate2(n: int, table: ChocolateTable | None = None) -> int:
 
 
 class SequenceKind(Enum):
-    TRIANGLE_ROWS = "triangle_rows"
-    DISTINCT_SORTED = "distinct_sorted"
-    TWO_BY_N = "two_by_n"
-    SQUARE = "square"
+    """The derived sequences; each value is its name in ``chocnum gen --seq``."""
+
     TABLE = "table"
+    TRIANGLE_ROWS = "triangle"
+    TWO_BY_N = "b"
+    SQUARE = "square"
+    DISTINCT_SORTED = "distinct"
 
 
-class SequenceSpec:
+class SequenceSpec(namedtuple("SequenceSpec", ("kind", "bound"))):
     """Which derived sequence to generate and how far.
 
     ``bound`` is an index bound (row count / max index / side) for
-    triangle_rows, two_by_n, square and table, and an inclusive value bound
-    for distinct_sorted.
+    TRIANGLE_ROWS, TWO_BY_N, SQUARE and TABLE, and an inclusive value bound
+    for DISTINCT_SORTED.
 
-    An immutable value: equal, hashed and printed by its two fields.  A
-    ``__slots__`` class, not a dataclass, so that importing this module does
-    not load ``dataclasses`` and ``inspect`` into every ``gen`` process.
+    An immutable value whose ``bound`` is a positive int (``operator.index``
+    of the argument), hashed by its two fields and equal only to a spec
+    with equal fields, never to a plain tuple.
     """
 
-    __slots__ = ("kind", "bound")
+    __slots__ = ()
 
-    def __init__(self, kind: SequenceKind, bound: int) -> None:
+    def __new__(cls, kind: SequenceKind, bound: int):
         bound = operator.index(bound)
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "bound", bound)
+        return super().__new__(cls, kind, bound)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        # unpickling and copying call the constructor, not __setattr__
-        return type(self), (self.kind, self.bound)
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks the bound too
 
     def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return (self.kind, self.bound) == (other.kind, other.bound)
+        return isinstance(other, SequenceSpec) and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash((self.kind, self.bound))
+    def __ne__(self, other):
+        return not self == other
 
-    def __repr__(self) -> str:
-        return f"{type(self).__qualname__}(kind={self.kind!r}, bound={self.bound!r})"
+    __hash__ = tuple.__hash__
 
 
 def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tuple]:

@@ -53,14 +53,6 @@ FIELDS = {
 }
 BOUND_FIELDS = ("bound", "ok")  # appended by nu --check-bound
 
-_GEN_KINDS = {  # gen --seq value: name of its chocolate.SequenceKind
-    "table": "TABLE",
-    "triangle": "TRIANGLE_ROWS",
-    "b": "TWO_BY_N",
-    "square": "SQUARE",
-    "distinct": "DISTINCT_SORTED",
-}
-
 
 class _Failed(Exception):
     """A verifiable claim failed before any record: ``main`` prints the
@@ -163,7 +155,7 @@ def _records(seq: str, bound: int, table) -> list[tuple]:
     """(index..., value) records of ``gen --seq SEQ``; ``nu`` reads them too."""
     from .chocolate import SequenceKind, SequenceSpec, generate
 
-    entries = generate(SequenceSpec(SequenceKind[_GEN_KINDS[seq]], bound), table)
+    entries = generate(SequenceSpec(SequenceKind(seq), bound), table)
     if seq in ("table", "triangle"):
         return [(m, n, v) for (m, n), v in entries]
     if seq == "distinct":
@@ -322,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("plain", "csv", "jsonl"), default="plain")
 
     p = sub.add_parser("gen", help="generate a sequence")
-    p.add_argument("--seq", required=True, choices=tuple(_GEN_KINDS))
+    p.add_argument("--seq", required=True, choices=("table", "triangle", "b", "square", "distinct"))
     p.add_argument("--max", type=_positive_int, help="index bound (all but distinct)")
     p.add_argument("--limit", type=_positive_int, help="value bound (distinct only)")
     add_format(p)

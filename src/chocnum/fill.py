@@ -39,8 +39,7 @@ _FILL_RESERVE = 32 << 10
 _READ = 1 << 10  # residues per read of residue_counts' fold, 36 KiB as Python ints
 _crt_primes: list[int] = []  # primes below _PRIME_CEILING, largest first
 _INT64_MAX = 2**63 - 1  # the caps of pascal_residues
-# pascal_residues steps per set of views: 32, 64 and 128 ran alike, 256
-# slower on rows of 2000 to 4000 (README)
+# pascal_residues steps per set of views, measured in README "Performance notes"
 _SPAN = 64
 
 

@@ -860,6 +860,8 @@ def test_sequence_spec_is_an_immutable_value():
     assert spec != SequenceSpec(SequenceKind.SQUARE, 4)
     assert spec != SequenceSpec(SequenceKind.TWO_BY_N, 3)
     assert spec != (SequenceKind.SQUARE, 3)
+    assert (SequenceKind.SQUARE, 3) != spec and not spec == (SequenceKind.SQUARE, 3)
+    assert {SequenceSpec(SequenceKind.SQUARE, 3): "found"}[spec] == "found"
     assert hash(spec) == hash(SequenceSpec(SequenceKind.SQUARE, 3))
     assert len({spec, SequenceSpec(SequenceKind.SQUARE, 3), SequenceSpec(SequenceKind.SQUARE, 4)}) == 2
     assert repr(spec) == f"SequenceSpec(kind={SequenceKind.SQUARE!r}, bound=3)"
@@ -877,6 +879,8 @@ def test_sequence_spec_is_an_immutable_value():
     for bound in (0, -1, -(2**70)):
         with pytest.raises(ValueError, match="bound must be positive"):
             SequenceSpec(SequenceKind.TABLE, bound)
+        with pytest.raises(ValueError, match="bound must be positive"):
+            spec._replace(bound=bound)
 
 
 @pytest.mark.parametrize("clone", [

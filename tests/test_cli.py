@@ -822,6 +822,15 @@ def test_literal_record_fields_are_the_dataclass_fields():
     assert cli.FIELDS["conjecture"] == tuple(f.name for f in dataclasses.fields(ScanRecord))
 
 
+
+def test_gen_seq_choices_are_the_sequence_kinds():
+    # spelled out in cli so that parsing does not import chocolate
+    [sub] = [a for a in cli.build_parser()._actions if a.dest == "command"]
+    [seq] = [a for a in sub.choices["gen"]._actions if a.dest == "seq"]
+    assert list(seq.choices) == [kind.value for kind in SequenceKind]
+    listed = [v.partition(" --seq ")[2].split("|") for v in cli.FIELDS if v.startswith("gen ")]
+    assert all(any(choice in seqs for seqs in listed) for choice in seq.choices)
+
 FIELD_CASES = [
     ("gen --seq table|triangle", ("gen", "--seq", "table", "--max", "2")),
     ("gen --seq table|triangle", ("gen", "--seq", "triangle", "--max", "2")),
