@@ -1,11 +1,8 @@
 """Tests for the exact integer utilities."""
 
 import math
-import os
 import random
-import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,23 +42,6 @@ def test_binomial_examples(n, k, expected):
 def test_binomial_rejects_negative_n():
     with pytest.raises(ValueError):
         binomial(-3, 1)
-
-
-def test_binomial_weight_matches_two_by_three_expansion():
-    # the n=3 case of the 2 x n recursion expands as
-    # (2n-2)! + C(4,1) B_1 B_2 + C(4,3) B_2 B_1, and the interleaving weight
-    # C(4,2) pairs with the two 1 x 3 sub-bars of the other split direction
-    assert binomial(4, 2) == 6
-    assert binomial(4, 2) * math.factorial(2) * math.factorial(2) == 24
-    assert math.factorial(4) + binomial(4, 1) * 1 * 4 + binomial(4, 3) * 4 * 1 == 56
-    assert chocolate2(3) == 56
-
-
-def test_pascal_identity_and_symmetry():
-    for n in range(1, 31):
-        for k in range(0, n + 1):
-            assert binomial(n, k) == binomial(n - 1, k - 1) + binomial(n - 1, k)
-            assert binomial(n, k) == binomial(n, n - k)
 
 
 @pytest.mark.parametrize("value,p,expected", [(4, 2, 2), (1, 7, 0), (92800, 2, 7)])
@@ -171,15 +151,13 @@ def test_prime_windows_match_a_plain_sieve(low, high):
     assert arith_mod.primes_between(low, high) == plain_primes(low, high)
 
 
-def test_a_first_window_below_2_26_sieves_the_trial_primes_it_needs():
+def test_a_first_window_below_2_26_sieves_the_trial_primes_it_needs(fresh_python):
     # a fresh interpreter has sieved the trial primes below 2**10 only, and
     # no factor call has grown them to the 2**13 this window needs
     probe = ("import chocnum.arith as a; before = a._trial_sieved; "
              "window = a.primes_between(2**26 - 2**16, 2**26); "
              "print(before, a._trial_sieved, *window)")
-    env = dict(os.environ, PYTHONPATH=str(Path(arith_mod.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh_python("-c", probe)
     assert proc.returncode == 0, proc.stderr
     before, after, *window = map(int, proc.stdout.split())
     assert before < 2**13 < after

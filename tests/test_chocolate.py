@@ -7,9 +7,7 @@ import importlib
 import inspect
 import json
 import math
-import os
 import pickle
-import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
@@ -60,13 +58,6 @@ def test_symmetry():
     for m in range(1, 7):
         for n in range(1, 7):
             assert chocolate_number(m, n, table) == chocolate_number(n, m, table)
-
-
-def test_values_even_off_the_first_row():
-    table = ChocolateTable()
-    for m in range(2, 7):
-        for n in range(2, 7):
-            assert chocolate_number(m, n, table) % 2 == 0
 
 
 def test_chocolate2_matches_general_recursion():
@@ -164,10 +155,8 @@ print(hex(chocolate_number(2, 300)), "chocnum.fill" in sys.modules)
 """
 
 
-def test_a_fresh_count_falls_back_to_big_integers_when_the_fill_cannot_load():
-    env = dict(os.environ, PYTHONPATH=str(Path(chocolate_mod.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", FRESH_COUNT_PROBE], env=env,
-                          capture_output=True, text=True, timeout=60)
+def test_a_fresh_count_falls_back_to_big_integers_when_the_fill_cannot_load(fresh_python):
+    proc = fresh_python("-c", FRESH_COUNT_PROBE)
     assert proc.returncode == 0, proc.stderr
     value, loaded = proc.stdout.split()
     assert (int(value, 16), loaded) == (every_term_chocolate2(300)[-1], "False")
@@ -201,11 +190,9 @@ print(hex(deep), first.computed, second.computed, "chocnum.fill" in sys.modules,
     (chocnum._IMPORT_HEADROOM, 698),
     (chocnum._IMPORT_HEADROOM + 10, 1),
 ])
-def test_a_deep_caller_leaves_the_route_and_the_residue_module_usable(headroom, first_computed):
-    env = dict(os.environ, PYTHONPATH=str(Path(chocolate_mod.__file__).parents[1]))
-    probe = DEEP_THEN_SHALLOW_PROBE.format(headroom=headroom)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+def test_a_deep_caller_leaves_the_route_and_the_residue_module_usable(fresh_python, headroom,
+                                                                      first_computed):
+    proc = fresh_python("-c", DEEP_THEN_SHALLOW_PROBE.format(headroom=headroom))
     assert proc.returncode == 0, proc.stderr
     deep, first, second, loaded, *residues = proc.stdout.split()
     assert int(deep, 16) == every_term_chocolate2(350)[-1]
@@ -233,11 +220,8 @@ print(json.dumps([chocolate2_mod(20, 7), [r.as_dict() for r in conjecture_scan(2
 # at +50 to +70, numpy's import used to fail part way and leave every
 # later scan of the process raising ImportError
 @pytest.mark.parametrize("headroom", [50, 60, 70, 80])
-def test_a_deep_residue_scan_raises_before_numpy_and_leaves_it_loadable(headroom):
-    env = dict(os.environ, PYTHONPATH=str(Path(chocolate_mod.__file__).parents[1]))
-    probe = DEEP_SCAN_PROBE.format(headroom=headroom)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+def test_a_deep_residue_scan_raises_before_numpy_and_leaves_it_loadable(fresh_python, headroom):
+    proc = fresh_python("-c", DEEP_SCAN_PROBE.format(headroom=headroom))
     assert proc.returncode == 0, proc.stderr
     first, then = proc.stdout.splitlines()
     assert first == "RecursionError False"
@@ -480,14 +464,13 @@ def test_every_bar_from_19_x_19_on_meets_the_warm_rule():
                for m in range(19, 200) for n in range(m, m + 400) for sweep in (False, True))
 
 
-def test_the_crossover_script_times_every_pinned_bar():
+def test_the_crossover_script_times_every_pinned_bar(fresh_python):
     # the route pins and the table their constants come from cannot drift
     # apart: a pinned bar in a family of its state, cold or warm, and a
     # pinned sweep in the family that times that sweep.  A single row has
     # no route fill to time
     script = Path(__file__).resolve().parents[1] / "tools" / "crossover.py"
-    proc = subprocess.run([sys.executable, str(script), "--bars"],
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh_python(str(script), "--bars")
     assert proc.returncode == 0, proc.stderr
     timed = {(family, int(m), int(n))
              for family, m, n in map(str.split, proc.stdout.splitlines())}
@@ -765,13 +748,6 @@ def test_chocolate2_reuses_table_entries():
     assert table.computed == before  # all answers came from the memo
 
 
-def test_generate_triangle_four_rows():
-    entries = generate(SequenceSpec(SequenceKind.TRIANGLE_ROWS, 4))
-    assert [v for _, v in entries] == [1, 1, 1, 2, 4, 2, 6, 56, 56, 6]
-    assert entries[4] == ((2, 2), 4)
-    assert entries[7] == ((2, 3), 56)
-
-
 def bar_by_bar(kind, bound, table):
     """A triangle or table sweep as one chocolate_number per entry, each
     filling the rectangle of its own bar."""
@@ -824,11 +800,6 @@ def test_a_cold_table_sweep_caches_the_bytes_of_the_bar_by_bar_sweep(tmp_path, c
     assert capsys.readouterr().out.count("\n") == 36 * 36
 
 
-def test_generate_distinct_small_bound():
-    entries = generate(SequenceSpec(SequenceKind.DISTINCT_SORTED, 60))
-    assert [v for _, v in entries] == [1, 2, 4, 6, 24, 56]
-
-
 def test_numpy_integer_arguments_act_as_python_ints():
     # numpy scalars would run the route rule's arithmetic in int64; a 2 x 300
     # count, a square sweep to 30 and a 2 x n sweep to 200 take the route
@@ -851,6 +822,12 @@ def test_numpy_integer_arguments_act_as_python_ints():
 def test_sequence_spec_rejects_bad_bound():
     with pytest.raises(ValueError):
         SequenceSpec(SequenceKind.SQUARE, 0)
+
+
+def test_generate_rejects_an_unknown_kind():
+    # a spec checks its bound, not its kind: the --seq name is no kind
+    with pytest.raises(ValueError, match="unknown sequence kind: b"):
+        generate(SequenceSpec("b", 3))
 
 
 def test_sequence_spec_is_an_immutable_value():
@@ -952,6 +929,15 @@ def test_cache_roundtrip_entries(tmp_path):
     reloaded = load_cache(path)
     assert reloaded.memo == table.memo
     assert "2 2 4" in path.read_text().splitlines()
+
+
+def test_a_cache_with_crlf_line_ends_loads_like_its_lf_copy(tmp_path):
+    table = ChocolateTable()
+    chocolate_number(3, 4, table)
+    lf, crlf = tmp_path / "lf.cache", tmp_path / "crlf.cache"
+    save_cache(table, lf)
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    assert load_cache(crlf).memo == load_cache(lf).memo == table.memo
 
 
 def test_cache_reload_short_circuits_recursion(tmp_path):

@@ -5,7 +5,6 @@ import dataclasses
 import hashlib
 import io
 import json
-import os
 import re
 import signal
 import subprocess
@@ -13,7 +12,6 @@ import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -34,7 +32,7 @@ from chocnum.chocolate import (
     save_cache,
 )
 from chocnum.cli import EXIT_FAILED, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, main
-from chocnum.modular import PeriodReport, ScanRecord, chocolate2_mod, hyper_numerators_mod
+from chocnum.modular import PeriodReport, ScanRecord, chocolate2_mod
 from chocnum.series import RationalSeries
 
 
@@ -144,6 +142,14 @@ def test_integers_past_the_digit_limit_print_in_full(capsys, tmp_path):
     records = [json.loads(line) for line in runs["jsonl"][1].splitlines()]
     assert records == [{"n": n, "value": v} for n, v in enumerate(values, 1)]
     assert reloaded.memo == swept.memo
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no digit limit")
+def test_a_failed_cache_load_gives_the_digit_limit_back(tmp_path):
+    path = tmp_path / "bad.cache"
+    path.write_text(f"{chocolate_mod.CACHE_HEADER}\n2 3\n")
+    with lowest_digit_limit(), pytest.raises(chocolate_mod.CacheFormatError):
+        load_cache(path)
 
 
 def test_gen_cache_round_trip(capsys, tmp_path):
@@ -311,16 +317,12 @@ resource.setrlimit(resource.RLIMIT_AS, (size + {headroom}, hard))
 
 
 @pytest.mark.skipif(sys.platform != "linux", reason="reads VmSize from /proc")
-def test_a_fresh_40_x_40_fills_under_an_address_space_limit():
+def test_a_fresh_40_x_40_fills_under_an_address_space_limit(fresh_python):
     # children whose numpy, fill and plan are loaded, then limited to their
     # size plus a headroom: 3 MiB holds the fill's 2 MiB block and what the
     # fold needs besides, but not a second block at once, and 1 MiB not one
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-
     def child(headroom, run):
-        probe = RLIMIT_PROBE.format(headroom=headroom, run=run)
-        return subprocess.run([sys.executable, "-c", probe], env=env,
-                              capture_output=True, text=True, timeout=120)
+        return fresh_python("-c", RLIMIT_PROBE.format(headroom=headroom, run=run), timeout=120)
 
     table = ChocolateTable()
     chocolate_number(1, 1, table)
@@ -496,39 +498,7 @@ def test_mod_rejects_a_modulus_below_two_in_a_list(capsys):
     assert "modulus must be >= 2, got 1" in err
 
 
-def test_mod_matches_library(capsys):
-    code, out, _ = run(
-        capsys, "mod", "--seq", "p", "--modulus", "9", "--max", "20",
-        "--format", "jsonl",
-    )
-    assert code == EXIT_OK
-    residues = [json.loads(line)["residue"] for line in out.splitlines()]
-    assert residues == hyper_numerators_mod(20, 9)
-
-
 # ---------------------------------------------------------------- period
-
-
-def test_period_resolved(capsys):
-    code, out, _ = run(
-        capsys, "period", "--seq", "p", "--modulus", "3", "--max", "60",
-        "--format", "jsonl",
-    )
-    assert code == EXIT_OK
-    rec = json.loads(out)
-    assert rec["resolved"] is True
-    assert rec["period"] == 3 and rec["preperiod"] == 0
-    assert rec["eventually_zero"] is False
-
-
-def test_period_hint_pp1(capsys):
-    code, out, _ = run(
-        capsys, "period", "--seq", "p", "--modulus", "7", "--max", "210",
-        "--hint-pp1", "--format", "jsonl",
-    )
-    assert code == EXIT_OK
-    rec = json.loads(out)
-    assert rec["period"] == 7
 
 
 def test_period_hint_pp1_large_prime_is_quick(capsys):
@@ -556,26 +526,6 @@ def test_period_hint_pp1_large_composite_is_quick(capsys):
     code, hinted, _ = run(capsys, *argv, "--hint-pp1")
     assert time.perf_counter() - start < 2.0
     assert (code, hinted) == run(capsys, *argv)[:2]
-
-
-def test_period_unresolved_exit_code(capsys):
-    code, out, _ = run(
-        capsys, "period", "--seq", "b", "--modulus", "13", "--max", "100",
-        "--format", "jsonl",
-    )
-    assert code == EXIT_UNRESOLVED
-    rec = json.loads(out)
-    assert rec["resolved"] is False and rec["period"] is None
-
-
-def test_period_eventually_zero(capsys):
-    code, out, _ = run(
-        capsys, "period", "--seq", "b", "--modulus", "11", "--max", "40",
-        "--format", "jsonl",
-    )
-    assert code == EXIT_OK
-    rec = json.loads(out)
-    assert rec["eventually_zero"] is True and rec["preperiod"] == 5
 
 
 # ---------------------------------------------------------------- series
@@ -618,13 +568,6 @@ def test_conjecture_consistent_run(capsys):
     assert all(r["status"] == "CONSISTENT" for r in records)
 
 
-def test_conjecture_unresolved_exit_code(capsys):
-    code, out, _ = run(
-        capsys, "conjecture", "--id", "2", "--primes", "13", "--max", "150"
-    )
-    assert code == EXIT_UNRESOLVED
-
-
 def test_conjecture_inconsistent_exit_code(capsys, monkeypatch):
     fake = [1, 2, 1] + [0] * 297
     monkeypatch.setattr(modular_mod, "chocolate2_mod", lambda n, m: fake[:n])
@@ -648,23 +591,19 @@ def test_conjecture_keeps_order_and_repeated_moduli(capsys):
     assert lines[0] == lines[2]
 
 
-def test_conjecture3_on_a_large_prime_is_quick():
+def test_conjecture3_on_a_large_prime_is_quick(fresh_python):
     # p(p-1) is about 10^18: nothing may scale with p, only with --max
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     argv = ("conjecture", "--id", "3", "--primes", "1000000007", "--max", "100")
-    proc = subprocess.run([sys.executable, "-m", "chocnum.cli", *argv], env=env,
-                          capture_output=True, timeout=10)
+    proc = fresh_python("-m", "chocnum.cli", *argv, timeout=10)
     assert proc.returncode == EXIT_UNRESOLVED
-    assert proc.stdout.startswith(b"3 1000000007 100 UNRESOLVED - - ")
+    assert proc.stdout.startswith("3 1000000007 100 UNRESOLVED - - ")
 
 
-def test_conjecture3_on_an_eighteen_digit_prime_is_quick():
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+def test_conjecture3_on_an_eighteen_digit_prime_is_quick(fresh_python):
     argv = ("conjecture", "--id", "3", "--primes", "1000000000000000003", "--max", "100")
-    proc = subprocess.run([sys.executable, "-m", "chocnum.cli", *argv], env=env,
-                          capture_output=True, timeout=10)
+    proc = fresh_python("-m", "chocnum.cli", *argv, timeout=10)
     assert proc.returncode == EXIT_UNRESOLVED
-    assert proc.stdout.startswith(b"3 1000000000000000003 100 UNRESOLVED - - ")
+    assert proc.stdout.startswith("3 1000000000000000003 100 UNRESOLVED - - ")
 
 
 def test_conjecture_csv_round_trips(capsys):
@@ -699,6 +638,8 @@ GOLDEN = [  # (argv, exit code, the whole stdout or, for a long one, its sha256)
     ("mod --seq b --modulus 3,5 --max 4", EXIT_OK,
      "b 3 1 1\nb 3 2 1\nb 3 3 2\nb 3 4 2\nb 5 1 1\nb 5 2 4\nb 5 3 1\nb 5 4 2\n"),
     ("mod --seq p --modulus 7 --max 1", EXIT_OK, "p 7 1 3\n"),
+    ("mod --seq p --modulus 9 --max 20 --format jsonl", EXIT_OK,
+     "36b73d7afdd53adbe3e95533da3c3cd702a36647b1a7d297dde555d43ec70764"),
     ("series --check riccati --order 20", EXIT_OK, "residual zero through order 19\n"),
     ("series --check ode --order 12", EXIT_OK, "identity holds through order 11\n"),
     ("series --check hypergeom --order 12", EXIT_OK, "residual zero through order 12\n"),
@@ -785,11 +726,27 @@ GOLDEN = [  # (argv, exit code, the whole stdout or, for a long one, its sha256)
      "p 43 18060 true 0 903 false 18060\n"),
     ("period --seq p --modulus 43 --max 18060 --hint-pp1", EXIT_OK,
      "p 43 18060 true 0 903 false 18060\n"),
+    ("period --seq p --modulus 3 --max 60 --format jsonl", EXIT_OK,
+     '{"seq": "p", "modulus": 3, "n_max": 60, "resolved": true, "preperiod": 0, '
+     '"period": 3, "eventually_zero": false, "evidence_length": 60}\n'),
+    ("period --seq p --modulus 7 --max 210 --hint-pp1 --format jsonl", EXIT_OK,
+     '{"seq": "p", "modulus": 7, "n_max": 210, "resolved": true, "preperiod": 0, '
+     '"period": 7, "eventually_zero": false, "evidence_length": 210}\n'),
+    ("period --seq b --modulus 13 --max 100 --format jsonl", EXIT_UNRESOLVED,
+     '{"seq": "b", "modulus": 13, "n_max": 100, "resolved": false, "preperiod": null, '
+     '"period": null, "eventually_zero": false, "evidence_length": 100}\n'),
+    # 11 divides B_6 onwards: a zero tail after a preperiod of 5
+    ("period --seq b --modulus 11 --max 40 --format jsonl", EXIT_OK,
+     '{"seq": "b", "modulus": 11, "n_max": 40, "resolved": true, "preperiod": 5, '
+     '"period": 1, "eventually_zero": true, "evidence_length": 40}\n'),
     # B_107 has the prime factor 2751857: the zero-tail certificate is
     # computed, not searched, so this answers at once
     ("conjecture --id 1 --primes 2751857 --max 107", EXIT_UNRESOLVED,
      "1 2751857 107 UNRESOLVED 106 1 trailing zeros from index 107 on a "
      "classifier-false prime; cannot certify either way\n"),
+    ("conjecture --id 2 --primes 13 --max 150", EXIT_UNRESOLVED,
+     "2 13 150 UNRESOLVED - - no period certified within 150 terms at the configured "
+     "thresholds\n"),
 ]
 
 
@@ -962,15 +919,11 @@ IMPORT_CASES = [  # (snippet, the watched modules it leaves loaded)
 @pytest.mark.parametrize("snippet, loaded", IMPORT_CASES,
                          ids=[snippet.splitlines()[0] if snippet else "import"
                               for snippet, _ in IMPORT_CASES])
-def test_each_subcommand_imports_only_what_it_runs(snippet, loaded):
+def test_each_subcommand_imports_only_what_it_runs(fresh_python, snippet, loaded):
     # fresh interpreters, since this one has long since imported numpy,
     # compiling from source, as a process without cached bytecode starts
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]),
-               PYTHONDONTWRITEBYTECODE="1")
-    env.pop(cli.CACHE_ENV, None)
     probe = IMPORT_PROBE.format(snippet=snippet, watched=WATCHED)
-    proc = subprocess.run([sys.executable, "-c", probe], env=env,
-                          capture_output=True, text=True, timeout=60)
+    proc = fresh_python("-c", probe, PYTHONDONTWRITEBYTECODE="1")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == f"{loaded}\n"
 
@@ -979,12 +932,11 @@ def test_each_subcommand_imports_only_what_it_runs(snippet, loaded):
     (("mod", "--seq", "p", "--modulus", "7", "--max", "20000"), b"p 7 1 3\n"),
     (("gen", "--seq", "b", "--max", "300", "--format", "jsonl"), b'{"n": 1, "value": 1}\n'),
 ], ids=["mod", "gen"])
-def test_closed_stdout_pipe_exits_quietly(argv, first_line):
+def test_closed_stdout_pipe_exits_quietly(fresh_python, argv, first_line):
     # the reader takes one line and goes away, as `| head -1` does; the
     # output is well past a pipe buffer, so the writer sees the pipe close
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.Popen([sys.executable, "-m", "chocnum.cli", *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-m", "chocnum.cli", *argv],
+                            env=fresh_python.env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline() == first_line
     proc.stdout.close()
     _, err = proc.communicate(timeout=120)
@@ -992,19 +944,18 @@ def test_closed_stdout_pipe_exits_quietly(argv, first_line):
     assert err == b""
 
 
-def test_interrupt_exits_130_without_a_traceback():
+def test_interrupt_exits_130_without_a_traceback(fresh_python):
     # the first line comes from the child's first flush of megabytes of
     # output, so SIGINT reaches it inside main, still writing.  A shell
     # starts a background job with SIGINT ignored, and Python keeps that, so
     # the child restores Ctrl-C's KeyboardInterrupt as a foreground run has
     # it; a child that inherited SIG_IGN would write everything and exit 0
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
     argv = ("mod", "--seq", "p", "--modulus", "7", "--max", "200000")
     interruptible = ("import signal, sys; "
                      "signal.signal(signal.SIGINT, signal.default_int_handler); "
                      "import chocnum.cli; sys.exit(chocnum.cli.main(sys.argv[1:]))")
-    proc = subprocess.Popen([sys.executable, "-c", interruptible, *argv], env=env,
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc = subprocess.Popen([sys.executable, "-c", interruptible, *argv],
+                            env=fresh_python.env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     assert proc.stdout.readline() == b"p 7 1 3\n"
     proc.send_signal(signal.SIGINT)
     _, err = proc.communicate(timeout=120)

@@ -756,38 +756,7 @@ def test_hyper_numerators_periodicity_congruence():
             assert residues[n + pp1] == residues[n], (p, n)
 
 
-def test_hyper_numerators_zero_tails_match_classifier():
-    for p in primes_below(50):
-        residues = hyper_numerators_mod(4 * p + 8, p)
-        if zero_tail_prime(p):
-            assert residues[-1] == 0, p
-        else:
-            assert all(r != 0 for r in residues), p
-
-
 # ------------------------------------------------------------------ detector
-
-
-def test_detect_period_on_hyper_numerators_mod_3():
-    report = detect_eventual_period(hyper_numerators_mod(30, 3))
-    assert report.resolved and not report.eventually_zero
-    assert (report.preperiod, report.period) == (0, 3)
-
-
-def test_detect_zero_tail():
-    report = detect_eventual_period([5, 0, 0, 0, 0, 0, 0, 0])
-    assert report.resolved and report.eventually_zero
-    assert (report.preperiod, report.period) == (1, 1)
-    # a zero tail of exactly half the evidence resolves; one more leading term does not
-    report = detect_eventual_period([1, 2, 3, 4, 0, 0, 0, 0])
-    assert report.eventually_zero and report.preperiod == 4
-    assert not detect_eventual_period([5, 1, 2, 3, 4, 0, 0, 0, 0]).resolved
-
-
-def test_detect_constant_sequence():
-    report = detect_eventual_period([4] * 8)
-    assert report.resolved and not report.eventually_zero
-    assert (report.preperiod, report.period) == (0, 1)
 
 
 def test_detect_requires_evidence():
@@ -925,19 +894,11 @@ def test_detect_thresholds_at_both_edges(period):
 def test_detect_is_idempotent_under_extension():
     full = hyper_numerators_mod(600, 3)
     reports = [detect_eventual_period(full[:length]) for length in (9, 30, 100, 600)]
-    assert all(r.resolved for r in reports)
+    assert all(r.resolved and not r.eventually_zero for r in reports)
     assert {(r.preperiod, r.period) for r in reports} == {(0, 3)}
 
 
 # ----------------------------------------------------------------- theorems
-
-
-def test_zero_tail_prime_examples():
-    assert zero_tail_prime(11) is True
-    assert zero_tail_prime(3) is False
-    assert zero_tail_prime(5) is True
-    with pytest.raises(ValueError):
-        zero_tail_prime(9)
 
 
 def test_zero_tail_prime_matches_legendre():

@@ -94,6 +94,7 @@ ARGUMENT_CHECKS = [
     ("hyper_numerators_mod(0, 7)", lambda: chocnum.hyper_numerators_mod(0, 7)),
     ("hyper_numerators_mod(5, 1)", lambda: chocnum.hyper_numerators_mod(5, 1)),
     ("persistent_divisor_check(3, 0, [])", lambda: chocnum.persistent_divisor_check(3, 0, [])),
+    ("zero_tail_prime(9)", lambda: chocnum.zero_tail_prime(9)),
     ("hyper_numerators(0)", lambda: chocnum.hyper_numerators(0)),
     ("riccati_residual_of(order 2)", lambda: chocnum.riccati_residual_of(_series(0, 1, 0))),
     ("riccati_residual_of(constant 1)",

@@ -145,55 +145,6 @@ def test_hyper_numerators_reduce_to_modular_route():
 # ------------------------------------------------------------ the identities
 
 
-@pytest.mark.parametrize("order", [3, 5, 12, 30])
-def test_riccati_residual_vanishes(order):
-    residual = riccati_residual(order)
-    assert residual.order == order - 1
-    assert residual.is_zero()
-
-
-def test_riccati_residual_detects_a_wrong_count():
-    f = chocolate2_gf(6)
-    broken = _perturb(f, 2, Fraction(5, math.factorial(3)))
-    residual = riccati_residual_of(broken)
-    assert not residual.is_zero()
-    assert residual.first_nonzero() == 1
-
-
-@pytest.mark.parametrize("order", [3, 10, 30])
-def test_log_derivative_identity_holds(order):
-    ok, residual = verify_log_derivative(order)
-    assert ok and residual.is_zero()
-    assert residual.order == order
-
-
-def test_log_derivative_detects_a_wrong_numerator():
-    order = 8
-    f = chocolate2_gf(order)
-    u = hypergeom_series(order)
-    broken = _perturb(u, 2, u[2] + 1)
-    residual = log_derivative_residual_of(f, broken)
-    assert not residual.is_zero()
-    assert residual.first_nonzero() == 2
-
-
-@pytest.mark.parametrize("order", [4, 10, 30])
-def test_linear_ode_holds(order):
-    assert verify_linear_ode(order)
-
-
-def test_linear_ode_constant_term_balance():
-    u = hypergeom_series(6)
-    # at X^0 the cleared form reads 2 u'(0) + u(0)
-    assert 2 * u[1] + u[0] == 0
-
-
-def test_linear_ode_detects_perturbation():
-    u = hypergeom_series(8)
-    broken = _perturb(u, 1, u[1] + 1)
-    assert not linear_ode_residual_of(broken).is_zero()
-
-
 def _fractions(*values):
     return tuple(Fraction(v) for v in values)
 
@@ -216,12 +167,14 @@ def test_perturbed_residuals_are_pinned():
     assert linear_ode_residual_of(broken).coeffs == _fractions(2, -1, 0, 0, 0, 0, 0, 0)
 
 
-def test_identities_hold_at_every_order_up_to_thirty():
-    for order in range(3, 31):
-        assert riccati_residual(order).is_zero(), order
-        assert verify_log_derivative(order)[0], order
-        if order >= 4:
-            assert verify_linear_ode(order), order
+@pytest.mark.parametrize("order", range(3, 31))
+def test_identities_hold_at_every_order_up_to_thirty(order):
+    residual = riccati_residual(order)
+    assert residual.is_zero() and residual.order == order - 1
+    holds, residual = verify_log_derivative(order)
+    assert holds and residual.is_zero() and residual.order == order
+    if order >= 4:
+        assert verify_linear_ode(order)
 
 
 def test_identity_checks_validate_order():
