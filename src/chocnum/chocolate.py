@@ -245,15 +245,16 @@ class SequenceSpec(namedtuple("SequenceSpec", ("kind", "bound"))):
     TRIANGLE_ROWS, TWO_BY_N, SQUARE and TABLE, and an inclusive value bound
     for DISTINCT_SORTED.
 
-    An immutable value whose ``bound`` is a positive int (``operator.index``
-    of the argument), hashed by its two fields and equal only to a spec
-    with equal fields, never to a plain tuple.
+    An immutable value whose ``kind`` is a SequenceKind (given as one or as
+    its ``gen --seq`` name) and whose ``bound`` is a positive int
+    (``operator.index`` of the argument), hashed by its two fields and equal
+    only to a spec with equal fields, never to a plain tuple.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: SequenceKind, bound: int):
-        bound = operator.index(bound)
+    def __new__(cls, kind: SequenceKind | str, bound: int):
+        kind, bound = SequenceKind(kind), operator.index(bound)
         if bound < 1:
             raise ValueError(f"bound must be positive, got {bound}")
         return super().__new__(cls, kind, bound)
@@ -303,9 +304,8 @@ def generate(spec: SequenceSpec, table: ChocolateTable | None = None) -> list[tu
         else:
             chocolate2(last, table)  # chocolate2(1) stores nothing
         return [(1, memo[(1, 1)] if square else 1)] + [(b, memo[(a, b)]) for a, b in cells]
-    if spec.kind is SequenceKind.DISTINCT_SORTED:
-        return [(i, v) for i, v in enumerate(_distinct_values(spec.bound, table), start=1)]
-    raise ValueError(f"unknown sequence kind: {spec.kind}")
+    # DISTINCT_SORTED
+    return [(i, v) for i, v in enumerate(_distinct_values(spec.bound, table), start=1)]
 
 
 def _distinct_values(bound: int, table: ChocolateTable) -> list[int]:

@@ -153,9 +153,9 @@ def _emit(records, fields, fmt: str) -> None:
 
 def _records(seq: str, bound: int, table) -> list[tuple]:
     """(index..., value) records of ``gen --seq SEQ``; ``nu`` reads them too."""
-    from .chocolate import SequenceKind, SequenceSpec, generate
+    from .chocolate import SequenceSpec, generate
 
-    entries = generate(SequenceSpec(SequenceKind(seq), bound), table)
+    entries = generate(SequenceSpec(seq, bound), table)
     if seq in ("table", "triangle"):
         return [(m, n, v) for (m, n), v in entries]
     if seq == "distinct":

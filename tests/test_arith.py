@@ -2,7 +2,6 @@
 
 import math
 import random
-import sys
 
 import numpy as np
 import pytest
@@ -21,14 +20,7 @@ from chocnum.arith import (
 )
 from chocnum.chocolate import ChocolateTable, chocolate2, chocolate_number
 
-
-def sieve_below(limit):
-    flags = [True] * limit
-    flags[0] = flags[1] = False
-    for i in range(2, int(limit**0.5) + 1):
-        if flags[i]:
-            flags[i * i :: i] = [False] * len(flags[i * i :: i])
-    return [i for i, f in enumerate(flags) if f]
+from shared import lowest_digit_limit, plain_primes
 
 
 @pytest.mark.parametrize(
@@ -39,21 +31,9 @@ def test_binomial_examples(n, k, expected):
     assert binomial(n, k) == expected
 
 
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-3, 1)
-
-
 @pytest.mark.parametrize("value,p,expected", [(4, 2, 2), (1, 7, 0), (92800, 2, 7)])
 def test_nu_p_examples(value, p, expected):
     assert nu_p(value, p) == expected
-
-
-def test_nu_p_rejects_zero_and_composite_p():
-    with pytest.raises(ValueError):
-        nu_p(0, 2)
-    with pytest.raises(ValueError):
-        nu_p(12, 4)
 
 
 def test_nu_p_extracts_exact_power():
@@ -130,17 +110,7 @@ def test_factor_by_primes_matches_every_odd_divisor():
     for v in sorted(values):
         assert factor(v) == odd_divisor_factor(v), v
     # 999983^2 sieved every window: the primes kept are those of a plain sieve
-    assert list(arith_mod._trial_primes) == sieve_below(TRIAL_BOUND + 1)
-
-
-def plain_primes(low, high):
-    """The primes in [low, high), low >= 2, by crossing out the multiples
-    of every d with d*d < high."""
-    window = bytearray([1]) * (high - low)
-    for d in range(2, math.isqrt(high - 1) + 1):
-        first = max(d * d, -(-low // d) * d) - low
-        window[first::d] = bytes(len(range(first, high - low, d)))
-    return [q for q, prime in zip(range(low, high), window) if prime]
+    assert list(arith_mod._trial_primes) == plain_primes(2, TRIAL_BOUND + 1)
 
 
 @pytest.mark.parametrize("low,high", [
@@ -167,16 +137,8 @@ def test_a_first_window_below_2_26_sieves_the_trial_primes_it_needs(fresh_python
 def test_a_cofactor_past_the_digit_limit_prints_in_full():
     cofactor = 10**5000 + 1  # 5001 digits, composite (11 divides it)
     f = Factorization(((2, 3),), cofactor, CofactorStatus.COMPOSITE_UNRESOLVED)
-    if not hasattr(sys, "set_int_max_str_digits"):
+    with lowest_digit_limit():
         assert str(f) == f"2^3 * 1{'0' * 4999}1?"
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        assert str(f) == f"2^3 * 1{'0' * 4999}1?"
-        assert sys.get_int_max_str_digits() == 640  # the caller's limit is back
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def test_factor_flags_unresolvable_cofactor():
@@ -204,7 +166,7 @@ def test_factor_flags_probable_prime_cofactor():
 
 
 def test_is_prime_matches_sieve():
-    primes = set(sieve_below(10000))
+    primes = set(plain_primes(2, 10000))
     for n in range(10000):
         assert is_prime(n) == (n in primes)
 
@@ -226,12 +188,6 @@ def test_divides_factorial_agrees_with_direct_division():
             assert divides_factorial(k, N) == (fact % k == 0), (k, N)
 
 
-def test_divides_factorial_rejects_unfactorable_k():
-    m89 = 2**89 - 1
-    with pytest.raises(ValueError):
-        divides_factorial(m89 * m89, 100)
-
-
 def test_numpy_integers_act_as_python_ints():
     # the three-argument pow of Miller-Rabin and int.bit_length need ints
     big = 10**12 + 39
@@ -243,17 +199,3 @@ def test_numpy_integers_act_as_python_ints():
     assert nu_p(96, np.int64(1_000_003)) == 0
     assert divides_factorial(12, np.int64(5)) is True
     assert divides_factorial(np.int64(7), 6) is False
-
-
-@pytest.mark.parametrize("call", [
-    lambda: is_prime(7.0),
-    lambda: factor(12.0),
-    lambda: nu_p(12.0, 2),
-    lambda: nu_p(12, 2.0),
-    lambda: divides_factorial(12.0, 5),
-    lambda: divides_factorial(12, 5.0),
-], ids=["is_prime", "factor", "nu_p-value", "nu_p-p", "divides_factorial-k",
-        "divides_factorial-N"])
-def test_floats_are_not_integers(call):
-    with pytest.raises(TypeError):
-        call()

@@ -19,7 +19,6 @@ import chocnum
 import chocnum.chocolate as chocolate_mod
 import chocnum.cli as cli
 import chocnum.fill as fill_mod
-from chocnum.arith import is_prime
 from chocnum.chocolate import (
     CacheFormatError,
     ChocolateTable,
@@ -34,14 +33,7 @@ from chocnum.chocolate import (
 )
 from chocnum.modular import conjecture_scan
 
-
-def test_rejects_degenerate_bars():
-    with pytest.raises(ValueError):
-        chocolate_number(0, 3)
-    with pytest.raises(ValueError):
-        chocolate_number(3, 0)
-    with pytest.raises(ValueError):
-        chocolate2(0)
+from shared import every_term_chocolate2, plain_primes
 
 
 def test_factorial_row_and_memo_normalization():
@@ -64,19 +56,6 @@ def test_chocolate2_matches_general_recursion():
     # independent routes, so fresh tables on both sides
     for n in range(1, 101):
         assert chocolate2(n, ChocolateTable()) == chocolate_number(2, n, ChocolateTable())
-
-
-@functools.lru_cache(maxsize=None)
-def every_term_chocolate2(n_max):
-    """B_1, ..., B_n_max from B_n = (2n-2)! + sum of C(2n-2, 2i-1) B_i B_{n-i}
-    over every i from 1 to n-1, each weight from math.comb: a reference for
-    the half sum and the walked weights of chocolate2."""
-    b = [0, 1]
-    for n in range(2, n_max + 1):
-        r = 2 * n - 2
-        terms = sum(math.comb(r, 2 * i - 1) * b[i] * b[n - i] for i in range(1, n))
-        b.append(math.factorial(r) + terms)
-    return b[1:]
 
 
 def test_chocolate2_matches_the_sum_over_every_term():
@@ -520,12 +499,7 @@ def test_residue_primes_are_the_fewest_that_pass_the_bound(monkeypatch, bound):
     assert math.prod(primes) > bound >= math.prod(primes[:-1])
     # no prime below 2**26 is skipped, so no shorter list of primes below
     # 2**26 has a larger product
-    expected, q = [], 2**26
-    while len(expected) < len(primes):
-        q -= 1
-        if is_prime(q):
-            expected.append(q)
-    assert primes == expected
+    assert primes == plain_primes(2**26 - 2**17, 2**26)[::-1][: len(primes)]
     assert fill_mod._fewest_primes(bound, 2**26) is None
 
 
@@ -544,13 +518,16 @@ def test_too_few_primes_below_the_ceiling_leave_no_plan(monkeypatch):
     assert len(table.memo) == 298
 
 
+# the largest prime below the ceiling
+P_MAX = plain_primes(fill_mod._PRIME_CEILING - 2**10, fill_mod._PRIME_CEILING)[-1]
+
+
 def test_dot_block_keeps_a_dot_of_residues_in_int64():
-    # the largest residue factor is p_max - 1 for the largest prime p_max
-    # below the ceiling; one more term per block could pass 2^63
-    p_max = next(p for p in range(fill_mod._PRIME_CEILING - 1, 0, -1) if is_prime(p))
-    assert p_max == 67_108_859
-    assert fill_mod._DOT_BLOCK * (p_max - 1) ** 2 < 2**63
-    assert 2048 * (p_max - 1) ** 2 < 2**63 <= 2049 * (p_max - 1) ** 2
+    # the largest residue factor is P_MAX - 1; one more term per block
+    # could pass 2^63
+    assert P_MAX == 67_108_859
+    assert fill_mod._DOT_BLOCK * (P_MAX - 1) ** 2 < 2**63
+    assert 2048 * (P_MAX - 1) ** 2 < 2**63 <= 2049 * (P_MAX - 1) ** 2
 
 
 def test_column_sums_of_every_admitted_row_stay_in_int64(monkeypatch):
@@ -559,11 +536,9 @@ def test_column_sums_of_every_admitted_row_stay_in_int64(monkeypatch):
     # _plan admits a bar only when one prime's lanes fit _FILL_BYTES, and
     # the lanes grow with both sides, so the largest square that fits has
     # the last row any plan can fill.  2052 is the first row past 2**63
-    p_max = next(p for p in range(fill_mod._PRIME_CEILING - 1, 0, -1) if is_prime(p))
-
     def peak(a):
         products = (a + 1) // 2 - 2
-        return 2 * (products * (p_max - 1) ** 2 + p_max - 1) + (a % 2 == 0) * (p_max - 1) ** 2
+        return 2 * (products * (P_MAX - 1) ** 2 + P_MAX - 1) + (a % 2 == 0) * (P_MAX - 1) ** 2
 
     def largest_row():
         m = 2
@@ -813,27 +788,12 @@ def test_numpy_integer_arguments_act_as_python_ints():
         assert entries == generate(SequenceSpec(kind, bound))
         got += [v for _, v in entries]
     assert all(type(v) is int for v in got)
-    for call in (lambda: chocolate_number(2.0, 5), lambda: chocolate_number(2, 5.0),
-                 lambda: chocolate2(3.0), lambda: SequenceSpec(SequenceKind.SQUARE, 3.0)):
-        with pytest.raises(TypeError):
-            call()
-
-
-def test_sequence_spec_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        SequenceSpec(SequenceKind.SQUARE, 0)
-
-
-def test_generate_rejects_an_unknown_kind():
-    # a spec checks its bound, not its kind: the --seq name is no kind
-    with pytest.raises(ValueError, match="unknown sequence kind: b"):
-        generate(SequenceSpec("b", 3))
 
 
 def test_sequence_spec_is_an_immutable_value():
     # what a SequenceSpec promises its callers, whatever class implements it
     spec = SequenceSpec(SequenceKind.SQUARE, 3)
-    assert spec == SequenceSpec(SequenceKind.SQUARE, 3)
+    assert spec == SequenceSpec(SequenceKind.SQUARE, 3) == SequenceSpec("square", 3)
     assert spec != SequenceSpec(SequenceKind.SQUARE, 4)
     assert spec != SequenceSpec(SequenceKind.TWO_BY_N, 3)
     assert spec != (SequenceKind.SQUARE, 3)

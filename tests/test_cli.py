@@ -10,7 +10,6 @@ import signal
 import subprocess
 import sys
 import time
-from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -34,6 +33,8 @@ from chocnum.chocolate import (
 from chocnum.cli import EXIT_FAILED, EXIT_OK, EXIT_UNRESOLVED, EXIT_USAGE, main
 from chocnum.modular import PeriodReport, ScanRecord, chocolate2_mod
 from chocnum.series import RationalSeries
+
+from shared import lowest_digit_limit
 
 
 def run(capsys, *argv):
@@ -108,21 +109,6 @@ def test_bad_flag_values_are_readable_usage_errors(capsys, argv, flag):
     assert code == EXIT_USAGE and out == ""
     assert flag in err and "expected" in err
     assert "_int_list" not in err and "_positive_int" not in err
-
-
-@contextmanager
-def lowest_digit_limit():
-    """Python's lowest int <-> str digit limit, 640, where the limit exists."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    saved = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(640)
-    try:
-        yield
-        assert sys.get_int_max_str_digits() == 640  # the caller's limit is back
-    finally:
-        sys.set_int_max_str_digits(saved)
 
 
 def test_integers_past_the_digit_limit_print_in_full(capsys, tmp_path):
@@ -214,6 +200,13 @@ class CutMemo(dict):
         super().__setitem__(key, value)
 
 
+def cut_table():
+    """A fresh table whose memo is a CutMemo."""
+    table = ChocolateTable()
+    table.memo = CutMemo()
+    return table
+
+
 def test_gen_cache_keeps_the_work_of_an_interrupted_fill(capsys, tmp_path, monkeypatch):
     argv = ("gen", "--seq", "b", "--max", "60", "--cache")
     tables = []
@@ -227,11 +220,6 @@ def test_gen_cache_keeps_the_work_of_an_interrupted_fill(capsys, tmp_path, monke
         m.setattr(chocolate_mod, "ChocolateTable", lambda: recorded(ChocolateTable()))
         code, cold_out, _ = run(capsys, *argv, str(tmp_path / "cold"))
     assert code == EXIT_OK and tables[-1].computed == 59
-
-    def cut_table():
-        table = ChocolateTable()
-        table.memo = CutMemo()
-        return table
 
     cache = tmp_path / "cut"
     with monkeypatch.context() as m:
@@ -252,11 +240,6 @@ def test_an_interrupted_table_sweep_caches_only_finished_bars(capsys, tmp_path, 
     code, cold_out, _ = run(capsys, *argv, str(tmp_path / "cold"))
     cold = load_cache(tmp_path / "cold" / cli.CACHE_FILENAME).memo
     assert code == EXIT_OK and len(cold) == 78
-
-    def cut_table():
-        table = ChocolateTable()
-        table.memo = CutMemo()
-        return table
 
     cache = tmp_path / "cut"
     # load_cache makes its table from the same name, so the cut ends here
@@ -777,7 +760,6 @@ def test_literal_record_fields_are_the_dataclass_fields():
     assert cli.FIELDS["period"] == ("seq", "modulus", "n_max",
                                     *(f.name for f in dataclasses.fields(PeriodReport)))
     assert cli.FIELDS["conjecture"] == tuple(f.name for f in dataclasses.fields(ScanRecord))
-
 
 
 def test_gen_seq_choices_are_the_sequence_kinds():

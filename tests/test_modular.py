@@ -15,12 +15,12 @@ import pytest
 import chocnum.fill as fill_mod
 import chocnum.modular as modular_mod
 from chocnum.arith import binomial, divides_factorial, factor, is_prime
-from chocnum.chocolate import ChocolateTable, chocolate2
 from chocnum.modular import (
     CONSISTENT,
     INCONSISTENT,
     UNRESOLVED,
     PeriodReport,
+    ScanRecord,
     binom_sum_1_mod6,
     binom_sum_5_mod6,
     chocolate2_mod,
@@ -28,28 +28,20 @@ from chocnum.modular import (
     conjecture_scan,
     detect_eventual_period,
     hyper_numerators_mod,
-    mod3_pattern_check,
     persistent_divisor_check,
     residue_kernel,
     zero_tail_prime,
 )
 
-
-def primes_below(limit):
-    return [p for p in range(2, limit) if all(p % q for q in range(2, int(p**0.5) + 1))]
+from shared import every_term_chocolate2, plain_primes
 
 
-# ------------------------------------------------------------ residue series
+# ----------------------------------------------------- residue references
 
 
-def test_chocolate2_mod_validation():
-    with pytest.raises(ValueError):
-        chocolate2_mod(0, 3)
-    with pytest.raises(ValueError):
-        chocolate2_mod(5, 1)
-
-
-# ------------------------------------------------------ residue kernel paths
+def exact(n_max, m):
+    """B_1..B_n_max mod m from the big-integer sum over every term."""
+    return [v % m for v in every_term_chocolate2(n_max)]
 
 
 def full_row_chocolate2_mod(n_max, m):
@@ -67,11 +59,68 @@ def full_row_chocolate2_mod(n_max, m):
     return out[1:]
 
 
+def pascal_rows(n_max, m):
+    """The Pascal-row kernel on the whole modulus, whatever the plan: it
+    shares no arithmetic with the scaled route."""
+    return fill_mod.pascal_residues(n_max, m, residue_kernel(n_max, m))
+
+
+def crt_reference(n_max, m):
+    """chocolate2_mod(n_max, m) joined by CRT from its prime-power factors,
+    each of which runs its own kernel pass, mostly with other caps."""
+    residues, modulus = [0] * n_max, 1
+    for p, e in factor(m).factors:
+        q = p**e
+        for n, r in enumerate(chocolate2_mod(n_max, q)):
+            t = (r - residues[n]) * pow(modulus, -1, q) % q
+            residues[n] += modulus * t
+        modulus *= q
+    assert modulus == m
+    return residues
+
+
+def log_derivative_chocolate2_mod(n_max, m):
+    """B_1..B_n_max mod an odd m from the log-derivative identity
+    2X u' + f u = 0 cleared of denominators,
+
+        4^n B_n = -P_n - sum_{k<n} C(2n-1, 2k-1) 4^k P_{n-k} B_k,
+
+    with P_0 = 1 and P_n from hyper_numerators_mod: a recurrence that shares
+    no step with the split recursion of chocolate2_mod."""
+    P = np.array([1 % m] + hyper_numerators_mod(n_max, m), dtype=np.int64)
+    a = np.zeros(n_max + 1, dtype=np.int64)  # a[k] = 4^k B_k mod m
+    row = np.zeros(2 * n_max, dtype=np.int64)  # C(r, k) mod m, r = 2n-1
+    row[0] = 1 % m
+    inv4, inv4n, r, out = pow(4, -1, m), 1, 0, []
+    for n in range(1, n_max + 1):
+        while r < 2 * n - 1:
+            row[1 : r + 2] = (row[1 : r + 2] + row[0 : r + 1]) % m
+            r += 1
+        terms = a[1:n] * P[n - 1 : 0 : -1] % m * row[1 : 2 * n - 2 : 2] % m
+        a[n] = (-int(P[n]) - int(terms.sum())) % m
+        inv4n = inv4n * inv4 % m
+        out.append(int(a[n]) * inv4n % m)
+    return out
+
+
+def test_log_derivative_reference_matches_exact_values():
+    for m in (3, 9, 43, 999_983):
+        assert log_derivative_chocolate2_mod(40, m) == exact(40, m), m
+
+
+# ------------------------------------------------------ residue kernel paths
+
+
+def int64_dot_edge(n_max):
+    """The largest modulus with n_max (m-1)^2 < 2^63: the int64-dot kernel's."""
+    return isqrt((2**63 - 1) // n_max) + 1
+
+
 INT64_SAFE = 3_037_000_499
-# largest modulus with 600 (m-1)^2 < 2^63, the fast kernel's bound at n_max = 600
-EDGE_600 = isqrt((2**63 - 1) // 600) + 1
+EDGE_600 = int64_dot_edge(600)
 FALLBACK_INT64 = 3_037_000_493  # int64 products, but no int64 dot even at n_max = 2
 OBJECT = 3_037_000_507
+MIXED = 3 * 1_012_333_503  # 9 * 337 444 501
 
 
 def test_residue_kernel_bound_is_exact():
@@ -82,6 +131,10 @@ def test_residue_kernel_bound_is_exact():
     assert residue_kernel(2, INT64_SAFE) == "int64"
     assert residue_kernel(40, FALLBACK_INT64) == "int64"
     assert residue_kernel(1, INT64_SAFE + 1) == "object"
+    # the edge at n = 3000, and a modulus whose whole would take "object" there
+    assert int64_dot_edge(3000) == 55_447_790
+    assert residue_kernel(3000, 55_447_790) == "int64-dot" != residue_kernel(3000, 55_447_791)
+    assert residue_kernel(3000, MIXED) == "object"
 
 
 def test_int64_safe_modulus_keeps_a_product_of_residues_in_int64():
@@ -122,23 +175,6 @@ def test_numpy_integers_leave_plain_types_in_scan_results():
     assert report.eventually_zero is True
     json.dumps(record.as_dict())
     json.dumps(dataclasses.asdict(report))
-    with pytest.raises(TypeError):
-        conjecture_scan(2, [4], 100.0)
-    with pytest.raises(TypeError):
-        zero_tail_prime(7.0)
-
-
-# the Pascal kernel builds its views once per span of fill._SPAN steps: one
-# modulus of each kernel class at every n_max next to a span edge; 10**9
-# stops at n = 124 (KNOWN_STOPS), 3**19 runs the "int64" arm in full
-@pytest.mark.parametrize("m,kernel", [
-    (9, "int64-dot"), (10**9, "int64"), (3**19, "int64"), (3**21, "object"),
-])
-def test_pascal_rows_match_the_full_row_at_span_edges(m, kernel):
-    span = fill_mod._SPAN
-    for n_max in (span - 1, span, span + 1, span + 2, 2 * span + 1, 2 * span + 2):
-        assert planned(n_max, m) == [("pascal", m, kernel)], n_max
-        assert chocolate2_mod(n_max, m) == full_row_chocolate2_mod(n_max, m), n_max
 
 
 def planned(n_max, m):
@@ -155,49 +191,92 @@ def scaled_lengths(n_max, m):
     return [len(facts)] * (r > 1)
 
 
-_table = ChocolateTable()
+# m -> the kernel passes of chocolate2_mod(600, m): both routes with every
+# kernel, on the whole modulus or split between them
+PLANS_AT_600 = {
+    2: [("scaled", 2, "int64-dot")],
+    4: [("scaled", 4, "int64-dot")],
+    9: [("pascal", 9, "int64-dot")],
+    13: [("pascal", 13, "int64-dot")],
+    999_983: [("scaled", 999_983, "int64-dot")],
+    EDGE_600: [("scaled", 3_999_517, "int64-dot"), ("pascal", 31, "int64-dot")],
+    EDGE_600 + 1: [("pascal", EDGE_600 + 1, "int64")],  # 2^2 * 71 * 461 * 947
+    FALLBACK_INT64: [("scaled", FALLBACK_INT64, "int64")],
+    3**21: [("pascal", 3**21, "object")],
+    OBJECT: [("scaled", OBJECT, "object")],
+}
+SPAN = fill_mod._SPAN
+# (n_max - 1) // 2 crosses 64 and 128 here, so the limb width changes
+LIMB_EDGES = (1, 2, 3, 127, 128, 129, 130, 255, 256, 257, 258)
 
-
-@functools.cache
-def exact_b(n_max):
-    return [chocolate2(n, _table) for n in range(1, n_max + 1)]
-
-
-# (modulus, plan at n_max = 600): both routes with every kernel, on the
-# whole modulus or split between them
-PLAN_CASES = [
-    (2, [("scaled", 2, "int64-dot")]),
-    (4, [("scaled", 4, "int64-dot")]),
-    (9, [("pascal", 9, "int64-dot")]),
-    (13, [("pascal", 13, "int64-dot")]),
-    (999_983, [("scaled", 999_983, "int64-dot")]),
-    (EDGE_600, [("scaled", 3_999_517, "int64-dot"), ("pascal", 31, "int64-dot")]),
-    (EDGE_600 + 1, [("pascal", EDGE_600 + 1, "int64")]),  # 2^2 * 71 * 461 * 947
-    (FALLBACK_INT64, [("scaled", FALLBACK_INT64, "int64")]),
-    (3**21, [("pascal", 3**21, "object")]),
-    (OBJECT, [("scaled", OBJECT, "object")]),
+# (n_max, m, the passes planned, or None where not pinned, the reference
+# that chocolate2_mod(n_max, m) equals)
+VALUE_CASES = [
+    *((600, m, plan, exact) for m, plan in PLANS_AT_600.items()),
+    # odd and even n_max, and short prefixes
+    *((n_max, m, None, exact) for m in PLANS_AT_600 for n_max in (599, 1, 2, 3, 4, 7, 10)),
+    # the Pascal kernel builds its views once per span of fill._SPAN steps:
+    # one modulus of each kernel class at every n_max next to a span edge;
+    # 10**9 stops at n = 124 (KNOWN_STOPS), 3**19 runs the "int64" arm in full
+    *((n_max, m, [("pascal", m, kernel)], full_row_chocolate2_mod)
+      for m, kernel in ((9, "int64-dot"), (10**9, "int64"), (3**19, "int64"), (3**21, "object"))
+      for n_max in (SPAN - 1, SPAN, SPAN + 1, SPAN + 2, 2 * SPAN + 1, 2 * SPAN + 2)),
+    # route boundaries: a prime p >= 2 n_max, the prime 2 n_max - 1, and 2q
+    # with q <= 2 n_max - 1 < 2q; the recursion divides by odd numbers only,
+    # so powers of 2 do not count.  Past n = 601 the full row is slow, and
+    # Pascal rows share no arithmetic with the scaled route
+    (600, 1201, [("scaled", 1201, "int64-dot")], full_row_chocolate2_mod),
+    (601, 1201, [("pascal", 1201, "int64-dot")], full_row_chocolate2_mod),
+    (600, 2 * 601, [("pascal", 2 * 601, "int64-dot")], full_row_chocolate2_mod),
+    (600, 8, [("scaled", 8, "int64-dot")], full_row_chocolate2_mod),
+    (600, 32 * 1201, [("scaled", 32 * 1201, "int64-dot")], full_row_chocolate2_mod),
+    (3000, 4 * 999_983, [("scaled", 4 * 999_983, "int64-dot")], pascal_rows),
+    (600, EDGE_600 + 1, [("pascal", EDGE_600 + 1, "int64")], full_row_chocolate2_mod),
+    # a modulus that needs the Pascal "object" kernel whole walks Pascal
+    # rows on its smooth part only
+    (3000, MIXED, [("scaled", 337_444_501, "int64"), ("pascal", 9, "int64-dot")], crt_reference),
+    (200, MIXED, None, exact),
+    # 55 447 790, the last modulus the int64-dot kernel takes at n = 3000,
+    # walks Pascal rows mod 10 only: its odd prime 5 544 779 lies above 2n.
+    # 55 447 788 = 2^2 * 3 * 11 * 101 * 4159 walks them whole, the row and
+    # products reduced every step; merging the two caps into one overflows
+    # int64 there.  55 447 795 = 5 * 13 * 17 * 19^2 * 139 lies above the
+    # edge, on the "int64" kernel
+    (3000, 55_447_790, [("scaled", 5_544_779, "int64-dot"), ("pascal", 10, "int64-dot")],
+     crt_reference),
+    (3000, 55_447_788, [("pascal", 55_447_788, "int64-dot")], crt_reference),
+    (3000, 55_447_795, [("pascal", 55_447_795, "int64")], crt_reference),
+    # scaled limbs at their width boundaries: "object" above 3 037 000 499,
+    # and below it int64 products, with an int64 dot at n_max = 1 only
+    *((n_max, m, [("scaled", m, "object" if m > INT64_SAFE else
+                   "int64-dot" if n_max == 1 else "int64")], exact)
+      for m in (2**64 + 13, 10**30 + 57, FALLBACK_INT64, OBJECT) for n_max in LIMB_EDGES),
+    # every small modulus, stopped or not, on both routes and all three
+    # kernel classes, through the CRT join of 11 * 3 037 000 507 (OBJECT),
+    # and the scaled route's limbs mod a semiprime above the int64-dot bound
+    *((600, m, None, exact) for m in [*range(2, 301), 2**40, 10**12, 41 * 1024,
+                                       11 * OBJECT, 1_000_003 * 1_000_033]),
+    # beyond the big-integer counts, the log-derivative recurrence: 41 stops
+    # at n = 1681, and 11 739 = lcm(3, 7, 13, 43), the conjecture-3 set's
+    # group, is odd and joins its parts
+    *((1500, m, None, log_derivative_chocolate2_mod) for m in (9, 43, 999_983, 3 * 7 * 13 * 43)),
+    (1500, 3 * 7 * 13 * 43, None, crt_reference),
+    (3000, 41, None, log_derivative_chocolate2_mod),
 ]
 
 
-@pytest.mark.parametrize("m,plan", PLAN_CASES)
-def test_each_plan_case_is_planned_at_600(m, plan):
-    assert planned(600, m) == plan
-
-
-@pytest.mark.parametrize("m", [m for m, _ in PLAN_CASES])
-def test_each_plan_at_600_gives_the_exact_values(m):
-    want = [v % m for v in exact_b(600)]
-    assert chocolate2_mod(600, m) == want
-    # odd and even n_max, and short prefixes
-    for n_max in (599, 1, 2, 3, 4, 7, 10):
-        assert chocolate2_mod(n_max, m) == want[:n_max], n_max
+@pytest.mark.parametrize("n_max,m,plan,reference", VALUE_CASES,
+                         ids=[f"{n}-{m}-{ref.__name__}" for n, m, _, ref in VALUE_CASES])
+def test_chocolate2_mod_matches_its_reference(n_max, m, plan, reference):
+    assert plan is None or planned(n_max, m) == plan
+    assert chocolate2_mod(n_max, m) == reference(n_max, m)
 
 
 def test_chocolate2_mod_runs_the_passes_of_its_plan():
     # the one test that hooks the kernels: both scaled kernels are exact on
     # "int64-dot" moduli, so only a hook sees a dispatch to the slower one,
     # and the Pascal kernel runs the class it is given
-    cases = [(600, m) for m, _ in PLAN_CASES] + [(3000, 3 * 1_012_333_503), (3000, 2**40)]
+    cases = [(n_max, m) for n_max, m, plan, _ in VALUE_CASES if plan] + [(3000, 2**40)]
     for n_max, m in cases:
         ran = []
         with pytest.MonkeyPatch.context() as mp:
@@ -213,32 +292,6 @@ def test_chocolate2_mod_runs_the_passes_of_its_plan():
         assert ran == want, m
 
 
-@pytest.mark.parametrize("n_max,m,scaled", [
-    (600, 1201, True),  # a prime p >= 2 n_max
-    (601, 1201, False),  # the prime 2 n_max - 1
-    (600, 2 * 601, False),  # 2q with q <= 2 n_max - 1 < 2q
-    # the recursion divides by odd numbers only, so powers of 2 do not count
-    (600, 8, True),
-    (600, 32 * 1201, True),
-    (3000, 4 * 999_983, True),
-    (600, EDGE_600 + 1, False),  # 2^2 * 71 * 461 * 947
-])
-def test_chocolate2_mod_route_boundaries(n_max, m, scaled):
-    assert [(r, q) for r, q, _ in planned(n_max, m)] == [("scaled" if scaled else "pascal", m)]
-    # past n = 601 the full row is slow; Pascal rows share no arithmetic
-    # with the scaled route, so they check it as well
-    if n_max <= 601:
-        assert chocolate2_mod(n_max, m) == full_row_chocolate2_mod(n_max, m)
-    else:
-        pascal = fill_mod.pascal_residues(n_max, m, residue_kernel(n_max, m))
-        assert chocolate2_mod(n_max, m) == pascal
-
-
-def int64_dot_edge(n_max):
-    """The largest modulus with n_max (m-1)^2 < 2^63: the int64-dot kernel's."""
-    return isqrt((2**63 - 1) // n_max) + 1
-
-
 def prime_from(x, step):
     while not is_prime(x):
         x += step
@@ -248,7 +301,7 @@ def prime_from(x, step):
 def smooth_factor(rng, n_max, limit):
     """A random odd modulus above 1 and at most limit whose prime factors
     all lie below 2 n_max."""
-    primes = [p for p in primes_below(2 * n_max) if p > 2]
+    primes = plain_primes(3, 2 * n_max)
     s = rng.choice(primes)
     while (p := rng.choice(primes)) * s <= limit and rng.randrange(3):
         s *= p
@@ -292,13 +345,12 @@ def fuzz_moduli(seed, n_max, count):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_chocolate2_mod_fuzz_across_the_kernel_bounds(seed):
     n_max = 150
-    want_exact = exact_b(n_max)
     seen = set()
     for m in fuzz_moduli(seed, n_max, 3):
         seen.update((route, kernel) for route, _, kernel in planned(n_max, m))
         got = chocolate2_mod(n_max, m)
         assert got == full_row_chocolate2_mod(n_max, m), m
-        assert got == [v % m for v in want_exact], m
+        assert got == exact(n_max, m), m
     # every route meets every kernel
     assert seen == {(r, k) for r in ("pascal", "scaled") for k in ("int64-dot", "int64", "object")}
 
@@ -330,14 +382,13 @@ def mixed_moduli(seed, n_max, count):
 @pytest.mark.parametrize("seed", [0, 1])
 def test_mixed_moduli_split_into_a_pascal_and_a_scaled_pass(seed):
     n_max = 150
-    want_exact = exact_b(n_max)
     crossed = set()
     for m, s, r in mixed_moduli(seed, n_max, 3):
         passes, got = planned(n_max, m), chocolate2_mod(n_max, m)
         assert passes == [("scaled", r, residue_kernel(n_max, r)),
                           ("pascal", s, residue_kernel(n_max, s))], m
         assert got == full_row_chocolate2_mod(n_max, m), m
-        assert got == [v % m for v in want_exact], m
+        assert got == exact(n_max, m), m
         crossed.add((residue_kernel(n_max, m), {k for _, _, k in passes} == {"int64-dot"}))
     # whole moduli of every class, and parts that both run int64-dot below
     # a whole modulus that would not
@@ -345,76 +396,18 @@ def test_mixed_moduli_split_into_a_pascal_and_a_scaled_pass(seed):
     assert ("int64", True) in crossed and ("object", True) in crossed
 
 
-def test_mixed_modulus_walks_pascal_rows_on_its_smooth_part_only():
-    # 3 * 1 012 333 503 = 9 * 337 444 501: the Pascal "object" kernel, which
-    # the whole modulus would need, never runs
-    m = 3 * 1_012_333_503
-    assert residue_kernel(3000, m) == "object"
-    assert planned(3000, m) == [("scaled", 337_444_501, "int64"), ("pascal", 9, "int64-dot")]
-    got = chocolate2_mod(3000, m)
-    assert got[:200] == [v % m for v in exact_b(200)]
-    assert [x % 9 for x in got] == chocolate2_mod(3000, 9)
-    assert [x % 337_444_501 for x in got] == chocolate2_mod(3000, 337_444_501)
-
-
-def crt_reference(n_max, m):
-    """chocolate2_mod(n_max, m) joined by CRT from its prime-power factors,
-    each of which runs its own kernel pass, mostly with other caps."""
-    residues, modulus = [0] * n_max, 1
-    for p, e in factor(m).factors:
-        q = p**e
-        for n, r in enumerate(chocolate2_mod(n_max, q)):
-            t = (r - residues[n]) * pow(modulus, -1, q) % q
-            residues[n] += modulus * t
-        modulus *= q
-    assert modulus == m
-    return residues
-
-
-def test_int64_dot_edge_at_3000_matches_its_prime_power_parts():
-    # 55 447 790 is the last modulus the int64-dot kernel takes at n = 3000;
-    # its odd prime 5 544 779 lies above 2n, so only 10 walks Pascal rows.
-    # 55 447 788 = 2^2 * 3 * 11 * 101 * 4159 walks them whole, the row and
-    # products reduced every step; merging the two caps into one overflows
-    # int64 there.  55 447 795 = 5 * 13 * 17 * 19^2 * 139 lies above the
-    # edge, on the "int64" kernel.
-    edge = int64_dot_edge(3000)
-    assert edge == 55_447_790
-    assert residue_kernel(3000, edge) == "int64-dot" != residue_kernel(3000, edge + 1)
-    assert planned(3000, edge) == [("scaled", 5_544_779, "int64-dot"),
-                                   ("pascal", 10, "int64-dot")]
-    for m, kernel in ((edge - 2, "int64-dot"), (edge + 5, "int64")):
-        assert planned(3000, m) == [("pascal", m, kernel)], m
-        assert chocolate2_mod(3000, m) == crt_reference(3000, m), m
-
-
-def test_limb_width_keeps_every_matmul_entry_below_2_62():
+def test_limb_width_is_the_widest_below_2_62():
+    # a dot of h = (n_max - 1) // 2 limb products of w >= 11 bits stays
+    # below 2^62, and w + 1 would take it to 2^62 or past it
     for n_max in itertools.chain(range(1, 70), (2**k + d for k in range(6, 40) for d in (-1, 0, 1, 2))):
         h, w = (n_max - 1) // 2, fill_mod._limb_width(n_max)
-        assert h * 2 ** (2 * w) <= 2**62 and w >= 11, n_max
-
-
-def test_limb_width_is_the_widest_below_2_62():
-    # w + 1 would take a dot of h_max limb products to 2^62 or past it
-    for n_max in itertools.chain(range(3, 70), (2**k + d for k in range(6, 40) for d in (-1, 0, 1, 2))):
-        h, w = (n_max - 1) // 2, fill_mod._limb_width(n_max)
-        assert h * 2 ** (2 * w) < 2**62 <= h * 2 ** (2 * (w + 1)), n_max
-
-
-@pytest.mark.parametrize("m", [2**64 + 13, 10**30 + 57, FALLBACK_INT64, OBJECT])
-def test_limbs_at_their_width_boundaries(m):
-    # (n_max - 1) // 2 crosses 64 and 128 here, so the limb width changes
-    widths = set()
-    for n_max in (1, 2, 3, 127, 128, 129, 130, 255, 256, 257, 258):
-        assert [(r, q) for r, q, _ in planned(n_max, m)] == [("scaled", m)]
-        assert residue_kernel(n_max, m) != "int64-dot" or n_max == 1
-        widths.add(fill_mod._limb_width(n_max))
-        assert chocolate2_mod(n_max, m) == [v % m for v in exact_b(n_max)], n_max
-    assert len(widths) == 4
+        assert w >= 11 and h * 2 ** (2 * w) < 2**62, n_max
+        assert h == 0 or 2**62 <= h * 2 ** (2 * (w + 1)), n_max
+    assert len({fill_mod._limb_width(n_max) for n_max in LIMB_EDGES}) == 4
 
 
 # every conjecture set of the benchmark, at its evidence length
-BENCHMARK_SCANS = [(1, tuple(primes_below(100)[i::3]), 560) for i in range(3)] + [
+BENCHMARK_SCANS = [(1, tuple(plain_primes(2, 100)[i::3]), 560) for i in range(3)] + [
     (2, ms, 1500) for ms in [(4, 6, 8, 10), (9, 12, 14, 15), (16, 18, 20, 21)]
 ] + [(3, (3, 7, 13, 43), 1800)]
 
@@ -460,13 +453,6 @@ def test_grouping_keeps_order_and_duplicates():
         chocolate2_mod_many(300, [9, 1, 0])
 
 
-@pytest.mark.parametrize("moduli", [[], [5]])
-def test_grouped_moduli_reject_a_bad_n_max_with_or_without_moduli(moduli):
-    # checked up front, with chocolate2_mod's message, not only by a group's pass
-    with pytest.raises(ValueError, match=r"n_max must be >= 1, got 0"):
-        chocolate2_mod_many(0, moduli)
-
-
 @pytest.mark.parametrize("seed", [0, 1])
 def test_grouped_moduli_fuzz_matches_one_modulus_at_a_time(seed):
     # random lists of smooth, rough and mixed moduli and powers of 2, some
@@ -510,7 +496,7 @@ def split_cases(count, seed):
     moduli, odd parts just below and just above 2 n_max, and small odd
     parts times up to 2^200."""
     rng = random.Random(seed)
-    odd_primes = primes_below(1400)[1:]
+    odd_primes = plain_primes(3, 1400)
     for i in range(count):
         n_max = rng.randint(1, 600)
         smooth = [p for p in odd_primes if p < 2 * n_max] or [1]
@@ -593,62 +579,7 @@ def test_int64_dot_defers_reductions_up_to_the_int64_bound(monkeypatch, m, defer
             assert (p < m) == prods_reduced, n
 
 
-def log_derivative_chocolate2_mod(n_max, m):
-    """B_1..B_n_max mod an odd m from the log-derivative identity
-    2X u' + f u = 0 cleared of denominators,
-
-        4^n B_n = -P_n - sum_{k<n} C(2n-1, 2k-1) 4^k P_{n-k} B_k,
-
-    with P_0 = 1 and P_n from hyper_numerators_mod: a recurrence that shares
-    no step with the split recursion of chocolate2_mod."""
-    import numpy as np
-
-    P = np.array([1 % m] + hyper_numerators_mod(n_max, m), dtype=np.int64)
-    a = np.zeros(n_max + 1, dtype=np.int64)  # a[k] = 4^k B_k mod m
-    row = np.zeros(2 * n_max, dtype=np.int64)  # C(r, k) mod m, r = 2n-1
-    row[0] = 1 % m
-    inv4, inv4n, r, out = pow(4, -1, m), 1, 0, []
-    for n in range(1, n_max + 1):
-        while r < 2 * n - 1:
-            row[1 : r + 2] = (row[1 : r + 2] + row[0 : r + 1]) % m
-            r += 1
-        terms = a[1:n] * P[n - 1 : 0 : -1] % m * row[1 : 2 * n - 2 : 2] % m
-        a[n] = (-int(P[n]) - int(terms.sum())) % m
-        inv4n = inv4n * inv4 % m
-        out.append(int(a[n]) * inv4n % m)
-    return out
-
-
-def test_log_derivative_reference_matches_exact_values():
-    for m in (3, 9, 43, 999_983):
-        assert log_derivative_chocolate2_mod(40, m) == [v % m for v in exact_b(40)], m
-
-
-@pytest.mark.parametrize("n_max,m,parts", [
-    (1500, 9, ()), (1500, 43, ()), (1500, 999_983, ()),
-    # 11 739 = lcm(3, 7, 13, 43), the conjecture-3 set's group, is odd
-    (1500, 3 * 7 * 13 * 43, (3, 7, 13, 43)),
-    # 41 stops at n = 1681, past the big-integer check at n = 600
-    (3000, 41, ()),
-])
-def test_chocolate2_mod_matches_the_log_derivative_reference(n_max, m, parts):
-    got = chocolate2_mod(n_max, m)
-    assert got == log_derivative_chocolate2_mod(n_max, m)
-    for p in parts:
-        assert [r % p for r in got] == chocolate2_mod(n_max, p), p
-
-
 # ------------------------------------------------------------- zero tails
-
-
-def test_chocolate2_mod_matches_the_big_integer_counts_at_600():
-    # every small modulus, stopped or not, on both routes and all three
-    # kernel classes, through the CRT join of 11 * 3 037 000 507, and the
-    # scaled route's limbs mod a prime and a semiprime above the int64-dot bound
-    want = exact_b(600)
-    for m in [*range(2, 301), 2**40, 10**12, 41 * 1024, 11 * 3_037_000_507,
-              3_037_000_507, 1_000_003 * 1_000_033]:
-        assert chocolate2_mod(600, m) == [v % m for v in want], m
 
 
 def pascal_steps(run):
@@ -757,11 +688,6 @@ def test_hyper_numerators_periodicity_congruence():
 
 
 # ------------------------------------------------------------------ detector
-
-
-def test_detect_requires_evidence():
-    with pytest.raises(ValueError):
-        detect_eventual_period([1, 2, 3])
 
 
 def _reference_period(seq):
@@ -902,7 +828,7 @@ def test_detect_is_idempotent_under_extension():
 
 
 def test_zero_tail_prime_matches_legendre():
-    for p in primes_below(100):
+    for p in plain_primes(2, 100):
         if p in (2, 5):
             continue
         # Euler's criterion: 5 is a square mod p
@@ -918,28 +844,6 @@ def test_persistent_divisor_check_windows():
     assert persistent_divisor_check(5, 25, b5) is True
     b3 = chocolate2_mod(30, 3)
     assert all(not persistent_divisor_check(3, n, b3) for n in range(1, 30))
-
-
-def test_persistent_divisor_check_validation():
-    b11 = chocolate2_mod(10, 11)
-    with pytest.raises(ValueError, match="window needs"):
-        persistent_divisor_check(11, 20, b11)
-    with pytest.raises(ValueError):
-        persistent_divisor_check(0, 5, b11)
-
-
-def test_mod3_pattern_check_validation():
-    with pytest.raises(ValueError):
-        mod3_pattern_check(1)
-
-
-def test_binom_sums_reject_out_of_class_n():
-    for bad in (2, 7, 9):
-        with pytest.raises(ValueError):
-            binom_sum_1_mod6(bad)
-    for bad in (4, 9, 11):
-        with pytest.raises(ValueError):
-            binom_sum_5_mod6(bad)
 
 
 def binomial_mod_prime(n, k, p):
@@ -994,62 +898,6 @@ def test_binom_sums_match_the_termwise_sum_below_3000():
 # -------------------------------------------------------------- scan harness
 
 
-def test_conjecture_scan_validation():
-    with pytest.raises(ValueError):
-        conjecture_scan(4, [3], 200)
-    with pytest.raises(ValueError):
-        conjecture_scan(1, [3], 50)
-    with pytest.raises(ValueError):
-        conjecture_scan(1, [9], 200)  # composite where a prime is required
-
-
-def test_conjecture1_consistent_with_certificate():
-    (rec,) = conjecture_scan(1, [11], 200)
-    assert rec.status == CONSISTENT
-    assert rec.preperiod == 5 and rec.period == 1
-    assert "certified" in rec.notes
-    assert "n=11" in rec.notes
-
-
-def test_conjecture1_consistent_without_tail():
-    (rec,) = conjecture_scan(1, [3], 200)
-    assert rec.status == CONSISTENT
-    assert "matching the classifier" in rec.notes
-
-
-def test_conjecture1_prediction_beyond_evidence_stays_consistent():
-    # the zero tail mod 41 starts at index 841, far beyond this horizon
-    (rec,) = conjecture_scan(1, [41], 200)
-    assert rec.status == CONSISTENT
-    assert "beyond the evidence" in rec.notes
-
-
-def test_conjecture1_inconsistent_on_certified_counterexample(monkeypatch):
-    fake = [1, 2, 1] + [0] * 297
-
-    monkeypatch.setattr(modular_mod, "chocolate2_mod", lambda n, m: fake[:n])
-    (rec,) = conjecture_scan(1, [3], 300)
-    assert rec.status == INCONSISTENT
-    assert "contradicts" in rec.notes
-
-
-def test_conjecture1_unresolved_on_uncertifiable_tail(monkeypatch):
-    fake = [1] * 295 + [0] * 5
-
-    monkeypatch.setattr(modular_mod, "chocolate2_mod", lambda n, m: fake[:n])
-    (rec,) = conjecture_scan(1, [3], 300)
-    assert rec.status == UNRESOLVED
-
-
-def test_conjecture1_large_prime_factor_answers_at_once():
-    # B_107 has the prime factor 2 751 857; a certificate search would step n
-    # up to 1 375 930, where a prime that large first divides (2n-2)!
-    start = time.perf_counter()
-    (rec,) = conjecture_scan(1, [2751857], 107)
-    assert time.perf_counter() - start < 2
-    assert (rec.status, rec.preperiod, rec.period) == (UNRESOLVED, 106, 1)
-
-
 _divides_factorial = functools.cache(divides_factorial)
 
 
@@ -1070,7 +918,7 @@ def _searched_certificate(k, tail_start, residues):
 def test_zero_tail_certificate_matches_the_search():
     # every prime below 1500, three evidence lengths and every tail start
     checked = certified = 0
-    for p in primes_below(1500):
+    for p in plain_primes(2, 1500):
         for L in (100, 137, 300):
             for tail_start in range(1, L + 1):
                 residues = [1] * (tail_start - 1) + [0] * (L - tail_start + 1)
@@ -1081,51 +929,52 @@ def test_zero_tail_certificate_matches_the_search():
     assert (checked, certified) == (128_343, 22_807)
 
 
-def test_conjecture2_resolves_small_moduli():
-    rec3, rec9 = conjecture_scan(2, [3, 9], 400)
-    assert rec3.status == CONSISTENT
-    assert (rec3.preperiod, rec3.period) == (1, 3)
-    assert rec9.status == CONSISTENT
-    assert (rec9.preperiod, rec9.period) == (3, 9)
-
-
-def test_conjecture2_unresolved_when_evidence_is_short():
-    (rec,) = conjecture_scan(2, [13], 150)
-    assert rec.status == UNRESOLVED
-
-
-def test_conjecture3_reports_both_divisibility_directions():
-    (rec,) = conjecture_scan(3, [3], 400)
-    assert rec.status == CONSISTENT
-    assert rec.period == 3
-    assert "p(p-1) divides period: no" in rec.notes
-    assert "period divides p(p-1): yes" in rec.notes
-
-
-def test_conjecture3_unresolved_without_a_period():
-    (rec,) = conjecture_scan(3, [43], 100)
-    assert (rec.status, rec.preperiod, rec.period) == (UNRESOLVED, None, None)
-    assert "no period certified within 100 terms" in rec.notes
-
-
-def test_conjecture3_unresolved_when_the_sequence_dies(monkeypatch):
+# (conjecture, moduli, n_max, residues that stand in for chocolate2_mod's,
+# or None, and the (status, preperiod, period, notes) of each record)
+UNCERTIFIABLE = "on a classifier-false prime; cannot certify either way"
+NO_PERIOD = "terms at the configured thresholds"
+SCAN_CASES = [
+    (1, [11], 200, None, [(CONSISTENT, 5, 1, "zero tail from index 6; persistence certified"
+                           " by divisibility window at n=11")]),
+    (1, [3], 200, None, [(CONSISTENT, None, None,
+                          "no zero tail within 200 terms, matching the classifier")]),
+    # the zero tail mod 41 starts at index 841, far beyond this horizon
+    (1, [41], 200, None, [(CONSISTENT, None, None, "no zero tail within 200 terms;"
+                           " predicted tail would start beyond the evidence")]),
+    (1, [3], 300, [1, 2, 1] + [0] * 297, [(INCONSISTENT, 3, 1, "certified persistent zero"
+                                           " tail from index 4 contradicts the classifier")]),
+    (1, [3], 300, [1] * 295 + [0] * 5,
+     [(UNRESOLVED, 295, 1, f"trailing zeros from index 296 {UNCERTIFIABLE}")]),
+    # B_107 has the prime factor 2 751 857; a certificate search would step n
+    # up to 1 375 930, where a prime that large first divides (2n-2)!
+    (1, [2751857], 107, None,
+     [(UNRESOLVED, 106, 1, f"trailing zeros from index 107 {UNCERTIFIABLE}")]),
+    (2, [3, 9], 400, None, [
+        (CONSISTENT, 1, 3, "periodic on the evidence with period 3 after preperiod 1; evidence only"),
+        (CONSISTENT, 3, 9, "periodic on the evidence with period 9 after preperiod 3; evidence only"),
+    ]),
+    (2, [13], 150, None, [(UNRESOLVED, None, None, f"no period certified within 150 {NO_PERIOD}")]),
+    (3, [3], 400, None, [(CONSISTENT, 1, 3, "minimal observed period 3, p(p-1)=6;"
+                          " p(p-1) divides period: no; period divides p(p-1): yes")]),
+    (3, [43], 100, None, [(UNRESOLVED, None, None, f"no period certified within 100 {NO_PERIOD}")]),
     # no classifier-false prime is known to die; a stand-in sequence does
-    monkeypatch.setattr(modular_mod, "chocolate2_mod", lambda n, m: [1, 2] + [0] * (n - 2))
-    (rec,) = conjecture_scan(3, [3], 100)
-    assert (rec.status, rec.preperiod, rec.period) == (UNRESOLVED, 2, 1)
-    assert rec.notes == "sequence died to zeros, which the hypothesis does not anticipate"
+    (3, [3], 100, [1, 2] + [0] * 98, [(UNRESOLVED, 2, 1, "sequence died to zeros,"
+                                       " which the hypothesis does not anticipate")]),
+    (3, [11], 200, None, [(CONSISTENT, None, None,
+                           "hypothesis excludes this prime (classifier-true); nothing to test")]),
+]
 
 
-def test_conjecture3_skips_classifier_true_primes():
-    (rec,) = conjecture_scan(3, [11], 200)
-    assert rec.status == CONSISTENT
-    assert "excludes" in rec.notes
-
-
-def test_scan_records_round_trip_to_dicts():
-    (rec,) = conjecture_scan(3, [3], 400)
-    d = rec.as_dict()
-    assert d["conjecture"] == 3 and d["modulus"] == 3 and d["status"] == CONSISTENT
-    assert set(d) == {
-        "conjecture", "modulus", "n_max", "status", "preperiod", "period", "notes"
-    }
+@pytest.mark.parametrize("conjecture,moduli,n_max,fake,expected", SCAN_CASES,
+                         ids=[f"{c}-{'-'.join(map(str, ms))}-{n}{'-stand-in' * bool(fake)}"
+                              for c, ms, n, fake, _ in SCAN_CASES])
+def test_scan_records_and_their_dicts(monkeypatch, conjecture, moduli, n_max, fake, expected):
+    if fake is not None:
+        monkeypatch.setattr(modular_mod, "chocolate2_mod", lambda n, m: fake[:n])
+    start = time.perf_counter()
+    records = conjecture_scan(conjecture, moduli, n_max)
+    assert time.perf_counter() - start < 2  # no scan here searches for a certificate
+    rows = [(conjecture, m, n_max, *e) for m, e in zip(moduli, expected)]
+    assert records == [ScanRecord(*row) for row in rows]
+    fields = ("conjecture", "modulus", "n_max", "status", "preperiod", "period", "notes")
+    assert [r.as_dict() for r in records] == [dict(zip(fields, row)) for row in rows]

@@ -1,20 +1,7 @@
 """Tests for the brute-force break-sequence enumerator."""
 
-import pytest
-
 from chocnum.chocolate import ChocolateTable, chocolate_number
 from chocnum.oracle import count_sequences
-
-
-def test_rejects_degenerate_and_oversized():
-    with pytest.raises(ValueError):
-        count_sequences(0, 3)
-    with pytest.raises(ValueError):
-        count_sequences(4, 4)  # area 16 over the default limit
-
-
-def test_area_limit_is_overridable():
-    assert count_sequences(2, 7, area_limit=14) == 984237056
 
 
 def test_agrees_with_recursion_everywhere_it_can_reach():
